@@ -3,20 +3,20 @@
 Commands: classify, tables, zn, ideal, tableaux, verify, sweep.
 Exit codes: 0 success, 1 verification or golden-table mismatch, 2 usage error.
 All output is deterministic for fixed flags; sweeps sort by (n, ell, w)
-before emission regardless of the worker pool.
+before emission.  ``--jobs`` is accepted for compatibility and must be at
+least 1; every command runs in a single process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
 
 from mfl import golden
-from mfl.permcomb import Permutation, all_permutations, zero_family, zero_family_size
+from mfl.permcomb import Permutation, zero_family, zero_family_size
 from mfl.quadideal import (
     CapabilityError,
     ORACLE_BOUND_DEFAULT,
@@ -37,7 +37,6 @@ class RunConfig:
     """Resolved run options shared by the subcommands."""
 
     fmt: str = "text"
-    jobs: int = 1
     la_cap: int | None = None
     all_pairs: bool = False
     oracle_bound: int = ORACLE_BOUND_DEFAULT
@@ -275,38 +274,27 @@ def cmd_verify(args, config: RunConfig) -> int:
 # sweep
 
 
-def _sweep_worker(task):
-    n, ell, chunk = task
-    out = []
-    for entries in chunk:
+def _sweep_rows(n: int, ell: int, bound: int) -> list[tuple]:
+    binomial_family(n, ell)  # the families check n and ell before the oracle does
+    rows = []
+    for entries, verdict in verdicts_for_all_w(n, ell, bound=bound).items():
         w = Permutation(entries)
         record = classify_combinatorial(n, ell, w)
-        outcome = classify_oracle(n, ell, w)
-        out.append(
+        rows.append(
             (
                 ell,
                 w.to_string(),
-                outcome.verdict,
+                verdict,
                 record.combinatorial_class,
                 ",".join(sorted(record.witness_tags)),
             )
         )
-    return out
+    return rows
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
     ells = [args.ell] if args.ell is not None else list(range(args.n))
-    perms = [w.entries for w in all_permutations(args.n)]
-    tasks = []
-    chunk = max(1, len(perms) // (config.jobs * 4) if config.jobs > 1 else len(perms))
-    for ell in ells:
-        for start in range(0, len(perms), chunk):
-            tasks.append((args.n, ell, perms[start:start + chunk]))
-    if config.jobs > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
-            parts = pool.map(_sweep_worker, tasks)
-    else:
-        parts = [_sweep_worker(t) for t in tasks]
+    parts = [_sweep_rows(args.n, ell, config.oracle_bound) for ell in ells]
     rows = sorted(r for part in parts for r in part)
     if config.fmt == "json":
         _emit_json(
@@ -335,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted matching field ideals of Schubert varieties",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; runs use one process")
     parser.add_argument("--la-cap", type=int, default=None,
                         help="cap for the exact linear-algebra oracle")
     parser.add_argument("--all-pairs", action="store_true",
@@ -384,9 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     config = RunConfig(
         fmt=args.format,
-        jobs=args.jobs,
         la_cap=args.la_cap,
         all_pairs=args.all_pairs,
     )

@@ -20,6 +20,7 @@ object the fiber combinatorics is checked against.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +28,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 from mfl import exactla
 from mfl.matchfield import variable_image_key, weight_key
-from mfl.permcomb import Permutation, all_index_keys, vanishing_keys
+from mfl.permcomb import (
+    Permutation,
+    all_index_keys,
+    dominated,
+    sorted_prefixes,
+    vanishing_keys,
+)
 
 Key = tuple[int, ...]
 MonoKey = tuple[Key, Key]
@@ -47,8 +54,13 @@ class CapabilityError(Exception):
 
 
 def la_cap() -> int:
+    """The linear-algebra cap: ``MFL_LA_CAP`` if set, else the default."""
     env = os.environ.get("MFL_LA_CAP")
-    return int(env) if env else LA_CAP_DEFAULT
+    if not env:
+        return LA_CAP_DEFAULT
+    if not env.strip().isdecimal():
+        raise ValueError(f"MFL_LA_CAP must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 class QuadraticRelation(NamedTuple):
@@ -295,43 +307,73 @@ def _fiber_components(n: int, ell: int) -> tuple[tuple[MonoKey, ...], ...]:
     return tuple(tuple(m for m, _ in fiber) for fiber in _fibers(n, ell))
 
 
+@lru_cache(maxsize=4)
+def _prefix_set_masks(n: int) -> dict[Key, int]:
+    """Bitsets over S_n: bit i of entry P is set iff the i-th permutation in
+    ``itertools.permutations`` order has ``{w_1, ..., w_|P|} = P``."""
+    masks: dict[Key, int] = {}
+    for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+        bit = 1 << i
+        for prefix in sorted_prefixes(entries)[:-1]:
+            masks[prefix] = masks.get(prefix, 0) | bit
+    return masks
+
+
+@lru_cache(maxsize=4)
+def _alive_masks(n: int) -> dict[Key, int]:
+    """Bitsets over S_n: bit i of entry J is set iff P_J survives on X(w) for
+    the i-th permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``."""
+    prefix_masks = _prefix_set_masks(n)
+    alive = {}
+    for j in all_index_keys(n):
+        mask = 0
+        for prefix, bits in prefix_masks.items():
+            if len(prefix) == len(j) and dominated(j, prefix):
+                mask |= bits
+        alive[j] = mask
+    return alive
+
+
 def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple[int, ...], str]:
-    """Verdict of every w in S_n at once; the bulk path used by the sweeps."""
+    """Verdict of every w in S_n at once; the bulk path used by the sweeps.
+
+    Bit-parallel over S_n: a monomial is alive on the AND of its variables'
+    alive bitsets, and per fiber the OR (some member alive) and the AND
+    (every member alive) of its monomials give the permutations where the
+    fiber leaves a monomial (OR and not AND) or a binomial (OR).  Keys come
+    in ``itertools.permutations`` order.
+
+    >>> verdicts_for_all_w(3, 1)[(2, 3, 1)]
+    'nonbinomial'
+    """
     bound = ORACLE_BOUND_DEFAULT if bound is None else bound
+    if n < 3:
+        raise ValueError(f"classification needs n >= 3, got {n}")
     if n > bound:
         raise CapabilityError(f"oracle bound is n <= {bound}, got n = {n}")
-    fibers = _fibers(n, ell)
-    mono_ids: dict[MonoKey, int] = {}
-    fiber_ids = []
-    for fiber in fibers:
-        ids = []
-        for m, _ in fiber:
-            if m not in mono_ids:
-                mono_ids[m] = len(mono_ids)
-            ids.append(mono_ids[m])
-        fiber_ids.append(ids)
-    mono_list = list(mono_ids)
-    out = {}
-    for entries in itertools.permutations(range(1, n + 1)):
-        vanset = vanishing_keys(entries)
-        alive = [m[0] not in vanset and m[1] not in vanset for m in mono_list]
-        saw_monomial = False
-        saw_binomial = False
-        for ids in fiber_ids:
-            live = 0
-            for i in ids:
-                if alive[i]:
-                    live += 1
-            if live == 0:
-                continue
-            if live < len(ids):
-                saw_monomial = True
-                break
-            saw_binomial = True
-        out[entries] = (
-            NONBINOMIAL if saw_monomial else BINOMIAL if saw_binomial else ZERO
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    alive = _alive_masks(n)
+    monomial = 0
+    surviving = 0
+    for fiber in _fibers(n, ell):
+        some, every = 0, -1
+        for (a, b), _ in fiber:
+            bits = alive[a] & alive[b]
+            some |= bits
+            every &= bits
+        monomial |= some & ~every
+        surviving |= some
+    # bit i of a mask is character i of its reversed, zero-padded binary text
+    width = math.factorial(n)
+    monomial_bits = format(monomial, f"0{width}b")[::-1]
+    surviving_bits = format(surviving, f"0{width}b")[::-1]
+    return {
+        entries: NONBINOMIAL if m == "1" else BINOMIAL if s == "1" else ZERO
+        for entries, m, s in zip(
+            itertools.permutations(range(1, n + 1)), monomial_bits, surviving_bits
         )
-    return out
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from mfl.cli import main
+from mfl.permcomb import Permutation
+from mfl.quadideal import classify_oracle
 
 
 def run(capsys, *argv):
@@ -151,6 +153,15 @@ class TestVerify:
             run(capsys, "verify", "--suite", "bogus")
         assert exc.value.code == 2
 
+    def test_bad_la_cap_env_exits_2(self, capsys, monkeypatch):
+        for value in ("abc", "-1", "2.5"):
+            monkeypatch.setenv("MFL_LA_CAP", value)
+            code, _, err = run(
+                capsys, "verify", "--suite", "theoremA", "--n-max", "3"
+            )
+            assert code == 2
+            assert "MFL_LA_CAP" in err and repr(value) in err
+
     def test_la_cap_flag_exits_2(self, capsys):
         code, _, err = run(
             capsys, "--la-cap", "3", "verify", "--suite", "theoremA", "--n-max", "4"
@@ -178,3 +189,26 @@ class TestSweep:
         _, single, _ = run(capsys, "sweep", "--n", "4")
         _, multi, _ = run(capsys, "--jobs", "2", "sweep", "--n", "4")
         assert single == multi
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        for jobs in ("0", "-3"):
+            code, out, err = run(capsys, "--jobs", jobs, "sweep", "--n", "3")
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_bad_n_and_ell_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: families are defined for n >= 3, got 2\n"
+        code, out, err = run(capsys, "sweep", "--n", "4", "--ell", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: ell must be in 0..3, got 9\n"
+
+    def test_matches_oracle(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n", "4")
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            n, ell, w, verdict, _, _ = line.split(",", 5)
+            outcome = classify_oracle(int(n), int(ell), Permutation.from_string(w))
+            assert outcome.verdict == verdict, line

@@ -2,18 +2,28 @@ import pytest
 
 from mfl import exactla, golden
 from mfl.matchfield import BlockDiagonalMF, grid_image
-from mfl.permcomb import IndexSet, Permutation, all_index_keys, all_permutations
+from mfl.permcomb import (
+    IndexSet,
+    Permutation,
+    all_index_keys,
+    all_permutations,
+    vanishing_keys,
+)
 from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
     ZERO,
+    LA_CAP_DEFAULT,
     CapabilityError,
     QuadraticRelation,
+    _alive_masks,
     _fibers,
+    _prefix_set_masks,
     classify_oracle,
     degree2_flag_ideal,
     initial_degree2,
     key_text,
+    la_cap,
     matches_initial_degree2,
     mono_key,
     mono_text,
@@ -155,10 +165,61 @@ class TestClassifyOracle:
         assert {tuple(gen["lhs"]), tuple(gen["rhs"])} == {("3", "12"), ("1", "23")}
 
     def test_bulk_verdicts_agree(self):
-        for ell in range(4):
-            bulk = verdicts_for_all_w(4, ell)
-            for entries, verdict in bulk.items():
-                assert classify_oracle(4, ell, Permutation(entries)).verdict == verdict
+        # the bit-parallel kernel against the per-w oracle, every ell, n <= 6
+        for n in range(3, 7):
+            for ell in range(n):
+                bulk = verdicts_for_all_w(n, ell)
+                for entries, verdict in bulk.items():
+                    oracle = classify_oracle(n, ell, Permutation(entries)).verdict
+                    assert oracle == verdict, (n, ell, entries)
+
+
+class TestVerdictKernel:
+    def test_n7_spot_check(self):
+        # every 50th w in permutation order; the full n = 7 oracle sweep is
+        # too slow for the default test run
+        for ell in range(7):
+            items = list(verdicts_for_all_w(7, ell).items())
+            for entries, verdict in items[::50]:
+                oracle = classify_oracle(7, ell, Permutation(entries)).verdict
+                assert oracle == verdict, (ell, entries)
+
+    def test_keys_in_permutation_order(self):
+        keys = list(verdicts_for_all_w(4, 1))
+        assert keys == [w.entries for w in all_permutations(4)]
+
+    def test_n7_counts(self):
+        for ell, expected in enumerate(golden.COUNT_TABLE[7]):
+            verdicts = list(verdicts_for_all_w(7, ell).values())
+            assert verdicts.count(BINOMIAL) == expected
+            assert verdicts.count(ZERO) == 21
+
+    def test_caches_are_bounded(self):
+        for cached in (_prefix_set_masks, _alive_masks):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 8
+        for n in range(3, 8):
+            verdicts_for_all_w(n, 0)
+        assert _alive_masks.cache_info().currsize <= _alive_masks.cache_info().maxsize
+
+    def test_alive_masks_match_vanishing_sets(self):
+        alive = _alive_masks(4)
+        for i, w in enumerate(all_permutations(4)):
+            vanset = vanishing_keys(w.entries)
+            for key, mask in alive.items():
+                assert bool(mask >> i & 1) == (key not in vanset), (w, key)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="needs n >= 3, got 2"):
+            verdicts_for_all_w(2, 0)
+        with pytest.raises(ValueError, match=r"ell must be in 0\.\.3, got 9"):
+            verdicts_for_all_w(4, 9)
+        with pytest.raises(ValueError, match=r"ell must be in 0\.\.3, got -1"):
+            verdicts_for_all_w(4, -1)
+        with pytest.raises(CapabilityError, match="oracle bound"):
+            verdicts_for_all_w(8, 0)
+        with pytest.raises(CapabilityError, match="oracle bound is n <= 4"):
+            verdicts_for_all_w(5, 0, bound=4)
 
 
 class TestDegreeTwoSpace:
@@ -194,6 +255,16 @@ class TestDegreeTwoSpace:
         monkeypatch.setenv("MFL_LA_CAP", "3")
         with pytest.raises(CapabilityError):
             degree2_flag_ideal(4)
+
+    def test_env_cap_rejects_bad_values(self, monkeypatch):
+        for value in ("abc", "-1", "2.5", " "):
+            monkeypatch.setenv("MFL_LA_CAP", value)
+            with pytest.raises(ValueError, match="MFL_LA_CAP"):
+                la_cap()
+        monkeypatch.setenv("MFL_LA_CAP", "6")
+        assert la_cap() == 6
+        monkeypatch.delenv("MFL_LA_CAP")
+        assert la_cap() == LA_CAP_DEFAULT
 
 
 class TestInitialDegree2:
@@ -232,7 +303,6 @@ class TestInitialDegree2:
 
     def test_standard_monomial_dimension_identity(self):
         from mfl.tableaux import standard_monomial_count_deg2
-        from mfl.permcomb import vanishing_keys
 
         for n in (3, 4):
             for ell in range(n):
