@@ -44,7 +44,6 @@ from mfl.quadideal import (
     initial_degree2,
     matches_initial_degree2,
     quadratic_relations,
-    restrict,
 )
 from mfl.tableaux import (
     DefiningChain,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -376,25 +375,19 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if args.la_cap is not None and args.la_cap < 0:
+        print(f"error: --la-cap must be at least 0, got {args.la_cap}", file=sys.stderr)
+        return 2
     config = RunConfig(
         fmt=args.format,
         la_cap=args.la_cap,
         all_pairs=args.all_pairs,
     )
-    previous_cap = os.environ.get("MFL_LA_CAP")
-    if config.la_cap is not None:
-        os.environ["MFL_LA_CAP"] = str(config.la_cap)
     try:
         return args.func(args, config)
     except (ValueError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if config.la_cap is not None:
-            if previous_cap is None:
-                os.environ.pop("MFL_LA_CAP", None)
-            else:
-                os.environ["MFL_LA_CAP"] = previous_cap
 
 
 if __name__ == "__main__":

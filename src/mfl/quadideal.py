@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from mfl import exactla
 from mfl.matchfield import variable_image_key, weight_key
@@ -114,7 +114,12 @@ def _mono_order(m: MonoKey) -> tuple:
 # Fibers of the signed monomial map in degree two
 
 
-@lru_cache(maxsize=None)
+#: Bound of the per-(n, ell) caches: there are 25 pairs with n <= 7, and a
+#: verify run cycles through every pair with n <= 6 in several suites.
+PAIR_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _fibers(n: int, ell: int) -> tuple[tuple[tuple[MonoKey, int], ...], ...]:
     """Fibers of size >= 2 of the degree-two monomials, as sorted tuples of
     (monomial key, image sign)."""
@@ -132,7 +137,7 @@ def _fibers(n: int, ell: int) -> tuple[tuple[tuple[MonoKey, int], ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 * PAIR_CACHE_SIZE)
 def quadratic_relations(n: int, ell: int, all_pairs: bool = False) -> tuple[QuadraticRelation, ...]:
     """Degree-two binomial generators of the matching field ideal.
 
@@ -204,73 +209,19 @@ class ClassificationOutcome:
         }
 
 
-def _outcome_from_components(
-    components: Iterable[Sequence[MonoKey]],
-    relations: Iterable[QuadraticRelation],
-    vanset: frozenset[Key],
-    n: int,
-    ell: int | None,
-    w_entries: tuple[int, ...] | None,
-) -> ClassificationOutcome:
-    def alive(mono: MonoKey) -> bool:
-        return mono[0] not in vanset and mono[1] not in vanset
-
-    monomials: list[MonoKey] = []
-    rank = 0
-    for comp in components:
-        survivors = [m for m in comp if alive(m)]
-        if not survivors:
-            continue
-        if len(survivors) < len(comp):
-            monomials.extend(survivors)
-            rank += len(survivors)
-        else:
-            rank += len(survivors) - 1
-    binomials = tuple(r for r in relations if alive(r.lhs) and alive(r.rhs))
-    monomials_t = tuple(sorted(set(monomials), key=_mono_order))
-    if monomials_t:
-        verdict = NONBINOMIAL
-    elif binomials:
-        verdict = BINOMIAL
-    else:
-        verdict = ZERO
-    return ClassificationOutcome(
-        n, ell, w_entries, verdict, binomials, monomials_t, rank
-    )
-
-
-def restrict(
-    relations: Sequence[QuadraticRelation],
-    w: Permutation,
-    ell: int | None = None,
-) -> ClassificationOutcome:
-    """Set the variables of S_w to zero in a relation list.
-
-    A relation survives as a binomial when neither side vanishes; fibers are
-    recovered as connected components of the relation list, and a surviving
-    monomial is recorded whenever its fiber lost a member.
-    """
-    parent: dict[MonoKey, MonoKey] = {}
-
-    def find(x: MonoKey) -> MonoKey:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for rel in relations:
-        for m in (rel.lhs, rel.rhs):
-            parent.setdefault(m, m)
-        a, b = find(rel.lhs), find(rel.rhs)
-        if a != b:
-            parent[a] = b
-    groups: dict[MonoKey, list[MonoKey]] = {}
-    for m in parent:
-        groups.setdefault(find(m), []).append(m)
-    vanset = vanishing_keys(w.entries)
-    return _outcome_from_components(
-        groups.values(), relations, vanset, w.n, ell, w.entries
-    )
+def _check_case(
+    n: int, ell: int, bound: int | None, w: Permutation | None = None
+) -> None:
+    """The input checks shared by the classification entry points."""
+    bound = ORACLE_BOUND_DEFAULT if bound is None else bound
+    if n < 3:
+        raise ValueError(f"classification needs n >= 3, got {n}")
+    if n > bound:
+        raise CapabilityError(f"oracle bound is n <= {bound}, got n = {n}")
+    if w is not None and w.n != n:
+        raise ValueError(f"permutation length {w.n} does not match n = {n}")
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
 
 
 def classify_oracle(
@@ -286,23 +237,40 @@ def classify_oracle(
     >>> classify_oracle(4, 2, Permutation((3, 2, 1, 4))).verdict
     'binomial'
     """
-    bound = ORACLE_BOUND_DEFAULT if bound is None else bound
-    if n < 3:
-        raise ValueError(f"classification needs n >= 3, got {n}")
-    if n > bound:
-        raise CapabilityError(f"oracle bound is n <= {bound}, got n = {n}")
-    if w.n != n:
-        raise ValueError(f"permutation length {w.n} does not match n = {n}")
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
-    relations = quadratic_relations(n, ell, all_pairs)
+    _check_case(n, ell, bound, w)
     vanset = vanishing_keys(w.entries)
-    return _outcome_from_components(
-        _fiber_components(n, ell), relations, vanset, n, ell, w.entries
+
+    def alive(mono: MonoKey) -> bool:
+        return mono[0] not in vanset and mono[1] not in vanset
+
+    monomials: list[MonoKey] = []
+    rank = 0
+    for comp in _fiber_components(n, ell):
+        survivors = [m for m in comp if alive(m)]
+        if not survivors:
+            continue
+        if len(survivors) < len(comp):
+            monomials.extend(survivors)
+            rank += len(survivors)
+        else:
+            rank += len(survivors) - 1
+    binomials = tuple(
+        r for r in quadratic_relations(n, ell, all_pairs)
+        if alive(r.lhs) and alive(r.rhs)
+    )
+    monomials_t = tuple(sorted(set(monomials), key=_mono_order))
+    if monomials_t:
+        verdict = NONBINOMIAL
+    elif binomials:
+        verdict = BINOMIAL
+    else:
+        verdict = ZERO
+    return ClassificationOutcome(
+        n, ell, w.entries, verdict, binomials, monomials_t, rank
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _fiber_components(n: int, ell: int) -> tuple[tuple[MonoKey, ...], ...]:
     return tuple(tuple(m for m, _ in fiber) for fiber in _fibers(n, ell))
 
@@ -346,13 +314,7 @@ def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple
     >>> verdicts_for_all_w(3, 1)[(2, 3, 1)]
     'nonbinomial'
     """
-    bound = ORACLE_BOUND_DEFAULT if bound is None else bound
-    if n < 3:
-        raise ValueError(f"classification needs n >= 3, got {n}")
-    if n > bound:
-        raise CapabilityError(f"oracle bound is n <= {bound}, got n = {n}")
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    _check_case(n, ell, bound)
     alive = _alive_masks(n)
     monomial = 0
     surviving = 0
@@ -407,23 +369,29 @@ def _parity(perm: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def _det_terms(members: Key) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    """Terms of the top-|J| minor on columns J: (sorted cells, sign)."""
+@lru_cache(maxsize=256)  # the (n, J) with n <= 7 number 240
+def _det_terms(n: int, members: Key) -> tuple[tuple[int, int], ...]:
+    """Terms of the top-|J| minor on columns J: (packed grid monomial, sign).
+
+    A grid monomial packs cell (r, c) into the 2-bit field at bit
+    ``2 * (n * (r - 1) + c - 1)``.  A product of two minors uses a cell at
+    most twice, so the fields never carry and multiplying two monomials is
+    adding their packs.
+    """
     s = len(members)
     terms = []
-    for rows in itertools.permutations(range(1, s + 1)):
-        cells = tuple(sorted((rows[k], members[k]) for k in range(s)))
-        terms.append((cells, _parity(rows)))
+    for rows in itertools.permutations(range(s)):
+        packed = sum(1 << 2 * (n * rows[k] + members[k] - 1) for k in range(s))
+        terms.append((packed, _parity(rows)))
     return tuple(terms)
 
 
-def _product_row(a: Key, b: Key) -> dict[tuple[tuple[int, int], ...], int]:
-    """Expansion of the product of two minors into grid monomials."""
-    out: dict[tuple[tuple[int, int], ...], int] = {}
-    for cells_a, sign_a in _det_terms(a):
-        for cells_b, sign_b in _det_terms(b):
-            key = tuple(sorted(cells_a + cells_b))
+def _product_row(n: int, a: Key, b: Key) -> dict[int, int]:
+    """Expansion of the product of two minors into packed grid monomials."""
+    out: dict[int, int] = {}
+    for packed_a, sign_a in _det_terms(n, a):
+        for packed_b, sign_b in _det_terms(n, b):
+            key = packed_a + packed_b
             coeff = out.get(key, 0) + sign_a * sign_b
             if coeff:
                 out[key] = coeff
@@ -432,40 +400,79 @@ def _product_row(a: Key, b: Key) -> dict[tuple[tuple[int, int], ...], int]:
     return out
 
 
+class _FlagBlock(NamedTuple):
+    """The flag ideal in one multidegree (column multiset plus size multiset).
+
+    ``members`` are the block's monomials as increasing indices into the
+    global monomial list; local column c is ``members[c]``.  ``rows`` is the
+    reduced echelon basis of the block's part of the ideal, over local
+    columns.  ``offset`` is the block's first bit in block-ordered masks.
+    """
+
+    members: tuple[int, ...]
+    rows: tuple[exactla.Row, ...]
+    offset: int
+
+
+class _FlagIdeal(NamedTuple):
+    space: DegreeTwoSpace
+    #: every block with at least two monomials, in order of first monomial
+    blocks: tuple[_FlagBlock, ...]
+    #: per variable, the block-ordered mask of the monomials that contain it
+    variable_bits: dict[Key, int]
+
+
+def _check_la_cap(n: int, cap: int | None) -> None:
+    cap = la_cap() if cap is None else cap
+    if n > cap:
+        raise CapabilityError(f"linear-algebra cap is n <= {cap}, got n = {n}")
+
+
 def degree2_flag_ideal(n: int, cap: int | None = None) -> DegreeTwoSpace:
     """Degree-two piece of the full flag ideal, by exact elimination.
 
     Rows of the coefficient matrix are products of two minors of the generic
-    matrix; the left kernel is assembled blockwise (two products share a grid
-    monomial only if their column multisets and size multisets agree) and put
-    in reduced echelon form.
+    matrix.  Two products share a grid monomial only if their column
+    multisets and size multisets agree, so the ideal is a direct sum of these
+    blocks: each block's left kernel is put in reduced echelon form on its
+    own, and the result is the sorted union of the block bases.
     """
-    cap = la_cap() if cap is None else cap
-    if n > cap:
-        raise CapabilityError(f"linear-algebra cap is n <= {cap}, got n = {n}")
-    return _degree2_flag_ideal_cached(n)
+    _check_la_cap(n, cap)
+    return _flag_ideal(n).space
 
 
-@lru_cache(maxsize=None)
-def _degree2_flag_ideal_cached(n: int) -> DegreeTwoSpace:
+@lru_cache(maxsize=8)
+def _flag_ideal(n: int) -> _FlagIdeal:
     variables = all_index_keys(n)
     monomials = tuple(itertools.combinations_with_replacement(variables, 2))
-    index = {m: i for i, m in enumerate(monomials)}
-    blocks: dict[tuple, list[MonoKey]] = {}
-    for a, b in monomials:
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(monomials):
         key = (tuple(sorted(a + b)), tuple(sorted((len(a), len(b)))))
-        blocks.setdefault(key, []).append((a, b))
-    global_rows: list[exactla.Row] = []
-    for members in blocks.values():
+        groups.setdefault(key, []).append(i)
+    blocks = []
+    variable_bits = dict.fromkeys(variables, 0)
+    global_rows = []
+    offset = 0
+    for members in groups.values():
         if len(members) < 2:
             continue
-        rows = [_product_row(a, b) for a, b in members]
-        for coeffs in exactla.left_kernel(rows):
-            global_rows.append(
-                {index[m]: c for m, c in zip(members, coeffs) if c != 0}
-            )
-    basis = exactla.rref(global_rows)
-    return DegreeTwoSpace(monomials, basis.canonical())
+        kernel = exactla.left_kernel(
+            [_product_row(n, *monomials[i]) for i in members]
+        )
+        basis = exactla.rref(
+            {c: v for c, v in enumerate(vec) if v} for vec in kernel
+        )
+        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows), offset))
+        global_rows.extend(
+            tuple(sorted((members[c], v) for c, v in row.items()))
+            for row in basis.rows
+        )
+        for c, i in enumerate(members):
+            for key in monomials[i]:
+                variable_bits[key] |= 1 << (offset + c)
+        offset += len(members)
+    space = DegreeTwoSpace(monomials, tuple(sorted(global_rows)))
+    return _FlagIdeal(space, tuple(blocks), variable_bits)
 
 
 def initial_degree2(
@@ -529,16 +536,113 @@ def surviving_binomial_space(
     return DegreeTwoSpace(coords.monomials, basis.canonical())
 
 
+class _BlockLayout(NamedTuple):
+    """A flag block as the Theorem A check sees it for one (n, ell).
+
+    ``weights`` is the total weight of each local column and ``order`` the
+    local columns in (weight, monomial) order.  Each fiber is its mask of
+    local columns plus its chain of binomials ``m_i - s_i s_{i+1} m_{i+1}``.
+    """
+
+    block: _FlagBlock
+    width: int
+    weights: tuple[int, ...]
+    order: tuple[int, ...]
+    fibers: tuple[tuple[int, tuple[exactla.Row, ...]], ...]
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
+    """The blocks of the flag ideal at n that hold a flag row or a fiber."""
+    flag = _flag_ideal(n)
+    monomials = flag.space.monomials
+    weight = {k: weight_key(n, ell, k) for k in all_index_keys(n)}
+    where = {
+        monomials[i]: (b, c)
+        for b, block in enumerate(flag.blocks)
+        for c, i in enumerate(block.members)
+    }
+    fibers: dict[int, list] = {}
+    for fiber in _fibers(n, ell):
+        cols = [where[m][1] for m, _ in fiber]
+        chains = tuple(
+            {c1: 1, c2: -s1 * s2}
+            for c1, (_, s1), c2, (_, s2) in zip(cols, fiber, cols[1:], fiber[1:])
+        )
+        mask = sum(1 << c for c in cols)
+        fibers.setdefault(where[fiber[0][0]][0], []).append((mask, chains))
+    layouts = []
+    for b, block in enumerate(flag.blocks):
+        if not block.rows and b not in fibers:
+            continue
+        weights = tuple(
+            weight[monomials[i][0]] + weight[monomials[i][1]] for i in block.members
+        )
+        order = sorted(
+            range(len(weights)), key=lambda c: (weights[c], monomials[block.members[c]])
+        )
+        layouts.append(_BlockLayout(
+            block, (1 << len(weights)) - 1, weights, tuple(order),
+            tuple(fibers.get(b, ())),
+        ))
+    return tuple(layouts)
+
+
+# the Theorem A sweep works through one (n, ell) at a time, and the masks of
+# one pair at n = 6 fit in 1024 entries (measured: no extra misses at 1024)
+@lru_cache(maxsize=2048)
+def _block_matches(n: int, ell: int, b: int, alive: int) -> bool | None:
+    """Theorem A in block b of ``_block_layouts(n, ell)`` with the monomials
+    of the ``alive`` mask surviving: None if a fiber is partly alive, else
+    whether the surviving fiber chains span the block's initial forms."""
+    layout = _block_layouts(n, ell)[b]
+    chains = []
+    for mask, fiber_chains in layout.fibers:
+        live = alive & mask
+        if live == mask:
+            chains.extend(fiber_chains)
+        elif live:
+            return None
+    col_pos = {
+        c: p for p, c in enumerate(c for c in layout.order if alive >> c & 1)
+    }
+    projected = (
+        {c: v for c, v in row.items() if c in col_pos} for row in layout.block.rows
+    )
+    schubert = exactla.rref((row for row in projected if row), col_pos)
+    weights = layout.weights
+    initial = (
+        {c: v for c, v in row.items() if weights[c] == weights[pivot]}
+        for pivot, row in zip(schubert.pivots, schubert.rows)
+    )
+    return exactla.span_equal(initial, chains, col_pos)
+
+
 def matches_initial_degree2(
     n: int, ell: int, w: Permutation, cap: int | None = None
 ) -> bool:
     """True iff the surviving binomials span the initial degree-two space.
 
-    Precondition: the oracle verdict for (n, ell, w) is monomial-free.
+    Precondition: (n, ell, w) is monomial-free, i.e. every fiber survives
+    whole or vanishes whole; otherwise ValueError, as ``classify_oracle``
+    would rule.  The check runs block by block (see ``degree2_flag_ideal``):
+    fibers refine blocks, and a block's answer depends only on which of its
+    monomials survive, so answers are memoized on that mask.
+    ``initial_degree2`` and ``surviving_binomial_space`` are the global
+    reference path.
     """
-    outcome = classify_oracle(n, ell, w)
-    if not outcome.monomial_free:
+    _check_case(n, ell, None, w)
+    _check_la_cap(n, cap)
+    variable_bits = _flag_ideal(n).variable_bits
+    dead = 0
+    for key in vanishing_keys(w.entries):
+        dead |= variable_bits[key]
+    alive = ~dead
+    answers = []
+    for b, layout in enumerate(_block_layouts(n, ell)):
+        mask = (alive >> layout.block.offset) & layout.width
+        if mask:
+            answers.append(_block_matches(n, ell, b, mask))
+    if None in answers:
         raise ValueError(f"(n={n}, ell={ell}, w={w}) is not monomial-free")
-    init = initial_degree2(n, ell, w, cap)
-    gs = surviving_binomial_space(n, ell, w, init)
-    return gs.rows == init.rows
+    return all(answers)

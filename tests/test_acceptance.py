@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  Criteria marked slow extend a sweep to n = 5 and are
+lines and timings.  Criteria marked slow extend a sweep to n = 5 or 6 and are
 deselected by default profiles that exclude the ``slow`` marker.
 """
 
@@ -210,6 +210,17 @@ def test_criterion_10_degree2_equality_n5_slow():
     with criterion(10, "initial degree-two equality at n=5 (slow mode)", 600.0):
         report = run_theorem_a(5, cap=5)
         assert report.ok, report.mismatches[:5]
+
+
+@pytest.mark.slow
+def test_criterion_10_degree2_equality_n6_slow():
+    with criterion(10, "initial degree-two equality at n=6 (slow mode)", 600.0):
+        report = run_theorem_a(6, cap=6)
+        assert report.ok, report.mismatches[:5]
+        assert report.checked == 938
+        at_n6 = sum(golden.COUNT_TABLE[6][ell] + zero_family_size(6) for ell in range(6))
+        assert at_n6 == 690
+        assert report.checked - at_n6 == run_theorem_a(5, cap=5).checked
 
 
 def test_criterion_11_bijection_suite():

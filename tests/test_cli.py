@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
+from mfl import cli
 from mfl.cli import main
 from mfl.permcomb import Permutation
 from mfl.quadideal import classify_oracle
+from mfl.suites import SuiteReport
 
 
 def run(capsys, *argv):
@@ -161,6 +164,26 @@ class TestVerify:
             )
             assert code == 2
             assert "MFL_LA_CAP" in err and repr(value) in err
+
+    def test_negative_la_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "--la-cap", "-1", "verify", "--suite", "coherence")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --la-cap must be at least 0, got -1\n"
+
+    def test_la_cap_reaches_suite_not_environment(self, capsys, monkeypatch):
+        seen = []
+
+        def fake_run_suite(name, n_max=None, cap=None):
+            seen.append((cap, os.environ.get("MFL_LA_CAP")))
+            return SuiteReport(name)
+
+        monkeypatch.delenv("MFL_LA_CAP", raising=False)
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        code, _, _ = run(capsys, "--la-cap", "6", "verify", "--suite", "theoremA")
+        assert code == 0
+        assert seen == [(6, None)]
+        assert "MFL_LA_CAP" not in os.environ
 
     def test_la_cap_flag_exits_2(self, capsys):
         code, _, err = run(

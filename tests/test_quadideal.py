@@ -14,11 +14,18 @@ from mfl.quadideal import (
     NONBINOMIAL,
     ZERO,
     LA_CAP_DEFAULT,
+    PAIR_CACHE_SIZE,
     CapabilityError,
     QuadraticRelation,
     _alive_masks,
+    _block_layouts,
+    _block_matches,
+    _det_terms,
+    _fiber_components,
     _fibers,
+    _flag_ideal,
     _prefix_set_masks,
+    _product_row,
     classify_oracle,
     degree2_flag_ideal,
     initial_degree2,
@@ -28,7 +35,6 @@ from mfl.quadideal import (
     mono_key,
     mono_text,
     quadratic_relations,
-    restrict,
     surviving_binomial_space,
     verdicts_for_all_w,
 )
@@ -91,8 +97,7 @@ class TestRelations:
 
 class TestRestrict:
     def test_restricted_cell_example(self):
-        rels = quadratic_relations(4, 2)
-        out = restrict(rels, Permutation((3, 2, 1, 4)), ell=2)
+        out = classify_oracle(4, 2, Permutation((3, 2, 1, 4)))
         assert out.verdict == BINOMIAL
         assert len(out.surviving_binomials) == 1
         rel = out.surviving_binomials[0]
@@ -100,29 +105,17 @@ class TestRestrict:
         assert out.degree2_rank == 1
 
     def test_monomial_case(self):
-        out = restrict(quadratic_relations(3, 0), Permutation((3, 1, 2)), ell=0)
+        out = classify_oracle(3, 0, Permutation((3, 1, 2)))
         assert out.verdict == NONBINOMIAL
         assert out.surviving_monomials == (((2,), (1, 3)),)
 
     def test_zero_case(self):
         for ell in range(4):
-            out = restrict(quadratic_relations(4, ell), Permutation((1, 2, 3, 4)), ell=ell)
+            out = classify_oracle(4, ell, Permutation((1, 2, 3, 4)))
             assert out.verdict == ZERO
             assert out.surviving_binomials == ()
             assert out.surviving_monomials == ()
             assert out.degree2_rank == 0
-
-    def test_matches_classify_oracle(self):
-        for ell in range(4):
-            rels = quadratic_relations(4, ell)
-            for w in all_permutations(4):
-                a = restrict(rels, w, ell=ell)
-                b = classify_oracle(4, ell, w)
-                assert (a.verdict, a.surviving_binomials, a.surviving_monomials,
-                        a.degree2_rank) == (
-                    b.verdict, b.surviving_binomials, b.surviving_monomials,
-                    b.degree2_rank,
-                )
 
     def test_mode_invariance(self):
         # verdict, monomial list and rank do not depend on the spanning choice
@@ -195,9 +188,18 @@ class TestVerdictKernel:
             assert verdicts.count(ZERO) == 21
 
     def test_caches_are_bounded(self):
-        for cached in (_prefix_set_masks, _alive_masks):
+        for cached in (_prefix_set_masks, _alive_masks, _flag_ideal):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize <= 8
+        # a verify run cycles through every (n, ell) with n <= 6, so the
+        # per-pair caches hold all 25 pairs with n <= 7 without thrashing
+        pairs = sum(range(3, 8))
+        assert pairs == 25
+        for cached in (_fibers, _fiber_components, _block_layouts):
+            assert pairs <= cached.cache_info().maxsize == PAIR_CACHE_SIZE
+        assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
+        for cached in (_det_terms, _block_matches):
+            assert cached.cache_info().maxsize is not None
         for n in range(3, 8):
             verdicts_for_all_w(n, 0)
         assert _alive_masks.cache_info().currsize <= _alive_masks.cache_info().maxsize
@@ -246,6 +248,37 @@ class TestDegreeTwoSpace:
             idx[((1, 2), (3, 4))]: 1,
         }
         assert basis.contains(vec)
+
+    def test_pinned_ranks(self):
+        # pinned after the global rref and the blockwise rref agreed
+        ranks = tuple(degree2_flag_ideal(n, cap=6).rank for n in range(3, 7))
+        assert ranks == (1, 10, 66, 364)
+
+    def test_rank_matches_standard_monomial_count(self):
+        # independently: the quotient's dimension counts the fibers
+        from mfl.tableaux import standard_monomial_count_deg2
+
+        for n, monomials, standard in ((5, 465, 399), (6, 1953, 1589)):
+            space = degree2_flag_ideal(n, cap=6)
+            assert len(space.monomials) == monomials
+            assert monomials - space.rank == standard
+            w0 = Permutation.longest(n)
+            for ell in range(n):
+                assert standard_monomial_count_deg2(n, ell, w0) == standard
+
+    def test_blockwise_rref_matches_global_rref(self):
+        # the per-block bases against one global elimination of every
+        # block's kernel rows
+        for n in (3, 4, 5):
+            space = degree2_flag_ideal(n)
+            rows = []
+            for block in _flag_ideal(n).blocks:
+                products = [_product_row(n, *space.monomials[i]) for i in block.members]
+                rows.extend(
+                    {i: c for i, c in zip(block.members, vec) if c}
+                    for vec in exactla.left_kernel(products)
+                )
+            assert exactla.rref(rows).canonical() == space.rows
 
     def test_cap(self):
         with pytest.raises(CapabilityError):
@@ -300,6 +333,39 @@ class TestInitialDegree2:
     def test_precondition(self):
         with pytest.raises(ValueError):
             matches_initial_degree2(3, 0, Permutation((3, 1, 2)))
+
+    def test_every_nonbinomial_case_raises(self):
+        for ell in range(4):
+            for entries, verdict in verdicts_for_all_w(4, ell).items():
+                if verdict == NONBINOMIAL:
+                    with pytest.raises(ValueError, match="not monomial-free"):
+                        matches_initial_degree2(4, ell, Permutation(entries))
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            matches_initial_degree2(2, 0, Permutation.identity(2))
+        with pytest.raises(ValueError, match="ell must be in"):
+            matches_initial_degree2(4, 4, Permutation.identity(4))
+        with pytest.raises(ValueError, match="does not match n = 4"):
+            matches_initial_degree2(4, 0, Permutation.identity(5))
+        with pytest.raises(CapabilityError, match="linear-algebra cap"):
+            matches_initial_degree2(5, 0, Permutation.identity(5), cap=4)
+
+    def test_blockwise_matches_reference(self):
+        # the blockwise check against the global reference path, for every
+        # monomial-free case with n <= 5
+        checked = 0
+        for n in range(3, 6):
+            for ell in range(n):
+                for entries, verdict in verdicts_for_all_w(n, ell).items():
+                    if verdict == NONBINOMIAL:
+                        continue
+                    w = Permutation(entries)
+                    init = initial_degree2(n, ell, w)
+                    reference = surviving_binomial_space(n, ell, w, init).rows == init.rows
+                    assert matches_initial_degree2(n, ell, w) == reference, (n, ell, w)
+                    checked += 1
+        assert checked == 248
 
     def test_standard_monomial_dimension_identity(self):
         from mfl.tableaux import standard_monomial_count_deg2
