@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Run every verification suite at its widest configured range.
 
-Equivalent to `mfl verify --suite all` plus, with --slow, the n = 6 sweep of
+Equivalent to `mfl verify --suite all` plus, with --slow, two n = 6 sweeps:
 the degree-two initial-ideal equality (938 monomial-free cases, about a
-second once the n = 6 flag ideal is built).
+second once the n = 6 flag ideal is built) and the tableaux suite (230977
+checks, a few seconds).
 """
 
 import argparse
 import sys
 import time
 
-from mfl.suites import run_suite, run_theorem_a
+from mfl.suites import run_suite, run_tableaux, run_theorem_a
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--slow", action="store_true",
-                        help="extend the degree-two equality sweep to n = 6")
+                        help="extend the degree-two equality and tableaux "
+                        "sweeps to n = 6")
     args = parser.parse_args()
 
     failures = 0
@@ -33,6 +35,11 @@ def main() -> int:
         report = run_theorem_a(6, cap=6)
         status = "PASS" if report.ok else "FAIL"
         print(f"{status} theoremA n=6 ({report.checked} monomial-free cases)")
+        failures += 0 if report.ok else 1
+        report = run_tableaux(6)
+        status = "PASS" if report.ok else "FAIL"
+        print(f"{status} tableaux n<=6 ({report.checked} checks, "
+              f"{len(report.mismatches)} mismatches)")
         failures += 0 if report.ok else 1
 
     print(f"total time {time.perf_counter() - start:.1f}s")

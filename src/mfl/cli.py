@@ -232,6 +232,10 @@ def cmd_ideal(args, config: RunConfig) -> int:
 
 
 def cmd_tableaux(args, config: RunConfig) -> int:
+    if args.n < 2:
+        raise ValueError(f"tableaux need n >= 2, got {args.n}")
+    if args.ell is not None and not 0 <= args.ell <= args.n - 1:
+        raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
     w = _parse_w(args.w, args.n) if args.w is not None else None
     items = enumerate_ssyt2(args.n, w)
     if config.fmt == "json":

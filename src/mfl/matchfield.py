@@ -168,7 +168,7 @@ def display_key(n: int, ell: int, members: tuple[int, ...]) -> tuple[int, ...]:
 # Weight matrix and weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # the (n, ell) with n <= 8 number 35
 def _weight_matrix_entries(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
     rows = [tuple([0] * n)]
     row2 = [ell + 1 - j if j <= ell else n + ell + 1 - j for j in range(1, n + 1)]
@@ -293,7 +293,7 @@ def verify_coherence(mf: BlockDiagonalMF, rule: str = "corrected") -> CoherenceR
 # The signed monomial map
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # the (n, ell, J) with n <= 8 number 3514
 def variable_image_key(
     n: int, ell: int, members: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], int]:

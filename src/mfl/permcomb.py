@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -197,7 +198,7 @@ def sorted_prefixes(entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # the Theorem A sweep to n = 6 asks for 260 w
 def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Member tuples of the vanishing set S_w, for the hot paths.
 
@@ -388,7 +389,7 @@ def zero_family(n: int) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # the recursion visits n, n - 1, ..., 2
 def zero_family_size(n: int) -> int:
     """|Z_n| via the Fibonacci-style recurrence |Z_n| = |Z_{n-1}| + |Z_{n-2}|."""
     if n <= 0:
@@ -437,7 +438,7 @@ def inversions(entries: Sequence[int]) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # |S_2| + ... + |S_5| = 152
 def _bruhat_down_set(we: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """All u <= w by closure of length-decreasing transposition steps.
 
@@ -467,6 +468,76 @@ def bruhat_leq_oracle(v: Permutation, w: Permutation) -> bool:
     if v.n != w.n:
         raise ValueError(f"size mismatch: {v.n} != {w.n}")
     return v.entries in _bruhat_down_set(w.entries)
+
+
+# ---------------------------------------------------------------------------
+# Bitsets over S_n
+#
+# Bit i of every mask below stands for the i-th permutation of [n] in
+# ``itertools.permutations`` order, whose rank :func:`permutation_index`
+# computes.  The per-n tables keep the four most recently used n.
+
+
+def permutation_index(entries: Sequence[int]) -> int:
+    """Rank of ``entries`` in ``itertools.permutations(range(1, n + 1))``
+    order, i.e. its bit position in the bitsets over S_n.
+
+    >>> permutation_index((1, 2, 3)), permutation_index((2, 3, 1)), permutation_index((3, 2, 1))
+    (0, 3, 5)
+    """
+    n = len(entries)
+    index = 0
+    for pos, v in enumerate(entries):
+        index = index * (n - pos) + sum(1 for u in entries[pos + 1:] if u < v)
+    return index
+
+
+@lru_cache(maxsize=4)
+def _prefix_set_masks(n: int) -> dict[tuple[int, ...], int]:
+    """Bit i of entry P is set iff the i-th permutation has
+    ``{w_1, ..., w_|P|} = P``."""
+    masks: dict[tuple[int, ...], int] = {}
+    for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+        bit = 1 << i
+        for prefix in sorted_prefixes(entries)[:-1]:
+            masks[prefix] = masks.get(prefix, 0) | bit
+    return masks
+
+
+@lru_cache(maxsize=4)
+def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
+    """Bit i of entry J is set iff P_J survives on X(w) for the i-th
+    permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``."""
+    prefix_masks = _prefix_set_masks(n)
+    alive = {}
+    for j in all_index_keys(n):
+        mask = 0
+        for prefix, bits in prefix_masks.items():
+            if len(prefix) == len(j) and dominated(j, prefix):
+                mask |= bits
+        alive[j] = mask
+    return alive
+
+
+@lru_cache(maxsize=1024)  # |S_3| + ... + |S_6| = 870 possible chain ends
+def bruhat_up_set(entries: tuple[int, ...]) -> int:
+    """Bitset over S_n of the w with ``entries`` Bruhat-below w.
+
+    By the dominance criterion of :func:`bruhat_leq`, v <= w iff every
+    sorted prefix {v_1, ..., v_k} with k < n is Gale-below {w_1, ..., w_k}.
+    ``alive[J]`` is exactly the set of w with J Gale-below
+    {w_1, ..., w_|J|}, so the up-set of v is the AND of
+    ``alive[sorted(v_1, ..., v_k)]`` over k = 1..n-1.
+
+    >>> up = bruhat_up_set((2, 1, 3))
+    >>> [w for i, w in enumerate(itertools.permutations((1, 2, 3))) if up >> i & 1]
+    [(2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    """
+    alive = _alive_masks(len(entries))
+    mask = (1 << math.factorial(len(entries))) - 1
+    for prefix in sorted_prefixes(entries)[:-1]:
+        mask &= alive[prefix]
+    return mask
 
 
 # ---------------------------------------------------------------------------

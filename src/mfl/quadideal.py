@@ -30,9 +30,8 @@ from mfl import exactla
 from mfl.matchfield import variable_image_key, weight_key
 from mfl.permcomb import (
     Permutation,
+    _alive_masks,
     all_index_keys,
-    dominated,
-    sorted_prefixes,
     vanishing_keys,
 )
 
@@ -273,33 +272,6 @@ def classify_oracle(
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _fiber_components(n: int, ell: int) -> tuple[tuple[MonoKey, ...], ...]:
     return tuple(tuple(m for m, _ in fiber) for fiber in _fibers(n, ell))
-
-
-@lru_cache(maxsize=4)
-def _prefix_set_masks(n: int) -> dict[Key, int]:
-    """Bitsets over S_n: bit i of entry P is set iff the i-th permutation in
-    ``itertools.permutations`` order has ``{w_1, ..., w_|P|} = P``."""
-    masks: dict[Key, int] = {}
-    for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
-        bit = 1 << i
-        for prefix in sorted_prefixes(entries)[:-1]:
-            masks[prefix] = masks.get(prefix, 0) | bit
-    return masks
-
-
-@lru_cache(maxsize=4)
-def _alive_masks(n: int) -> dict[Key, int]:
-    """Bitsets over S_n: bit i of entry J is set iff P_J survives on X(w) for
-    the i-th permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``."""
-    prefix_masks = _prefix_set_masks(n)
-    alive = {}
-    for j in all_index_keys(n):
-        mask = 0
-        for prefix, bits in prefix_masks.items():
-            if len(prefix) == len(j) and dominated(j, prefix):
-                mask |= bits
-        alive[j] = mask
-    return alive
 
 
 def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple[int, ...], str]:

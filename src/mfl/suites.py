@@ -31,9 +31,9 @@ from mfl.quadideal import (
 )
 from mfl.tableaux import (
     enumerate_ssyt2,
-    is_standard,
     min_defining_chain2,
     min_defining_chain2_exhaustive,
+    standard_masks,
     verify_bijection,
 )
 from mfl.theoremsets import (
@@ -211,21 +211,21 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
                     report.record(n=n, ell=ell, w=w.to_string(),
                                   failures=result.failures[:3])
         tableaux = enumerate_ssyt2(n)
-        chains = {}
         for t in tableaux:
-            chains[t] = min_defining_chain2(t)
             report.checked += 1
-            if chains[t].perms != min_defining_chain2_exhaustive(t).perms:
+            if min_defining_chain2(t).perms != min_defining_chain2_exhaustive(t).perms:
                 report.record(n=n, columns=t.columns,
                               detail="constructive chain differs from exhaustive")
-        for w in all_permutations(n):
+        # bit i of a standard mask is the i-th permutation in enumeration order
+        standard = standard_masks(n)
+        for i, w in enumerate(all_permutations(n)):
             if not is_312_free(w.entries):
                 continue
             vanset = vanishing_keys(w.entries)
-            for t in tableaux:
+            for t, mask in zip(tableaux, standard):
                 report.checked += 1
                 dominated_cols = all(c not in vanset for c in t.columns)
-                if is_standard(t, w) != dominated_cols:
+                if bool(mask >> i & 1) != dominated_cols:
                     report.record(n=n, w=w.to_string(), columns=t.columns,
                                   detail="standardness differs from domination")
     return report

@@ -29,17 +29,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from mfl.matchfield import display_key, variable_image_key
 from mfl.permcomb import (
     Permutation,
+    _alive_masks,
     all_index_keys,
     bruhat_leq,
     bruhat_leq_entries,
+    bruhat_up_set,
     is_312_free,
+    permutation_index,
     vanishing_keys,
 )
-from mfl.quadideal import CapabilityError
+from mfl.quadideal import PAIR_CACHE_SIZE, CapabilityError
 from mfl.theoremsets import in_pattern_family
 
 Key = tuple[int, ...]
@@ -127,7 +131,7 @@ def row_equal(t1: Tableau, t2: Tableau) -> bool:
 # Enumeration
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _enumerate_ssyt2_all(n: int) -> tuple[Tableau, ...]:
     out = []
     subsets_by_size = {
@@ -259,7 +263,7 @@ def grassmannian_permutation(members: Key, n: int) -> Permutation:
     return _block_permutation(n, members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # the two-column tableaux with n <= 6 number 2106
 def min_defining_chain2(t: Tableau) -> DefiningChain:
     """Minimum defining chain of a tableau with at most two columns.
 
@@ -337,6 +341,11 @@ def min_defining_chain2_exhaustive(t: Tableau) -> DefiningChain:
 def is_standard(t: Tableau, w: Permutation) -> bool:
     """Standardness for X(w): the minimum chain ends Bruhat-below w.
 
+    Read as one bit: the tableau is standard iff w lies in the Bruhat
+    up-set of the chain's last permutation
+    (:func:`mfl.permcomb.bruhat_up_set`), at bit
+    :func:`mfl.permcomb.permutation_index` of w.
+
     >>> is_standard(Tableau(((1, 2, 4), (3,)), 4), Permutation((3, 2, 1, 4)))
     False
     """
@@ -344,7 +353,24 @@ def is_standard(t: Tableau, w: Permutation) -> bool:
         raise CapabilityError("standardness is implemented for <= 2 columns")
     if t.n != w.n:
         raise ValueError(f"size mismatch: {t.n} != {w.n}")
-    return bruhat_leq(min_defining_chain2(t).last, w)
+    up_set = bruhat_up_set(min_defining_chain2(t).last.entries)
+    return bool(up_set >> permutation_index(w.entries) & 1)
+
+
+@lru_cache(maxsize=8)
+def standard_masks(n: int) -> tuple[int, ...]:
+    """For each tableau of :func:`enumerate_ssyt2`, in order, the bitset
+    over S_n (bit i: the i-th permutation in ``itertools.permutations``
+    order) of the w it is standard for: the Bruhat up-set of its minimum
+    chain's end.
+
+    >>> [mask >> 5 & 1 for mask in standard_masks(3)].count(1)  # w = 321
+    20
+    """
+    return tuple(
+        bruhat_up_set(min_defining_chain2(t).last.entries)
+        for t in _enumerate_ssyt2_all(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +408,7 @@ class BijectionReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _image_signatures(n: int, ell: int) -> tuple[tuple[Tableau, tuple], ...]:
-    return tuple(
-        (t, tuple(ssyt_to_matching_field(t, ell).rows()))
-        for t in _enumerate_ssyt2_all(n)
-    )
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _all_monomial_pairs(n: int) -> tuple[tuple[Key, Key], ...]:
     keys = sorted(all_index_keys(n), key=lambda k: (-len(k), k))
     return tuple(
@@ -398,6 +416,97 @@ def _all_monomial_pairs(n: int) -> tuple[tuple[Key, Key], ...]:
         for a, b in itertools.combinations_with_replacement(keys, 2)
         if len(a) >= len(b)
     )
+
+
+class _BijectionTable(NamedTuple):
+    """What :func:`verify_bijection` needs of one (n, ell), built once.
+
+    Every mask is a bitset over S_n in ``itertools.permutations`` order.
+    ``checks`` and ``failures`` hold the two checks that do not depend on
+    w.  Per semi-standard tableau, in enumeration order, ``below`` has the
+    w where both columns survive and ``standard`` the w it is standard for.
+    The three per-w checks list, in message order, what a failure message
+    names (tableau columns or a monomial pair) with the w where it fails;
+    entries that never fail are left out.  The class masks hold, per row
+    class of monomials, the w where some member survives: once with classes
+    read off the monomial map (``_monomial_signature``), once off tableau
+    rows.
+    """
+
+    checks: tuple[tuple[str, bool], ...]
+    failures: tuple[str, ...]
+    below: tuple[int, ...]
+    standard: tuple[int, ...]
+    preimage_failing: tuple[tuple[tuple, int], ...]
+    image_failing: tuple[tuple[tuple, int], ...]
+    surjective_failing: tuple[tuple[tuple, int], ...]
+    class_masks: tuple[int, ...]
+    signature_masks: tuple[int, ...]
+
+
+def _nonzero(items: list[tuple[tuple, int]]) -> tuple[tuple[tuple, int], ...]:
+    return tuple((label, mask) for label, mask in items if mask)
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _bijection_table(n: int, ell: int) -> _BijectionTable:
+    alive = _alive_masks(n)
+    failures: list[str] = []
+    signatures: dict[tuple, Tableau] = {}
+    # image row signature -> the w where some below-w tableau has it
+    covered: dict[tuple, int] = {}
+    below, preimage, image = [], [], []
+    for t in _enumerate_ssyt2_all(n):
+        t_image = ssyt_to_matching_field(t, ell)
+        sig = t_image.rows()
+        if sig in signatures:
+            failures.append(
+                f"images of {signatures[sig].columns} and {t.columns} are row-equal"
+            )
+        else:
+            signatures[sig] = t
+        (a, b), (c, d) = t.columns, t_image.columns
+        t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
+        covered[sig] = covered.get(sig, 0) | t_below
+        below.append(t_below)
+        preimage.append((t.columns, image_below & ~t_below))
+        image.append((t.columns, t_below & ~image_below))
+    checks = [("injective", not failures)]
+
+    surjective = True
+    surviving = []
+    classes: dict[tuple, int] = {}
+    row_classes: dict[tuple, int] = {}
+    for a, b in _all_monomial_pairs(n):
+        sig = Tableau((a, b), n, kind=MATCHING_FIELD, ell=ell).rows()
+        if sig not in signatures:
+            surjective = False
+            failures.append(f"monomial {(a, b)} misses every image row class")
+        bits = alive[a] & alive[b]
+        surviving.append(((a, b), bits & ~covered.get(sig, 0)))
+        row_classes[sig] = row_classes.get(sig, 0) | bits
+        mono_sig = _monomial_signature(n, ell, a, b)
+        classes[mono_sig] = classes.get(mono_sig, 0) | bits
+    checks.append(("surjective", surjective))
+    return _BijectionTable(
+        checks=tuple(checks),
+        failures=tuple(failures),
+        below=tuple(below),
+        standard=standard_masks(n),
+        preimage_failing=_nonzero(preimage),
+        image_failing=_nonzero(image),
+        surjective_failing=_nonzero(surviving),
+        class_masks=tuple(classes.values()),
+        signature_masks=tuple(row_classes.values()),
+    )
+
+
+def _bit_count(masks: tuple[int, ...], i: int) -> int:
+    return sum(mask >> i & 1 for mask in masks)
+
+
+def _failing(items: tuple[tuple[tuple, int], ...], i: int) -> list[tuple]:
+    return [label for label, mask in items if mask >> i & 1]
 
 
 def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
@@ -421,58 +530,37 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     w = 312 the below-w tableau [13|2] maps to [23|1] with a vanishing
     column, leaving 15 below-w tableaux against 14 row classes), so they are
     reported as data but not required.
+
+    The images, row classes and the two checks that do not depend on w are
+    built once per (n, ell) in a bounded table, with every w-dependent fact
+    as a bitset over S_n: "below w" is the AND of the columns' ``alive``
+    bitsets (:func:`mfl.permcomb._alive_masks`), and "standard for X(w)" is
+    the Bruhat up-set of the chain end (:func:`standard_masks`).  Per w the
+    report reads bit :func:`mfl.permcomb.permutation_index` of these masks:
+    counts are bit counts, and a failure message is written only for an
+    entry whose failure bit is set, in enumeration order.
     """
     if w.n != n:
         raise ValueError(f"permutation length {w.n} does not match n = {n}")
-    data = _image_signatures(n, ell)
-    failures: list[str] = []
-    checks: list[tuple[str, bool]] = []
+    table = _bijection_table(n, ell)
+    i = permutation_index(w.entries)
+    failures = list(table.failures)
+    checks = list(table.checks)
 
-    signatures = {}
-    injective = True
-    for t, sig in data:
-        if sig in signatures:
-            injective = False
-            failures.append(
-                f"images of {signatures[sig].columns} and {t.columns} are row-equal"
-            )
-        else:
-            signatures[sig] = t
-    checks.append(("injective", injective))
-
-    surjective = True
-    mono_sigs: dict[tuple[Key, Key], tuple] = {}
-    for a, b in _all_monomial_pairs(n):
-        sig = tuple(Tableau((a, b), n, kind=MATCHING_FIELD, ell=ell).rows())
-        mono_sigs[(a, b)] = sig
-        if sig not in signatures:
-            surjective = False
-            failures.append(f"monomial {(a, b)} misses every image row class")
-    checks.append(("surjective", surjective))
-
-    vanset = vanishing_keys(w.entries)
-
-    def below(cols: tuple[Key, ...]) -> bool:
-        return all(c not in vanset for c in cols)
-
-    preimage_ok = True
-    for t, _ in data:
-        image = ssyt_to_matching_field(t, ell)
-        if below(image.columns) and not below(t.columns):
-            preimage_ok = False
-            failures.append(f"preimage of below-w image {t.columns} is not below w")
-    checks.append(("preimage_below_w", preimage_ok))
+    preimage_failing = _failing(table.preimage_failing, i)
+    failures.extend(
+        f"preimage of below-w image {cols} is not below w"
+        for cols in preimage_failing
+    )
+    checks.append(("preimage_below_w", not preimage_failing))
 
     in_pattern = in_pattern_family(w, ell)
-    free_312 = is_312_free(w.entries)
     standard_count = None
     column_count = None
     row_class_count = None
     if in_pattern:
-        row_class_count = standard_monomial_count_deg2(n, ell, w)
-        standard_count = sum(
-            1 for t, _ in data if bruhat_leq(min_defining_chain2(t).last, w)
-        )
+        row_class_count = _bit_count(table.class_masks, i)
+        standard_count = _bit_count(table.standard, i)
         std_ok = standard_count == row_class_count
         if not std_ok:
             failures.append(
@@ -481,38 +569,26 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
             )
         checks.append(("standard_count_identity", std_ok))
 
-        surviving_image_sigs = set()
-        column_count = 0
-        image_ok = True
-        for t, sig in data:
-            if below(t.columns):
-                column_count += 1
-                image = ssyt_to_matching_field(t, ell)
-                if not below(image.columns):
-                    image_ok = False
-                    failures.append(
-                        f"image of below-w tableau {t.columns} not below w"
-                    )
-                surviving_image_sigs.add(sig)
-        surject_w_ok = True
-        surviving_sigs = set()
-        for pair, sig in mono_sigs.items():
-            if below(pair):
-                surviving_sigs.add(sig)
-                if sig not in surviving_image_sigs:
-                    surject_w_ok = False
-                    failures.append(
-                        f"surviving monomial {pair} misses below-w images"
-                    )
-        column_ok = column_count == row_class_count == len(surviving_sigs)
-        if free_312:
-            checks.append(("image_below_w", image_ok))
-            checks.append(("surjective_below_w", surject_w_ok))
+        column_count = _bit_count(table.below, i)
+        image_failing = _failing(table.image_failing, i)
+        failures.extend(
+            f"image of below-w tableau {cols} not below w" for cols in image_failing
+        )
+        surjective_failing = _failing(table.surjective_failing, i)
+        failures.extend(
+            f"surviving monomial {pair} misses below-w images"
+            for pair in surjective_failing
+        )
+        signature_count = _bit_count(table.signature_masks, i)
+        column_ok = column_count == row_class_count == signature_count
+        if is_312_free(w.entries):
+            checks.append(("image_below_w", not image_failing))
+            checks.append(("surjective_below_w", not surjective_failing))
             checks.append(("column_count_identity", column_ok))
             if not column_ok:
                 failures.append(
                     f"column count identity fails: below_w={column_count}, "
-                    f"classes={row_class_count}, signatures={len(surviving_sigs)}"
+                    f"classes={row_class_count}, signatures={signature_count}"
                 )
 
     return BijectionReport(

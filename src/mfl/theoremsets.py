@@ -18,6 +18,7 @@ brute-force oracle and reports every disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -75,9 +76,7 @@ def _a2_excluded(n: int) -> tuple[int, ...]:
     return (n - 1, n) + tuple(range(n - 2, 0, -1))
 
 
-_family_cache: dict[tuple[int, int], Mapping[tuple[int, ...], frozenset[str]]] = {}
-
-
+@lru_cache(maxsize=64)  # the (n, ell) with 3 <= n <= 8 number 33
 def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]]:
     """The permutations with binomial (non-zero) restricted ideal, with tags.
 
@@ -93,17 +92,12 @@ def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]
         raise ValueError(f"families are defined for n >= 3, got {n}")
     if not 0 <= ell <= n - 1:
         raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
-    key = (n, ell)
-    if key in _family_cache:
-        return _family_cache[key]
     if n == 3:
-        result = {
+        return MappingProxyType({
             w.entries: frozenset({TAG_BASE})
             for w in all_permutations(3)
             if classify_oracle(3, ell, w).verdict == BINOMIAL
-        }
-        _family_cache[key] = MappingProxyType(result)
-        return _family_cache[key]
+        })
 
     t_diag_prev = binomial_family(n - 1, 0)
     if ell == 0:
@@ -154,8 +148,7 @@ def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]
                 tags.add(TAG_AT2)
         if tags:
             result[e] = frozenset(tags)
-    _family_cache[key] = MappingProxyType(result)
-    return _family_cache[key]
+    return MappingProxyType(result)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from mfl.quadideal import (
     surviving_binomial_space,
     verdicts_for_all_w,
 )
-from mfl.suites import run_theorem_a
+from mfl.suites import run_tableaux, run_theorem_a
 from mfl.tableaux import enumerate_ssyt2, is_standard, verify_bijection
 from mfl.theoremsets import (
     TAG_A1,
@@ -240,6 +240,15 @@ def test_criterion_11_bijection_suite():
             for n in (3, 4, 5)
             for ell in range(n)
         )
+
+
+@pytest.mark.slow
+def test_criterion_11_tableaux_suite_n6_slow():
+    with criterion(11, "tableaux suite exhaustive at n=6 (slow mode)", 600.0):
+        report = run_tableaux(6)
+        assert report.ok, report.mismatches[:5]
+        # pinned after the per-w implementation agreed (ok, 230977 checks)
+        assert report.checked == 230977
 
 
 def test_criterion_12_standardness_two_columns():

@@ -1,0 +1,74 @@
+"""Every memo table in the package is bounded, above the working set of the
+runs it serves."""
+
+import importlib
+
+import pytest
+
+from mfl import matchfield, permcomb, tableaux, theoremsets
+from mfl.quadideal import PAIR_CACHE_SIZE
+from mfl.suites import run_tableaux
+
+MODULES = ("permcomb", "matchfield", "quadideal", "exactla", "theoremsets",
+           "tableaux", "suites", "golden", "cli")
+
+
+def _caches():
+    for name in MODULES:
+        module = importlib.import_module(f"mfl.{name}")
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                yield f"{name}.{attr}", obj
+
+
+def test_every_cache_is_bounded():
+    caches = dict(_caches())
+    assert "tableaux._bijection_table" in caches
+    for name, cached in caches.items():
+        assert cached.cache_info().maxsize is not None, name
+
+
+def test_no_module_level_family_dict():
+    assert not hasattr(theoremsets, "_family_cache")
+    assert theoremsets.binomial_family(5, 2) is theoremsets.binomial_family(5, 2)
+
+
+@pytest.mark.parametrize(
+    "cached, working_set",
+    [
+        # the Theorem A sweep to n = 6 asks for 260 w, initial-ideal 938 calls
+        (permcomb.vanishing_keys, 1024),
+        (permcomb.bruhat_up_set, sum((6, 24, 120, 720))),
+        (permcomb.zero_family_size, permcomb.MAX_N),
+        (matchfield.variable_image_key, sum(n * (2**n - 2) for n in range(2, 9))),
+        (matchfield._weight_matrix_entries, sum(range(2, 9))),
+        # the census reaches every (n, ell) with n <= 7
+        (theoremsets.binomial_family, 25),
+        (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589),
+        (tableaux._bijection_table, sum(range(3, 8))),
+        (tableaux._enumerate_ssyt2_all, 5),
+        (tableaux.standard_masks, 5),
+        (tableaux._all_monomial_pairs, 5),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_bounds_cover_working_sets(cached, working_set):
+    assert cached.cache_info().maxsize >= working_set
+
+
+def test_tableaux_suite_evicts_nothing():
+    touched = (
+        permcomb.bruhat_up_set,
+        tableaux.min_defining_chain2,
+        tableaux._bijection_table,
+        tableaux._enumerate_ssyt2_all,
+        tableaux.standard_masks,
+        tableaux._all_monomial_pairs,
+    )
+    for cached in touched:
+        cached.cache_clear()
+    assert run_tableaux(5).ok
+    for cached in touched:
+        info = cached.cache_info()
+        assert info.misses > 0 and info.currsize == info.misses, cached.__name__
+    assert tableaux._bijection_table.cache_info().maxsize == PAIR_CACHE_SIZE

@@ -134,6 +134,23 @@ class TestTableaux:
         assert code == 0
         assert "1 | 1" in out
 
+    @pytest.mark.parametrize("ell", ["9", "-1"])
+    def test_out_of_range_ell_exits_2(self, capsys, ell):
+        code, out, err = run(capsys, "tableaux", "--n", "4", "--ell", ell)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ell must be in 0..3, got {ell}\n"
+        _, _, classify_err = run(
+            capsys, "classify", "--n", "4", "--ell", ell, "--w", "1234"
+        )
+        assert classify_err == err
+
+    def test_n_below_two_exits_2(self, capsys):
+        code, out, err = run(capsys, "tableaux", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tableaux need n >= 2, got 1\n"
+
 
 class TestVerify:
     def test_coherence_suite(self, capsys):

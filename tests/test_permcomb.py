@@ -11,6 +11,7 @@ from mfl.permcomb import (
     avoids,
     bruhat_leq,
     bruhat_leq_oracle,
+    bruhat_up_set,
     delete_value,
     gale_leq,
     has_descending_property,
@@ -18,6 +19,7 @@ from mfl.permcomb import (
     in_zero_family_inductive,
     insert_max,
     is_312_free,
+    permutation_index,
     remove_max,
     restriction,
     vanishing_keys,
@@ -265,3 +267,34 @@ class TestBruhat:
         for v in elements:
             for w in elements:
                 assert bruhat_leq(v, w) == bruhat_leq_oracle(v, w), (v, w)
+
+
+class TestBitsetsOverSn:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_permutation_index_is_enumeration_rank(self, n):
+        for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+            assert permutation_index(entries) == i, entries
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_up_set_matches_bruhat_leq(self, n):
+        elements = list(all_permutations(n))
+        for v in elements:
+            up = bruhat_up_set(v.entries)
+            assert up >> len(elements) == 0
+            for i, w in enumerate(elements):
+                assert bool(up >> i & 1) == bruhat_leq(v, w), (v, w)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_up_set_matches_reachability_oracle(self, n):
+        elements = list(all_permutations(n))
+        for v in elements:
+            up = bruhat_up_set(v.entries)
+            for i, w in enumerate(elements):
+                assert bool(up >> i & 1) == bruhat_leq_oracle(v, w), (v, w)
+
+    def test_up_sets_of_extremes(self):
+        for n in range(1, 6):
+            full = (1 << len(list(all_permutations(n)))) - 1
+            assert bruhat_up_set(Permutation.identity(n).entries) == full
+            top = permutation_index(Permutation.longest(n).entries)
+            assert bruhat_up_set(Permutation.longest(n).entries) == 1 << top

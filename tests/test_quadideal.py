@@ -5,6 +5,8 @@ from mfl.matchfield import BlockDiagonalMF, grid_image
 from mfl.permcomb import (
     IndexSet,
     Permutation,
+    _alive_masks,
+    _prefix_set_masks,
     all_index_keys,
     all_permutations,
     vanishing_keys,
@@ -17,14 +19,12 @@ from mfl.quadideal import (
     PAIR_CACHE_SIZE,
     CapabilityError,
     QuadraticRelation,
-    _alive_masks,
     _block_layouts,
     _block_matches,
     _det_terms,
     _fiber_components,
     _fibers,
     _flag_ideal,
-    _prefix_set_masks,
     _product_row,
     classify_oracle,
     degree2_flag_ideal,

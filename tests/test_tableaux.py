@@ -1,18 +1,32 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfl.permcomb import Permutation, all_permutations, is_312_free, vanishing_keys
+from mfl import tableaux
+from mfl.permcomb import (
+    Permutation,
+    all_index_keys,
+    all_permutations,
+    bruhat_leq,
+    is_312_free,
+    vanishing_keys,
+)
 from mfl.quadideal import CapabilityError
 from mfl.tableaux import (
     MATCHING_FIELD,
     SSYT,
+    BijectionReport,
     Tableau,
+    _bijection_table,
     enumerate_ssyt2,
     is_standard,
     min_defining_chain2,
     min_defining_chain2_exhaustive,
     row_equal,
     ssyt_to_matching_field,
+    standard_masks,
     standard_monomial_count_deg2,
     verify_bijection,
 )
@@ -277,3 +291,205 @@ class TestVerifyBijection:
                 if in_pattern_family(w, ell):
                     report = verify_bijection(n, ell, w)
                     assert report.ok, (n, ell, w, report.failures[:3])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-w verification the bitset tables replace
+
+
+@lru_cache(maxsize=32)
+def _reference_signatures(n, ell, rearrange):
+    return tuple(
+        (t, tuple(rearrange(t, ell).rows())) for t in enumerate_ssyt2(n)
+    )
+
+
+def _reference_pairs(n):
+    keys = sorted(all_index_keys(n), key=lambda k: (-len(k), k))
+    return tuple(
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(keys, 2)
+        if len(a) >= len(b)
+    )
+
+
+def reference_verify_bijection(n, ell, w):
+    """verify_bijection as it was before the bitset tables: every check
+    recomputed for each w from the tableaux and the vanishing set."""
+    if w.n != n:
+        raise ValueError(f"permutation length {w.n} does not match n = {n}")
+    rearrange = tableaux.ssyt_to_matching_field
+    data = _reference_signatures(n, ell, rearrange)
+    failures = []
+    checks = []
+
+    signatures = {}
+    injective = True
+    for t, sig in data:
+        if sig in signatures:
+            injective = False
+            failures.append(
+                f"images of {signatures[sig].columns} and {t.columns} are row-equal"
+            )
+        else:
+            signatures[sig] = t
+    checks.append(("injective", injective))
+
+    surjective = True
+    mono_sigs = {}
+    for a, b in _reference_pairs(n):
+        sig = tuple(Tableau((a, b), n, kind=MATCHING_FIELD, ell=ell).rows())
+        mono_sigs[(a, b)] = sig
+        if sig not in signatures:
+            surjective = False
+            failures.append(f"monomial {(a, b)} misses every image row class")
+    checks.append(("surjective", surjective))
+
+    vanset = vanishing_keys(w.entries)
+
+    def below(cols):
+        return all(c not in vanset for c in cols)
+
+    preimage_ok = True
+    for t, _ in data:
+        image = rearrange(t, ell)
+        if below(image.columns) and not below(t.columns):
+            preimage_ok = False
+            failures.append(f"preimage of below-w image {t.columns} is not below w")
+    checks.append(("preimage_below_w", preimage_ok))
+
+    in_pattern = in_pattern_family(w, ell)
+    free_312 = is_312_free(w.entries)
+    standard_count = None
+    column_count = None
+    row_class_count = None
+    if in_pattern:
+        row_class_count = standard_monomial_count_deg2(n, ell, w)
+        standard_count = sum(
+            1 for t, _ in data if bruhat_leq(min_defining_chain2(t).last, w)
+        )
+        std_ok = standard_count == row_class_count
+        if not std_ok:
+            failures.append(
+                f"standard count identity fails: standard={standard_count}, "
+                f"classes={row_class_count}"
+            )
+        checks.append(("standard_count_identity", std_ok))
+
+        surviving_image_sigs = set()
+        column_count = 0
+        image_ok = True
+        for t, sig in data:
+            if below(t.columns):
+                column_count += 1
+                image = rearrange(t, ell)
+                if not below(image.columns):
+                    image_ok = False
+                    failures.append(
+                        f"image of below-w tableau {t.columns} not below w"
+                    )
+                surviving_image_sigs.add(sig)
+        surject_w_ok = True
+        surviving_sigs = set()
+        for pair, sig in mono_sigs.items():
+            if below(pair):
+                surviving_sigs.add(sig)
+                if sig not in surviving_image_sigs:
+                    surject_w_ok = False
+                    failures.append(
+                        f"surviving monomial {pair} misses below-w images"
+                    )
+        column_ok = column_count == row_class_count == len(surviving_sigs)
+        if free_312:
+            checks.append(("image_below_w", image_ok))
+            checks.append(("surjective_below_w", surject_w_ok))
+            checks.append(("column_count_identity", column_ok))
+            if not column_ok:
+                failures.append(
+                    f"column count identity fails: below_w={column_count}, "
+                    f"classes={row_class_count}, signatures={len(surviving_sigs)}"
+                )
+
+    return BijectionReport(
+        n,
+        ell,
+        w.to_string(),
+        in_pattern,
+        tuple(checks),
+        standard_count,
+        column_count,
+        row_class_count,
+        tuple(failures),
+    )
+
+
+class TestBijectionTables:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reports_match_reference_for_every_w(self, n):
+        for ell in range(n):
+            for w in all_permutations(n):
+                assert verify_bijection(n, ell, w) == reference_verify_bijection(
+                    n, ell, w
+                ), (n, ell, w)
+
+    def test_reports_match_reference_on_pattern_family_n5(self):
+        checked = 0
+        for ell in range(5):
+            for w in all_permutations(5):
+                if in_pattern_family(w, ell):
+                    checked += 1
+                    assert verify_bijection(5, ell, w) == reference_verify_bijection(
+                        5, ell, w
+                    ), (ell, w)
+        assert checked > 0
+
+    def test_failure_paths_match_reference(self, monkeypatch):
+        # a map that only reorders the display breaks injectivity and both
+        # surjectivity checks; the failure messages must still agree, in order
+        def unmoved(t, ell):
+            return Tableau(t.columns, t.n, kind=MATCHING_FIELD, ell=ell)
+
+        monkeypatch.setattr(tableaux, "ssyt_to_matching_field", unmoved)
+        _bijection_table.cache_clear()
+        try:
+            failed = set()
+            for n in (3, 4):
+                for ell in range(n):
+                    for w in all_permutations(n):
+                        report = verify_bijection(n, ell, w)
+                        assert report == reference_verify_bijection(n, ell, w)
+                        failed.update(name for name, ok in report.checks if not ok)
+            assert {"injective", "surjective", "surjective_below_w"} <= failed
+        finally:
+            _bijection_table.cache_clear()
+
+    def test_real_map_reports_below_w_failures(self):
+        # the recorded-only column-form failures and the preimage failures
+        r = verify_bijection(3, 1, Permutation((3, 1, 2)))
+        assert r.failures == ("image of below-w tableau ((1, 3), (2,)) not below w",)
+        r = verify_bijection(3, 1, Permutation((2, 3, 1)))
+        assert not dict(r.checks)["preimage_below_w"]
+        assert r.failures == (
+            "preimage of below-w image ((1, 2), (3,)) is not below w",
+        )
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="does not match n = 4"):
+            verify_bijection(4, 1, Permutation((1, 2, 3)))
+
+
+class TestStandardMasks:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_is_standard_matches_chain_end_below_w(self, n):
+        for w in all_permutations(n):
+            for t in enumerate_ssyt2(n):
+                expected = bruhat_leq(min_defining_chain2(t).last, w)
+                assert is_standard(t, w) == expected, (w, t.columns)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_masks_follow_enumeration_order(self, n):
+        masks = standard_masks(n)
+        assert len(masks) == len(enumerate_ssyt2(n))
+        for i, w in enumerate(all_permutations(n)):
+            for t, mask in zip(enumerate_ssyt2(n), masks):
+                assert bool(mask >> i & 1) == is_standard(t, w)
