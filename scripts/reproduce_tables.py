@@ -44,6 +44,9 @@ def main() -> int:
         if expected is not None and expected[row.ell] != row.binomial_count:
             print(f"DIFF count at (n={row.n}, ell={row.ell})")
             failures += 1
+        if row.oracle_counts is not None:
+            print(f"DIFF oracle counts {row.oracle_counts} at (n={row.n}, ell={row.ell})")
+            failures += 1
     write(out_dir / "counts.csv", "\n".join(csv_lines) + "\n")
 
     # small ideals and binomial lists

@@ -98,11 +98,14 @@ def cmd_tables(args, config: RunConfig) -> int:
             expected = golden.COUNT_TABLE.get(row.n)
             if expected is not None and row.binomial_count != expected[row.ell]:
                 diffs.append((row.n, row.ell, row.binomial_count, expected[row.ell]))
+        disagreements = [row for row in rows if row.oracle_counts is not None]
         if config.fmt == "json":
             _emit_json(
                 {
                     "schema": SCHEMA,
-                    "rows": [row.__dict__ for row in rows],
+                    # oracle_counts only where the oracle disagrees
+                    "rows": [{k: v for k, v in row.__dict__.items() if v is not None}
+                             for row in rows],
                     "totals": {
                         str(n): sum(r.binomial_count for r in rows if r.n == n)
                         for n in range(3, n_max + 1)
@@ -129,7 +132,13 @@ def cmd_tables(args, config: RunConfig) -> int:
                             " is authoritative)"
                         )
                     print(f"# total n={n}: {total}{note}")
-        return 1 if diffs else 0
+            for row in disagreements:
+                binomial, zero = row.oracle_counts
+                print(f"mismatch at (n={row.n}, ell={row.ell}): families give "
+                      f"binomial={row.binomial_count}, zero={row.zero_count}; "
+                      f"the oracle gives binomial={binomial}, zero={zero}",
+                      file=sys.stderr)
+        return 1 if diffs or disagreements else 0
 
     if which == "zn":
         n_max = args.n_max or 15

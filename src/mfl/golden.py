@@ -7,7 +7,7 @@ explicitly:
 
 - the n = 5 row of the count table sums to 144, not the printed total 114;
   :data:`COUNT_TABLE_PRINTED_TOTALS` keeps the printed value and
-  ``count_total(5)`` the computed one;
+  ``sum(COUNT_TABLE[5])`` is the computed one;
 - the per-variable weight vector printed alongside both n = 4 example
   matrices, :data:`WEIGHT_VECTOR_PRINTED_N4`, does not match the
   minimum-over-placements computation for either matrix (for the diagonal
@@ -58,12 +58,15 @@ TORIC_LISTS_N4 = {
 #: for that row, which contradicts its own ideal table and the oracle.
 #: The n = 7 row is not in the circulated table; it is pinned because the
 #: binomial family, the per-permutation oracle and the bitset kernel agree.
+#: The n = 8 row is pinned because the bitset families, the per-permutation
+#: insert-max construction and the kernel (oracle bound raised to 8) agree.
 COUNT_TABLE = {
     3: (2, 2, 1),
     4: (9, 8, 6, 7),
     5: (34, 29, 24, 26, 31),
     6: (119, 99, 85, 90, 104, 115),
     7: (408, 333, 291, 305, 347, 384, 403),
+    8: (1396, 1121, 989, 1031, 1163, 1287, 1361, 1390),
 }
 
 #: The n = 3 row as printed in the circulated count table; kept only to keep
@@ -72,10 +75,6 @@ COUNT_TABLE_PRINTED_N3 = (2, 1, 2)
 
 #: Row totals as printed; the n = 5 entry is a known misprint (sum is 144).
 COUNT_TABLE_PRINTED_TOTALS = {3: 5, 4: 30, 5: 114, 6: 612}
-
-
-def count_total(n: int) -> int:
-    return sum(COUNT_TABLE[n])
 
 
 #: The ten degree-two generators of the n = 4 field with cut ell = 2,

@@ -492,6 +492,33 @@ def permutation_index(entries: Sequence[int]) -> int:
     return index
 
 
+def permutation_at(n: int, index: int) -> tuple[int, ...]:
+    """Inverse of :func:`permutation_index`: the permutation of [n] at bit
+    ``index``.
+
+    >>> permutation_at(3, 3)
+    (2, 3, 1)
+    """
+    values = list(range(1, n + 1))
+    out = []
+    for k in range(n - 1, -1, -1):
+        q, index = divmod(index, math.factorial(k))
+        out.append(values.pop(q))
+    return tuple(out)
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, in increasing order.
+
+    >>> list(set_bits(0b101001))
+    [0, 3, 5]
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=4)
 def _prefix_set_masks(n: int) -> dict[tuple[int, ...], int]:
     """Bit i of entry P is set iff the i-th permutation has

@@ -274,17 +274,15 @@ def _fiber_components(n: int, ell: int) -> tuple[tuple[MonoKey, ...], ...]:
     return tuple(tuple(m for m, _ in fiber) for fiber in _fibers(n, ell))
 
 
-def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple[int, ...], str]:
-    """Verdict of every w in S_n at once; the bulk path used by the sweeps.
+def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]:
+    """The verdicts of all of S_n as two bitsets in
+    ``itertools.permutations`` order: where a monomial survives
+    (non-binomial) and where anything does (not zero).
 
-    Bit-parallel over S_n: a monomial is alive on the AND of its variables'
-    alive bitsets, and per fiber the OR (some member alive) and the AND
-    (every member alive) of its monomials give the permutations where the
-    fiber leaves a monomial (OR and not AND) or a binomial (OR).  Keys come
-    in ``itertools.permutations`` order.
-
-    >>> verdicts_for_all_w(3, 1)[(2, 3, 1)]
-    'nonbinomial'
+    A monomial is alive on the AND of its variables' alive bitsets; per
+    fiber, the OR (some member alive) and the AND (every member alive) of
+    its monomials give where it leaves a monomial (OR and not AND) or a
+    binomial (OR).
     """
     _check_case(n, ell, bound)
     alive = _alive_masks(n)
@@ -298,6 +296,25 @@ def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple
             every &= bits
         monomial |= some & ~every
         surviving |= some
+    return monomial, surviving
+
+
+def verdict_at(monomial: int, surviving: int, i: int) -> str:
+    """The verdict at bit i of the two masks of :func:`verdict_masks`."""
+    if monomial >> i & 1:
+        return NONBINOMIAL
+    return BINOMIAL if surviving >> i & 1 else ZERO
+
+
+def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple[int, ...], str]:
+    """Verdict of every w in S_n at once, read off :func:`verdict_masks`;
+    the bulk path used by the sweeps.  Keys come in
+    ``itertools.permutations`` order.
+
+    >>> verdicts_for_all_w(3, 1)[(2, 3, 1)]
+    'nonbinomial'
+    """
+    monomial, surviving = verdict_masks(n, ell, bound)
     # bit i of a mask is character i of its reversed, zero-padded binary text
     width = math.factorial(n)
     monomial_bits = format(monomial, f"0{width}b")[::-1]

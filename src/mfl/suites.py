@@ -8,25 +8,27 @@ suite can be inspected as data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from mfl.matchfield import BlockDiagonalMF, verify_coherence
 from mfl.permcomb import (
     Permutation,
-    all_permutations,
-    has_descending_property,
-    in_zero_family,
-    is_312_free,
+    permutation_at,
     restriction,
+    set_bits,
     vanishing_keys,
 )
 from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
-    ZERO,
     classify_oracle,
     la_cap,
     matches_initial_degree2,
+    verdict_at,
+    verdict_masks,
     verdicts_for_all_w,
 )
 from mfl.tableaux import (
@@ -40,7 +42,7 @@ from mfl.theoremsets import (
     TAG_A1,
     binomial_family,
     cross_validate,
-    in_pattern_family,
+    family_masks,
 )
 
 SUITES = ("coherence", "theoremB", "theoremC", "P", "theoremA", "tableaux", "all")
@@ -105,10 +107,12 @@ def run_theorem_b(n_max: int = 6) -> SuiteReport:
     report = SuiteReport("theoremB")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for entries, verdict in verdicts_for_all_w(n, ell).items():
-                report.checked += 1
-                if (verdict == ZERO) != in_zero_family(Permutation(entries)):
-                    report.record(n=n, ell=ell, w=entries, verdict=verdict)
+            monomial, surviving = verdict_masks(n, ell)
+            full = (1 << math.factorial(n)) - 1
+            report.checked += math.factorial(n)
+            for i in set_bits(family_masks(n, ell).zero ^ (full & ~surviving)):
+                report.record(n=n, ell=ell, w=permutation_at(n, i),
+                              verdict=verdict_at(monomial, surviving, i))
     return report
 
 
@@ -124,16 +128,17 @@ def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
                 report.record(n=n, **m)
     for n in range(3, combinatorial_n_max + 1):
         for ell in range(n):
-            family = binomial_family(n, ell)
-            for w in all_permutations(n):
-                report.checked += 1
-                in_t = w.entries in family
-                in_z = in_zero_family(w)
-                if in_t and in_z:
-                    report.record(n=n, ell=ell, w=w.to_string(),
+            masks = family_masks(n, ell)
+            report.checked += math.factorial(n)
+            overlap = masks.binomial & masks.zero
+            differs = (masks.binomial | masks.zero) ^ masks.pattern
+            for i in set_bits(overlap | differs):
+                w = Permutation(permutation_at(n, i)).to_string()
+                if overlap >> i & 1:
+                    report.record(n=n, ell=ell, w=w,
                                   detail="binomial and zero families overlap")
-                if (in_t or in_z) != in_pattern_family(w, ell):
-                    report.record(n=n, ell=ell, w=w.to_string(),
+                if differs >> i & 1:
+                    report.record(n=n, ell=ell, w=w,
                                   detail="T union Z differs from pattern family")
     return report
 
@@ -143,17 +148,22 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     facts about 312 patterns inside the pattern family."""
     report = SuiteReport("P")
     for n in range(3, n_max + 1):
+        full = (1 << math.factorial(n)) - 1
         for ell in range(n):
-            for entries, verdict in verdicts_for_all_w(n, ell).items():
-                report.checked += 1
-                w = Permutation(entries)
-                if in_pattern_family(w, ell) != (verdict != NONBINOMIAL):
-                    report.record(n=n, ell=ell, w=w.to_string(), verdict=verdict)
+            monomial, surviving = verdict_masks(n, ell)
+            report.checked += math.factorial(n)
+            for i in set_bits(family_masks(n, ell).pattern ^ (full & ~monomial)):
+                report.record(n=n, ell=ell,
+                              w=Permutation(permutation_at(n, i)).to_string(),
+                              verdict=verdict_at(monomial, surviving, i))
     for n in range(3, combinatorial_n_max + 1):
-        for w in all_permutations(n):
+        patterns = [(ell, family_masks(n, ell).pattern) for ell in range(1, n)]
+        free_312 = family_masks(n, 0).free_312
+        for index in set_bits(reduce(or_, (mask for _, mask in patterns))):
+            w = Permutation(permutation_at(n, index))
             e = w.entries
-            for ell in range(1, n):
-                if not in_pattern_family(w, ell):
+            for ell, mask in patterns:
+                if not mask >> index & 1:
                     continue
                 report.checked += 1
                 for i, j, k in itertools.combinations(range(n), 3):
@@ -163,7 +173,7 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
                                 n=n, ell=ell, w=w.to_string(),
                                 detail="312 pattern not anchored at (w_1, ell)",
                             )
-                if not is_312_free(e):
+                if not free_312 >> index & 1:
                     head = restriction(w, e[0]).entries
                     expected = (e[0], ell) + tuple(
                         v for v in range(e[0] - 1, 0, -1) if v != ell
@@ -202,9 +212,8 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
     report = SuiteReport("tableaux")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for w in all_permutations(n):
-                if not in_pattern_family(w, ell):
-                    continue
+            for i in set_bits(family_masks(n, ell).pattern):
+                w = Permutation(permutation_at(n, i))
                 result = verify_bijection(n, ell, w)
                 report.checked += 1
                 if not result.ok:
@@ -218,9 +227,8 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
                               detail="constructive chain differs from exhaustive")
         # bit i of a standard mask is the i-th permutation in enumeration order
         standard = standard_masks(n)
-        for i, w in enumerate(all_permutations(n)):
-            if not is_312_free(w.entries):
-                continue
+        for i in set_bits(family_masks(n, 0).free_312):
+            w = Permutation(permutation_at(n, i))
             vanset = vanishing_keys(w.entries)
             for t, mask in zip(tableaux, standard):
                 report.checked += 1

@@ -39,12 +39,11 @@ from mfl.permcomb import (
     bruhat_leq,
     bruhat_leq_entries,
     bruhat_up_set,
-    is_312_free,
     permutation_index,
     vanishing_keys,
 )
 from mfl.quadideal import PAIR_CACHE_SIZE, CapabilityError
-from mfl.theoremsets import in_pattern_family
+from mfl.theoremsets import family_masks
 
 Key = tuple[int, ...]
 
@@ -535,8 +534,10 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     built once per (n, ell) in a bounded table, with every w-dependent fact
     as a bitset over S_n: "below w" is the AND of the columns' ``alive``
     bitsets (:func:`mfl.permcomb._alive_masks`), and "standard for X(w)" is
-    the Bruhat up-set of the chain end (:func:`standard_masks`).  Per w the
-    report reads bit :func:`mfl.permcomb.permutation_index` of these masks:
+    the Bruhat up-set of the chain end (:func:`standard_masks`); pattern
+    membership and 312-freeness come from
+    :func:`mfl.theoremsets.family_masks`.  Per w the report reads bit
+    :func:`mfl.permcomb.permutation_index` of these masks:
     counts are bit counts, and a failure message is written only for an
     entry whose failure bit is set, in enumeration order.
     """
@@ -554,7 +555,8 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     )
     checks.append(("preimage_below_w", not preimage_failing))
 
-    in_pattern = in_pattern_family(w, ell)
+    families = family_masks(n, ell)
+    in_pattern = bool(families.pattern >> i & 1)
     standard_count = None
     column_count = None
     row_class_count = None
@@ -581,7 +583,7 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
         )
         signature_count = _bit_count(table.signature_masks, i)
         column_ok = column_count == row_class_count == signature_count
-        if is_312_free(w.entries):
+        if families.free_312 >> i & 1:
             checks.append(("image_below_w", not image_failing))
             checks.append(("surjective_below_w", not surjective_failing))
             checks.append(("column_count_identity", column_ok))

@@ -11,29 +11,42 @@ the ideal oracle (except for the n = 3 seed):
 - the pattern family P_ell of permutations with monomial-free ideals,
   characterized through 312-avoidance.
 
-:func:`cross_validate` replays the whole classification against the
-brute-force oracle and reports every disagreement.
+All three are kept as bitsets over S_n (:func:`family_masks`), built by
+insert-max induction once per n; :func:`in_pattern_family` stays as the
+per-permutation test.  :func:`cross_validate` replays the whole
+classification against the brute-force oracle and reports every
+disagreement.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping
+from operator import itemgetter, or_
+from typing import Iterable, Mapping, NamedTuple
 
 from mfl.permcomb import (
     Permutation,
     all_permutations,
     delete_value,
-    has_descending_property,
-    in_zero_family,
     is_312_free,
-    remove_max,
+    permutation_at,
+    permutation_index,
     restriction,
+    set_bits,
     zero_family_size,
 )
-from mfl.quadideal import BINOMIAL, NONBINOMIAL, ZERO, classify_oracle, verdicts_for_all_w
+from mfl.quadideal import (
+    BINOMIAL,
+    NONBINOMIAL,
+    ZERO,
+    classify_oracle,
+    verdict_at,
+    verdict_masks,
+)
 
 TAG_A1 = "A1"
 TAG_A2 = "A2"
@@ -76,85 +89,6 @@ def _a2_excluded(n: int) -> tuple[int, ...]:
     return (n - 1, n) + tuple(range(n - 2, 0, -1))
 
 
-@lru_cache(maxsize=64)  # the (n, ell) with 3 <= n <= 8 number 33
-def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]]:
-    """The permutations with binomial (non-zero) restricted ideal, with tags.
-
-    Built inductively in n from the size n-1 families; the n = 3 base case
-    is seeded from the oracle directly.  Every member carries the set of
-    clauses that admitted it (overlaps allowed).  ``ell = 0`` is the diagonal
-    field; ``ell = n-1`` the semi-diagonal one.
-
-    >>> sorted("".join(map(str, e)) for e in binomial_family(4, 2))
-    ['1342', '1432', '3214', '3241', '4231', '4321']
-    """
-    if n < 3:
-        raise ValueError(f"families are defined for n >= 3, got {n}")
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
-    if n == 3:
-        return MappingProxyType({
-            w.entries: frozenset({TAG_BASE})
-            for w in all_permutations(3)
-            if classify_oracle(3, ell, w).verdict == BINOMIAL
-        })
-
-    t_diag_prev = binomial_family(n - 1, 0)
-    if ell == 0:
-        t_prev = t_diag_prev
-        t_semi_prev = None
-    elif ell <= n - 2:
-        t_prev = binomial_family(n - 1, ell)
-        t_semi_prev = None
-    else:
-        t_prev = t_diag_prev
-        t_semi_prev = binomial_family(n - 1, n - 2)
-
-    excluded = _a2_excluded(n)
-    exceptional = exceptional_entries(n, ell) if 1 <= ell <= n - 2 else None
-    result = {}
-    for w in all_permutations(n):
-        e = w.entries
-        ulw = remove_max(w)
-        ule = ulw.entries
-        t = e.index(n) + 1
-        s = e.index(n - 1) + 1
-        tags = set()
-        if in_zero_family(ulw) and e[-1] == n - 2 and {e[-3], e[-2]} == {n - 1, n}:
-            tags.add(TAG_A1)
-        if ell == 0:
-            if ule in t_prev and has_descending_property(ulw) and t >= s - 1:
-                tags.add(TAG_A2)
-        elif ell <= n - 2:
-            if ule in t_prev:
-                if has_descending_property(ulw) and t >= s - 1 and e != excluded:
-                    tags.add(TAG_A2P)
-                if not has_descending_property(ulw) and t >= s + 2:
-                    tags.add(TAG_A3)
-            if e == exceptional:
-                tags.add(TAG_EXCEPTIONAL)
-        else:
-            in_diag = ule in t_diag_prev
-            in_semi = ule in t_semi_prev
-            if (
-                in_diag
-                and in_semi
-                and has_descending_property(ulw)
-                and t >= s - 1
-                and e != excluded
-            ):
-                tags.add(TAG_AT1)
-            if in_diag and not in_semi and t >= s + 1:
-                tags.add(TAG_AT2)
-        if tags:
-            result[e] = frozenset(tags)
-    return MappingProxyType(result)
-
-
-# ---------------------------------------------------------------------------
-# The pattern family
-
-
 def _staircase(m: int) -> tuple[int, ...]:
     """(m-1, m, m-2, m-3, ..., 1)."""
     return (m - 1, m) + tuple(range(m - 2, 0, -1))
@@ -163,6 +97,179 @@ def _staircase(m: int) -> tuple[int, ...]:
 def _double_staircase(a: int, b: int) -> tuple[int, ...]:
     """(a, b, b-1, ..., a+1, a-1, ..., 1), a permutation of [b]."""
     return (a, b) + tuple(range(b - 1, a, -1)) + tuple(range(a - 1, 0, -1))
+
+
+# ---------------------------------------------------------------------------
+# The families as bitsets over S_n
+#
+# Bit i of every mask stands for the i-th permutation of [n] in
+# ``itertools.permutations`` order (see :mod:`mfl.permcomb`).
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _to_mask(flags: Iterable[bool]) -> int:
+    """The bitset whose bit i is the i-th of the booleans ``flags``."""
+    return int(bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
+
+
+def _bit(entries: tuple[int, ...]) -> int:
+    return 1 << permutation_index(entries)
+
+
+class FamilyMasks(NamedTuple):
+    """The families at one (n, ell) as bitsets over S_n, with the masks of
+    S_n they are built from: 312-free w, w whose entries after n decrease
+    (``descending``), and w with some restriction w|_m (m >= 3) equal to
+    (m-1, m, m-2, ..., 1) (``staircase``).  ``tags`` holds the (tag,
+    members) masks of the binomial family's clauses."""
+
+    zero: int
+    binomial: int
+    pattern: int
+    free_312: int
+    descending: int
+    staircase: int
+    tags: tuple[tuple[str, int], ...]
+
+
+def family_masks(n: int, ell: int) -> FamilyMasks:
+    """The zero, binomial and pattern families at (n, ell).
+
+    >>> m = family_masks(3, 1)
+    >>> [e for i, e in enumerate(itertools.permutations((1, 2, 3))) if m.binomial >> i & 1]
+    [(3, 1, 2), (3, 2, 1)]
+    """
+    if n < 3:
+        raise ValueError(f"families are defined for n >= 3, got {n}")
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    return _families(n)[ell]
+
+
+@lru_cache(maxsize=10)  # the families up to n = 8 use n = 1..8
+def _families(n: int) -> tuple[FamilyMasks, ...]:
+    """:func:`family_masks` for every ell (no binomial family for n < 3).
+
+    One pass over S_n reads a few facts about each w; the rest is ANDs and
+    ORs of lifted masks over S_{n-1} (the lift of a mask has the w whose
+    ``remove_max`` is in it):
+
+    - w is in Z_n iff remove_max(w) is in Z_{n-1} and w ends with n or with
+      (n, n-1);
+    - w is 312-free iff remove_max(w) is and w is descending (n can only
+      play the 3 of a 312);
+    - w|_m for m < n is (remove_max(w))|_m;
+    - each binomial clause is a condition on remove_max(w) and on the
+      positions of n and n-1.
+    """
+    if n == 1:
+        return (FamilyMasks(1, 0, 1, 1, 1, 0, ()),)
+    prev = _families(n - 1)
+    width_prev, width = math.factorial(n - 1), math.factorial(n)
+    index_prev = {e: i for i, e in enumerate(itertools.permutations(range(1, n)))}
+    free_prev = format(prev[0].free_312, f"0{width_prev}b")[::-1]
+    parent, gaps, tails, descending = [], [], [], []
+    heads = [bytearray(width) for _ in range(n + 1)]  # heads[v]: w_2 = v, head holds
+    for i, e in enumerate(itertools.permutations(range(1, n + 1))):
+        t = e.index(n)
+        parent.append(index_prev[e[:t] + e[t + 1:]])
+        gaps.append(t - e.index(n - 1))
+        tails.append(e[-3:])
+        after = e[t + 1:]
+        descending.append(all(a > b for a, b in zip(after, after[1:])))
+        v = e[1]
+        free = descending[i] and free_prev[parent[i]] == "1"
+        if free and e[0] < v:
+            # is w|_{w_2} = (w_1, w_2, w_2-1, ..., w_1+1, w_1-1, ..., 1)?
+            heads[v][i] = tuple(x for x in e if x <= v) == _double_staircase(e[0], v)
+        elif not free and e[0] > v:
+            # is w without w_2 312-free?
+            rest = tuple(x - (x > v) for x in e if x != v)
+            heads[v][i] = free_prev[index_prev[rest]] == "1"
+
+    # character k of a mask's binary text is bit N-1-k; its parent is
+    # character width_prev-1-parent[N-1-k] of the text over S_{n-1}
+    pick = itemgetter(*[width_prev - 1 - p for p in reversed(parent)])
+
+    def lift(mask: int) -> int:
+        return int("".join(pick(format(mask, f"0{width_prev}b"))), 2) if mask else 0
+
+    lifted_zero = lift(prev[0].zero)
+    desc = _to_mask(descending)
+    free_312 = lift(prev[0].free_312) & desc
+    staircase = lift(prev[0].staircase) | (_bit(_staircase(n)) if n >= 3 else 0)
+    zero = lifted_zero & _to_mask(x[-1] == n or x[-2:] == (n, n - 1) for x in tails)
+    # 312-free w belong unless a staircase restriction comes without a
+    # double-staircase head at w_2 <= ell; the others iff w_2 = ell and w
+    # without w_2 is 312-free
+    patterns = [free_312]
+    double_heads = 0
+    for ell in range(1, n):
+        head = _to_mask(heads[ell])
+        double_heads |= head & free_312
+        patterns.append(free_312 & ~(staircase & ~double_heads) | head & ~free_312)
+
+    tags: list[tuple[tuple[str, int], ...]] = [()] * n
+    if n == 3:
+        tags = [((TAG_BASE, _oracle_seed(ell)),) for ell in range(3)]
+    elif n > 3:
+        lifted = [lift(masks.binomial) for masks in prev]
+        parent_desc = lift(prev[0].descending)
+        a1_tails = ((n - 1, n, n - 2), (n, n - 1, n - 2))
+        a1 = ((TAG_A1, lifted_zero & _to_mask(x in a1_tails for x in tails)),)
+        ge_m1, ge_p1, ge_p2 = (_to_mask(g >= k for g in gaps) for k in (-1, 1, 2))
+        excluded = _bit(_a2_excluded(n))
+        diag, semi = lifted[0], lifted[n - 2]
+        tags[0] = a1 + ((TAG_A2, diag & parent_desc & ge_m1),)
+        for ell in range(1, n - 1):
+            tags[ell] = a1 + (
+                (TAG_A2P, lifted[ell] & parent_desc & ge_m1 & ~excluded),
+                (TAG_A3, lifted[ell] & ~parent_desc & ge_p2),
+                (TAG_EXCEPTIONAL, _bit(exceptional_entries(n, ell))),
+            )
+        tags[n - 1] = a1 + (
+            (TAG_AT1, diag & semi & parent_desc & ge_m1 & ~excluded),
+            (TAG_AT2, diag & ~semi & ge_p1),
+        )
+    return tuple(
+        FamilyMasks(zero, reduce(or_, (m for _, m in clauses), 0), pattern,
+                    free_312, desc, staircase, clauses)
+        for clauses, pattern in zip(tags, patterns)
+    )
+
+
+def _oracle_seed(ell: int) -> int:
+    """The binomial family at n = 3, read off the oracle."""
+    return sum(
+        1 << i
+        for i, w in enumerate(all_permutations(3))
+        if classify_oracle(3, ell, w).verdict == BINOMIAL
+    )
+
+
+@lru_cache(maxsize=64)  # the (n, ell) with 3 <= n <= 8 number 33
+def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]]:
+    """The permutations with binomial (non-zero) restricted ideal, with tags.
+
+    Built inductively in n from the size n-1 families; the n = 3 base case
+    is seeded from the oracle directly.  Every member carries the set of
+    clauses that admitted it (overlaps allowed).  ``ell = 0`` is the diagonal
+    field; ``ell = n-1`` the semi-diagonal one.  Members come in
+    ``itertools.permutations`` order, read off :func:`family_masks`.
+
+    >>> sorted("".join(map(str, e)) for e in binomial_family(4, 2))
+    ['1342', '1432', '3214', '3241', '4231', '4321']
+    """
+    masks = family_masks(n, ell)
+    return MappingProxyType({
+        permutation_at(n, i): frozenset(tag for tag, m in masks.tags if m >> i & 1)
+        for i in set_bits(masks.binomial)
+    })
+
+
+# ---------------------------------------------------------------------------
+# The pattern family, one permutation at a time
 
 
 def in_pattern_family(w: Permutation, ell: int) -> bool:
@@ -175,6 +282,8 @@ def in_pattern_family(w: Permutation, ell: int) -> bool:
     - a 312-free permutation belongs unless some restriction w|_m equals
       (m-1, m, m-2, ..., 1) while the head fails w_1 < w_2 <= ell or
       w|_{w_2} differs from (w_1, w_2, w_2-1, ..., w_1+1, w_1-1, ..., 1).
+
+    The bulk callers read :func:`family_masks` instead.
 
     >>> in_pattern_family(Permutation((4, 2, 3, 1)), 2)
     True
@@ -203,14 +312,15 @@ def classify_combinatorial(n: int, ell: int, w: Permutation) -> ClassificationRe
     """Predicted class of (n, ell, w) from the combinatorial families alone."""
     if w.n != n:
         raise ValueError(f"permutation length {w.n} does not match n = {n}")
-    family = binomial_family(n, ell)
-    if in_zero_family(w):
+    masks = family_masks(n, ell)
+    i = permutation_index(w.entries)
+    if masks.zero >> i & 1:
         cls, tags = CLASS_Z, frozenset()
-    elif w.entries in family:
-        cls, tags = CLASS_T, family[w.entries]
+    elif masks.binomial >> i & 1:
+        cls, tags = CLASS_T, binomial_family(n, ell)[w.entries]
     else:
         cls, tags = CLASS_N, frozenset()
-    return ClassificationRecord(n, ell, w, cls, in_pattern_family(w, ell), tags)
+    return ClassificationRecord(n, ell, w, cls, bool(masks.pattern >> i & 1), tags)
 
 
 # ---------------------------------------------------------------------------
@@ -252,60 +362,40 @@ def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidatio
     - members of the binomial family without the descending property are
       limited to the single exceptional permutation (for 1 <= ell <= n-2).
 
-    Disagreements are returned as data, never raised.
+    Both sides are bitsets over S_n; only the set bits of their XOR are
+    walked, in enumeration order.  Disagreements are returned as data,
+    never raised.
     """
     mismatches: list[dict] = []
     counts = []
+    full = (1 << math.factorial(n)) - 1
     for ell in range(n):
-        family = binomial_family(n, ell)
-        verdicts = verdicts_for_all_w(n, ell, bound=oracle_bound)
-        tally = {ZERO: 0, BINOMIAL: 0, NONBINOMIAL: 0}
-        for entries, verdict in verdicts.items():
-            tally[verdict] += 1
-            w = Permutation(entries)
-            predicted = (
-                ZERO
-                if in_zero_family(w)
-                else BINOMIAL
-                if entries in family
-                else NONBINOMIAL
-            )
-            if predicted != verdict:
-                mismatches.append(
-                    {
-                        "kind": "class",
-                        "ell": ell,
-                        "w": w.to_string(),
-                        "oracle": verdict,
-                        "combinatorial": predicted,
-                    }
-                )
-            pattern = in_pattern_family(w, ell)
-            if pattern != (verdict != NONBINOMIAL):
-                mismatches.append(
-                    {
-                        "kind": "pattern",
-                        "ell": ell,
-                        "w": w.to_string(),
-                        "oracle": verdict,
-                        "in_pattern_family": pattern,
-                    }
-                )
-        non_descending = [
-            e for e in family if not has_descending_property(Permutation(e))
-        ]
-        allowed = (
-            [exceptional_entries(n, ell)] if 1 <= ell <= n - 2 else []
-        )
-        for e in non_descending:
-            if e not in allowed:
-                mismatches.append(
-                    {
-                        "kind": "descending-exception",
-                        "ell": ell,
-                        "w": Permutation(e).to_string(),
-                    }
-                )
+        masks = family_masks(n, ell)
+        monomial, surviving = verdict_masks(n, ell, bound=oracle_bound)
+        tally = {
+            ZERO: full.bit_count() - surviving.bit_count(),
+            BINOMIAL: (surviving & ~monomial).bit_count(),
+            NONBINOMIAL: monomial.bit_count(),
+        }
+        # the families' prediction, in the form of verdict_masks
+        predicted = full & ~(masks.zero | masks.binomial), full & ~masks.zero
+        wrong_class = (predicted[0] ^ monomial) | (predicted[1] ^ surviving)
+        wrong_pattern = masks.pattern ^ (full & ~monomial)
+        for i in set_bits(wrong_class | wrong_pattern):
+            w = Permutation(permutation_at(n, i)).to_string()
+            verdict = verdict_at(monomial, surviving, i)
+            if wrong_class >> i & 1:
+                mismatches.append({"kind": "class", "ell": ell, "w": w,
+                                   "oracle": verdict,
+                                   "combinatorial": verdict_at(*predicted, i)})
+            if wrong_pattern >> i & 1:
+                mismatches.append({"kind": "pattern", "ell": ell, "w": w,
+                                   "oracle": verdict,
+                                   "in_pattern_family": bool(masks.pattern >> i & 1)})
+        allowed = _bit(exceptional_entries(n, ell)) if 1 <= ell <= n - 2 else 0
+        for i in set_bits(masks.binomial & ~masks.descending & ~allowed):
+            w = Permutation(permutation_at(n, i)).to_string()
+            mismatches.append({"kind": "descending-exception", "ell": ell, "w": w})
         counts.append((ell, tally))
     return CrossValidationReport(n, tuple(counts), tuple(mismatches))
 
@@ -316,11 +406,16 @@ def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidatio
 
 @dataclass(frozen=True)
 class CountRow:
+    """Counts at one (n, ell).  In mode "both", ``oracle_counts`` holds the
+    oracle's (binomial, zero) counts where they differ from the families'
+    (the counts in the row); it is None where the two agree."""
+
     n: int
     ell: int
     binomial_count: int
     zero_count: int
     nonbinomial_count: int
+    oracle_counts: tuple[int, int] | None = None
 
 
 def count_table(
@@ -333,39 +428,27 @@ def count_table(
     """Per-(n, ell) classification counts.
 
     ``mode`` is "combinatorial" (families only, any n), "oracle", or "both"
-    (assert agreement; raises on mismatch since that is a programming error
-    caught by cross_validate elsewhere).
+    (families, with any disagreement of the oracle recorded in the row's
+    ``oracle_counts``, never raised).
     """
     if mode not in ("combinatorial", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     rows = []
     for n in range(n_min, n_max + 1):
-        z_count = zero_family_size(n)
-        total = _factorial(n)
+        total = math.factorial(n)
         for ell in range(n):
-            if mode in ("combinatorial", "both"):
-                t_count = len(binomial_family(n, ell))
-            if mode in ("oracle", "both"):
-                verdicts = verdicts_for_all_w(n, ell, bound=oracle_bound)
-                o_counts = {ZERO: 0, BINOMIAL: 0, NONBINOMIAL: 0}
-                for v in verdicts.values():
-                    o_counts[v] += 1
-                if mode == "both":
-                    if o_counts[BINOMIAL] != t_count or o_counts[ZERO] != z_count:
-                        raise AssertionError(
-                            f"oracle and combinatorial counts disagree at (n={n}, ell={ell})"
-                        )
-                else:
-                    t_count = o_counts[BINOMIAL]
-                    z_count = o_counts[ZERO]
-            rows.append(
-                CountRow(n, ell, t_count, z_count, total - t_count - z_count)
-            )
+            z_count = zero_family_size(n)
+            oracle_counts = None
+            if mode != "oracle":
+                t_count = family_masks(n, ell).binomial.bit_count()
+            if mode != "combinatorial":
+                monomial, surviving = verdict_masks(n, ell, bound=oracle_bound)
+                observed = ((surviving & ~monomial).bit_count(),
+                            total - surviving.bit_count())
+                if mode == "oracle":
+                    t_count, z_count = observed
+                elif observed != (t_count, z_count):
+                    oracle_counts = observed
+            rows.append(CountRow(n, ell, t_count, z_count,
+                                 total - t_count - z_count, oracle_counts))
     return rows
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -2,6 +2,10 @@
 runs it serves."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +48,8 @@ def test_no_module_level_family_dict():
         (matchfield._weight_matrix_entries, sum(range(2, 9))),
         # the census reaches every (n, ell) with n <= 7
         (theoremsets.binomial_family, 25),
+        # the families up to n = 8 (the slow tests) build n = 1..8
+        (theoremsets._families, 8),
         (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589),
         (tableaux._bijection_table, sum(range(3, 8))),
         (tableaux._enumerate_ssyt2_all, 5),
@@ -72,3 +78,14 @@ def test_tableaux_suite_evicts_nothing():
         info = cached.cache_info()
         assert info.misses > 0 and info.currsize == info.misses, cached.__name__
     assert tableaux._bijection_table.cache_info().maxsize == PAIR_CACHE_SIZE
+
+
+def test_no_family_masks_at_import():
+    code = (
+        "import mfl.cli, mfl.theoremsets as t, mfl.permcomb as p; "
+        "assert t._families.cache_info().currsize == 0; "
+        "assert p._alive_masks.cache_info().currsize == 0"
+    )
+    src = pathlib.Path(theoremsets.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

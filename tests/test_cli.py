@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from mfl import cli
+from mfl import cli, theoremsets
 from mfl.cli import main
 from mfl.permcomb import Permutation
 from mfl.quadideal import classify_oracle
@@ -80,6 +80,30 @@ class TestTables:
         obj = json.loads(out)
         assert obj["diffs"] == []
         assert obj["totals"]["4"] == 30
+
+    def test_table2_oracle_disagreement_exits_1(self, capsys, monkeypatch):
+        # empty the binomial families at n = 4 only: the oracle disagrees
+        original = theoremsets.family_masks
+
+        def emptied(n, ell):
+            masks = original(n, ell)
+            return masks._replace(binomial=0) if n == 4 else masks
+
+        monkeypatch.setattr(theoremsets, "family_masks", emptied)
+        code, out, err = run(capsys, "tables", "table2", "--n-max", "4")
+        assert code == 1
+        assert "4,0,0,5,19" in out
+        assert err.splitlines()[0] == (
+            "mismatch at (n=4, ell=0): families give binomial=0, zero=5; "
+            "the oracle gives binomial=9, zero=5"
+        )
+        assert len(err.splitlines()) == 4
+        code, out, _ = run(capsys, "--format", "json", "tables", "table2", "--n-max", "4")
+        assert code == 1
+        rows = json.loads(out)["rows"]
+        assert rows[3] == {"n": 4, "ell": 0, "binomial_count": 0, "zero_count": 5,
+                           "nonbinomial_count": 19, "oracle_counts": [9, 5]}
+        assert "oracle_counts" not in rows[0]
 
     def test_table1(self, capsys):
         code, out, _ = run(capsys, "tables", "table1")

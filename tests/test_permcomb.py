@@ -19,9 +19,11 @@ from mfl.permcomb import (
     in_zero_family_inductive,
     insert_max,
     is_312_free,
+    permutation_at,
     permutation_index,
     remove_max,
     restriction,
+    set_bits,
     vanishing_keys,
     vanishing_set,
     zero_family,
@@ -274,6 +276,12 @@ class TestBitsetsOverSn:
     def test_permutation_index_is_enumeration_rank(self, n):
         for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
             assert permutation_index(entries) == i, entries
+            assert permutation_at(n, i) == entries
+
+    def test_set_bits(self):
+        assert list(set_bits(0)) == []
+        mask = (1 << 5039) | (1 << 64) | 0b1011
+        assert list(set_bits(mask)) == [0, 1, 3, 64, 5039]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_up_set_matches_bruhat_leq(self, n):
