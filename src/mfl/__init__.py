@@ -9,29 +9,24 @@ descriptions of these classes against the brute-force oracle.
 
 from mfl.matchfield import (
     BlockDiagonalMF,
-    GridMonomial,
-    column_display,
-    column_permutation,
-    grid_image,
-    plucker_weight,
+    display_key,
     plucker_weight_oracle,
+    variable_image_key,
     verify_coherence,
+    weight_key,
     weight_matrix,
 )
 from mfl.permcomb import (
-    IndexSet,
     Permutation,
-    ValueSequence,
     avoids,
     bruhat_leq,
-    delete_value,
-    gale_leq,
+    dominated,
     has_descending_property,
     in_zero_family,
     insert_max,
     remove_max,
     restriction,
-    vanishing_set,
+    vanishing_keys,
     zero_family,
 )
 from mfl.quadideal import (

@@ -3,8 +3,7 @@
 Commands: classify, tables, zn, ideal, tableaux, verify, sweep.
 Exit codes: 0 success, 1 verification or golden-table mismatch, 2 usage error.
 All output is deterministic for fixed flags; sweeps sort by (n, ell, w)
-before emission.  ``--jobs`` is accepted for compatibility and must be at
-least 1; every command runs in a single process.
+before emission.  Every command runs in a single process.
 """
 
 from __future__ import annotations
@@ -84,15 +83,13 @@ def cmd_classify(args, config: RunConfig) -> int:
 # tables
 
 
-def _table2_rows(n_max: int, config: RunConfig):
-    return count_table(3, n_max, mode="both", oracle_bound=config.oracle_bound)
-
-
 def cmd_tables(args, config: RunConfig) -> int:
     which = args.table
+    if args.n_max is not None and args.n_max < 3:
+        raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if which == "table2":
-        n_max = args.n_max or 6
-        rows = _table2_rows(n_max, config)
+        n_max = 6 if args.n_max is None else args.n_max
+        rows = count_table(3, n_max, oracle_bound=config.oracle_bound)
         diffs = []
         for row in rows:
             expected = golden.COUNT_TABLE.get(row.n)
@@ -141,7 +138,7 @@ def cmd_tables(args, config: RunConfig) -> int:
         return 1 if diffs or disagreements else 0
 
     if which == "zn":
-        n_max = args.n_max or 15
+        n_max = 15 if args.n_max is None else args.n_max
         diffs = []
         listing = {}
         for n in range(3, min(n_max, 8) + 1):
@@ -335,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted matching field ideals of Schubert varieties",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; runs use one process")
     parser.add_argument("--la-cap", type=int, default=None,
                         help="cap for the exact linear-algebra oracle")
     parser.add_argument("--all-pairs", action="store_true",
@@ -385,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     if args.la_cap is not None and args.la_cap < 0:
         print(f"error: --la-cap must be at least 0, got {args.la_cap}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Hard implementation bound; the classification sweeps use n <= 7.
 MAX_N = 16
@@ -53,10 +53,6 @@ class Permutation:
     def position_of(self, value: int) -> int:
         """0-based position of ``value`` in the one-line word."""
         return self.entries.index(value)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int]) -> "Permutation":
-        return cls(tuple(values))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -94,93 +90,19 @@ class Permutation:
         return self.to_string()
 
 
-@dataclass(frozen=True, slots=True)
-class IndexSet:
-    """A non-empty proper subset of [n], the index of a Pluecker variable."""
-
-    members: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.members) <= self.n - 1:
-            raise ValueError(
-                f"index set must be a non-empty proper subset of [{self.n}]: {self.members}"
-            )
-        if any(not 1 <= m <= self.n for m in self.members):
-            raise ValueError(f"members out of range [1, {self.n}]: {self.members}")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
-            raise ValueError(f"members must be strictly increasing: {self.members}")
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int], n: int) -> "IndexSet":
-        return cls(tuple(sorted(values)), n)
-
-    @classmethod
-    def from_string(cls, text: str, n: int) -> "IndexSet":
-        text = text.strip()
-        if "," in text:
-            values = (int(p) for p in text.split(","))
-        else:
-            values = (int(ch) for ch in text)
-        return cls.from_iterable(values, n)
-
-    def to_string(self) -> str:
-        if self.n <= 9:
-            return "".join(str(m) for m in self.members)
-        return ",".join(str(m) for m in self.members)
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-
-@dataclass(frozen=True, slots=True)
-class ValueSequence:
-    """A sequence of pairwise distinct integers, not necessarily a permutation.
-
-    Used for pattern tests on subsequences and on ``w`` with a value deleted,
-    where no relabelling takes place.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.values)) != len(self.values):
-            raise ValueError(f"values must be pairwise distinct: {self.values}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-
 # ---------------------------------------------------------------------------
 # Gale order and vanishing sets
 
 
-def gale_leq(a: IndexSet, b: IndexSet) -> bool:
-    """Gale order on equal-size index sets: elementwise after sorting.
+def dominated(members: Sequence[int], sorted_prefix: Sequence[int]) -> bool:
+    """Gale order on equal-size index sets: ``members <= sorted_prefix``
+    elementwise, both sorted.
 
-    >>> gale_leq(IndexSet((1, 2), 4), IndexSet((2, 3), 4))
+    >>> dominated((1, 2), (2, 3))
     True
-    >>> gale_leq(IndexSet((1, 4), 4), IndexSet((2, 3), 4))
+    >>> dominated((1, 4), (2, 3))
     False
     """
-    if a.n != b.n:
-        raise ValueError(f"ambient size mismatch: {a.n} != {b.n}")
-    if len(a.members) != len(b.members):
-        raise ValueError(f"size mismatch: {len(a.members)} != {len(b.members)}")
-    return all(x <= y for x, y in zip(a.members, b.members))
-
-
-def dominated(members: Sequence[int], sorted_prefix: Sequence[int]) -> bool:
-    """Tuple-level Gale test: ``members <= sorted_prefix`` elementwise."""
     return all(x <= y for x, y in zip(members, sorted_prefix))
 
 
@@ -200,10 +122,14 @@ def sorted_prefixes(entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=1024)  # the Theorem A sweep to n = 6 asks for 260 w
 def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Member tuples of the vanishing set S_w, for the hot paths.
+    """The vanishing set S_w of the one-line word ``entries``, as sorted
+    member tuples.
 
     S_w consists of the J with ``J`` not Gale-below ``{w_1, ..., w_|J|}``; the
     Pluecker variables P_J with J in S_w are set to zero on X(w).
+
+    >>> sorted(vanishing_keys((3, 2, 1, 4)), key=lambda j: (len(j), j))
+    [(4,), (1, 4), (2, 4), (3, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     """
     n = len(entries)
     prefixes = sorted_prefixes(entries)
@@ -216,17 +142,8 @@ def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def vanishing_set(w: Permutation) -> frozenset[IndexSet]:
-    """The set S_w = {J : J is not Gale-below the first |J| values of w}.
-
-    >>> sorted(str(j) for j in vanishing_set(Permutation((3, 2, 1, 4))))
-    ['124', '134', '14', '234', '24', '34', '4']
-    """
-    return frozenset(IndexSet(k, w.n) for k in vanishing_keys(w.entries))
-
-
 # ---------------------------------------------------------------------------
-# Restriction, deletion, overline/underline
+# Restriction, overline/underline
 
 
 def restriction(w: Permutation, m: int) -> Permutation:
@@ -240,13 +157,6 @@ def restriction(w: Permutation, m: int) -> Permutation:
     if not 1 <= m <= w.n:
         raise ValueError(f"m must be in 1..{w.n}, got {m}")
     return Permutation(tuple(v for v in w.entries if v <= m))
-
-
-def delete_value(w: Permutation, v: int) -> ValueSequence:
-    """Drop the value v from the one-line word, without relabelling."""
-    if not 1 <= v <= w.n:
-        raise ValueError(f"value must be in 1..{w.n}, got {v}")
-    return ValueSequence(tuple(x for x in w.entries if x != v))
 
 
 def insert_max(w: Permutation, t: int) -> Permutation:
@@ -284,8 +194,7 @@ def same_type(a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
-def avoids(word: Sequence[int] | ValueSequence | Permutation,
-           pattern: Sequence[int] | ValueSequence | Permutation) -> bool:
+def avoids(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff no subsequence of ``word`` has the same type as ``pattern``.
 
     >>> avoids((1, 5, 2, 4, 3), (1, 4, 3, 2))
@@ -303,7 +212,7 @@ def avoids(word: Sequence[int] | ValueSequence | Permutation,
     return True
 
 
-def is_312_free(word: Sequence[int] | ValueSequence | Permutation) -> bool:
+def is_312_free(word: Sequence[int]) -> bool:
     """No subsequence (large, small, middle); O(n^2) scan.
 
     >>> is_312_free((3, 1, 2))
@@ -405,24 +314,19 @@ def zero_family_size(n: int) -> int:
 # Bruhat order
 
 
-def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """Bruhat order via the dominance criterion.
+def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
+    """Bruhat order on one-line words via the dominance criterion.
 
     ``v <= w`` iff for every k the sorted prefix {v_1, ..., v_k} is
     Gale-below the sorted prefix {w_1, ..., w_k}.
 
-    >>> bruhat_leq(Permutation((2, 1, 3)), Permutation((3, 2, 1)))
+    >>> bruhat_leq((2, 1, 3), (3, 2, 1))
     True
-    >>> bruhat_leq(Permutation((3, 1, 2)), Permutation((2, 3, 1)))
+    >>> bruhat_leq((3, 1, 2), (2, 3, 1))
     False
     """
-    if v.n != w.n:
-        raise ValueError(f"size mismatch: {v.n} != {w.n}")
-    return bruhat_leq_entries(v.entries, w.entries)
-
-
-def bruhat_leq_entries(ve: tuple[int, ...], we: tuple[int, ...]) -> bool:
-    """Tuple-level dominance test, for hot loops."""
+    if len(ve) != len(we):
+        raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
     for pv, pw in zip(sorted_prefixes(ve)[:-1], sorted_prefixes(we)[:-1]):
         if not all(x <= y for x, y in zip(pv, pw)):
             return False
@@ -463,11 +367,11 @@ def _bruhat_down_set(we: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset(seen)
 
 
-def bruhat_leq_oracle(v: Permutation, w: Permutation) -> bool:
+def bruhat_leq_oracle(ve: tuple[int, ...], we: tuple[int, ...]) -> bool:
     """Reachability-based Bruhat test (test oracle, small n only)."""
-    if v.n != w.n:
-        raise ValueError(f"size mismatch: {v.n} != {w.n}")
-    return v.entries in _bruhat_down_set(w.entries)
+    if len(ve) != len(we):
+        raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
+    return ve in _bruhat_down_set(we)
 
 
 # ---------------------------------------------------------------------------

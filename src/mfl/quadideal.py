@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -40,7 +39,8 @@ MonoKey = tuple[Key, Key]
 
 #: classify_oracle refuses larger n unless overridden.
 ORACLE_BOUND_DEFAULT = 7
-#: degree2_flag_ideal refuses larger n unless overridden (env MFL_LA_CAP).
+#: degree2_flag_ideal refuses larger n unless passed a larger cap
+#: (``mfl --la-cap``).
 LA_CAP_DEFAULT = 5
 
 ZERO = "zero"
@@ -50,16 +50,6 @@ NONBINOMIAL = "nonbinomial"
 
 class CapabilityError(Exception):
     """A request exceeded a configured size cap."""
-
-
-def la_cap() -> int:
-    """The linear-algebra cap: ``MFL_LA_CAP`` if set, else the default."""
-    env = os.environ.get("MFL_LA_CAP")
-    if not env:
-        return LA_CAP_DEFAULT
-    if not env.strip().isdecimal():
-        raise ValueError(f"MFL_LA_CAP must be a non-negative integer, got {env!r}")
-    return int(env)
 
 
 class QuadraticRelation(NamedTuple):
@@ -412,7 +402,7 @@ class _FlagIdeal(NamedTuple):
 
 
 def _check_la_cap(n: int, cap: int | None) -> None:
-    cap = la_cap() if cap is None else cap
+    cap = LA_CAP_DEFAULT if cap is None else cap
     if n > cap:
         raise CapabilityError(f"linear-algebra cap is n <= {cap}, got n = {n}")
 

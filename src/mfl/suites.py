@@ -23,9 +23,9 @@ from mfl.permcomb import (
 )
 from mfl.quadideal import (
     BINOMIAL,
+    LA_CAP_DEFAULT,
     NONBINOMIAL,
     classify_oracle,
-    la_cap,
     matches_initial_degree2,
     verdict_at,
     verdict_masks,
@@ -190,7 +190,7 @@ def run_theorem_a(n_max: int = 4, cap: int | None = None) -> SuiteReport:
     """Surviving binomial span equals the initial degree-two span for every
     monomial-free case up to n_max."""
     report = SuiteReport("theoremA")
-    cap = la_cap() if cap is None else cap
+    cap = LA_CAP_DEFAULT if cap is None else cap
     if n_max > cap:
         raise ValueError(f"n_max {n_max} exceeds the linear-algebra cap {cap}")
     for n in range(3, n_max + 1):

@@ -37,7 +37,6 @@ from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
     bruhat_leq,
-    bruhat_leq_entries,
     bruhat_up_set,
     permutation_index,
     vanishing_keys,
@@ -300,12 +299,12 @@ def min_defining_chain2(t: Tableau) -> DefiningChain:
     for size in range(len(pool) + 1):
         for tilde in itertools.combinations(pool, size):
             v2 = _block_permutation(n, right, tilde)
-            if bruhat_leq(v1, v2) and v2.entries not in candidates:
+            if bruhat_leq(v1.entries, v2.entries) and v2.entries not in candidates:
                 candidates[v2.entries] = (tilde, v2)
     minima = [
         (tilde, v2)
         for tilde, v2 in candidates.values()
-        if all(bruhat_leq(v2, other) for _, other in candidates.values())
+        if all(bruhat_leq(v2.entries, other) for other in candidates)
     ]
     if len(minima) != 1:
         raise ValueError(
@@ -327,10 +326,10 @@ def min_defining_chain2_exhaustive(t: Tableau) -> DefiningChain:
     s = len(right)
     valid = []
     for entries in itertools.permutations(range(1, n + 1)):
-        if set(entries[:s]) == right and bruhat_leq_entries(v1.entries, entries):
+        if set(entries[:s]) == right and bruhat_leq(v1.entries, entries):
             valid.append(entries)
     minima = [
-        e for e in valid if all(bruhat_leq_entries(e, other) for other in valid)
+        e for e in valid if all(bruhat_leq(e, other) for other in valid)
     ]
     if len(minima) != 1:
         raise ValueError(f"no unique minimum defining chain for {t.columns}")

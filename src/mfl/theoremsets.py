@@ -31,7 +31,6 @@ from typing import Iterable, Mapping, NamedTuple
 from mfl.permcomb import (
     Permutation,
     all_permutations,
-    delete_value,
     is_312_free,
     permutation_at,
     permutation_index,
@@ -296,7 +295,7 @@ def in_pattern_family(w: Permutation, ell: int) -> bool:
     if ell == 0:
         return is_312_free(e)
     if not is_312_free(e):
-        return e[0] > e[1] == ell and is_312_free(delete_value(w, ell).values)
+        return e[0] > e[1] == ell and is_312_free([v for v in e if v != ell])
     triggered = any(
         restriction(w, m).entries == _staircase(m) for m in range(3, w.n + 1)
     )
@@ -406,9 +405,9 @@ def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidatio
 
 @dataclass(frozen=True)
 class CountRow:
-    """Counts at one (n, ell).  In mode "both", ``oracle_counts`` holds the
-    oracle's (binomial, zero) counts where they differ from the families'
-    (the counts in the row); it is None where the two agree."""
+    """Counts at one (n, ell), from the families.  ``oracle_counts`` holds
+    the oracle's (binomial, zero) counts where they differ from the
+    families'; it is None where the two agree."""
 
     n: int
     ell: int
@@ -419,36 +418,21 @@ class CountRow:
 
 
 def count_table(
-    n_min: int,
-    n_max: int,
-    mode: str = "both",
-    *,
-    oracle_bound: int | None = None,
+    n_min: int, n_max: int, *, oracle_bound: int | None = None
 ) -> list[CountRow]:
-    """Per-(n, ell) classification counts.
-
-    ``mode`` is "combinatorial" (families only, any n), "oracle", or "both"
-    (families, with any disagreement of the oracle recorded in the row's
-    ``oracle_counts``, never raised).
-    """
-    if mode not in ("combinatorial", "oracle", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Per-(n, ell) classification counts of the families, with any
+    disagreement of the oracle recorded in the row's ``oracle_counts``,
+    never raised."""
     rows = []
     for n in range(n_min, n_max + 1):
         total = math.factorial(n)
+        z_count = zero_family_size(n)
         for ell in range(n):
-            z_count = zero_family_size(n)
-            oracle_counts = None
-            if mode != "oracle":
-                t_count = family_masks(n, ell).binomial.bit_count()
-            if mode != "combinatorial":
-                monomial, surviving = verdict_masks(n, ell, bound=oracle_bound)
-                observed = ((surviving & ~monomial).bit_count(),
-                            total - surviving.bit_count())
-                if mode == "oracle":
-                    t_count, z_count = observed
-                elif observed != (t_count, z_count):
-                    oracle_counts = observed
+            t_count = family_masks(n, ell).binomial.bit_count()
+            monomial, surviving = verdict_masks(n, ell, bound=oracle_bound)
+            observed = ((surviving & ~monomial).bit_count(),
+                        total - surviving.bit_count())
+            oracle_counts = None if observed == (t_count, z_count) else observed
             rows.append(CountRow(n, ell, t_count, z_count,
                                  total - t_count - z_count, oracle_counts))
     return rows

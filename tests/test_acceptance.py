@@ -106,7 +106,7 @@ def test_criterion_2_toric_lists_n4():
 
 def test_criterion_3_count_table():
     with criterion(3, "count table n=3..6 exact, n=6 sweep single-threaded", 60.0):
-        rows = count_table(3, 6, mode="both")
+        rows = count_table(3, 6)
         for row in rows:
             assert row.binomial_count == golden.COUNT_TABLE[row.n][row.ell], (
                 row.n, row.ell,

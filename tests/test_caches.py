@@ -45,7 +45,7 @@ def test_no_module_level_family_dict():
         (permcomb.bruhat_up_set, sum((6, 24, 120, 720))),
         (permcomb.zero_family_size, permcomb.MAX_N),
         (matchfield.variable_image_key, sum(n * (2**n - 2) for n in range(2, 9))),
-        (matchfield._weight_matrix_entries, sum(range(2, 9))),
+        (matchfield.weight_matrix, sum(range(2, 9))),
         # the census reaches every (n, ell) with n <= 7
         (theoremsets.binomial_family, 25),
         # the families up to n = 8 (the slow tests) build n = 1..8

@@ -117,6 +117,13 @@ class TestTables:
         assert "3,123" in out
         assert "# |Z_15| = 987" in out
 
+    @pytest.mark.parametrize("n_max", ["0", "2", "-1"])
+    def test_n_max_below_three_exits_2(self, capsys, n_max):
+        for argv in (["tables", "table2"], ["tables", "zn"], ["zn"]):
+            code, out, err = run(capsys, *argv, "--n-max", n_max)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: --n-max must be at least 3, got {n_max}\n"
+
 
 class TestIdeal:
     def test_unrestricted_json(self, capsys):
@@ -197,15 +204,6 @@ class TestVerify:
             run(capsys, "verify", "--suite", "bogus")
         assert exc.value.code == 2
 
-    def test_bad_la_cap_env_exits_2(self, capsys, monkeypatch):
-        for value in ("abc", "-1", "2.5"):
-            monkeypatch.setenv("MFL_LA_CAP", value)
-            code, _, err = run(
-                capsys, "verify", "--suite", "theoremA", "--n-max", "3"
-            )
-            assert code == 2
-            assert "MFL_LA_CAP" in err and repr(value) in err
-
     def test_negative_la_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "--la-cap", "-1", "verify", "--suite", "coherence")
         assert code == 2
@@ -216,15 +214,15 @@ class TestVerify:
         seen = []
 
         def fake_run_suite(name, n_max=None, cap=None):
-            seen.append((cap, os.environ.get("MFL_LA_CAP")))
+            seen.append(cap)
             return SuiteReport(name)
 
-        monkeypatch.delenv("MFL_LA_CAP", raising=False)
         monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        environ = dict(os.environ)
         code, _, _ = run(capsys, "--la-cap", "6", "verify", "--suite", "theoremA")
         assert code == 0
-        assert seen == [(6, None)]
-        assert "MFL_LA_CAP" not in os.environ
+        assert seen == [6]
+        assert dict(os.environ) == environ
 
     def test_la_cap_flag_exits_2(self, capsys):
         code, _, err = run(
@@ -249,17 +247,18 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 18
 
-    def test_jobs_deterministic(self, capsys):
-        _, single, _ = run(capsys, "sweep", "--n", "4")
-        _, multi, _ = run(capsys, "--jobs", "2", "sweep", "--n", "4")
-        assert single == multi
-
-    def test_jobs_below_one_exits_2(self, capsys):
-        for jobs in ("0", "-3"):
-            code, out, err = run(capsys, "--jobs", jobs, "sweep", "--n", "3")
-            assert code == 2
-            assert out == ""
-            assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    def test_jobs_flag_is_gone(self, capsys):
+        # argparse rejects the flag's value as the command, or the flag itself
+        for argv, message in (
+            (["--jobs", "2", "sweep", "--n", "3"], "invalid choice: '2'"),
+            (["--jobs=2", "sweep", "--n", "3"], "unrecognized arguments: --jobs=2"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_bad_n_and_ell_exit_2(self, capsys):
         code, out, err = run(capsys, "sweep", "--n", "2")

@@ -382,7 +382,7 @@ def test_count_table_reports_disagreement(monkeypatch):
         return masks
 
     monkeypatch.setattr(theoremsets, "family_masks", patched)
-    rows = count_table(3, 5, mode="both")
+    rows = count_table(3, 5)
     bad = [row for row in rows if row.oracle_counts is not None]
     assert [(row.n, row.ell) for row in bad] == [(4, 2)]
     assert bad[0].binomial_count == golden.COUNT_TABLE[4][2] - 1

@@ -1,43 +1,48 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mfl import golden
 from mfl.matchfield import (
     BlockDiagonalMF,
-    GridMonomial,
-    column_display,
-    column_permutation,
-    grid_image,
-    plucker_weight,
+    display_key,
     plucker_weight_oracle,
     variable_image_key,
     verify_coherence,
+    weight_key,
     weight_matrix,
 )
-from mfl.permcomb import IndexSet, all_index_keys
+from mfl.permcomb import all_index_keys
 
 
-def iset(members, n):
-    return IndexSet(tuple(members), n)
+def swap_tag(n, ell, members):
+    """("swap12", -1) when B_ell transposes rows 1 and 2 of P_J, else ("id", 1)."""
+    tag = "id" if display_key(n, ell, members) == members else "swap12"
+    return tag, variable_image_key(n, ell, members)[1]
+
+
+def image(n, ell, monomial):
+    """Sorted cells and sign of the image of a product of variables."""
+    cells, sign = [], 1
+    for members in monomial:
+        c, s = variable_image_key(n, ell, members)
+        cells.extend(c)
+        sign *= s
+    return sorted(cells), sign
 
 
 class TestPlacementRule:
     def test_examples(self):
-        mf = BlockDiagonalMF(4, 2)
-        assert column_permutation(mf, iset((1, 3), 4)) == ("swap12", -1)
-        assert column_permutation(mf, iset((3, 4), 4)) == ("id", 1)
+        assert swap_tag(4, 2, (1, 3)) == ("swap12", -1)
+        assert swap_tag(4, 2, (3, 4)) == ("id", 1)
         for n in (3, 5):
-            diag = BlockDiagonalMF(n, 0)
             for k in all_index_keys(n):
-                assert column_permutation(diag, iset(k, n)) == ("id", 1)
+                assert swap_tag(n, 0, k) == ("id", 1)
 
     def test_identity_inside_blocks(self):
         # sets inside either block, and singletons, are never swapped
         for n in range(2, 7):
             for ell in range(n):
-                mf = BlockDiagonalMF(n, ell)
                 for k in all_index_keys(n):
-                    tag, _ = column_permutation(mf, iset(k, n))
+                    tag, _ = swap_tag(n, ell, k)
                     low = sum(1 for v in k if v <= ell)
                     if len(k) == 1 or low == 0 or low == len(k) or low >= 2:
                         assert tag == "id", (n, ell, k)
@@ -46,27 +51,21 @@ class TestPlacementRule:
         # appending values above the second-smallest never changes the tag
         for n in range(3, 7):
             for ell in range(n):
-                mf = BlockDiagonalMF(n, ell)
                 for k in all_index_keys(n):
                     if len(k) < 2 or n in k:
                         continue
                     with_n = tuple(sorted(k + (n,)))
                     if len(with_n) > n - 1:
                         continue
-                    assert (
-                        column_permutation(mf, iset(k, n))[0]
-                        == column_permutation(mf, iset(with_n, n))[0]
-                    )
+                    assert swap_tag(n, ell, k)[0] == swap_tag(n, ell, with_n)[0]
 
     def test_displays_match_reference(self):
-        mf = BlockDiagonalMF(4, 2)
-        displays = tuple(column_display(mf, iset(k, 4)) for k in all_index_keys(4))
+        displays = tuple(display_key(4, 2, k) for k in all_index_keys(4))
         assert displays == golden.DISPLAYS_N4_ELL2
 
     def test_diagonal_displays_sorted(self):
-        mf = BlockDiagonalMF(4, 0)
         for k in all_index_keys(4):
-            assert column_display(mf, iset(k, 4)) == k
+            assert display_key(4, 0, k) == k
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,47 +76,38 @@ class TestPlacementRule:
 
 class TestWeightMatrix:
     def test_examples(self):
-        assert weight_matrix(BlockDiagonalMF(4, 2)).entries == (
+        assert weight_matrix(4, 2) == (
             (0, 0, 0, 0),
             (2, 1, 4, 3),
             (8, 6, 4, 2),
             (12, 9, 6, 3),
         )
-        assert weight_matrix(BlockDiagonalMF(4, 0)).row(2) == (4, 3, 2, 1)
+        assert weight_matrix(4, 0)[1] == (4, 3, 2, 1)
         for ell in range(5):
-            assert weight_matrix(BlockDiagonalMF(5, ell)).row(3) == (10, 8, 6, 4, 2)
-
-    def test_csv(self):
-        csv = weight_matrix(BlockDiagonalMF(3, 1)).to_csv()
-        assert csv == "0,0,0\n1,3,2\n6,4,2\n"
+            assert weight_matrix(5, ell)[2] == (10, 8, 6, 4, 2)
 
 
 class TestWeights:
     def test_examples(self):
-        mf = BlockDiagonalMF(4, 2)
-        assert plucker_weight(mf, iset((3,), 4)) == 0
-        assert plucker_weight(mf, iset((3, 4), 4)) == 3
-        assert plucker_weight(mf, iset((1, 2), 4)) == 1
+        assert weight_key(4, 2, (3,)) == 0
+        assert weight_key(4, 2, (3, 4)) == 3
+        assert weight_key(4, 2, (1, 2)) == 1
 
     def test_closed_form_matches_min_oracle(self):
         for n in range(2, 8):
             for ell in range(n):
-                mf = BlockDiagonalMF(n, ell)
                 for k in all_index_keys(n):
-                    j = iset(k, n)
-                    assert plucker_weight(mf, j) == plucker_weight_oracle(mf, j), (
+                    assert weight_key(n, ell, k) == plucker_weight_oracle(n, ell, k), (
                         n, ell, k,
                     )
 
     def test_printed_vector_is_a_misprint(self):
         # the vector printed next to both n = 4 matrices matches neither
         for ell in (0, 2):
-            mf = BlockDiagonalMF(4, ell)
-            derived = tuple(plucker_weight(mf, iset(k, 4)) for k in all_index_keys(4))
+            derived = tuple(weight_key(4, ell, k) for k in all_index_keys(4))
             assert derived != golden.WEIGHT_VECTOR_PRINTED_N4
         # ... and for ell = 2 the only wrong entry is P_24
-        mf = BlockDiagonalMF(4, 2)
-        derived = tuple(plucker_weight(mf, iset(k, 4)) for k in all_index_keys(4))
+        derived = tuple(weight_key(4, 2, k) for k in all_index_keys(4))
         diffs = [
             i for i, (a, b) in enumerate(zip(derived, golden.WEIGHT_VECTOR_PRINTED_N4))
             if a != b
@@ -148,56 +138,16 @@ class TestCoherence:
 
 class TestGridImage:
     def test_diagonal_example(self):
-        mf = BlockDiagonalMF(4, 0)
-        g = grid_image(mf, [iset((1, 2, 4), 4), iset((2, 3), 4)])
-        assert g.sign == 1
-        assert g.factors() == [
-            "x[1][1]^1", "x[1][2]^1", "x[2][2]^1", "x[2][3]^1", "x[3][4]^1",
-        ]
+        assert image(4, 0, [(1, 2, 4), (2, 3)]) == (
+            [(1, 1), (1, 2), (2, 2), (2, 3), (3, 4)], 1,
+        )
 
     def test_block_example(self):
         # ell = 2 reproduces the worked product with one swapped column
-        mf = BlockDiagonalMF(4, 2)
-        g = grid_image(mf, [iset((1, 3, 4), 4), iset((1, 2), 4)])
-        assert g.sign == -1
-        assert g.factors() == [
-            "x[1][1]^1", "x[1][3]^1", "x[2][1]^1", "x[2][2]^1", "x[3][4]^1",
-        ]
-
-    def test_empty_product(self):
-        g = grid_image(BlockDiagonalMF(4, 1), [])
-        assert g == GridMonomial.one()
-        assert g.degree == 0
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(ValueError):
-            grid_image(BlockDiagonalMF(4, 1), [iset((1,), 5)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 6), st.data())
-    def test_multiplicative(self, n, data):
-        ell = data.draw(st.integers(0, n - 1))
-        keys = all_index_keys(n)
-        a = [iset(data.draw(st.sampled_from(keys)), n) for _ in range(2)]
-        b = [iset(data.draw(st.sampled_from(keys)), n) for _ in range(2)]
-        mf = BlockDiagonalMF(n, ell)
-        assert grid_image(mf, a + b) == grid_image(mf, a) * grid_image(mf, b)
+        assert image(4, 2, [(1, 3, 4), (1, 2)]) == (
+            [(1, 1), (1, 3), (2, 1), (2, 2), (3, 4)], -1,
+        )
 
     def test_degree_counts_column_sizes(self):
-        mf = BlockDiagonalMF(5, 3)
-        mono = [iset((1, 2, 4), 5), iset((2, 5), 5)]
-        assert grid_image(mf, mono).degree == 5
-
-    def test_json_serialization(self):
-        g = grid_image(BlockDiagonalMF(4, 2), [iset((1, 3), 4)])
-        assert g.to_json_obj() == {"sign": -1, "factors": ["x[1][3]^1", "x[2][1]^1"]}
-
-    def test_image_key_matches_grid_image(self):
-        for n in (3, 4):
-            for ell in range(n):
-                mf = BlockDiagonalMF(n, ell)
-                for k in all_index_keys(n):
-                    cells, sign = variable_image_key(n, ell, k)
-                    g = grid_image(mf, [iset(k, n)])
-                    assert g.cells() == cells
-                    assert g.sign == sign
+        cells, _ = image(5, 3, [(1, 2, 4), (2, 5)])
+        assert len(cells) == 5

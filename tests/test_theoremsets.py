@@ -132,6 +132,13 @@ class TestCrossValidation:
         assert report.ok, report.mismatches[:5]
         assert report.binomial_counts() == golden.COUNT_TABLE[n]
 
+    @pytest.mark.slow
+    def test_no_mismatches_n8_slow(self):
+        # the zero, pattern and descending-exception checks at n = 8
+        report = cross_validate(8, oracle_bound=8)
+        assert report.ok, report.mismatches[:5]
+        assert report.binomial_counts() == golden.COUNT_TABLE[8]
+
     def test_json_shape(self):
         obj = cross_validate(3).to_json_obj()
         assert obj["schema"] == "mfl/1"
@@ -141,7 +148,7 @@ class TestCrossValidation:
 
 class TestCountTable:
     def test_rows_match_reference(self):
-        rows = count_table(3, 5, mode="both")
+        rows = count_table(3, 5)
         by_cell = {(r.n, r.ell): r for r in rows}
         for n in (3, 4, 5):
             for ell in range(n):
@@ -153,10 +160,10 @@ class TestCountTable:
                 total = row.binomial_count + row.zero_count + row.nonbinomial_count
                 assert total == len(list(all_permutations(n)))
 
-    def test_combinatorial_mode_needs_no_oracle(self):
-        rows = count_table(7, 7, mode="combinatorial")
+    def test_n7_rows(self):
+        rows = count_table(7, 7)
         assert len(rows) == 7
-        assert all(r.binomial_count > 0 for r in rows)
+        assert all(r.binomial_count > 0 and r.oracle_counts is None for r in rows)
 
     def test_printed_total_discrepancy_is_flagged(self):
         # the printed n = 5 total differs from the computed row sum
@@ -165,7 +172,3 @@ class TestCountTable:
         # and the printed n = 3 row differs from the one its ideals force
         assert golden.COUNT_TABLE[3] == (2, 2, 1)
         assert golden.COUNT_TABLE_PRINTED_N3 == (2, 1, 2)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            count_table(3, 4, mode="bogus")
