@@ -85,6 +85,8 @@ def cmd_classify(args, config: RunConfig) -> int:
 
 def cmd_tables(args, config: RunConfig) -> int:
     which = args.table
+    if which == "table1" and args.n_max is not None:
+        raise ValueError("table1 is fixed at n = 3 and 4; --n-max applies to table2 and zn")
     if args.n_max is not None and args.n_max < 3:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if which == "table2":

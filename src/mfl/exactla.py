@@ -9,7 +9,7 @@ basis is a canonical representative of the row span over the rationals.
 from __future__ import annotations
 
 from math import gcd
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Iterable
 
 Row = dict[int, int]
 
@@ -99,43 +99,3 @@ def rref(rows: Iterable[Row], col_pos: dict[int, int] | None = None) -> EchelonB
 def span_equal(rows_a: Iterable[Row], rows_b: Iterable[Row],
                col_pos: dict[int, int] | None = None) -> bool:
     return rref(rows_a, col_pos).canonical() == rref(rows_b, col_pos).canonical()
-
-
-def left_kernel(rows: Sequence[dict[Hashable, int]]) -> list[tuple[int, ...]]:
-    """Basis of {c : sum_i c_i row_i = 0}, as primitive integer tuples.
-
-    Column ids may be arbitrary hashables; they are re-indexed internally.
-    Tag columns tracking the row combination never serve as pivots.
-    """
-    col_index: dict[Any, int] = {}
-    for row in rows:
-        for col in row:
-            if col not in col_index:
-                col_index[col] = len(col_index)
-    ncols = len(col_index)
-    nrows = len(rows)
-
-    basis = EchelonBasis()  # columns 0..ncols-1 are real, ncols.. are tags
-    kernel: list[tuple[int, ...]] = []
-    for i, row in enumerate(rows):
-        work: Row = {col_index[c]: v for c, v in row.items() if v != 0}
-        work[ncols + i] = 1
-        work = make_primitive(work)
-        for pivot, basis_row in zip(basis.pivots, basis.rows):
-            work = _eliminate(work, basis_row, pivot)
-        real = {c: v for c, v in work.items() if c < ncols}
-        if not real:
-            tags = [0] * nrows
-            for c, v in work.items():
-                tags[c - ncols] = v
-            vec = make_primitive({j: v for j, v in enumerate(tags) if v != 0})
-            kernel.append(tuple(vec.get(j, 0) for j in range(nrows)))
-        else:
-            pivot = min(real)
-            basis.rows = [_eliminate(r, work, pivot) for r in basis.rows]
-            pos = 0
-            while pos < len(basis.pivots) and basis.pivots[pos] < pivot:
-                pos += 1
-            basis.pivots.insert(pos, pivot)
-            basis.rows.insert(pos, work)
-    return kernel

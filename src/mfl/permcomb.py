@@ -265,24 +265,6 @@ def in_zero_family(w: Permutation) -> bool:
     )
 
 
-def in_zero_family_inductive(w: Permutation) -> bool:
-    """Inductive form: w ends with n, or with (n, n-1); recurse on the rest.
-
-    Kept as a cross-check against :func:`in_zero_family`.
-    """
-    e = w.entries
-    n = len(e)
-    if n <= 1:
-        return True
-    if e[-1] == n:
-        return in_zero_family_inductive(Permutation(e[:-1]))
-    if n >= 2 and e[-1] == n - 1 and e[-2] == n:
-        if n == 2:
-            return True
-        return in_zero_family_inductive(Permutation(e[:-2]))
-    return False
-
-
 def zero_family(n: int) -> frozenset[Permutation]:
     """All products of pairwise non-adjacent simple transpositions in S_n."""
     out = set()

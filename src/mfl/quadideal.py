@@ -11,8 +11,9 @@ set S_w to zero; what survives of each fiber decides the classification
     nonbinomial some fiber contains both a vanishing and a surviving
                 monomial, so a monomial lies in the ideal.
 
-The linear-algebra half of the module computes the degree-two piece of the
-full flag ideal by exact integer elimination, restricts it to X(w), and
+The linear-algebra half of the module builds the degree-two piece of the
+full flag ideal from the incidence Pluecker relations, puts it in canonical
+echelon form by exact integer elimination, restricts it to X(w), and
 extracts the span of lowest-weight initial forms.  This is the reference
 object the fiber combinatorics is checked against.
 """
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from mfl import exactla
 from mfl.matchfield import variable_image_key, weight_key
@@ -338,47 +339,6 @@ class DegreeTwoSpace:
         return len(self.rows)
 
 
-def _parity(perm: Sequence[int]) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-@lru_cache(maxsize=256)  # the (n, J) with n <= 7 number 240
-def _det_terms(n: int, members: Key) -> tuple[tuple[int, int], ...]:
-    """Terms of the top-|J| minor on columns J: (packed grid monomial, sign).
-
-    A grid monomial packs cell (r, c) into the 2-bit field at bit
-    ``2 * (n * (r - 1) + c - 1)``.  A product of two minors uses a cell at
-    most twice, so the fields never carry and multiplying two monomials is
-    adding their packs.
-    """
-    s = len(members)
-    terms = []
-    for rows in itertools.permutations(range(s)):
-        packed = sum(1 << 2 * (n * rows[k] + members[k] - 1) for k in range(s))
-        terms.append((packed, _parity(rows)))
-    return tuple(terms)
-
-
-def _product_row(n: int, a: Key, b: Key) -> dict[int, int]:
-    """Expansion of the product of two minors into packed grid monomials."""
-    out: dict[int, int] = {}
-    for packed_a, sign_a in _det_terms(n, a):
-        for packed_b, sign_b in _det_terms(n, b):
-            key = packed_a + packed_b
-            coeff = out.get(key, 0) + sign_a * sign_b
-            if coeff:
-                out[key] = coeff
-            else:
-                out.pop(key, None)
-    return out
-
-
 class _FlagBlock(NamedTuple):
     """The flag ideal in one multidegree (column multiset plus size multiset).
 
@@ -408,16 +368,40 @@ def _check_la_cap(n: int, cap: int | None) -> None:
 
 
 def degree2_flag_ideal(n: int, cap: int | None = None) -> DegreeTwoSpace:
-    """Degree-two piece of the full flag ideal, by exact elimination.
+    """Degree-two piece of the full flag ideal, from the incidence Pluecker
+    relations.
 
-    Rows of the coefficient matrix are products of two minors of the generic
-    matrix.  Two products share a grid monomial only if their column
-    multisets and size multisets agree, so the ideal is a direct sum of these
-    blocks: each block's left kernel is put in reduced echelon form on its
-    own, and the result is the sorted union of the block bases.
+    For ``1 <= p <= q <= n - 1``, an ``I`` of size ``p - 1`` and a ``J`` of
+    size ``q + 1`` give the relation ``sum_k (-1)^k P_{I j_k} P_{J - j_k}``
+    (alternating in the indices of ``P``); these span the degree-two part of
+    the ideal.  Each relation is homogeneous in the column multiset and the
+    size multiset, so the ideal is a direct sum of these blocks: each block's
+    relations are put in reduced echelon form on their own, and the result is
+    the sorted union of the block bases.
     """
     _check_la_cap(n, cap)
     return _flag_ideal(n).space
+
+
+def _incidence_relations(n: int) -> Iterator[tuple[tuple, dict[MonoKey, int]]]:
+    """The incidence Pluecker relations in degree two, as (multidegree, row
+    keyed by monomial); terms with a repeated index vanish, repeated
+    monomials are merged, and zero coefficients are left to ``rref``."""
+    for p in range(1, n):
+        for q in range(p, n):
+            for lower in itertools.combinations(range(1, n + 1), p - 1):
+                for upper in itertools.combinations(range(1, n + 1), q + 1):
+                    row: dict[MonoKey, int] = {}
+                    for k, j in enumerate(upper):
+                        if j in lower:
+                            continue
+                        # sorting (lower, j) moves j past every larger entry
+                        sign = -1 if (k + sum(i > j for i in lower)) % 2 else 1
+                        mono = mono_key(
+                            tuple(sorted(lower + (j,))), upper[:k] + upper[k + 1:]
+                        )
+                        row[mono] = row.get(mono, 0) + sign
+                    yield (tuple(sorted(lower + upper)), (p, q)), row
 
 
 @lru_cache(maxsize=8)
@@ -426,20 +410,21 @@ def _flag_ideal(n: int) -> _FlagIdeal:
     monomials = tuple(itertools.combinations_with_replacement(variables, 2))
     groups: dict[tuple, list[int]] = {}
     for i, (a, b) in enumerate(monomials):
-        key = (tuple(sorted(a + b)), tuple(sorted((len(a), len(b)))))
-        groups.setdefault(key, []).append(i)
+        degree = (tuple(sorted(a + b)), tuple(sorted((len(a), len(b)))))
+        groups.setdefault(degree, []).append(i)
+    relations: dict[tuple, list[dict[MonoKey, int]]] = {}
+    for degree, row in _incidence_relations(n):
+        relations.setdefault(degree, []).append(row)
     blocks = []
     variable_bits = dict.fromkeys(variables, 0)
     global_rows = []
     offset = 0
-    for members in groups.values():
+    for degree, members in groups.items():
         if len(members) < 2:
             continue
-        kernel = exactla.left_kernel(
-            [_product_row(n, *monomials[i]) for i in members]
-        )
+        local = {monomials[i]: c for c, i in enumerate(members)}
         basis = exactla.rref(
-            {c: v for c, v in enumerate(vec) if v} for vec in kernel
+            {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
         )
         blocks.append(_FlagBlock(tuple(members), tuple(basis.rows), offset))
         global_rows.extend(
@@ -610,7 +595,7 @@ def matches_initial_degree2(
     ``initial_degree2`` and ``surviving_binomial_space`` are the global
     reference path.
     """
-    _check_case(n, ell, None, w)
+    _check_case(n, ell, n, w)  # the la-cap, not the oracle bound, limits n
     _check_la_cap(n, cap)
     variable_bits = _flag_ideal(n).variable_bits
     dead = 0

@@ -195,7 +195,7 @@ def run_theorem_a(n_max: int = 4, cap: int | None = None) -> SuiteReport:
         raise ValueError(f"n_max {n_max} exceeds the linear-algebra cap {cap}")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for entries, verdict in verdicts_for_all_w(n, ell).items():
+            for entries, verdict in verdicts_for_all_w(n, ell, bound=cap).items():
                 if verdict == NONBINOMIAL:
                     continue
                 report.checked += 1

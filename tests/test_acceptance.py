@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  Criteria marked slow extend a sweep to n = 5 or 6 and are
+lines and timings.  Criteria marked slow extend a sweep to n = 5, 6 or 7 and are
 deselected by default profiles that exclude the ``slow`` marker.
 """
 
@@ -221,6 +221,16 @@ def test_criterion_10_degree2_equality_n6_slow():
         at_n6 = sum(golden.COUNT_TABLE[6][ell] + zero_family_size(6) for ell in range(6))
         assert at_n6 == 690
         assert report.checked - at_n6 == run_theorem_a(5, cap=5).checked
+
+
+@pytest.mark.slow
+def test_criterion_10_degree2_equality_n7_slow():
+    with criterion(10, "initial degree-two equality at n=7 (slow mode)", 600.0):
+        report = run_theorem_a(7, cap=7)
+        assert report.ok, report.mismatches[:5]
+        assert report.checked == 3556
+        at_n7 = sum(golden.COUNT_TABLE[7][ell] + zero_family_size(7) for ell in range(7))
+        assert report.checked - at_n7 == 938
 
 
 def test_criterion_11_bijection_suite():

@@ -111,6 +111,15 @@ class TestTables:
         assert "toric 4/2: 1342 1432 3214 3241 4231 4321" in out
         assert "ideal 2/321" in out
 
+    @pytest.mark.parametrize("n_max", ["3", "4", "8"])
+    def test_table1_rejects_n_max(self, capsys, n_max):
+        code, out, err = run(capsys, "tables", "table1", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: table1 is fixed at n = 3 and 4; "
+            "--n-max applies to table2 and zn\n"
+        )
+
     def test_zn(self, capsys):
         code, out, _ = run(capsys, "zn", "--n-max", "15")
         assert code == 0
@@ -230,6 +239,15 @@ class TestVerify:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_la_cap_not_oracle_bound_gates_theorem_a(self, capsys):
+        # n = 8 is past the oracle bound (n <= 7): the la-cap message, not
+        # the oracle bound's, stops the run
+        code, out, err = run(
+            capsys, "--la-cap", "7", "verify", "--suite", "theoremA", "--n-max", "8"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: n_max 8 exceeds the linear-algebra cap 7\n"
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
-from mfl.exactla import EchelonBasis, left_kernel, make_primitive, rref, span_equal
+from expansion_oracle import left_kernel
+from mfl.exactla import EchelonBasis, make_primitive, rref, span_equal
 
 
 class TestPrimitive:

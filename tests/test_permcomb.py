@@ -13,7 +13,6 @@ from mfl.permcomb import (
     dominated,
     has_descending_property,
     in_zero_family,
-    in_zero_family_inductive,
     insert_max,
     is_312_free,
     permutation_at,
@@ -26,6 +25,25 @@ from mfl.permcomb import (
     zero_family_size,
 )
 from mfl.quadideal import key_text
+
+
+def in_zero_family_inductive(w: Permutation) -> bool:
+    """Inductive form: w ends with n, or with (n, n-1); recurse on the rest.
+
+    The reference for :func:`mfl.permcomb.in_zero_family`.
+    """
+    e = w.entries
+    n = len(e)
+    if n <= 1:
+        return True
+    if e[-1] == n:
+        return in_zero_family_inductive(Permutation(e[:-1]))
+    if n >= 2 and e[-1] == n - 1 and e[-2] == n:
+        if n == 2:
+            return True
+        return in_zero_family_inductive(Permutation(e[:-2]))
+    return False
+
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(tuple)
 

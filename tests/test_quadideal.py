@@ -1,5 +1,6 @@
 import pytest
 
+from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_row
 from mfl import exactla, golden
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
@@ -19,11 +20,9 @@ from mfl.quadideal import (
     QuadraticRelation,
     _block_layouts,
     _block_matches,
-    _det_terms,
     _fiber_components,
     _fibers,
     _flag_ideal,
-    _product_row,
     classify_oracle,
     degree2_flag_ideal,
     initial_degree2,
@@ -199,7 +198,7 @@ class TestVerdictKernel:
         for cached in (_fibers, _fiber_components, _block_layouts):
             assert pairs <= cached.cache_info().maxsize == PAIR_CACHE_SIZE
         assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
-        for cached in (_det_terms, _block_matches):
+        for cached in (det_terms, _block_matches):
             assert cached.cache_info().maxsize is not None
         for n in range(3, 8):
             verdicts_for_all_w(n, 0)
@@ -251,16 +250,19 @@ class TestDegreeTwoSpace:
         assert basis.contains(vec)
 
     def test_pinned_ranks(self):
-        # pinned after the global rref and the blockwise rref agreed
-        ranks = tuple(degree2_flag_ideal(n, cap=6).rank for n in range(3, 7))
-        assert ranks == (1, 10, 66, 364)
+        # pinned after the relation-built and the left-kernel ideals agreed
+        # (n <= 7) and the rank identity below held (n <= 8)
+        ranks = tuple(degree2_flag_ideal(n, cap=8).rank for n in range(3, 9))
+        assert ranks == (1, 10, 66, 364, 1821, 8586)
 
     def test_rank_matches_standard_monomial_count(self):
         # independently: the quotient's dimension counts the fibers
         from mfl.tableaux import standard_monomial_count_deg2
 
-        for n, monomials, standard in ((5, 465, 399), (6, 1953, 1589)):
-            space = degree2_flag_ideal(n, cap=6)
+        for n, monomials, standard in (
+            (5, 465, 399), (6, 1953, 1589), (7, 8001, 6180), (8, 32385, 23799),
+        ):
+            space = degree2_flag_ideal(n, cap=8)
             assert len(space.monomials) == monomials
             assert monomials - space.rank == standard
             w0 = Permutation.longest(n)
@@ -269,17 +271,25 @@ class TestDegreeTwoSpace:
 
     def test_blockwise_rref_matches_global_rref(self):
         # the per-block bases against one global elimination of every
-        # block's kernel rows
+        # block's left-kernel rows
         for n in (3, 4, 5):
             space = degree2_flag_ideal(n)
             rows = []
             for block in _flag_ideal(n).blocks:
-                products = [_product_row(n, *space.monomials[i]) for i in block.members]
+                products = [product_row(n, *space.monomials[i]) for i in block.members]
                 rows.extend(
                     {i: c for i, c in zip(block.members, vec) if c}
-                    for vec in exactla.left_kernel(products)
+                    for vec in left_kernel(products)
                 )
             assert exactla.rref(rows).canonical() == space.rows
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_relations_match_left_kernel(self, n):
+        assert degree2_flag_ideal(n, cap=n).rows == flag_ideal_rows(n)
+
+    @pytest.mark.slow
+    def test_relations_match_left_kernel_n7_slow(self):
+        assert degree2_flag_ideal(7, cap=7).rows == flag_ideal_rows(7)
 
     def test_cap(self):
         with pytest.raises(CapabilityError):
@@ -342,6 +352,12 @@ class TestInitialDegree2:
             matches_initial_degree2(4, 0, Permutation.identity(5))
         with pytest.raises(CapabilityError, match="linear-algebra cap"):
             matches_initial_degree2(5, 0, Permutation.identity(5), cap=4)
+
+    def test_la_cap_is_the_only_size_gate(self):
+        # past the oracle bound (n <= 7) the la-cap alone decides
+        assert matches_initial_degree2(8, 0, Permutation.identity(8), cap=8)
+        with pytest.raises(CapabilityError, match="linear-algebra cap is n <= 7"):
+            matches_initial_degree2(8, 0, Permutation.identity(8), cap=7)
 
     def test_blockwise_matches_reference(self):
         # the blockwise check against the global reference path, for every
