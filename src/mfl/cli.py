@@ -269,6 +269,12 @@ def cmd_tableaux(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    if args.suite == "all" and args.n_max is not None:
+        raise ValueError(
+            "--n-max applies to a single suite; --suite all runs each at its default range"
+        )
+    if args.n_max is not None and args.n_max < 3:
+        raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     report = run_suite(args.suite, n_max=args.n_max, cap=config.la_cap)
     if config.fmt == "json":
         _emit_json(report.to_json_obj())

@@ -109,21 +109,67 @@ def _mono_order(m: MonoKey) -> tuple:
 PAIR_CACHE_SIZE = 32
 
 
+@lru_cache(maxsize=8)
+def _degree_blocks(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The degree-two monomials grouped by multidegree (column multiset plus
+    size multiset), as pairs ``(i, j)`` with ``i <= j`` of indices into
+    ``all_index_keys(n)``; only blocks of two or more monomials, in order of
+    first monomial, each in ``combinations_with_replacement`` order.
+
+    A variable's code has one 2-bit field per value (bit ``2 (v - 1)``) and
+    one 3-bit field per size (bit ``2 n + 3 (s - 1)``), so the code of a
+    product is the sum of two codes.
+
+    >>> _degree_blocks(3)
+    (((0, 5), (1, 4), (2, 3)),)
+    """
+    variables = all_index_keys(n)
+    codes = [
+        sum(1 << 2 * (v - 1) for v in key) + (1 << 2 * n + 3 * (len(key) - 1))
+        for key in variables
+    ]
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, code in enumerate(codes):
+        for j in range(i, len(codes)):
+            groups.setdefault(code + codes[j], []).append((i, j))
+    return tuple(tuple(pairs) for pairs in groups.values() if len(pairs) >= 2)
+
+
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _fibers(n: int, ell: int) -> tuple[tuple[tuple[MonoKey, int], ...], ...]:
-    """Fibers of size >= 2 of the degree-two monomials, as sorted tuples of
-    (monomial key, image sign)."""
+    """Fibers of size >= 2 of the degree-two monomials, as tuples of
+    (monomial key, image sign) in monomial order, sorted by image.
+
+    Fibers refine the blocks of :func:`_degree_blocks`, so each block is
+    split by the image of its monomials, coded with one 2-bit field per grid
+    cell (bit ``2 ((row - 1) n + value - 1)``): the image of a product is the
+    sum of two codes.
+
+    >>> _fibers(3, 0)
+    (((((1,), (2, 3)), 1), (((2,), (1, 3)), 1)),)
+    """
     variables = all_index_keys(n)
-    images = {v: variable_image_key(n, ell, v) for v in variables}
-    groups: dict[tuple, list[tuple[MonoKey, int]]] = {}
-    for a, b in itertools.combinations_with_replacement(variables, 2):
-        ca, sa = images[a]
-        cb, sb = images[b]
-        groups.setdefault(tuple(sorted(ca + cb)), []).append((mono_key(a, b), sa * sb))
+    cells, signs = [], []
+    for key in variables:
+        image, sign = variable_image_key(n, ell, key)
+        # numbered in (row, value) order, so sorted cell lists compare as
+        # the sorted image tuples do
+        cells.append([(row - 1) * n + value - 1 for row, value in image])
+        signs.append(sign)
+    codes = [sum(1 << 2 * c for c in flat) for flat in cells]
+    fibers = []
+    for block in _degree_blocks(n):
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, j in block:
+            groups.setdefault(codes[i] + codes[j], []).append((i, j))
+        for pairs in groups.values():
+            if len(pairs) >= 2:
+                i, j = pairs[0]
+                fibers.append((sorted(cells[i] + cells[j]), pairs))
+    fibers.sort()
     return tuple(
-        tuple(sorted(members, key=lambda ms: _mono_order(ms[0])))
-        for _, members in sorted(groups.items())
-        if len(members) >= 2
+        tuple(((variables[i], variables[j]), signs[i] * signs[j]) for i, j in pairs)
+        for _, pairs in fibers
     )
 
 
@@ -408,10 +454,6 @@ def _incidence_relations(n: int) -> Iterator[tuple[tuple, dict[MonoKey, int]]]:
 def _flag_ideal(n: int) -> _FlagIdeal:
     variables = all_index_keys(n)
     monomials = tuple(itertools.combinations_with_replacement(variables, 2))
-    groups: dict[tuple, list[int]] = {}
-    for i, (a, b) in enumerate(monomials):
-        degree = (tuple(sorted(a + b)), tuple(sorted((len(a), len(b)))))
-        groups.setdefault(degree, []).append(i)
     relations: dict[tuple, list[dict[MonoKey, int]]] = {}
     for degree, row in _incidence_relations(n):
         relations.setdefault(degree, []).append(row)
@@ -419,9 +461,12 @@ def _flag_ideal(n: int) -> _FlagIdeal:
     variable_bits = dict.fromkeys(variables, 0)
     global_rows = []
     offset = 0
-    for degree, members in groups.items():
-        if len(members) < 2:
-            continue
+    size = len(variables)
+    for pairs in _degree_blocks(n):
+        # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
+        members = [i * size - i * (i - 1) // 2 + j - i for i, j in pairs]
+        a, b = monomials[members[0]]
+        degree = (tuple(sorted(a + b)), (len(a), len(b)))
         local = {monomials[i]: c for c, i in enumerate(members)}
         basis = exactla.rref(
             {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
@@ -552,9 +597,14 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
     return tuple(layouts)
 
 
-# the Theorem A sweep works through one (n, ell) at a time, and the masks of
-# one pair at n = 6 fit in 1024 entries (measured: no extra misses at 1024)
-@lru_cache(maxsize=2048)
+# the Theorem A sweep works through one (n, ell) at a time, so the answers
+# of the current pair are kept whole and dropped with it
+@lru_cache(maxsize=1)
+def _block_answers(n: int, ell: int) -> dict[tuple[int, int], bool | None]:
+    """Memo of :func:`_block_matches` for one (n, ell), keyed on (b, alive)."""
+    return {}
+
+
 def _block_matches(n: int, ell: int, b: int, alive: int) -> bool | None:
     """Theorem A in block b of ``_block_layouts(n, ell)`` with the monomials
     of the ``alive`` mask surviving: None if a fiber is partly alive, else
@@ -602,11 +652,14 @@ def matches_initial_degree2(
     for key in vanishing_keys(w.entries):
         dead |= variable_bits[key]
     alive = ~dead
+    memo = _block_answers(n, ell)
     answers = []
     for b, layout in enumerate(_block_layouts(n, ell)):
         mask = (alive >> layout.block.offset) & layout.width
         if mask:
-            answers.append(_block_matches(n, ell, b, mask))
+            if (b, mask) not in memo:
+                memo[b, mask] = _block_matches(n, ell, b, mask)
+            answers.append(memo[b, mask])
     if None in answers:
         raise ValueError(f"(n={n}, ell={ell}, w={w}) is not monomial-free")
     return all(answers)

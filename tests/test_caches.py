@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from mfl import matchfield, permcomb, tableaux, theoremsets
+from mfl import matchfield, permcomb, quadideal, tableaux, theoremsets
 from mfl.quadideal import PAIR_CACHE_SIZE
 from mfl.suites import run_tableaux
 
@@ -50,6 +50,8 @@ def test_no_module_level_family_dict():
         (theoremsets.binomial_family, 25),
         # the families up to n = 8 (the slow tests) build n = 1..8
         (theoremsets._families, 8),
+        # the census and the slow fiber tests split the blocks of n = 3..8
+        (quadideal._degree_blocks, 6),
         (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589),
         (tableaux._bijection_table, sum(range(3, 8))),
         (tableaux._enumerate_ssyt2_all, 5),
@@ -82,9 +84,12 @@ def test_tableaux_suite_evicts_nothing():
 
 def test_no_family_masks_at_import():
     code = (
-        "import mfl.cli, mfl.theoremsets as t, mfl.permcomb as p; "
+        "import mfl.cli, mfl.theoremsets as t, mfl.permcomb as p, "
+        "mfl.quadideal as q; "
         "assert t._families.cache_info().currsize == 0; "
-        "assert p._alive_masks.cache_info().currsize == 0"
+        "assert p._alive_masks.cache_info().currsize == 0; "
+        "assert q._degree_blocks.cache_info().currsize == 0; "
+        "assert q._fibers.cache_info().currsize == 0"
     )
     src = pathlib.Path(theoremsets.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

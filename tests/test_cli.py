@@ -249,6 +249,21 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: n_max 8 exceeds the linear-algebra cap 7\n"
 
+    @pytest.mark.parametrize("n_max", ["3", "99"])
+    def test_all_rejects_n_max(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --n-max applies to a single suite; "
+            "--suite all runs each at its default range\n"
+        )
+
+    @pytest.mark.parametrize("n_max", ["0", "2", "-1"])
+    def test_n_max_below_three_exits_2(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "--suite", "theoremB", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n-max must be at least 3, got {n_max}\n"
+
 
 class TestSweep:
     def test_csv_output(self, capsys):

@@ -1,0 +1,98 @@
+"""The fibers and the flag-ideal blocks, read off the int-coded multidegree
+blocks, against the direct groupings they replace."""
+
+import itertools
+
+import pytest
+
+from mfl import exactla
+from mfl.matchfield import variable_image_key
+from mfl.permcomb import all_index_keys
+from mfl.quadideal import (
+    _FlagBlock,
+    _FlagIdeal,
+    DegreeTwoSpace,
+    MonoKey,
+    _fibers,
+    _flag_ideal,
+    _incidence_relations,
+    _mono_order,
+    mono_key,
+)
+
+
+def reference_fibers(n, ell):
+    """Every degree-two monomial grouped by its sorted tuple of image cells;
+    the groups of size >= 2, sorted by image, members in monomial order."""
+    variables = all_index_keys(n)
+    images = {v: variable_image_key(n, ell, v) for v in variables}
+    groups = {}
+    for a, b in itertools.combinations_with_replacement(variables, 2):
+        ca, sa = images[a]
+        cb, sb = images[b]
+        groups.setdefault(tuple(sorted(ca + cb)), []).append((mono_key(a, b), sa * sb))
+    return tuple(
+        tuple(sorted(members, key=lambda ms: _mono_order(ms[0])))
+        for _, members in sorted(groups.items())
+        if len(members) >= 2
+    )
+
+
+def reference_flag_ideal(n):
+    """The flag ideal with its blocks grouped by (sorted columns, sorted
+    sizes) tuples, one monomial at a time."""
+    variables = all_index_keys(n)
+    monomials = tuple(itertools.combinations_with_replacement(variables, 2))
+    groups = {}
+    for i, (a, b) in enumerate(monomials):
+        degree = (tuple(sorted(a + b)), tuple(sorted((len(a), len(b)))))
+        groups.setdefault(degree, []).append(i)
+    relations: dict[tuple, list[dict[MonoKey, int]]] = {}
+    for degree, row in _incidence_relations(n):
+        relations.setdefault(degree, []).append(row)
+    blocks = []
+    variable_bits = dict.fromkeys(variables, 0)
+    global_rows = []
+    offset = 0
+    for degree, members in groups.items():
+        if len(members) < 2:
+            continue
+        local = {monomials[i]: c for c, i in enumerate(members)}
+        basis = exactla.rref(
+            {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
+        )
+        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows), offset))
+        global_rows.extend(
+            tuple(sorted((members[c], v) for c, v in row.items()))
+            for row in basis.rows
+        )
+        for c, i in enumerate(members):
+            for key in monomials[i]:
+                variable_bits[key] |= 1 << (offset + c)
+        offset += len(members)
+    space = DegreeTwoSpace(monomials, tuple(sorted(global_rows)))
+    return _FlagIdeal(space, tuple(blocks), variable_bits)
+
+
+PAIRS = [(n, ell) for n in range(1, 8) for ell in range(n)]
+
+
+@pytest.mark.parametrize("n, ell", PAIRS, ids=lambda v: str(v))
+def test_fibers_match_reference(n, ell):
+    assert _fibers(n, ell) == reference_fibers(n, ell)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ell", range(8))
+def test_fibers_match_reference_n8_slow(ell):
+    assert _fibers(8, ell) == reference_fibers(8, ell)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_flag_ideal_matches_reference(n):
+    flag = _flag_ideal(n)
+    reference = reference_flag_ideal(n)
+    assert flag.blocks == reference.blocks
+    assert flag.space == reference.space
+    assert flag.variable_bits == reference.variable_bits
+

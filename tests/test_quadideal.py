@@ -19,7 +19,7 @@ from mfl.quadideal import (
     CapabilityError,
     QuadraticRelation,
     _block_layouts,
-    _block_matches,
+    _block_answers,
     _fiber_components,
     _fibers,
     _flag_ideal,
@@ -198,8 +198,9 @@ class TestVerdictKernel:
         for cached in (_fibers, _fiber_components, _block_layouts):
             assert pairs <= cached.cache_info().maxsize == PAIR_CACHE_SIZE
         assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
-        for cached in (det_terms, _block_matches):
-            assert cached.cache_info().maxsize is not None
+        assert det_terms.cache_info().maxsize is not None
+        # the Theorem A memo holds the answers of one (n, ell) only
+        assert _block_answers.cache_info().maxsize == 1
         for n in range(3, 8):
             verdicts_for_all_w(n, 0)
         assert _alive_masks.cache_info().currsize <= _alive_masks.cache_info().maxsize
