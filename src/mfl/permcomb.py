@@ -361,7 +361,8 @@ def bruhat_leq_oracle(ve: tuple[int, ...], we: tuple[int, ...]) -> bool:
 #
 # Bit i of every mask below stands for the i-th permutation of [n] in
 # ``itertools.permutations`` order, whose rank :func:`permutation_index`
-# computes.  The per-n tables keep the four most recently used n.
+# computes.  The per-n mask tables keep the four most recently used n; the
+# length layers, a few kilobytes per n, keep eight.
 
 
 def permutation_index(entries: Sequence[int]) -> int:
@@ -432,7 +433,30 @@ def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
     return alive
 
 
-@lru_cache(maxsize=1024)  # |S_3| + ... + |S_6| = 870 possible chain ends
+@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
+def _length_layers(n: int) -> tuple[int, ...]:
+    """Entry k is the bitset over S_n of the w with k inversions.
+
+    The factorial-base digits of a bit position are the Lehmer code of its
+    permutation (see :func:`permutation_index`), and the length is their
+    sum: the block of (m-1)! bits whose first entry is q + 1 holds the
+    layers of S_{m-1} raised by q.
+
+    >>> [bin(layer) for layer in _length_layers(3)]
+    ['0b1', '0b110', '0b11000', '0b100000']
+    """
+    layers = (1,)
+    for m in range(2, n + 1):
+        block = math.factorial(m - 1)
+        out = [0] * (len(layers) + m - 1)
+        for q in range(m):
+            for k, mask in enumerate(layers):
+                out[k + q] |= mask << (q * block)
+        layers = tuple(out)
+    return layers
+
+
+@lru_cache(maxsize=8192)  # |S_3| + ... + |S_7| = 5910 possible arguments
 def bruhat_up_set(entries: tuple[int, ...]) -> int:
     """Bitset over S_n of the w with ``entries`` Bruhat-below w.
 
@@ -451,6 +475,25 @@ def bruhat_up_set(entries: tuple[int, ...]) -> int:
     for prefix in sorted_prefixes(entries)[:-1]:
         mask &= alive[prefix]
     return mask
+
+
+def bruhat_minimum(n: int, members: int) -> tuple[int, ...] | None:
+    """The Bruhat-least permutation of the bitset ``members`` over S_n, or
+    None when there is none.
+
+    A least member is the unique shortest one, so only the first non-empty
+    length layer (:func:`_length_layers`) is read; its one member is the
+    least if its up-set (:func:`bruhat_up_set`) holds every member.
+
+    >>> bruhat_minimum(3, 0b011000), bruhat_minimum(3, 0b011010)
+    (None, (1, 3, 2))
+    """
+    layers = _length_layers(n)
+    shortest = next((members & layer for layer in layers if members & layer), 0)
+    if shortest.bit_count() != 1:
+        return None
+    least = permutation_at(n, shortest.bit_length() - 1)
+    return None if members & ~bruhat_up_set(least) else least
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from mfl.matchfield import display_key, variable_image_key
 from mfl.permcomb import (
     Permutation,
     _alive_masks,
+    _prefix_set_masks,
     all_index_keys,
     bruhat_leq,
+    bruhat_minimum,
     bruhat_up_set,
     permutation_index,
     vanishing_keys,
@@ -261,7 +263,7 @@ def grassmannian_permutation(members: Key, n: int) -> Permutation:
     return _block_permutation(n, members)
 
 
-@lru_cache(maxsize=4096)  # the two-column tableaux with n <= 6 number 2106
+@lru_cache(maxsize=16384)  # the two-column tableaux with n <= 7 number 8286
 def min_defining_chain2(t: Tableau) -> DefiningChain:
     """Minimum defining chain of a tableau with at most two columns.
 
@@ -315,25 +317,28 @@ def min_defining_chain2(t: Tableau) -> DefiningChain:
 
 
 def min_defining_chain2_exhaustive(t: Tableau) -> DefiningChain:
-    """Test oracle: minimize over every permutation with the right prefix."""
+    """Test oracle: minimize over every permutation with the right prefix.
+
+    Decided on bitsets over S_n: the candidates are the w with
+    {w_1, ..., w_|J|} = J for the right column J that lie Bruhat-above the
+    first permutation v_1, and :func:`mfl.permcomb.bruhat_minimum` picks
+    their least element.
+
+    >>> chain = min_defining_chain2_exhaustive(Tableau(((1, 2, 4), (3,)), 4))
+    >>> [p.to_string() for p in chain.perms]
+    ['1243', '3142']
+    """
     if len(t.columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
     n = t.n
     v1 = grassmannian_permutation(t.columns[0], n)
     if len(t.columns) == 1:
         return DefiningChain((v1,))
-    right = set(t.columns[1])
-    s = len(right)
-    valid = []
-    for entries in itertools.permutations(range(1, n + 1)):
-        if set(entries[:s]) == right and bruhat_leq(v1.entries, entries):
-            valid.append(entries)
-    minima = [
-        e for e in valid if all(bruhat_leq(e, other) for other in valid)
-    ]
-    if len(minima) != 1:
+    valid = _prefix_set_masks(n)[t.columns[1]] & bruhat_up_set(v1.entries)
+    minimum = bruhat_minimum(n, valid)
+    if minimum is None:
         raise ValueError(f"no unique minimum defining chain for {t.columns}")
-    return DefiningChain((v1, Permutation(minima[0])))
+    return DefiningChain((v1, Permutation(minimum)))
 
 
 def is_standard(t: Tableau, w: Permutation) -> bool:
@@ -421,14 +426,14 @@ class _BijectionTable(NamedTuple):
 
     Every mask is a bitset over S_n in ``itertools.permutations`` order.
     ``checks`` and ``failures`` hold the two checks that do not depend on
-    w.  Per semi-standard tableau, in enumeration order, ``below`` has the
-    w where both columns survive and ``standard`` the w it is standard for.
-    The three per-w checks list, in message order, what a failure message
-    names (tableau columns or a monomial pair) with the w where it fails;
-    entries that never fail are left out.  The class masks hold, per row
-    class of monomials, the w where some member survives: once with classes
-    read off the monomial map (``_monomial_signature``), once off tableau
-    rows.
+    w.  The four per-w counts are bit-sliced counters (:func:`_bit_sliced`):
+    ``below`` counts the semi-standard tableaux whose columns both survive,
+    ``standard`` those standard for X(w), and ``classes`` and
+    ``signatures`` the row classes of monomials with some member surviving,
+    once with classes read off the monomial map (``_monomial_signature``),
+    once off tableau rows.  The three per-w checks list, in message order,
+    what a failure message names (tableau columns or a monomial pair) with
+    the w where it fails; entries that never fail are left out.
     """
 
     checks: tuple[tuple[str, bool], ...]
@@ -438,12 +443,45 @@ class _BijectionTable(NamedTuple):
     preimage_failing: tuple[tuple[tuple, int], ...]
     image_failing: tuple[tuple[tuple, int], ...]
     surjective_failing: tuple[tuple[tuple, int], ...]
-    class_masks: tuple[int, ...]
-    signature_masks: tuple[int, ...]
+    classes: tuple[int, ...]
+    signatures: tuple[int, ...]
 
 
 def _nonzero(items: list[tuple[tuple, int]]) -> tuple[tuple[tuple, int], ...]:
     return tuple((label, mask) for label, mask in items if mask)
+
+
+def _bit_sliced(masks: Iterable[int]) -> tuple[int, ...]:
+    """Add bitsets as a bit-sliced counter: bit i of plane k is bit k of
+    the number of masks with bit i set.  Each mask is added by ripple carry.
+
+    >>> [bin(plane) for plane in _bit_sliced((0b011, 0b110, 0b010))]
+    ['0b111', '0b10']
+    """
+    planes: list[int] = []
+    for carry in masks:
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return tuple(planes)
+
+
+def _bit_count(planes: tuple[int, ...], i: int) -> int:
+    """Count at bit i of a bit-sliced counter."""
+    return sum((plane >> i & 1) << k for k, plane in enumerate(planes))
+
+
+def _pair_rows(da: Key, db: Key) -> tuple[Key, ...]:
+    """Sorted rows of the two columns displayed as ``da`` and ``db``, with
+    ``len(da) >= len(db)``: :meth:`Tableau.rows` without the tableau."""
+    return tuple((x, y) if x <= y else (y, x) for x, y in zip(da, db)) + tuple(
+        (v,) for v in da[len(db):]
+    )
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -454,16 +492,17 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     # image row signature -> the w where some below-w tableau has it
     covered: dict[tuple, int] = {}
     below, preimage, image = [], [], []
+    display = {key: display_key(n, ell, key) for key in all_index_keys(n)}
     for t in _enumerate_ssyt2_all(n):
         t_image = ssyt_to_matching_field(t, ell)
-        sig = t_image.rows()
+        (a, b), (c, d) = t.columns, t_image.columns
+        sig = _pair_rows(display[c], display[d])
         if sig in signatures:
             failures.append(
                 f"images of {signatures[sig].columns} and {t.columns} are row-equal"
             )
         else:
             signatures[sig] = t
-        (a, b), (c, d) = t.columns, t_image.columns
         t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
         covered[sig] = covered.get(sig, 0) | t_below
         below.append(t_below)
@@ -476,7 +515,7 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     classes: dict[tuple, int] = {}
     row_classes: dict[tuple, int] = {}
     for a, b in _all_monomial_pairs(n):
-        sig = Tableau((a, b), n, kind=MATCHING_FIELD, ell=ell).rows()
+        sig = _pair_rows(display[a], display[b])
         if sig not in signatures:
             surjective = False
             failures.append(f"monomial {(a, b)} misses every image row class")
@@ -489,18 +528,14 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     return _BijectionTable(
         checks=tuple(checks),
         failures=tuple(failures),
-        below=tuple(below),
-        standard=standard_masks(n),
+        below=_bit_sliced(below),
+        standard=_bit_sliced(standard_masks(n)),
         preimage_failing=_nonzero(preimage),
         image_failing=_nonzero(image),
         surjective_failing=_nonzero(surviving),
-        class_masks=tuple(classes.values()),
-        signature_masks=tuple(row_classes.values()),
+        classes=_bit_sliced(classes.values()),
+        signatures=_bit_sliced(row_classes.values()),
     )
-
-
-def _bit_count(masks: tuple[int, ...], i: int) -> int:
-    return sum(mask >> i & 1 for mask in masks)
 
 
 def _failing(items: tuple[tuple[tuple, int], ...], i: int) -> list[tuple]:
@@ -535,10 +570,11 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     bitsets (:func:`mfl.permcomb._alive_masks`), and "standard for X(w)" is
     the Bruhat up-set of the chain end (:func:`standard_masks`); pattern
     membership and 312-freeness come from
-    :func:`mfl.theoremsets.family_masks`.  Per w the report reads bit
-    :func:`mfl.permcomb.permutation_index` of these masks:
-    counts are bit counts, and a failure message is written only for an
-    entry whose failure bit is set, in enumeration order.
+    :func:`mfl.theoremsets.family_masks`.  The per-tableau and per-class
+    bitsets are summed into bit-sliced counters when the table is built, so
+    per w the report reads bit :func:`mfl.permcomb.permutation_index` of a
+    dozen or so counter planes for each count.  A failure message is written
+    only for an entry whose failure bit is set, in enumeration order.
     """
     if w.n != n:
         raise ValueError(f"permutation length {w.n} does not match n = {n}")
@@ -560,7 +596,7 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     column_count = None
     row_class_count = None
     if in_pattern:
-        row_class_count = _bit_count(table.class_masks, i)
+        row_class_count = _bit_count(table.classes, i)
         standard_count = _bit_count(table.standard, i)
         std_ok = standard_count == row_class_count
         if not std_ok:
@@ -580,7 +616,7 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
             f"surviving monomial {pair} misses below-w images"
             for pair in surjective_failing
         )
-        signature_count = _bit_count(table.signature_masks, i)
+        signature_count = _bit_count(table.signatures, i)
         column_ok = column_count == row_class_count == signature_count
         if families.free_312 >> i & 1:
             checks.append(("image_below_w", not image_failing))

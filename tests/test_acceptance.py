@@ -261,6 +261,15 @@ def test_criterion_11_tableaux_suite_n6_slow():
         assert report.checked == 230977
 
 
+@pytest.mark.slow
+def test_criterion_11_tableaux_suite_n7_slow():
+    with criterion(11, "tableaux suite exhaustive at n=7 (slow mode)", 600.0):
+        report = run_tableaux(7)
+        assert report.ok, report.mismatches[:5]
+        # pinned after the per-w implementation agreed (ok, 2890995 checks)
+        assert report.checked == 2890995
+
+
 def test_criterion_12_standardness_two_columns():
     with criterion(12, "standardness = column domination for 312-free w, n<=5", 120.0):
         for n in range(3, 6):

@@ -42,7 +42,10 @@ def test_no_module_level_family_dict():
     [
         # the Theorem A sweep to n = 6 asks for 260 w, initial-ideal 938 calls
         (permcomb.vanishing_keys, 1024),
-        (permcomb.bruhat_up_set, sum((6, 24, 120, 720))),
+        # every permutation of n <= 7 may be a chain end
+        (permcomb.bruhat_up_set, sum((6, 24, 120, 720, 5040))),
+        # the tableaux suite reads n = 3..7
+        (permcomb._length_layers, 5),
         (permcomb.zero_family_size, permcomb.MAX_N),
         (matchfield.variable_image_key, sum(n * (2**n - 2) for n in range(2, 9))),
         (matchfield.weight_matrix, sum(range(2, 9))),
@@ -52,7 +55,8 @@ def test_no_module_level_family_dict():
         (theoremsets._families, 8),
         # the census and the slow fiber tests split the blocks of n = 3..8
         (quadideal._degree_blocks, 6),
-        (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589),
+        # a tableaux suite to n = 7 builds each chain once
+        (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589 + 6180),
         (tableaux._bijection_table, sum(range(3, 8))),
         (tableaux._enumerate_ssyt2_all, 5),
         (tableaux.standard_masks, 5),
@@ -67,6 +71,7 @@ def test_bounds_cover_working_sets(cached, working_set):
 def test_tableaux_suite_evicts_nothing():
     touched = (
         permcomb.bruhat_up_set,
+        permcomb._length_layers,
         tableaux.min_defining_chain2,
         tableaux._bijection_table,
         tableaux._enumerate_ssyt2_all,
@@ -88,9 +93,23 @@ def test_no_family_masks_at_import():
         "mfl.quadideal as q; "
         "assert t._families.cache_info().currsize == 0; "
         "assert p._alive_masks.cache_info().currsize == 0; "
+        "assert p._length_layers.cache_info().currsize == 0; "
         "assert q._degree_blocks.cache_info().currsize == 0; "
         "assert q._fibers.cache_info().currsize == 0"
     )
     src = pathlib.Path(theoremsets.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.slow
+def test_tableaux_suite_n7_builds_each_chain_once_slow():
+    touched = (permcomb.bruhat_up_set, tableaux.min_defining_chain2)
+    for cached in touched:
+        cached.cache_clear()
+    assert run_tableaux(7).ok
+    for cached in touched:
+        info = cached.cache_info()
+        assert info.currsize == info.misses, cached.__name__
+    # one chain per two-column tableau with 3 <= n <= 7
+    assert tableaux.min_defining_chain2.cache_info().misses == 8283

@@ -1,19 +1,23 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mfl.permcomb import (
+    _length_layers,
     Permutation,
     all_permutations,
     avoids,
     bruhat_leq,
     bruhat_leq_oracle,
+    bruhat_minimum,
     bruhat_up_set,
     dominated,
     has_descending_property,
     in_zero_family,
     insert_max,
+    inversions,
     is_312_free,
     permutation_at,
     permutation_index,
@@ -287,6 +291,32 @@ class TestBitsetsOverSn:
             up = bruhat_up_set(v)
             for i, w in enumerate(elements):
                 assert bool(up >> i & 1) == bruhat_leq_oracle(v, w), (v, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_length_layers_count_inversions(self, n):
+        layers = _length_layers(n)
+        assert len(layers) == n * (n - 1) // 2 + 1
+        for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+            assert [k for k, layer in enumerate(layers) if layer >> i & 1] == [
+                inversions(entries)
+            ], entries
+
+    def test_bruhat_minimum_matches_scalar(self):
+        # every subset of S_3 and seeded random subsets of S_4, some of which
+        # have one shortest member that is not below all the others
+        cases = [(3, mask) for mask in range(64)]
+        rng = random.Random(7)
+        cases += [(4, rng.getrandbits(24) & rng.getrandbits(24)) for _ in range(400)]
+        shortest_not_least = 0
+        for n, mask in cases:
+            members = [e for i, e in enumerate(itertools.permutations(range(1, n + 1)))
+                       if mask >> i & 1]
+            least = [e for e in members if all(bruhat_leq(e, o) for o in members)]
+            assert bruhat_minimum(n, mask) == (least[0] if least else None), members
+            lengths = sorted(inversions(e) for e in members)
+            if not least and len(lengths) > 1 and lengths[0] < lengths[1]:
+                shortest_not_least += 1
+        assert shortest_not_least > 0
 
     def test_up_sets_of_extremes(self):
         for n in range(1, 6):

@@ -1,10 +1,11 @@
 import itertools
+import math
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfl import tableaux
+from mfl import suites, tableaux
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
     Permutation,
@@ -21,6 +22,8 @@ from mfl.tableaux import (
     BijectionReport,
     Tableau,
     _bijection_table,
+    _bit_count,
+    _bit_sliced,
     enumerate_ssyt2,
     is_standard,
     min_defining_chain2,
@@ -202,12 +205,45 @@ class TestDefiningChains:
         assert [p.to_string() for p in chain.perms] == ["2314"]
 
     def test_matches_exhaustive(self):
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             for t in enumerate_ssyt2(n):
                 assert (
                     min_defining_chain2(t).perms
                     == min_defining_chain2_exhaustive(t).perms
                 ), t.columns
+
+    def test_bitset_oracle_matches_reference(self):
+        for n in (2, 3, 4, 5):
+            for t in enumerate_ssyt2(n):
+                assert (
+                    min_defining_chain2_exhaustive(t)
+                    == reference_min_defining_chain2(t)
+                ), t.columns
+                single = Tableau(t.columns[:1], n)
+                assert min_defining_chain2_exhaustive(
+                    single
+                ) == reference_min_defining_chain2(single)
+
+    def test_bitset_oracle_raises_with_reference(self):
+        # matching-field tableaux skip the row condition, so some column
+        # pairs have no unique minimum chain; both oracles must refuse them
+        raised = 0
+        for n in (3, 4):
+            keys = all_index_keys(n)
+            for left, right in itertools.product(keys, repeat=2):
+                if len(left) < len(right):
+                    continue
+                t = Tableau((left, right), n, kind=MATCHING_FIELD, ell=0)
+                try:
+                    expected = reference_min_defining_chain2(t)
+                except ValueError as exc:
+                    raised += 1
+                    with pytest.raises(ValueError, match="no unique minimum"):
+                        min_defining_chain2_exhaustive(t)
+                    assert str(exc).startswith("no unique minimum")
+                else:
+                    assert min_defining_chain2_exhaustive(t) == expected
+        assert raised > 0
 
     def test_capability_error(self):
         t = Tableau(((1, 2), (1, 2), (1,)), 4)
@@ -290,6 +326,33 @@ class TestVerifyBijection:
                 if in_pattern_family(w, ell):
                     report = verify_bijection(n, ell, w)
                     assert report.ok, (n, ell, w, report.failures[:3])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the scalar chain oracle the bitset oracle replaces
+
+
+def reference_min_defining_chain2(t):
+    """Minimize over every permutation with the right prefix, one
+    permutation and one Bruhat comparison at a time."""
+    if len(t.columns) > 2:
+        raise CapabilityError("defining chains are implemented for <= 2 columns")
+    n = t.n
+    v1 = tableaux.grassmannian_permutation(t.columns[0], n)
+    if len(t.columns) == 1:
+        return tableaux.DefiningChain((v1,))
+    right = set(t.columns[1])
+    s = len(right)
+    valid = []
+    for entries in itertools.permutations(range(1, n + 1)):
+        if set(entries[:s]) == right and bruhat_leq(v1.entries, entries):
+            valid.append(entries)
+    minima = [
+        e for e in valid if all(bruhat_leq(e, other) for other in valid)
+    ]
+    if len(minima) != 1:
+        raise ValueError(f"no unique minimum defining chain for {t.columns}")
+    return tableaux.DefiningChain((v1, Permutation(minima[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -492,3 +555,74 @@ class TestStandardMasks:
         for i, w in enumerate(all_permutations(n)):
             for t, mask in zip(enumerate_ssyt2(n), masks):
                 assert bool(mask >> i & 1) == is_standard(t, w)
+
+
+class TestBitSlicedCounter:
+    @staticmethod
+    def _assert_counts(masks, width):
+        planes = _bit_sliced(masks)
+        for i in range(width + 2):
+            assert _bit_count(planes, i) == sum(mask >> i & 1 for mask in masks), i
+
+    def test_empty_and_all_zero(self):
+        assert _bit_sliced(()) == ()
+        assert _bit_sliced((0, 0, 0)) == ()
+        assert _bit_count((), 5) == 0
+        self._assert_counts((0,) * 9, 8)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_counts_across_powers_of_two(self, k):
+        # bit j is set in the first j masks, so the counts run 0..2^k + 1
+        width = 2**k + 2
+        masks = tuple(
+            sum(1 << j for j in range(width) if j > m) for m in range(width)
+        )
+        self._assert_counts(masks, width)
+        assert len(_bit_sliced(masks)) == (width - 1).bit_length()
+
+    def test_wide_masks(self):
+        masks = tuple((0x9E3779B97F4A7C15 * (m + 1)) % (1 << 200) for m in range(300))
+        self._assert_counts(masks, 200)
+
+
+def reference_domination(n, standard):
+    """run_tableaux's standardness-against-domination loop as it was before
+    the bitsets: one vanishing set per 312-free w, one check per tableau."""
+    report = suites.SuiteReport("tableaux")
+    tableaux_n = enumerate_ssyt2(n)
+    for i, w in enumerate(all_permutations(n)):
+        if not is_312_free(w.entries):
+            continue
+        vanset = vanishing_keys(w.entries)
+        for t, mask in zip(tableaux_n, standard):
+            report.checked += 1
+            dominated = all(c not in vanset for c in t.columns)
+            if bool(mask >> i & 1) != dominated:
+                report.record(n=n, w=w.to_string(), columns=t.columns,
+                              detail="standardness differs from domination")
+    return report
+
+
+class TestDominationAgainstReference:
+    DETAIL = "standardness differs from domination"
+
+    def test_perturbed_masks_report_like_reference(self, monkeypatch):
+        # flip one bit in every third standard mask, at 312-free and other w
+        perturbed = {
+            n: tuple(
+                mask ^ 1 << (7 * k % math.factorial(n))
+                if k % 3 == 0 else mask
+                for k, mask in enumerate(standard_masks(n))
+            )
+            for n in (3, 4, 5)
+        }
+        monkeypatch.setattr(suites, "standard_masks", perturbed.__getitem__)
+        report = suites.run_tableaux(5)
+        expected = []
+        for n in (3, 4, 5):
+            expected.extend(reference_domination(n, perturbed[n]).mismatches)
+        found = [m for m in report.mismatches if m.get("detail") == self.DETAIL]
+        assert found == expected
+        assert len({m["w"] for m in expected}) > 10
+        # pinned from the per-w loop before the bitsets
+        assert report.checked == 18950
