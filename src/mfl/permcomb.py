@@ -120,7 +120,7 @@ def sorted_prefixes(entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)  # the Theorem A sweep to n = 6 asks for 260 w
+@lru_cache(maxsize=1024)  # every w with n <= 6 (870) fits
 def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """The vanishing set S_w of the one-line word ``entries``, as sorted
     member tuples.

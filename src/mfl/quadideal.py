@@ -548,16 +548,16 @@ def surviving_binomial_space(
 class _BlockLayout(NamedTuple):
     """A flag block as the Theorem A check sees it for one (n, ell).
 
-    ``weights`` is the total weight of each local column and ``order`` the
-    local columns in (weight, monomial) order.  Each fiber is its mask of
-    local columns plus its chain of binomials ``m_i - s_i s_{i+1} m_{i+1}``.
+    ``weights`` is the total weight of each local column and ``position``
+    its place in (weight, monomial) order.  Each fiber is its mask of local
+    columns plus the image sign of each of its columns.
     """
 
     block: _FlagBlock
     width: int
     weights: tuple[int, ...]
-    order: tuple[int, ...]
-    fibers: tuple[tuple[int, tuple[exactla.Row, ...]], ...]
+    position: tuple[int, ...]
+    fibers: tuple[tuple[int, dict[int, int]], ...]
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -573,13 +573,10 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
     }
     fibers: dict[int, list] = {}
     for fiber in _fibers(n, ell):
-        cols = [where[m][1] for m, _ in fiber]
-        chains = tuple(
-            {c1: 1, c2: -s1 * s2}
-            for c1, (_, s1), c2, (_, s2) in zip(cols, fiber, cols[1:], fiber[1:])
+        signs = {where[m][1]: s for m, s in fiber}
+        fibers.setdefault(where[fiber[0][0]][0], []).append(
+            (sum(1 << c for c in signs), signs)
         )
-        mask = sum(1 << c for c in cols)
-        fibers.setdefault(where[fiber[0][0]][0], []).append((mask, chains))
     layouts = []
     for b, block in enumerate(flag.blocks):
         if not block.rows and b not in fibers:
@@ -590,46 +587,113 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
         order = sorted(
             range(len(weights)), key=lambda c: (weights[c], monomials[block.members[c]])
         )
+        position = [0] * len(order)
+        for p, c in enumerate(order):
+            position[c] = p
         layouts.append(_BlockLayout(
-            block, (1 << len(weights)) - 1, weights, tuple(order),
+            block, (1 << len(weights)) - 1, weights, tuple(position),
             tuple(fibers.get(b, ())),
         ))
     return tuple(layouts)
 
 
-# the Theorem A sweep works through one (n, ell) at a time, so the answers
-# of the current pair are kept whole and dropped with it
-@lru_cache(maxsize=1)
-def _block_answers(n: int, ell: int) -> dict[tuple[int, int], bool | None]:
-    """Memo of :func:`_block_matches` for one (n, ell), keyed on (b, alive)."""
-    return {}
-
-
 def _block_matches(n: int, ell: int, b: int, alive: int) -> bool | None:
     """Theorem A in block b of ``_block_layouts(n, ell)`` with the monomials
     of the ``alive`` mask surviving: None if a fiber is partly alive, else
-    whether the surviving fiber chains span the block's initial forms."""
+    whether the surviving fiber binomials span the block's initial forms.
+
+    A fiber's binomials span the kernel of ``v -> sum_c s_c v_c`` on its
+    columns, so the wholly alive fibers F span ``sum (|F| - 1)`` dimensions.
+    The rows of any echelon basis in (weight, monomial) order have distinct
+    pivots, so their truncations to the pivot's weight are a basis of the
+    initial forms.  One forward elimination of the projected flag rows thus
+    decides the equality: the rank must be that sum, and every truncation
+    must lie on wholly alive fibers with each signed fiber sum zero.
+    """
     layout = _block_layouts(n, ell)[b]
-    chains = []
-    for mask, fiber_chains in layout.fibers:
+    rank = 0
+    # column -> (fiber, sign) over the wholly alive fibers
+    live_sign: dict[int, tuple[int, int]] = {}
+    for f, (mask, signs) in enumerate(layout.fibers):
         live = alive & mask
         if live == mask:
-            chains.extend(fiber_chains)
+            rank += len(signs) - 1
+            live_sign.update((c, (f, s)) for c, s in signs.items())
         elif live:
             return None
-    col_pos = {
-        c: p for p, c in enumerate(c for c in layout.order if alive >> c & 1)
-    }
-    projected = (
-        {c: v for c, v in row.items() if c in col_pos} for row in layout.block.rows
-    )
-    schubert = exactla.rref((row for row in projected if row), col_pos)
-    weights = layout.weights
-    initial = (
-        {c: v for c, v in row.items() if weights[c] == weights[pivot]}
-        for pivot, row in zip(schubert.pivots, schubert.rows)
-    )
-    return exactla.span_equal(initial, chains, col_pos)
+    position, weights = layout.position, layout.weights
+    basis: dict[int, exactla.Row] = {}
+    for flag_row in layout.block.rows:
+        row = {c: v for c, v in flag_row.items() if alive >> c & 1}
+        while row:
+            pivot = min(row, key=position.__getitem__)
+            if pivot not in basis:
+                break
+            row = exactla._eliminate(row, basis[pivot], pivot)
+        if not row:
+            continue
+        if len(basis) == rank:
+            return False
+        basis[pivot] = row
+        sums = [0] * len(layout.fibers)
+        for c, v in row.items():
+            if weights[c] == weights[pivot]:
+                if c not in live_sign:
+                    return False
+                f, s = live_sign[c]
+                sums[f] += s * v
+        if any(sums):
+            return False
+    return len(basis) == rank
+
+
+class TheoremAMasks(NamedTuple):
+    """Theorem A over all of S_n for one (n, ell), as bitsets in
+    ``itertools.permutations`` order: the monomial-free w that are checked,
+    those where the equality fails, and among these the w where a block
+    finds a fiber partly alive after all (so the verdict was wrong)."""
+
+    checked: int
+    failing: int
+    partial: int
+
+
+def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
+    """Decide Theorem A for every monomial-free w in S_n at once.
+
+    Per block, the candidates are split by which of the block's monomials
+    survive, one column at a time (a monomial survives on the AND of its
+    variables' ``alive`` bitsets); each distinct (block, alive mask) is then
+    decided once by :func:`_block_matches`.
+    """
+    _check_la_cap(n, cap)
+    # the la-cap, not the oracle bound, limits n
+    monomial, _ = verdict_masks(n, ell, bound=n)
+    checked = ((1 << math.factorial(n)) - 1) & ~monomial
+    alive = _alive_masks(n)
+    monomials = _flag_ideal(n).space.monomials
+    failing = partial = 0
+    for b, layout in enumerate(_block_layouts(n, ell)):
+        parts = {0: checked}  # local alive mask -> the w that have it
+        for c, i in enumerate(layout.block.members):
+            first, second = monomials[i]
+            column = alive[first] & alive[second]
+            refined = {}
+            for mask, ws in parts.items():
+                on = ws & column
+                if on:
+                    refined[mask | 1 << c] = on
+                if on != ws:
+                    refined[mask] = ws ^ on
+            parts = refined
+        for mask, ws in parts.items():
+            if mask:
+                answer = _block_matches(n, ell, b, mask)
+                if answer is None:
+                    partial |= ws
+                if not answer:
+                    failing |= ws
+    return TheoremAMasks(checked, failing, partial)
 
 
 def matches_initial_degree2(
@@ -641,7 +705,7 @@ def matches_initial_degree2(
     whole or vanishes whole; otherwise ValueError, as ``classify_oracle``
     would rule.  The check runs block by block (see ``degree2_flag_ideal``):
     fibers refine blocks, and a block's answer depends only on which of its
-    monomials survive, so answers are memoized on that mask.
+    monomials survive.  :func:`theorem_a_masks` is the bulk path over S_n;
     ``initial_degree2`` and ``surviving_binomial_space`` are the global
     reference path.
     """
@@ -652,14 +716,11 @@ def matches_initial_degree2(
     for key in vanishing_keys(w.entries):
         dead |= variable_bits[key]
     alive = ~dead
-    memo = _block_answers(n, ell)
     answers = []
     for b, layout in enumerate(_block_layouts(n, ell)):
         mask = (alive >> layout.block.offset) & layout.width
         if mask:
-            if (b, mask) not in memo:
-                memo[b, mask] = _block_matches(n, ell, b, mask)
-            answers.append(memo[b, mask])
+            answers.append(_block_matches(n, ell, b, mask))
     if None in answers:
         raise ValueError(f"(n={n}, ell={ell}, w={w}) is not monomial-free")
     return all(answers)

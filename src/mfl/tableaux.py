@@ -484,6 +484,19 @@ def _pair_rows(da: Key, db: Key) -> tuple[Key, ...]:
     )
 
 
+@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
+def _cut_free_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two counters of :class:`_BijectionTable` that do not depend on
+    the cut: ``below`` and ``standard``."""
+    alive = _alive_masks(n)
+    return (
+        _bit_sliced(
+            alive[t.columns[0]] & alive[t.columns[1]] for t in _enumerate_ssyt2_all(n)
+        ),
+        _bit_sliced(standard_masks(n)),
+    )
+
+
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _bijection_table(n: int, ell: int) -> _BijectionTable:
     alive = _alive_masks(n)
@@ -491,7 +504,7 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     signatures: dict[tuple, Tableau] = {}
     # image row signature -> the w where some below-w tableau has it
     covered: dict[tuple, int] = {}
-    below, preimage, image = [], [], []
+    preimage, image = [], []
     display = {key: display_key(n, ell, key) for key in all_index_keys(n)}
     for t in _enumerate_ssyt2_all(n):
         t_image = ssyt_to_matching_field(t, ell)
@@ -505,7 +518,6 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
             signatures[sig] = t
         t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
         covered[sig] = covered.get(sig, 0) | t_below
-        below.append(t_below)
         preimage.append((t.columns, image_below & ~t_below))
         image.append((t.columns, t_below & ~image_below))
     checks = [("injective", not failures)]
@@ -525,11 +537,12 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
         mono_sig = _monomial_signature(n, ell, a, b)
         classes[mono_sig] = classes.get(mono_sig, 0) | bits
     checks.append(("surjective", surjective))
+    below, standard = _cut_free_counts(n)
     return _BijectionTable(
         checks=tuple(checks),
         failures=tuple(failures),
-        below=_bit_sliced(below),
-        standard=_bit_sliced(standard_masks(n)),
+        below=below,
+        standard=standard,
         preimage_failing=_nonzero(preimage),
         image_failing=_nonzero(image),
         surjective_failing=_nonzero(surviving),

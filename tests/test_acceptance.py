@@ -233,6 +233,18 @@ def test_criterion_10_degree2_equality_n7_slow():
         assert report.checked - at_n7 == 938
 
 
+@pytest.mark.slow
+def test_criterion_10_degree2_equality_n8_slow():
+    # pinned after the per-w block sweep and the bitset sweep agreed
+    with criterion(10, "initial degree-two equality at n=8 (slow mode)", 600.0):
+        report = run_theorem_a(8, cap=8)
+        assert report.ok, report.mismatches[:5]
+        assert report.checked == 13566
+        at_n8 = sum(golden.COUNT_TABLE[8][ell] + zero_family_size(8) for ell in range(8))
+        assert at_n8 == 10010
+        assert report.checked - at_n8 == 3556
+
+
 def test_criterion_11_bijection_suite():
     with criterion(11, "tableau bijection suite over the pattern family, n<=5", 120.0):
         checked = 0

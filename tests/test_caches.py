@@ -40,7 +40,8 @@ def test_no_module_level_family_dict():
 @pytest.mark.parametrize(
     "cached, working_set",
     [
-        # the Theorem A sweep to n = 6 asks for 260 w, initial-ideal 938 calls
+        # the per-w paths (classify_oracle, matches_initial_degree2, the
+        # tableaux reports) may visit every w with n <= 6, 870 of them
         (permcomb.vanishing_keys, 1024),
         # every permutation of n <= 7 may be a chain end
         (permcomb.bruhat_up_set, sum((6, 24, 120, 720, 5040))),
@@ -58,6 +59,7 @@ def test_no_module_level_family_dict():
         # a tableaux suite to n = 7 builds each chain once
         (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589 + 6180),
         (tableaux._bijection_table, sum(range(3, 8))),
+        (tableaux._cut_free_counts, 5),
         (tableaux._enumerate_ssyt2_all, 5),
         (tableaux.standard_masks, 5),
         (tableaux._all_monomial_pairs, 5),
@@ -74,6 +76,7 @@ def test_tableaux_suite_evicts_nothing():
         permcomb._length_layers,
         tableaux.min_defining_chain2,
         tableaux._bijection_table,
+        tableaux._cut_free_counts,
         tableaux._enumerate_ssyt2_all,
         tableaux.standard_masks,
         tableaux._all_monomial_pairs,

@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_row
-from mfl import exactla, golden
+from mfl import exactla, golden, quadideal
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
     Permutation,
@@ -19,7 +22,7 @@ from mfl.quadideal import (
     CapabilityError,
     QuadraticRelation,
     _block_layouts,
-    _block_answers,
+    _block_matches,
     _fiber_components,
     _fibers,
     _flag_ideal,
@@ -32,9 +35,11 @@ from mfl.quadideal import (
     mono_text,
     quadratic_relations,
     surviving_binomial_space,
+    theorem_a_masks,
+    verdict_masks,
     verdicts_for_all_w,
 )
-from mfl.suites import run_suite
+from mfl.suites import run_suite, run_theorem_a
 
 
 def canon(mono_pair, sign):
@@ -199,8 +204,6 @@ class TestVerdictKernel:
             assert pairs <= cached.cache_info().maxsize == PAIR_CACHE_SIZE
         assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
         assert det_terms.cache_info().maxsize is not None
-        # the Theorem A memo holds the answers of one (n, ell) only
-        assert _block_answers.cache_info().maxsize == 1
         for n in range(3, 8):
             verdicts_for_all_w(n, 0)
         assert _alive_masks.cache_info().currsize <= _alive_masks.cache_info().maxsize
@@ -395,3 +398,142 @@ class TestInitialDegree2:
                         monomial_count - init.rank
                         == standard_monomial_count_deg2(n, ell, w)
                     ), (n, ell, w)
+
+
+def reference_block_matches(n, ell, b, alive):
+    """The block check by reduced elimination: the projected flag rows are
+    row-reduced in (weight, monomial) order, truncated to their pivots'
+    weights, and compared with the surviving fiber chains by two more
+    reductions."""
+    layout = quadideal._block_layouts(n, ell)[b]
+    chains = []
+    for mask, signs in layout.fibers:
+        live = alive & mask
+        if live == mask:
+            cols = list(signs)
+            chains.extend(
+                {c1: 1, c2: -signs[c1] * signs[c2]} for c1, c2 in zip(cols, cols[1:])
+            )
+        elif live:
+            return None
+    order = sorted(range(len(layout.position)), key=layout.position.__getitem__)
+    col_pos = {c: p for p, c in enumerate(c for c in order if alive >> c & 1)}
+    projected = (
+        {c: v for c, v in row.items() if c in col_pos} for row in layout.block.rows
+    )
+    schubert = exactla.rref((row for row in projected if row), col_pos)
+    weights = layout.weights
+    initial = (
+        {c: v for c, v in row.items() if weights[c] == weights[pivot]}
+        for pivot, row in zip(schubert.pivots, schubert.rows)
+    )
+    return exactla.span_equal(initial, chains, col_pos)
+
+
+def perturbed_layouts(layout):
+    """The layout with other fibers but the same rank target: one fiber
+    sign flipped, or one fiber moved onto columns outside every fiber."""
+    fibers = [signs for _, signs in layout.fibers]
+    inside = {c for signs in fibers for c in signs}
+    outside = [c for c in range(layout.width.bit_length()) if c not in inside]
+    variants = []
+    for f, signs in enumerate(fibers):
+        c = next(iter(signs))
+        variants.append(fibers[:f] + [{**signs, c: -signs[c]}] + fibers[f + 1:])
+        if len(outside) >= len(signs):
+            variants.append(
+                fibers[:f] + fibers[f + 1:] + [dict.fromkeys(outside[:len(signs)], 1)]
+            )
+    return [
+        layout._replace(fibers=tuple((sum(1 << c for c in s), s) for s in v))
+        for v in variants
+    ]
+
+
+class TestTheoremAKernel:
+    def test_every_mask_matches_reference_n_le_4(self):
+        outcomes = set()
+        for n in (3, 4):
+            for ell in range(n):
+                for b, layout in enumerate(_block_layouts(n, ell)):
+                    for mask in range(1, layout.width + 1):
+                        expected = reference_block_matches(n, ell, b, mask)
+                        assert _block_matches(n, ell, b, mask) is expected, (n, ell, b, mask)
+                        outcomes.add(expected)
+        assert outcomes == {None, True, False}
+
+    def test_perturbed_fibers_match_reference(self, monkeypatch):
+        # fibers the flag ideal does not have, so that the truncation
+        # checks, not the rank, decide
+        outcomes = set()
+        for n in (3, 4):
+            for ell in range(n):
+                layouts = _block_layouts(n, ell)
+                for b, layout in enumerate(layouts):
+                    for variant in perturbed_layouts(layout):
+                        patched = layouts[:b] + (variant,) + layouts[b + 1:]
+                        monkeypatch.setattr(
+                            quadideal, "_block_layouts", lambda n, ell: patched
+                        )
+                        for mask in range(1, layout.width + 1):
+                            expected = reference_block_matches(n, ell, b, mask)
+                            actual = _block_matches(n, ell, b, mask)
+                            assert actual is expected, (n, ell, b, mask, variant)
+                            outcomes.add(expected)
+        assert False in outcomes
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_random_masks_match_reference(self, n):
+        rng = random.Random(n)
+        outcomes = set()
+        for ell in range(n):
+            layouts = _block_layouts(n, ell)
+            for _ in range(80):
+                b = rng.randrange(len(layouts))
+                mask = rng.randint(1, layouts[b].width)
+                expected = reference_block_matches(n, ell, b, mask)
+                assert _block_matches(n, ell, b, mask) is expected, (n, ell, b, mask)
+                outcomes.add(expected)
+        assert outcomes == {None, True, False}
+
+    @pytest.mark.parametrize("fake", (False, True))
+    def test_masks_match_per_w(self, fake, monkeypatch):
+        # the bitset sweep against the per-w check, for every w with n <= 5;
+        # a fake block answer that fails often checks the partition itself
+        if fake:
+            monkeypatch.setattr(
+                quadideal, "_block_matches",
+                lambda n, ell, b, mask: (b + mask) % 3 != 0,
+            )
+        failing = 0
+        for n in range(3, 6):
+            for ell in range(n):
+                masks = theorem_a_masks(n, ell, cap=5)
+                monomial, _ = verdict_masks(n, ell)
+                assert masks.partial == 0
+                failing |= masks.failing
+                for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+                    free = not monomial >> i & 1
+                    assert bool(masks.checked >> i & 1) == free, (n, ell, entries)
+                    if free:
+                        matches = matches_initial_degree2(n, ell, Permutation(entries))
+                        assert bool(masks.failing >> i & 1) != matches, (n, ell, entries)
+        assert bool(failing) == fake
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            theorem_a_masks(2, 0)
+        with pytest.raises(ValueError, match="ell must be in"):
+            theorem_a_masks(4, 4)
+        with pytest.raises(CapabilityError, match="linear-algebra cap is n <= 4"):
+            theorem_a_masks(5, 0, cap=4)
+
+    def test_partly_alive_fiber_is_reported_as_data(self, monkeypatch):
+        # a block that finds a fiber partly alive contradicts the verdict:
+        # the suite records it and carries on
+        checked = run_theorem_a(4).checked
+        monkeypatch.setattr(quadideal, "_block_matches", lambda *args: None)
+        report = run_theorem_a(4)
+        assert not report.ok
+        assert report.checked == checked
+        assert all("not monomial-free" in m["detail"] for m in report.mismatches)
