@@ -8,7 +8,6 @@ descriptions of these classes against the brute-force oracle.
 """
 
 from mfl.matchfield import (
-    BlockDiagonalMF,
     display_key,
     plucker_weight_oracle,
     variable_image_key,
@@ -17,7 +16,6 @@ from mfl.matchfield import (
     weight_matrix,
 )
 from mfl.permcomb import (
-    Permutation,
     avoids,
     bruhat_leq,
     dominated,

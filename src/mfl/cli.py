@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass
 
 from mfl import golden
-from mfl.permcomb import Permutation, zero_family, zero_family_size
+from mfl.permcomb import check_permutation, word_text, zero_family, zero_family_size
 from mfl.quadideal import (
     CapabilityError,
-    ORACLE_BOUND_DEFAULT,
     classify_oracle,
     mono_key,
     mono_text,
@@ -37,13 +36,23 @@ class RunConfig:
     fmt: str = "text"
     la_cap: int | None = None
     all_pairs: bool = False
-    oracle_bound: int = ORACLE_BOUND_DEFAULT
 
 
-def _parse_w(text: str, n: int) -> Permutation:
-    w = Permutation.from_string(text)
-    if w.n != n:
-        raise ValueError(f"permutation {text!r} has length {w.n}, expected {n}")
+def parse_permutation(text: str, n: int) -> tuple[int, ...]:
+    """Parse ``--w``: ``"3214"`` (values up to 9) or comma-separated
+    ``"10,3,..."``, which must be a permutation of [n]."""
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("empty permutation string")
+    if "," in stripped:
+        w = tuple(int(p) for p in stripped.split(","))
+    elif stripped.isdigit():
+        w = tuple(int(ch) for ch in stripped)
+    else:
+        raise ValueError(f"malformed permutation string: {stripped!r}")
+    check_permutation(w, len(w))  # length 1..MAX_N, each of 1..len(w) once
+    if len(w) != n:
+        raise ValueError(f"permutation {text!r} has length {len(w)}, expected {n}")
     return w
 
 
@@ -56,10 +65,8 @@ def _emit_json(obj) -> None:
 
 
 def cmd_classify(args, config: RunConfig) -> int:
-    w = _parse_w(args.w, args.n)
-    outcome = classify_oracle(
-        args.n, args.ell, w, all_pairs=config.all_pairs, bound=config.oracle_bound
-    )
+    w = parse_permutation(args.w, args.n)
+    outcome = classify_oracle(args.n, args.ell, w, all_pairs=config.all_pairs)
     record = classify_combinatorial(args.n, args.ell, w)
     if config.fmt == "json":
         obj = outcome.to_json_obj()
@@ -91,7 +98,7 @@ def cmd_tables(args, config: RunConfig) -> int:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if which == "table2":
         n_max = 6 if args.n_max is None else args.n_max
-        rows = count_table(3, n_max, oracle_bound=config.oracle_bound)
+        rows = count_table(3, n_max)
         diffs = []
         for row in rows:
             expected = golden.COUNT_TABLE.get(row.n)
@@ -144,7 +151,7 @@ def cmd_tables(args, config: RunConfig) -> int:
         diffs = []
         listing = {}
         for n in range(3, min(n_max, 8) + 1):
-            members = sorted(p.to_string() for p in zero_family(n))
+            members = sorted(word_text(w) for w in zero_family(n))
             listing[n] = members
             expected = golden.ZERO_FAMILY_LISTS.get(n)
             if expected is not None and tuple(members) != tuple(sorted(expected)):
@@ -171,8 +178,9 @@ def cmd_tables(args, config: RunConfig) -> int:
     diffs = []
     cells = {}
     for (ell, wstr), expected in sorted(golden.IDEALS_N3.items()):
-        w = Permutation.from_string(wstr)
-        outcome = classify_oracle(3, ell, w, all_pairs=config.all_pairs)
+        outcome = classify_oracle(
+            3, ell, parse_permutation(wstr, 3), all_pairs=config.all_pairs
+        )
         supports = sorted({frozenset(r.lhs + r.rhs) for r in outcome.surviving_binomials},
                           key=sorted)
         expected_supports = sorted(
@@ -189,13 +197,10 @@ def cmd_tables(args, config: RunConfig) -> int:
     toric = {}
     for ell in range(4):
         computed = sorted(
-            Permutation(e).to_string()
-            for e, v in verdicts_for_all_w(4, ell).items()
+            word_text(w) for w, v in verdicts_for_all_w(4, ell).items()
             if v == "binomial"
         )
-        family = sorted(
-            Permutation(e).to_string() for e in binomial_family(4, ell)
-        )
+        family = sorted(word_text(w) for w in binomial_family(4, ell))
         expected = sorted(golden.TORIC_LISTS_N4[ell])
         if computed != expected or family != expected:
             diffs.append(("toric", ell))
@@ -219,12 +224,10 @@ def cmd_tables(args, config: RunConfig) -> int:
 
 def cmd_ideal(args, config: RunConfig) -> int:
     if args.w is not None:
-        w = _parse_w(args.w, args.n)
+        w = parse_permutation(args.w, args.n)
     else:
-        w = Permutation.longest(args.n)
-    outcome = classify_oracle(
-        args.n, args.ell, w, all_pairs=config.all_pairs, bound=config.oracle_bound
-    )
+        w = tuple(range(args.n, 0, -1))
+    outcome = classify_oracle(args.n, args.ell, w, all_pairs=config.all_pairs)
     if config.fmt == "json":
         _emit_json(outcome.to_json_obj())
     else:
@@ -244,7 +247,7 @@ def cmd_tableaux(args, config: RunConfig) -> int:
         raise ValueError(f"tableaux need n >= 2, got {args.n}")
     if args.ell is not None and not 0 <= args.ell <= args.n - 1:
         raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
-    w = _parse_w(args.w, args.n) if args.w is not None else None
+    w = parse_permutation(args.w, args.n) if args.w is not None else None
     items = enumerate_ssyt2(args.n, w)
     if config.fmt == "json":
         out = []
@@ -291,16 +294,14 @@ def cmd_verify(args, config: RunConfig) -> int:
 # sweep
 
 
-def _sweep_rows(n: int, ell: int, bound: int) -> list[tuple]:
-    binomial_family(n, ell)  # the families check n and ell before the oracle does
+def _sweep_rows(n: int, ell: int) -> list[tuple]:
     rows = []
-    for entries, verdict in verdicts_for_all_w(n, ell, bound=bound).items():
-        w = Permutation(entries)
+    for w, verdict in verdicts_for_all_w(n, ell).items():
         record = classify_combinatorial(n, ell, w)
         rows.append(
             (
                 ell,
-                w.to_string(),
+                word_text(w),
                 verdict,
                 record.combinatorial_class,
                 ",".join(sorted(record.witness_tags)),
@@ -310,8 +311,12 @@ def _sweep_rows(n: int, ell: int, bound: int) -> list[tuple]:
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
+    if args.n < 3:
+        raise ValueError(f"families are defined for n >= 3, got {args.n}")
+    if args.ell is not None and not 0 <= args.ell <= args.n - 1:
+        raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
     ells = [args.ell] if args.ell is not None else list(range(args.n))
-    parts = [_sweep_rows(args.n, ell, config.oracle_bound) for ell in ells]
+    parts = [_sweep_rows(args.n, ell) for ell in ells]
     rows = sorted(r for part in parts for r in part)
     if config.fmt == "json":
         _emit_json(

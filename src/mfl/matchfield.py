@@ -28,20 +28,6 @@ from functools import lru_cache
 from typing import Sequence
 
 
-@dataclass(frozen=True, slots=True)
-class BlockDiagonalMF:
-    """The block diagonal matching field (1 ... ell | ell+1 ... n)."""
-
-    n: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not 0 <= self.ell <= self.n - 1:
-            raise ValueError(f"ell must be in 0..{self.n - 1}, got {self.ell}")
-
-
 # ---------------------------------------------------------------------------
 # Placement and display
 
@@ -160,22 +146,28 @@ class CoherenceReport:
         return self.failures[0] if self.failures else None
 
 
-def verify_coherence(mf: BlockDiagonalMF, rule: str = "corrected") -> CoherenceReport:
-    """Check that M_ell induces the placement rule.
+def verify_coherence(n: int, ell: int, rule: str = "corrected") -> CoherenceReport:
+    """Check that M_ell induces the placement rule of the field B_ell,
+    ``0 <= ell <= n - 1``.
 
     For every index set J, enumerate all |J|! placements and assert that the
     minimum weight is attained uniquely, at the placement the rule dictates.
     Ties and wrong minima are reported as failures, not raised.
+
+    >>> verify_coherence(4, 1).ok, verify_coherence(4, 1, rule="literal").ok
+    (True, False)
     """
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
     failures = []
     checked = 0
-    for size in range(1, mf.n):
-        for members in itertools.combinations(range(1, mf.n + 1), size):
+    for size in range(1, n):
+        for members in itertools.combinations(range(1, n + 1), size):
             checked += 1
-            weights = _placement_weights(mf.n, mf.ell, members)
+            weights = _placement_weights(n, ell, members)
             best = min(weights.values())
             argmin = tuple(sorted(rows for rows, v in weights.items() if v == best))
-            expected = _rule_placement(mf.ell, members, rule)
+            expected = _rule_placement(ell, members, rule)
             if len(argmin) != 1 or argmin[0] != expected:
                 failures.append(
                     CoherenceFailure(
@@ -185,7 +177,7 @@ def verify_coherence(mf: BlockDiagonalMF, rule: str = "corrected") -> CoherenceR
                         tie=len(argmin) > 1,
                     )
                 )
-    return CoherenceReport(mf.n, mf.ell, rule, checked, tuple(failures))
+    return CoherenceReport(n, ell, rule, checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Conventions used throughout the package:
 
-- A permutation is written in one-line notation ``w = (w_1, ..., w_n)`` with
-  ``w_i = w(i)``, values 1-based.  Positions reported by helper functions are
-  0-based unless stated otherwise.
+- A permutation is a plain tuple in one-line notation ``w = (w_1, ..., w_n)``
+  with ``w_i = w(i)``, values 1-based.  Positions reported by helper
+  functions are 0-based unless stated otherwise.
 - An index set is a non-empty proper subset ``J`` of ``[n] = {1, ..., n}``,
   stored as a strictly increasing tuple.  It labels the Pluecker variable
   ``P_J``.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -24,70 +23,34 @@ from typing import Iterator, Sequence
 MAX_N = 16
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    """A permutation of [n] in one-line notation."""
+def check_permutation(w: Sequence[int], n: int) -> None:
+    """Raise ValueError unless ``w`` is a permutation of [n] in one-line
+    notation with ``1 <= n <= MAX_N``; the per-w entry points call it.
 
-    entries: tuple[int, ...]
+    >>> check_permutation((3, 1, 2), 3)
+    >>> check_permutation((3, 1, 2), 4)
+    Traceback (most recent call last):
+    ...
+    ValueError: permutation length 3 does not match n = 4
+    """
+    m = len(w)
+    if not 1 <= m <= MAX_N:
+        raise ValueError(f"permutation length must be in 1..{MAX_N}, got {m}")
+    if sorted(w) != list(range(1, m + 1)):
+        raise ValueError(f"not a permutation of [{m}]: {tuple(w)}")
+    if m != n:
+        raise ValueError(f"permutation length {m} does not match n = {n}")
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"permutation length must be in 1..{MAX_N}, got {n}")
-        if sorted(self.entries) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of [{n}]: {self.entries}")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+def word_text(values: Sequence[int]) -> str:
+    """A one-line word or an index set as text: digits when every value is
+    at most 9, comma-separated otherwise.
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, position: int) -> int:
-        return self.entries[position]
-
-    def position_of(self, value: int) -> int:
-        """0-based position of ``value`` in the one-line word."""
-        return self.entries.index(value)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        """The order-reversing permutation (n, n-1, ..., 1)."""
-        return cls(tuple(range(n, 0, -1)))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Permutation":
-        """Parse ``"3214"`` (n <= 9) or comma-separated ``"10,3,..."``.
-
-        >>> Permutation.from_string("3214").entries
-        (3, 2, 1, 4)
-        """
-        text = text.strip()
-        if not text:
-            raise ValueError("empty permutation string")
-        if "," in text:
-            parts = tuple(int(p) for p in text.split(","))
-        else:
-            if not text.isdigit():
-                raise ValueError(f"malformed permutation string: {text!r}")
-            parts = tuple(int(ch) for ch in text)
-        return cls(parts)
-
-    def to_string(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.entries)
-        return ",".join(str(v) for v in self.entries)
-
-    def __str__(self) -> str:
-        return self.to_string()
+    >>> word_text((3, 2, 1, 4)), word_text((2, 10))
+    ('3214', '2,10')
+    """
+    sep = "" if all(v <= 9 for v in values) else ","
+    return sep.join(map(str, values))
 
 
 # ---------------------------------------------------------------------------
@@ -146,36 +109,35 @@ def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
 # Restriction, overline/underline
 
 
-def restriction(w: Permutation, m: int) -> Permutation:
+def restriction(w: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Remove the values m+1, ..., n from w; a permutation of [m].
 
-    >>> restriction(Permutation((1, 4, 2, 3)), 2).entries
+    >>> restriction((1, 4, 2, 3), 2)
     (1, 2)
-    >>> restriction(Permutation((1, 4, 2, 3)), 3).entries
+    >>> restriction((1, 4, 2, 3), 3)
     (1, 2, 3)
     """
-    if not 1 <= m <= w.n:
-        raise ValueError(f"m must be in 1..{w.n}, got {m}")
-    return Permutation(tuple(v for v in w.entries if v <= m))
+    if not 1 <= m <= len(w):
+        raise ValueError(f"m must be in 1..{len(w)}, got {m}")
+    return tuple(v for v in w if v <= m)
 
 
-def insert_max(w: Permutation, t: int) -> Permutation:
+def insert_max(w: tuple[int, ...], t: int) -> tuple[int, ...]:
     """Insert the new maximum value n+1 after position t (0 <= t <= n).
 
-    >>> insert_max(Permutation((1, 2)), 1).entries
+    >>> insert_max((1, 2), 1)
     (1, 3, 2)
     """
-    if not 0 <= t <= w.n:
-        raise ValueError(f"insertion position must be in 0..{w.n}, got {t}")
-    entries = w.entries
-    return Permutation(entries[:t] + (w.n + 1,) + entries[t:])
+    if not 0 <= t <= len(w):
+        raise ValueError(f"insertion position must be in 0..{len(w)}, got {t}")
+    return w[:t] + (len(w) + 1,) + w[t:]
 
 
-def remove_max(w: Permutation) -> Permutation:
+def remove_max(w: tuple[int, ...]) -> tuple[int, ...]:
     """Delete the maximum value n; inverse of :func:`insert_max`."""
-    if w.n < 2:
+    if len(w) < 2:
         raise ValueError("cannot remove the maximum from a singleton permutation")
-    return Permutation(tuple(v for v in w.entries if v != w.n))
+    return tuple(v for v in w if v != len(w))
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +195,15 @@ def is_312_free(word: Sequence[int]) -> bool:
     return True
 
 
-def has_descending_property(w: Permutation) -> bool:
+def has_descending_property(w: Sequence[int]) -> bool:
     """Entries after the position of n are strictly decreasing.
 
-    >>> has_descending_property(Permutation((2, 1, 4, 3)))
+    >>> has_descending_property((2, 1, 4, 3))
     True
-    >>> has_descending_property(Permutation((1, 4, 2, 3)))
+    >>> has_descending_property((1, 4, 2, 3))
     False
     """
-    t = w.position_of(w.n)
-    tail = w.entries[t:]
+    tail = w[w.index(len(w)):]
     return all(a > b for a, b in zip(tail, tail[1:]))
 
 
@@ -250,22 +211,21 @@ def has_descending_property(w: Permutation) -> bool:
 # The zero family Z_n
 
 
-def in_zero_family(w: Permutation) -> bool:
+def in_zero_family(w: Sequence[int]) -> bool:
     """Product of pairwise non-adjacent simple transpositions.
 
     Closed-form test: w is an involution moving each point by at most one,
     i.e. w(w(i)) = i and |w_i - i| <= 1 for all i.
 
-    >>> [in_zero_family(Permutation.from_string(s)) for s in ("123", "132", "213", "321")]
+    >>> [in_zero_family(w) for w in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1))]
     [True, True, True, False]
     """
-    e = w.entries
-    return all(abs(v - i) <= 1 for i, v in enumerate(e, start=1)) and all(
-        e[v - 1] == i for i, v in enumerate(e, start=1)
+    return all(abs(v - i) <= 1 for i, v in enumerate(w, start=1)) and all(
+        w[v - 1] == i for i, v in enumerate(w, start=1)
     )
 
 
-def zero_family(n: int) -> frozenset[Permutation]:
+def zero_family(n: int) -> frozenset[tuple[int, ...]]:
     """All products of pairwise non-adjacent simple transpositions in S_n."""
     out = set()
     positions = range(1, n)  # s_i swaps i and i+1
@@ -276,7 +236,7 @@ def zero_family(n: int) -> frozenset[Permutation]:
             entries = list(range(1, n + 1))
             for i in combo:
                 entries[i - 1], entries[i] = entries[i], entries[i - 1]
-            out.add(Permutation(tuple(entries)))
+            out.add(tuple(entries))
     return frozenset(out)
 
 
@@ -498,11 +458,6 @@ def bruhat_minimum(n: int, members: int) -> tuple[int, ...] | None:
 
 # ---------------------------------------------------------------------------
 # Enumeration helpers
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for entries in itertools.permutations(range(1, n + 1)):
-        yield Permutation(entries)
 
 
 def all_index_keys(n: int) -> tuple[tuple[int, ...], ...]:

@@ -29,10 +29,11 @@ from typing import Iterator, NamedTuple
 from mfl import exactla
 from mfl.matchfield import variable_image_key, weight_key
 from mfl.permcomb import (
-    Permutation,
     _alive_masks,
     all_index_keys,
+    check_permutation,
     vanishing_keys,
+    word_text,
 )
 
 Key = tuple[int, ...]
@@ -71,20 +72,14 @@ class QuadraticRelation(NamedTuple):
 
     def to_json_obj(self) -> dict:
         return {
-            "lhs": [key_text(k) for k in self.lhs],
-            "rhs": [key_text(k) for k in self.rhs],
+            "lhs": [word_text(k) for k in self.lhs],
+            "rhs": [word_text(k) for k in self.rhs],
             "sign": self.sign,
         }
 
 
-def key_text(key: Key) -> str:
-    if key and key[-1] <= 9:
-        return "".join(str(m) for m in key)
-    return ",".join(str(m) for m in key)
-
-
 def mono_text(mono: MonoKey) -> str:
-    return "*".join(f"P_{key_text(k)}" for k in mono)
+    return "*".join(f"P_{word_text(k)}" for k in mono)
 
 
 def _key_order(k: Key) -> tuple[int, Key]:
@@ -228,34 +223,30 @@ class ClassificationOutcome:
         return self.verdict in (ZERO, BINOMIAL)
 
     def to_json_obj(self) -> dict:
-        if self.w is None:
-            w_str = None
-        else:
-            sep = "" if self.n <= 9 else ","
-            w_str = sep.join(str(v) for v in self.w)
         return {
             "schema": "mfl/1",
             "n": self.n,
             "ell": self.ell,
-            "w": w_str,
+            "w": None if self.w is None else word_text(self.w),
             "verdict": self.verdict,
             "generators": [r.to_json_obj() for r in self.surviving_binomials],
-            "monomials": [[key_text(k) for k in m] for m in self.surviving_monomials],
+            "monomials": [[word_text(k) for k in m] for m in self.surviving_monomials],
             "degree2_rank": self.degree2_rank,
         }
 
 
 def _check_case(
-    n: int, ell: int, bound: int | None, w: Permutation | None = None
+    n: int, ell: int, bound: int | None, w: tuple[int, ...] | None = None
 ) -> None:
-    """The input checks shared by the classification entry points."""
+    """The input checks shared by the classification entry points; a bad
+    ``w`` is reported before a bad ``n``, ``ell`` or bound."""
+    if w is not None:
+        check_permutation(w, n)
     bound = ORACLE_BOUND_DEFAULT if bound is None else bound
     if n < 3:
         raise ValueError(f"classification needs n >= 3, got {n}")
     if n > bound:
         raise CapabilityError(f"oracle bound is n <= {bound}, got n = {n}")
-    if w is not None and w.n != n:
-        raise ValueError(f"permutation length {w.n} does not match n = {n}")
     if not 0 <= ell <= n - 1:
         raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
 
@@ -263,29 +254,29 @@ def _check_case(
 def classify_oracle(
     n: int,
     ell: int,
-    w: Permutation,
+    w: tuple[int, ...],
     *,
     all_pairs: bool = False,
     bound: int | None = None,
 ) -> ClassificationOutcome:
     """Restricted-ideal classification for (n, ell, w); memoizes per (n, ell).
 
-    >>> classify_oracle(4, 2, Permutation((3, 2, 1, 4))).verdict
+    >>> classify_oracle(4, 2, (3, 2, 1, 4)).verdict
     'binomial'
     """
     _check_case(n, ell, bound, w)
-    vanset = vanishing_keys(w.entries)
+    vanset = vanishing_keys(w)
 
     def alive(mono: MonoKey) -> bool:
         return mono[0] not in vanset and mono[1] not in vanset
 
     monomials: list[MonoKey] = []
     rank = 0
-    for comp in _fiber_components(n, ell):
-        survivors = [m for m in comp if alive(m)]
+    for fiber in _fibers(n, ell):
+        survivors = [m for m, _ in fiber if alive(m)]
         if not survivors:
             continue
-        if len(survivors) < len(comp):
+        if len(survivors) < len(fiber):
             monomials.extend(survivors)
             rank += len(survivors)
         else:
@@ -301,14 +292,7 @@ def classify_oracle(
         verdict = BINOMIAL
     else:
         verdict = ZERO
-    return ClassificationOutcome(
-        n, ell, w.entries, verdict, binomials, monomials_t, rank
-    )
-
-
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _fiber_components(n: int, ell: int) -> tuple[tuple[MonoKey, ...], ...]:
-    return tuple(tuple(m for m, _ in fiber) for fiber in _fibers(n, ell))
+    return ClassificationOutcome(n, ell, w, verdict, binomials, monomials_t, rank)
 
 
 def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]:
@@ -485,7 +469,7 @@ def _flag_ideal(n: int) -> _FlagIdeal:
 
 
 def initial_degree2(
-    n: int, ell: int, w: Permutation, cap: int | None = None
+    n: int, ell: int, w: tuple[int, ...], cap: int | None = None
 ) -> DegreeTwoSpace:
     """Degree-two span of initial forms of the Schubert ideal of X(w).
 
@@ -494,8 +478,9 @@ def initial_degree2(
     echelon row is truncated to its lowest-weight stratum.  Coordinates of
     the result are the surviving monomials in increasing (weight, key) order.
     """
+    check_permutation(w, n)
     flag = degree2_flag_ideal(n, cap)
-    vanset = vanishing_keys(w.entries)
+    vanset = vanishing_keys(w)
 
     def alive(mono: MonoKey) -> bool:
         return mono[0] not in vanset and mono[1] not in vanset
@@ -528,11 +513,12 @@ def initial_degree2(
 
 
 def surviving_binomial_space(
-    n: int, ell: int, w: Permutation, coords: DegreeTwoSpace
+    n: int, ell: int, w: tuple[int, ...], coords: DegreeTwoSpace
 ) -> DegreeTwoSpace:
     """Span of the surviving fiber binomials, in the coordinates of ``coords``."""
+    check_permutation(w, n)
     col_of = {m: i for i, m in enumerate(coords.monomials)}
-    vanset = vanishing_keys(w.entries)
+    vanset = vanishing_keys(w)
     rows = []
     for fiber in _fibers(n, ell):
         survivors = [
@@ -697,7 +683,7 @@ def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
 
 
 def matches_initial_degree2(
-    n: int, ell: int, w: Permutation, cap: int | None = None
+    n: int, ell: int, w: tuple[int, ...], cap: int | None = None
 ) -> bool:
     """True iff the surviving binomials span the initial degree-two space.
 
@@ -713,7 +699,7 @@ def matches_initial_degree2(
     _check_la_cap(n, cap)
     variable_bits = _flag_ideal(n).variable_bits
     dead = 0
-    for key in vanishing_keys(w.entries):
+    for key in vanishing_keys(w):
         dead |= variable_bits[key]
     alive = ~dead
     answers = []
@@ -722,5 +708,5 @@ def matches_initial_degree2(
         if mask:
             answers.append(_block_matches(n, ell, b, mask))
     if None in answers:
-        raise ValueError(f"(n={n}, ell={ell}, w={w}) is not monomial-free")
+        raise ValueError(f"(n={n}, ell={ell}, w={word_text(w)}) is not monomial-free")
     return all(answers)

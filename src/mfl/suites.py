@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from mfl.matchfield import BlockDiagonalMF, verify_coherence
+from mfl.matchfield import verify_coherence
 from mfl.permcomb import (
-    Permutation,
     _alive_masks,
     permutation_at,
     restriction,
     set_bits,
+    word_text,
 )
 from mfl.quadideal import (
     BINOMIAL,
@@ -82,7 +82,7 @@ def run_coherence(n_max: int = 7) -> SuiteReport:
     report = SuiteReport("coherence")
     for n in range(2, n_max + 1):
         for ell in range(n):
-            result = verify_coherence(BlockDiagonalMF(n, ell))
+            result = verify_coherence(n, ell)
             report.checked += result.checked
             if not result.ok:
                 first = result.first_failure()
@@ -90,7 +90,7 @@ def run_coherence(n_max: int = 7) -> SuiteReport:
                     n=n, ell=ell, members=first.members, tie=first.tie,
                     expected=first.expected_rows, minimal=first.minimal_rows,
                 )
-    literal = verify_coherence(BlockDiagonalMF(4, 1), rule="literal")
+    literal = verify_coherence(4, 1, rule="literal")
     report.checked += 1
     bad = {f.members for f in literal.failures}
     if literal.ok or (3, 4) not in bad:
@@ -109,7 +109,7 @@ def run_theorem_b(n_max: int = 6) -> SuiteReport:
             full = (1 << math.factorial(n)) - 1
             report.checked += math.factorial(n)
             for i in set_bits(family_masks(n, ell).zero ^ (full & ~surviving)):
-                report.record(n=n, ell=ell, w=permutation_at(n, i),
+                report.record(n=n, ell=ell, w=word_text(permutation_at(n, i)),
                               verdict=verdict_at(monomial, surviving, i))
     return report
 
@@ -131,7 +131,7 @@ def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
             overlap = masks.binomial & masks.zero
             differs = (masks.binomial | masks.zero) ^ masks.pattern
             for i in set_bits(overlap | differs):
-                w = Permutation(permutation_at(n, i)).to_string()
+                w = word_text(permutation_at(n, i))
                 if overlap >> i & 1:
                     report.record(n=n, ell=ell, w=w,
                                   detail="binomial and zero families overlap")
@@ -152,33 +152,31 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
             report.checked += math.factorial(n)
             for i in set_bits(family_masks(n, ell).pattern ^ (full & ~monomial)):
                 report.record(n=n, ell=ell,
-                              w=Permutation(permutation_at(n, i)).to_string(),
+                              w=word_text(permutation_at(n, i)),
                               verdict=verdict_at(monomial, surviving, i))
     for n in range(3, combinatorial_n_max + 1):
         patterns = [(ell, family_masks(n, ell).pattern) for ell in range(1, n)]
         free_312 = family_masks(n, 0).free_312
         for index in set_bits(reduce(or_, (mask for _, mask in patterns))):
-            w = Permutation(permutation_at(n, index))
-            e = w.entries
+            w = permutation_at(n, index)
             for ell, mask in patterns:
                 if not mask >> index & 1:
                     continue
                 report.checked += 1
                 for i, j, k in itertools.combinations(range(n), 3):
-                    if e[j] < e[k] < e[i]:
-                        if i != 0 or e[j] != ell:
+                    if w[j] < w[k] < w[i]:
+                        if i != 0 or w[j] != ell:
                             report.record(
-                                n=n, ell=ell, w=w.to_string(),
+                                n=n, ell=ell, w=word_text(w),
                                 detail="312 pattern not anchored at (w_1, ell)",
                             )
                 if not free_312 >> index & 1:
-                    head = restriction(w, e[0]).entries
-                    expected = (e[0], ell) + tuple(
-                        v for v in range(e[0] - 1, 0, -1) if v != ell
+                    expected = (w[0], ell) + tuple(
+                        v for v in range(w[0] - 1, 0, -1) if v != ell
                     )
-                    if head != expected:
+                    if restriction(w, w[0]) != expected:
                         report.record(
-                            n=n, ell=ell, w=w.to_string(),
+                            n=n, ell=ell, w=word_text(w),
                             detail="restriction to w_1 has unexpected shape",
                         )
     return report
@@ -196,7 +194,7 @@ def run_theorem_a(n_max: int = 4, cap: int | None = None) -> SuiteReport:
             masks = theorem_a_masks(n, ell, cap=cap)
             report.checked += masks.checked.bit_count()
             for i in set_bits(masks.failing):
-                w = Permutation(permutation_at(n, i)).to_string()
+                w = word_text(permutation_at(n, i))
                 if masks.partial >> i & 1:
                     report.record(n=n, ell=ell, w=w,
                                   detail="a fiber survives in part: not monomial-free")
@@ -213,11 +211,10 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
     for n in range(3, n_max + 1):
         for ell in range(n):
             for i in set_bits(family_masks(n, ell).pattern):
-                w = Permutation(permutation_at(n, i))
-                result = verify_bijection(n, ell, w)
+                result = verify_bijection(n, ell, permutation_at(n, i))
                 report.checked += 1
                 if not result.ok:
-                    report.record(n=n, ell=ell, w=w.to_string(),
+                    report.record(n=n, ell=ell, w=result.w,
                                   failures=result.failures[:3])
         tableaux = enumerate_ssyt2(n)
         for t in tableaux:
@@ -235,7 +232,7 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
         ]
         differs = [(t, mask) for t, mask in differs if mask]
         for i in set_bits(reduce(or_, (mask for _, mask in differs), 0)):
-            w = Permutation(permutation_at(n, i)).to_string()
+            w = word_text(permutation_at(n, i))
             for t, mask in differs:
                 if mask >> i & 1:
                     report.record(n=n, w=w, columns=t.columns,
@@ -249,13 +246,13 @@ def run_a1_rank(n_max: int = 6) -> SuiteReport:
     for n in range(4, n_max + 1):
         for ell in range(n):
             family = binomial_family(n, ell)
-            for entries, tags in family.items():
+            for w, tags in family.items():
                 if TAG_A1 not in tags:
                     continue
                 report.checked += 1
-                outcome = classify_oracle(n, ell, Permutation(entries))
+                outcome = classify_oracle(n, ell, w)
                 if outcome.verdict != BINOMIAL or outcome.degree2_rank != 1:
-                    report.record(n=n, ell=ell, w=entries,
+                    report.record(n=n, ell=ell, w=word_text(w),
                                   verdict=outcome.verdict,
                                   rank=outcome.degree2_rank)
     return report

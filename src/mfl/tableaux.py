@@ -33,15 +33,16 @@ from typing import Iterable, NamedTuple
 
 from mfl.matchfield import display_key, variable_image_key
 from mfl.permcomb import (
-    Permutation,
     _alive_masks,
     _prefix_set_masks,
     all_index_keys,
     bruhat_leq,
     bruhat_minimum,
     bruhat_up_set,
+    check_permutation,
     permutation_index,
     vanishing_keys,
+    word_text,
 )
 from mfl.quadideal import PAIR_CACHE_SIZE, CapabilityError
 from mfl.theoremsets import family_masks
@@ -147,18 +148,19 @@ def _enumerate_ssyt2_all(n: int) -> tuple[Tableau, ...]:
     return tuple(out)
 
 
-def enumerate_ssyt2(n: int, w: Permutation | None = None) -> tuple[Tableau, ...]:
+def enumerate_ssyt2(n: int, w: tuple[int, ...] | None = None) -> tuple[Tableau, ...]:
     """All two-column semi-standard tableaux over [n], lexicographically
     ordered by (left size, right size, left, right); optionally only those
     whose columns are Gale-below the prefixes of w.
 
-    >>> len(enumerate_ssyt2(3, Permutation((3, 2, 1))))
+    >>> len(enumerate_ssyt2(3, (3, 2, 1)))
     20
     """
     tableaux = _enumerate_ssyt2_all(n)
     if w is None:
         return tableaux
-    vanset = vanishing_keys(w.entries)
+    check_permutation(w, n)
+    vanset = vanishing_keys(w)
     return tuple(
         t for t in tableaux if all(col not in vanset for col in t.columns)
     )
@@ -221,14 +223,15 @@ def _monomial_signature(n: int, ell: int, a: Key, b: Key) -> tuple:
     return tuple(tuple(sorted(rows[r])) for r in sorted(rows))
 
 
-def standard_monomial_count_deg2(n: int, ell: int, w: Permutation) -> int:
+def standard_monomial_count_deg2(n: int, ell: int, w: tuple[int, ...]) -> int:
     """Number of distinct monomial-map images among degree-two products of
     non-vanishing Pluecker variables.
 
-    >>> standard_monomial_count_deg2(3, 0, Permutation((3, 2, 1)))
+    >>> standard_monomial_count_deg2(3, 0, (3, 2, 1))
     20
     """
-    vanset = vanishing_keys(w.entries)
+    check_permutation(w, n)
+    vanset = vanishing_keys(w)
     alive = [k for k in all_index_keys(n) if k not in vanset]
     seen = set()
     for a, b in itertools.combinations_with_replacement(alive, 2):
@@ -242,23 +245,23 @@ def standard_monomial_count_deg2(n: int, ell: int, w: Permutation) -> int:
 
 @dataclass(frozen=True)
 class DefiningChain:
-    perms: tuple[Permutation, ...]
+    perms: tuple[tuple[int, ...], ...]
     tilde_i: Key | None = None
 
     @property
-    def last(self) -> Permutation:
+    def last(self) -> tuple[int, ...]:
         return self.perms[-1]
 
 
-def _block_permutation(n: int, *blocks: Key) -> Permutation:
+def _block_permutation(n: int, *blocks: Key) -> tuple[int, ...]:
     used: list[int] = []
     for block in blocks:
         used.extend(sorted(block))
     rest = sorted(set(range(1, n + 1)) - set(used))
-    return Permutation(tuple(used + rest))
+    return tuple(used + rest)
 
 
-def grassmannian_permutation(members: Key, n: int) -> Permutation:
+def grassmannian_permutation(members: Key, n: int) -> tuple[int, ...]:
     """(I, [n] minus I), the minimal permutation with prefix set I."""
     return _block_permutation(n, members)
 
@@ -273,9 +276,8 @@ def min_defining_chain2(t: Tableau) -> DefiningChain:
     largest left-column element below it; otherwise it is found by exhaustive
     minimization over the subsets of the left column that may follow J.
 
-    >>> chain = min_defining_chain2(Tableau(((1, 2, 4), (3,)), 4))
-    >>> [p.to_string() for p in chain.perms]
-    ['1243', '3142']
+    >>> min_defining_chain2(Tableau(((1, 2, 4), (3,)), 4)).perms
+    ((1, 2, 4, 3), (3, 1, 4, 2))
     """
     if len(t.columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
@@ -296,17 +298,17 @@ def min_defining_chain2(t: Tableau) -> DefiningChain:
         tilde = tuple(v for v in left if v != i_star)
         v2 = _block_permutation(n, right, tilde)
         return DefiningChain((v1, v2), tilde_i=tilde)
-    candidates: dict[tuple[int, ...], tuple[Key, Permutation]] = {}
+    candidates: dict[tuple[int, ...], Key] = {}  # v2 -> its first tilde
     pool = tuple(v for v in left if v not in right)
     for size in range(len(pool) + 1):
         for tilde in itertools.combinations(pool, size):
             v2 = _block_permutation(n, right, tilde)
-            if bruhat_leq(v1.entries, v2.entries) and v2.entries not in candidates:
-                candidates[v2.entries] = (tilde, v2)
+            if bruhat_leq(v1, v2) and v2 not in candidates:
+                candidates[v2] = tilde
     minima = [
         (tilde, v2)
-        for tilde, v2 in candidates.values()
-        if all(bruhat_leq(v2.entries, other) for other in candidates)
+        for v2, tilde in candidates.items()
+        if all(bruhat_leq(v2, other) for other in candidates)
     ]
     if len(minima) != 1:
         raise ValueError(
@@ -324,9 +326,8 @@ def min_defining_chain2_exhaustive(t: Tableau) -> DefiningChain:
     first permutation v_1, and :func:`mfl.permcomb.bruhat_minimum` picks
     their least element.
 
-    >>> chain = min_defining_chain2_exhaustive(Tableau(((1, 2, 4), (3,)), 4))
-    >>> [p.to_string() for p in chain.perms]
-    ['1243', '3142']
+    >>> min_defining_chain2_exhaustive(Tableau(((1, 2, 4), (3,)), 4)).perms
+    ((1, 2, 4, 3), (3, 1, 4, 2))
     """
     if len(t.columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
@@ -334,14 +335,14 @@ def min_defining_chain2_exhaustive(t: Tableau) -> DefiningChain:
     v1 = grassmannian_permutation(t.columns[0], n)
     if len(t.columns) == 1:
         return DefiningChain((v1,))
-    valid = _prefix_set_masks(n)[t.columns[1]] & bruhat_up_set(v1.entries)
+    valid = _prefix_set_masks(n)[t.columns[1]] & bruhat_up_set(v1)
     minimum = bruhat_minimum(n, valid)
     if minimum is None:
         raise ValueError(f"no unique minimum defining chain for {t.columns}")
-    return DefiningChain((v1, Permutation(minimum)))
+    return DefiningChain((v1, minimum))
 
 
-def is_standard(t: Tableau, w: Permutation) -> bool:
+def is_standard(t: Tableau, w: tuple[int, ...]) -> bool:
     """Standardness for X(w): the minimum chain ends Bruhat-below w.
 
     Read as one bit: the tableau is standard iff w lies in the Bruhat
@@ -349,15 +350,14 @@ def is_standard(t: Tableau, w: Permutation) -> bool:
     (:func:`mfl.permcomb.bruhat_up_set`), at bit
     :func:`mfl.permcomb.permutation_index` of w.
 
-    >>> is_standard(Tableau(((1, 2, 4), (3,)), 4), Permutation((3, 2, 1, 4)))
+    >>> is_standard(Tableau(((1, 2, 4), (3,)), 4), (3, 2, 1, 4))
     False
     """
     if len(t.columns) > 2:
         raise CapabilityError("standardness is implemented for <= 2 columns")
-    if t.n != w.n:
-        raise ValueError(f"size mismatch: {t.n} != {w.n}")
-    up_set = bruhat_up_set(min_defining_chain2(t).last.entries)
-    return bool(up_set >> permutation_index(w.entries) & 1)
+    check_permutation(w, t.n)
+    up_set = bruhat_up_set(min_defining_chain2(t).last)
+    return bool(up_set >> permutation_index(w) & 1)
 
 
 @lru_cache(maxsize=8)
@@ -371,7 +371,7 @@ def standard_masks(n: int) -> tuple[int, ...]:
     20
     """
     return tuple(
-        bruhat_up_set(min_defining_chain2(t).last.entries)
+        bruhat_up_set(min_defining_chain2(t).last)
         for t in _enumerate_ssyt2_all(n)
     )
 
@@ -555,7 +555,7 @@ def _failing(items: tuple[tuple[tuple, int], ...], i: int) -> list[tuple]:
     return [label for label, mask in items if mask >> i & 1]
 
 
-def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
+def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
     """Exhaustively check the rearrangement map for (n, ell, w).
 
     Always checked: images of distinct semi-standard tableaux are never
@@ -589,10 +589,9 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     dozen or so counter planes for each count.  A failure message is written
     only for an entry whose failure bit is set, in enumeration order.
     """
-    if w.n != n:
-        raise ValueError(f"permutation length {w.n} does not match n = {n}")
+    check_permutation(w, n)
     table = _bijection_table(n, ell)
-    i = permutation_index(w.entries)
+    i = permutation_index(w)
     failures = list(table.failures)
     checks = list(table.checks)
 
@@ -644,7 +643,7 @@ def verify_bijection(n: int, ell: int, w: Permutation) -> BijectionReport:
     return BijectionReport(
         n,
         ell,
-        w.to_string(),
+        word_text(w),
         in_pattern,
         tuple(checks),
         standard_count,

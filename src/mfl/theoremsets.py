@@ -29,13 +29,13 @@ from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple
 
 from mfl.permcomb import (
-    Permutation,
-    all_permutations,
+    check_permutation,
     is_312_free,
     permutation_at,
     permutation_index,
     restriction,
     set_bits,
+    word_text,
     zero_family_size,
 )
 from mfl.quadideal import (
@@ -67,7 +67,7 @@ _VERDICT_OF_CLASS = {CLASS_Z: ZERO, CLASS_T: BINOMIAL, CLASS_N: NONBINOMIAL}
 class ClassificationRecord:
     n: int
     ell: int
-    w: Permutation
+    w: tuple[int, ...]
     combinatorial_class: str
     in_pattern: bool
     witness_tags: frozenset[str]
@@ -242,7 +242,7 @@ def _oracle_seed(ell: int) -> int:
     """The binomial family at n = 3, read off the oracle."""
     return sum(
         1 << i
-        for i, w in enumerate(all_permutations(3))
+        for i, w in enumerate(itertools.permutations((1, 2, 3)))
         if classify_oracle(3, ell, w).verdict == BINOMIAL
     )
 
@@ -271,7 +271,7 @@ def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]
 # The pattern family, one permutation at a time
 
 
-def in_pattern_family(w: Permutation, ell: int) -> bool:
+def in_pattern_family(w: tuple[int, ...], ell: int) -> bool:
     """Monomial-free characterization through 312-avoidance.
 
     For ell = 0 (diagonal) this is plain 312-freeness.  For 1 <= ell <= n-1:
@@ -284,39 +284,41 @@ def in_pattern_family(w: Permutation, ell: int) -> bool:
 
     The bulk callers read :func:`family_masks` instead.
 
-    >>> in_pattern_family(Permutation((4, 2, 3, 1)), 2)
+    >>> in_pattern_family((4, 2, 3, 1), 2)
     True
-    >>> in_pattern_family(Permutation((2, 4, 3, 1)), 2)
+    >>> in_pattern_family((2, 4, 3, 1), 2)
     False
     """
-    if not 0 <= ell <= w.n - 1:
-        raise ValueError(f"ell must be in 0..{w.n - 1}, got {ell}")
-    e = w.entries
+    n = len(w)
+    check_permutation(w, n)
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
     if ell == 0:
-        return is_312_free(e)
-    if not is_312_free(e):
-        return e[0] > e[1] == ell and is_312_free([v for v in e if v != ell])
+        return is_312_free(w)
+    if not is_312_free(w):
+        return w[0] > w[1] == ell and is_312_free([v for v in w if v != ell])
     triggered = any(
-        restriction(w, m).entries == _staircase(m) for m in range(3, w.n + 1)
+        restriction(w, m) == _staircase(m) for m in range(3, n + 1)
     )
     if not triggered:
         return True
     return (
-        e[0] < e[1] <= ell
-        and restriction(w, e[1]).entries == _double_staircase(e[0], e[1])
+        w[0] < w[1] <= ell
+        and restriction(w, w[1]) == _double_staircase(w[0], w[1])
     )
 
 
-def classify_combinatorial(n: int, ell: int, w: Permutation) -> ClassificationRecord:
+def classify_combinatorial(
+    n: int, ell: int, w: tuple[int, ...]
+) -> ClassificationRecord:
     """Predicted class of (n, ell, w) from the combinatorial families alone."""
-    if w.n != n:
-        raise ValueError(f"permutation length {w.n} does not match n = {n}")
+    check_permutation(w, n)
     masks = family_masks(n, ell)
-    i = permutation_index(w.entries)
+    i = permutation_index(w)
     if masks.zero >> i & 1:
         cls, tags = CLASS_Z, frozenset()
     elif masks.binomial >> i & 1:
-        cls, tags = CLASS_T, binomial_family(n, ell)[w.entries]
+        cls, tags = CLASS_T, binomial_family(n, ell)[w]
     else:
         cls, tags = CLASS_N, frozenset()
     return ClassificationRecord(n, ell, w, cls, bool(masks.pattern >> i & 1), tags)
@@ -381,7 +383,7 @@ def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidatio
         wrong_class = (predicted[0] ^ monomial) | (predicted[1] ^ surviving)
         wrong_pattern = masks.pattern ^ (full & ~monomial)
         for i in set_bits(wrong_class | wrong_pattern):
-            w = Permutation(permutation_at(n, i)).to_string()
+            w = word_text(permutation_at(n, i))
             verdict = verdict_at(monomial, surviving, i)
             if wrong_class >> i & 1:
                 mismatches.append({"kind": "class", "ell": ell, "w": w,
@@ -393,7 +395,7 @@ def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidatio
                                    "in_pattern_family": bool(masks.pattern >> i & 1)})
         allowed = _bit(exceptional_entries(n, ell)) if 1 <= ell <= n - 2 else 0
         for i in set_bits(masks.binomial & ~masks.descending & ~allowed):
-            w = Permutation(permutation_at(n, i)).to_string()
+            w = word_text(permutation_at(n, i))
             mismatches.append({"kind": "descending-exception", "ell": ell, "w": w})
         counts.append((ell, tally))
     return CrossValidationReport(n, tuple(counts), tuple(mismatches))

@@ -3,9 +3,8 @@ import os
 
 import pytest
 
-from mfl import cli, theoremsets
-from mfl.cli import main
-from mfl.permcomb import Permutation
+from mfl import cli, suites, theoremsets
+from mfl.cli import main, parse_permutation
 from mfl.quadideal import classify_oracle
 from mfl.suites import SuiteReport
 
@@ -46,14 +45,29 @@ class TestClassify:
         assert obj["combinatorial_class"] == "T"
         assert obj["in_pattern_family"] is True
 
+    def check_bad_w(self, capsys, w, message):
+        for command in ("classify", "ideal", "tableaux"):
+            code, out, err = run(capsys, command, "--n", "4", "--ell", "2", "--w", w)
+            assert (code, out) == (2, ""), command
+            assert err == f"error: {message}\n", command
+
     def test_malformed_w_exits_2(self, capsys):
-        code, _, err = run(capsys, "classify", "--n", "4", "--ell", "2", "--w", "32x4")
-        assert code == 2
-        assert "error" in err
+        for w, message in (
+            ("32x4", "malformed permutation string: '32x4'"),
+            ("0123", "not a permutation of [4]: (0, 1, 2, 3)"),
+            ("1123", "not a permutation of [4]: (1, 1, 2, 3)"),
+            ("", "empty permutation string"),
+            ("1,,2", "invalid literal for int() with base 10: ''"),
+        ):
+            self.check_bad_w(capsys, w, message)
 
     def test_wrong_length_exits_2(self, capsys):
-        code, _, err = run(capsys, "classify", "--n", "4", "--ell", "2", "--w", "321")
-        assert code == 2
+        for w, message in (
+            ("321", "permutation '321' has length 3, expected 4"),
+            (" 321", "permutation ' 321' has length 3, expected 4"),
+            (",".join(map(str, range(1, 18))), "permutation length must be in 1..16, got 17"),
+        ):
+            self.check_bad_w(capsys, w, message)
 
     def test_out_of_range_ell_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "4", "--ell", "4", "--w", "3214")
@@ -198,6 +212,26 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS coherence")
 
+    def test_mismatch_w_is_a_digit_string(self, capsys, monkeypatch):
+        # empty the zero family at n = 4: theoremB reports every member of
+        # Z_4, with w serialized as in every other suite
+        original = suites.family_masks
+
+        def emptied(n, ell):
+            masks = original(n, ell)
+            return masks._replace(zero=0) if n == 4 else masks
+
+        monkeypatch.setattr(suites, "family_masks", emptied)
+        code, out, _ = run(
+            capsys, "--format", "json", "verify", "--suite", "theoremB",
+            "--n-max", "4",
+        )
+        assert code == 1
+        mismatches = json.loads(out)["mismatches"]
+        assert len(mismatches) == 4 * 5
+        assert {m["w"] for m in mismatches} == {"1234", "1243", "1324", "2134", "2143"}
+        assert mismatches[0] == {"n": 4, "ell": 0, "w": "1234", "verdict": "zero"}
+
     def test_theorem_b_suite_json(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "verify", "--suite", "theoremB",
@@ -294,17 +328,23 @@ class TestSweep:
             assert message in captured.err
 
     def test_bad_n_and_ell_exit_2(self, capsys):
-        code, out, err = run(capsys, "sweep", "--n", "2")
-        assert (code, out) == (2, "")
-        assert err == "error: families are defined for n >= 3, got 2\n"
+        for n in ("2", "1", "0", "-1"):
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, "--format", fmt, "sweep", "--n", n)
+                assert (code, out) == (2, ""), (n, fmt)
+                assert err == f"error: families are defined for n >= 3, got {n}\n"
         code, out, err = run(capsys, "sweep", "--n", "4", "--ell", "9")
         assert (code, out) == (2, "")
         assert err == "error: ell must be in 0..3, got 9\n"
+        # the cut is checked before the oracle bound, as the families did
+        code, out, err = run(capsys, "sweep", "--n", "8", "--ell", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: ell must be in 0..7, got 9\n"
 
     def test_matches_oracle(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "4")
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             n, ell, w, verdict, _, _ = line.split(",", 5)
-            outcome = classify_oracle(int(n), int(ell), Permutation.from_string(w))
+            outcome = classify_oracle(int(n), int(ell), parse_permutation(w, int(n)))
             assert outcome.verdict == verdict, line

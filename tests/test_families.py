@@ -1,6 +1,7 @@
 """The bitset families against the per-permutation constructions they
 replace, and the suite reports against the per-permutation loops."""
 
+import dataclasses
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
@@ -8,15 +9,15 @@ from types import MappingProxyType
 import pytest
 
 from mfl import golden, suites, theoremsets
+from mfl.cli import parse_permutation
 from mfl.permcomb import (
-    Permutation,
-    all_permutations,
     has_descending_property,
     in_zero_family,
     is_312_free,
     permutation_index,
     remove_max,
     restriction,
+    word_text,
     zero_family,
 )
 from mfl.quadideal import (
@@ -50,8 +51,8 @@ def reference_binomial_family(n, ell):
     itself."""
     if n == 3:
         return MappingProxyType({
-            w.entries: frozenset({TAG_BASE})
-            for w in all_permutations(3)
+            w: frozenset({TAG_BASE})
+            for w in itertools.permutations(range(1, 4))
             if classify_oracle(3, ell, w).verdict == BINOMIAL
         })
 
@@ -69,23 +70,21 @@ def reference_binomial_family(n, ell):
     excluded = (n - 1, n) + tuple(range(n - 2, 0, -1))
     exceptional = exceptional_entries(n, ell) if 1 <= ell <= n - 2 else None
     result = {}
-    for w in all_permutations(n):
-        e = w.entries
-        ulw = remove_max(w)
-        ule = ulw.entries
+    for e in itertools.permutations(range(1, n + 1)):
+        ule = remove_max(e)
         t = e.index(n) + 1
         s = e.index(n - 1) + 1
         tags = set()
-        if in_zero_family(ulw) and e[-1] == n - 2 and {e[-3], e[-2]} == {n - 1, n}:
+        if in_zero_family(ule) and e[-1] == n - 2 and {e[-3], e[-2]} == {n - 1, n}:
             tags.add(TAG_A1)
         if ell == 0:
-            if ule in t_prev and has_descending_property(ulw) and t >= s - 1:
+            if ule in t_prev and has_descending_property(ule) and t >= s - 1:
                 tags.add(TAG_A2)
         elif ell <= n - 2:
             if ule in t_prev:
-                if has_descending_property(ulw) and t >= s - 1 and e != excluded:
+                if has_descending_property(ule) and t >= s - 1 and e != excluded:
                     tags.add(TAG_A2P)
-                if not has_descending_property(ulw) and t >= s + 2:
+                if not has_descending_property(ule) and t >= s + 2:
                     tags.add(TAG_A3)
             if e == exceptional:
                 tags.add(TAG_EXCEPTIONAL)
@@ -95,7 +94,7 @@ def reference_binomial_family(n, ell):
             if (
                 in_diag
                 and in_semi
-                and has_descending_property(ulw)
+                and has_descending_property(ule)
                 and t >= s - 1
                 and e != excluded
             ):
@@ -127,20 +126,20 @@ class TestFamilyMasks:
     def test_pattern_mask_matches_scalar_test(self, n):
         for ell in range(n):
             pattern = family_masks(n, ell).pattern
-            for i, w in enumerate(all_permutations(n)):
+            for i, w in enumerate(itertools.permutations(range(1, n + 1))):
                 assert bool(pattern >> i & 1) == in_pattern_family(w, ell), (ell, w)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_zero_mask_matches_zero_family(self, n):
-        expected = sum(1 << permutation_index(w.entries) for w in zero_family(n))
+        expected = sum(1 << permutation_index(w) for w in zero_family(n))
         for ell in range(n):
             assert family_masks(n, ell).zero == expected
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_free_312_and_descending_masks(self, n):
         masks = family_masks(n, 0)
-        for i, w in enumerate(all_permutations(n)):
-            assert bool(masks.free_312 >> i & 1) == is_312_free(w.entries), w
+        for i, w in enumerate(itertools.permutations(range(1, n + 1))):
+            assert bool(masks.free_312 >> i & 1) == is_312_free(w), w
             assert bool(masks.descending >> i & 1) == has_descending_property(w), w
 
     def test_input_checks(self):
@@ -183,10 +182,10 @@ class Families:
         )
 
     def in_z(self, e):
-        return in_zero_family(Permutation(e)) != (e in self.zero.get(len(e), ()))
+        return in_zero_family(e) != (e in self.zero.get(len(e), ()))
 
     def in_p(self, w, ell):
-        flipped = w.entries in self.pattern.get((w.n, ell), ())
+        flipped = w in self.pattern.get((len(w), ell), ())
         return in_pattern_family(w, ell) != flipped
 
     def family(self, n, ell):
@@ -219,28 +218,27 @@ def reference_cross_validate(n, fam):
         family = fam.family(n, ell)
         verdicts = verdicts_for_all_w(n, ell)
         tally = {ZERO: 0, BINOMIAL: 0, NONBINOMIAL: 0}
-        for entries, verdict in verdicts.items():
+        for w, verdict in verdicts.items():
             tally[verdict] += 1
-            w = Permutation(entries)
             predicted = (
                 ZERO
-                if fam.in_z(entries)
+                if fam.in_z(w)
                 else BINOMIAL
-                if entries in family
+                if w in family
                 else NONBINOMIAL
             )
             if predicted != verdict:
-                mismatches.append({"kind": "class", "ell": ell, "w": w.to_string(),
+                mismatches.append({"kind": "class", "ell": ell, "w": word_text(w),
                                    "oracle": verdict, "combinatorial": predicted})
             pattern = fam.in_p(w, ell)
             if pattern != (verdict != NONBINOMIAL):
-                mismatches.append({"kind": "pattern", "ell": ell, "w": w.to_string(),
+                mismatches.append({"kind": "pattern", "ell": ell, "w": word_text(w),
                                    "oracle": verdict, "in_pattern_family": pattern})
         allowed = [exceptional_entries(n, ell)] if 1 <= ell <= n - 2 else []
         for e in family:
-            if not has_descending_property(Permutation(e)) and e not in allowed:
+            if not has_descending_property(e) and e not in allowed:
                 mismatches.append({"kind": "descending-exception", "ell": ell,
-                                   "w": Permutation(e).to_string()})
+                                   "w": word_text(e)})
         counts.append((ell, tally))
     return tuple(counts), tuple(mismatches)
 
@@ -249,10 +247,10 @@ def reference_run_theorem_b(n_max, fam):
     report = suites.SuiteReport("theoremB")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for entries, verdict in verdicts_for_all_w(n, ell).items():
+            for w, verdict in verdicts_for_all_w(n, ell).items():
                 report.checked += 1
-                if (verdict == ZERO) != fam.in_z(entries):
-                    report.record(n=n, ell=ell, w=entries, verdict=verdict)
+                if (verdict == ZERO) != fam.in_z(w):
+                    report.record(n=n, ell=ell, w=word_text(w), verdict=verdict)
     return report
 
 
@@ -266,15 +264,15 @@ def reference_run_theorem_c(n_max, combinatorial_n_max, fam):
                 report.record(n=n, **m)
     for n in range(3, combinatorial_n_max + 1):
         for ell in range(n):
-            for w in all_permutations(n):
+            for w in itertools.permutations(range(1, n + 1)):
                 report.checked += 1
-                in_t = fam.in_t(n, ell, w.entries)
-                in_z = fam.in_z(w.entries)
+                in_t = fam.in_t(n, ell, w)
+                in_z = fam.in_z(w)
                 if in_t and in_z:
-                    report.record(n=n, ell=ell, w=w.to_string(),
+                    report.record(n=n, ell=ell, w=word_text(w),
                                   detail="binomial and zero families overlap")
                 if (in_t or in_z) != fam.in_p(w, ell):
-                    report.record(n=n, ell=ell, w=w.to_string(),
+                    report.record(n=n, ell=ell, w=word_text(w),
                                   detail="T union Z differs from pattern family")
     return report
 
@@ -283,36 +281,33 @@ def reference_run_pattern(n_max, combinatorial_n_max, fam):
     report = suites.SuiteReport("P")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for entries, verdict in verdicts_for_all_w(n, ell).items():
+            for w, verdict in verdicts_for_all_w(n, ell).items():
                 report.checked += 1
-                w = Permutation(entries)
                 if fam.in_p(w, ell) != (verdict != NONBINOMIAL):
-                    report.record(n=n, ell=ell, w=w.to_string(), verdict=verdict)
+                    report.record(n=n, ell=ell, w=word_text(w), verdict=verdict)
     for n in range(3, combinatorial_n_max + 1):
-        for w in all_permutations(n):
-            e = w.entries
+        for w in itertools.permutations(range(1, n + 1)):
             for ell in range(1, n):
                 if not fam.in_p(w, ell):
                     continue
                 report.checked += 1
                 for i, j, k in itertools.combinations(range(n), 3):
-                    if e[j] < e[k] < e[i]:
-                        if i != 0 or e[j] != ell:
-                            report.record(n=n, ell=ell, w=w.to_string(),
+                    if w[j] < w[k] < w[i]:
+                        if i != 0 or w[j] != ell:
+                            report.record(n=n, ell=ell, w=word_text(w),
                                           detail="312 pattern not anchored at (w_1, ell)")
-                if not is_312_free(e):
-                    head = restriction(w, e[0]).entries
-                    expected = (e[0], ell) + tuple(
-                        v for v in range(e[0] - 1, 0, -1) if v != ell
+                if not is_312_free(w):
+                    expected = (w[0], ell) + tuple(
+                        v for v in range(w[0] - 1, 0, -1) if v != ell
                     )
-                    if head != expected:
-                        report.record(n=n, ell=ell, w=w.to_string(),
+                    if restriction(w, w[0]) != expected:
+                        report.record(n=n, ell=ell, w=word_text(w),
                                       detail="restriction to w_1 has unexpected shape")
     return report
 
 
 def perm(text):
-    return Permutation.from_string(text).entries
+    return parse_permutation(text, len(text))
 
 
 PERTURBED = Families(
@@ -387,3 +382,16 @@ def test_count_table_reports_disagreement(monkeypatch):
     assert [(row.n, row.ell) for row in bad] == [(4, 2)]
     assert bad[0].binomial_count == golden.COUNT_TABLE[4][2] - 1
     assert bad[0].oracle_counts == (golden.COUNT_TABLE[4][2], 5)
+
+
+def test_a1_rank_mismatch_w_is_a_digit_string(monkeypatch):
+    # a fake oracle rank of 2 fails every A1 member; w is text, as elsewhere
+    real = suites.classify_oracle
+
+    def rank_two(n, ell, w):
+        return dataclasses.replace(real(n, ell, w), degree2_rank=2)
+
+    monkeypatch.setattr(suites, "classify_oracle", rank_two)
+    report = suites.run_a1_rank(4)
+    assert report.checked == len(report.mismatches) > 0
+    assert {m["w"] for m in report.mismatches} == set(golden.A1_N4_MEMBERS)

@@ -2,7 +2,6 @@ import pytest
 
 from mfl import golden
 from mfl.matchfield import (
-    BlockDiagonalMF,
     display_key,
     plucker_weight_oracle,
     variable_image_key,
@@ -68,10 +67,13 @@ class TestPlacementRule:
             assert display_key(4, 0, k) == k
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockDiagonalMF(4, 4)
-        with pytest.raises(ValueError):
-            BlockDiagonalMF(4, -1)
+        # verify_coherence takes the cut directly and checks its range
+        with pytest.raises(ValueError, match=r"ell must be in 0\.\.3, got 4"):
+            verify_coherence(4, 4)
+        with pytest.raises(ValueError, match=r"ell must be in 0\.\.3, got -1"):
+            verify_coherence(4, -1)
+        with pytest.raises(ValueError, match=r"ell must be in 0\.\.-1, got 0"):
+            verify_coherence(0, 0)
 
 
 class TestWeightMatrix:
@@ -119,11 +121,11 @@ class TestCoherence:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_corrected_rule_everywhere(self, n):
         for ell in range(n):
-            report = verify_coherence(BlockDiagonalMF(n, ell))
+            report = verify_coherence(n, ell)
             assert report.ok, report.first_failure()
 
     def test_literal_rule_fails(self):
-        report = verify_coherence(BlockDiagonalMF(4, 1), rule="literal")
+        report = verify_coherence(4, 1, rule="literal")
         assert not report.ok
         members = {f.members for f in report.failures}
         assert (3, 4) in members
@@ -133,7 +135,7 @@ class TestCoherence:
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            verify_coherence(BlockDiagonalMF(3, 1), rule="bogus")
+            verify_coherence(3, 1, rule="bogus")
 
 
 class TestGridImage:

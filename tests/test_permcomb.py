@@ -4,15 +4,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mfl.cli import parse_permutation
 from mfl.permcomb import (
+    MAX_N,
     _length_layers,
-    Permutation,
-    all_permutations,
     avoids,
     bruhat_leq,
     bruhat_leq_oracle,
     bruhat_minimum,
     bruhat_up_set,
+    check_permutation,
     dominated,
     has_descending_property,
     in_zero_family,
@@ -25,61 +26,78 @@ from mfl.permcomb import (
     restriction,
     set_bits,
     vanishing_keys,
+    word_text,
     zero_family,
     zero_family_size,
 )
-from mfl.quadideal import key_text
 
 
-def in_zero_family_inductive(w: Permutation) -> bool:
+def in_zero_family_inductive(w: tuple[int, ...]) -> bool:
     """Inductive form: w ends with n, or with (n, n-1); recurse on the rest.
 
     The reference for :func:`mfl.permcomb.in_zero_family`.
     """
-    e = w.entries
-    n = len(e)
+    n = len(w)
     if n <= 1:
         return True
-    if e[-1] == n:
-        return in_zero_family_inductive(Permutation(e[:-1]))
-    if n >= 2 and e[-1] == n - 1 and e[-2] == n:
+    if w[-1] == n:
+        return in_zero_family_inductive(w[:-1])
+    if n >= 2 and w[-1] == n - 1 and w[-2] == n:
         if n == 2:
             return True
-        return in_zero_family_inductive(Permutation(e[:-2]))
+        return in_zero_family_inductive(w[:-2])
     return False
 
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(tuple)
 
 
+def permutations_of(n):
+    return itertools.permutations(range(1, n + 1))
+
+
 class TestTypes:
     def test_permutation_validates(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 2))
-        with pytest.raises(ValueError):
-            Permutation((0, 1))
-        with pytest.raises(ValueError):
-            Permutation(tuple(range(1, 18)))
+        for w, message in (
+            ((1, 1, 2), r"not a permutation of \[3\]: \(1, 1, 2\)"),
+            ((0, 1), r"not a permutation of \[2\]"),
+            ((), r"length must be in 1\.\.16, got 0"),
+            (tuple(range(1, 18)), r"length must be in 1\.\.16, got 17"),
+            ((2, 1), "permutation length 2 does not match n = 3"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check_permutation(w, 3)
+        assert MAX_N == 16
+        check_permutation(tuple(range(16, 0, -1)), 16)
 
     @given(perms(7))
-    def test_string_round_trip(self, entries):
-        w = Permutation(entries)
-        assert Permutation.from_string(w.to_string()) == w
+    def test_string_round_trip(self, w):
+        assert parse_permutation(word_text(w), 7) == w
 
     def test_large_n_serialization(self):
-        w = Permutation(tuple(range(10, 0, -1)))
-        assert w.to_string() == "10,9,8,7,6,5,4,3,2,1"
-        assert Permutation.from_string(w.to_string()) == w
+        w = tuple(range(10, 0, -1))
+        assert word_text(w) == "10,9,8,7,6,5,4,3,2,1"
+        assert parse_permutation(word_text(w), 10) == w
 
     def test_malformed_strings(self):
-        with pytest.raises(ValueError):
-            Permutation.from_string("32x4")
-        with pytest.raises(ValueError):
-            Permutation.from_string("")
+        for text, message in (
+            ("32x4", "malformed permutation string: '32x4'"),
+            ("", "empty permutation string"),
+            ("  ", "empty permutation string"),
+            ("0123", r"not a permutation of \[4\]: \(0, 1, 2, 3\)"),
+            ("1,,2", "invalid literal"),
+            (",".join(map(str, range(1, 18))), r"must be in 1\.\.16, got 17"),
+            ("321", "permutation '321' has length 3, expected 4"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_permutation(text, 4)
+        assert parse_permutation(" 3214 ", 4) == (3, 2, 1, 4)
 
     def test_index_set_strings(self):
-        assert key_text((1, 2, 4)) == "124"
-        assert key_text((2, 10)) == "2,10"
+        assert word_text((1, 2, 4)) == "124"
+        assert word_text((2, 10)) == "2,10"
+        assert word_text((1, 2, 10)) == "1,2,10"
+        assert word_text(()) == ""
 
 
 class TestGaleOrder:
@@ -112,16 +130,15 @@ class TestVanishingSet:
 
     def test_longest_is_empty(self):
         for n in range(2, 7):
-            assert vanishing_keys(Permutation.longest(n).entries) == frozenset()
+            assert vanishing_keys(tuple(range(n, 0, -1))) == frozenset()
 
     def test_identity_keeps_initial_segments(self):
         n = 5
-        w = Permutation.identity(n)
         surviving = {
             j for size in range(1, n)
             for j in [tuple(range(1, size + 1))]
         }
-        van = vanishing_keys(w.entries)
+        van = vanishing_keys(tuple(range(1, n + 1)))
         for size in range(1, n):
             for combo in itertools.combinations(range(1, n + 1), size):
                 assert (combo in van) == (combo not in surviving)
@@ -130,10 +147,10 @@ class TestVanishingSet:
         # splitting along the position of n: a subset of size >= t survives
         # iff dropping its largest element survives for w with n removed
         for n in range(3, 7):
-            for w in all_permutations(n):
-                t = w.position_of(n) + 1
-                van = vanishing_keys(w.entries)
-                ul_van = vanishing_keys(remove_max(w).entries)
+            for w in permutations_of(n):
+                t = w.index(n) + 1
+                van = vanishing_keys(w)
+                ul_van = vanishing_keys(remove_max(w))
                 for size in range(t, n):
                     for combo in itertools.combinations(range(1, n + 1), size):
                         head = combo[:-1]
@@ -144,12 +161,12 @@ class TestVanishingSet:
         # for descending-tail w the tail membership only needs the first t-1
         # entries of the subset
         for n in range(2, 7):
-            for w in all_permutations(n):
+            for w in permutations_of(n):
                 if not has_descending_property(w):
                     continue
-                t = w.position_of(w.n) + 1
-                van = vanishing_keys(w.entries)
-                prefix = tuple(sorted(w.entries[: t - 1]))
+                t = w.index(n) + 1
+                van = vanishing_keys(w)
+                prefix = tuple(sorted(w[: t - 1]))
                 for size in range(t, n):
                     for combo in itertools.combinations(range(1, n + 1), size):
                         head = combo[: t - 1]
@@ -159,27 +176,28 @@ class TestVanishingSet:
 
 class TestRestriction:
     def test_examples(self):
-        w = Permutation((1, 4, 2, 3))
-        assert restriction(w, 2).entries == (1, 2)
-        assert restriction(w, 4).entries == (1, 4, 2, 3)
-        assert restriction(w, 3).entries == (1, 2, 3)
+        w = (1, 4, 2, 3)
+        assert restriction(w, 2) == (1, 2)
+        assert restriction(w, 4) == (1, 4, 2, 3)
+        assert restriction(w, 3) == (1, 2, 3)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            restriction(Permutation((1, 2)), 3)
+            restriction((1, 2), 3)
         with pytest.raises(ValueError):
-            restriction(Permutation((1, 2)), 0)
+            restriction((1, 2), 0)
 
     def test_insert_remove_max(self):
-        assert insert_max(Permutation((1, 2)), 1).entries == (1, 3, 2)
-        assert insert_max(Permutation((2, 1)), 0).entries == (3, 2, 1)
-        assert remove_max(Permutation((1, 3, 2))).entries == (1, 2)
+        assert insert_max((1, 2), 1) == (1, 3, 2)
+        assert insert_max((2, 1), 0) == (3, 2, 1)
+        assert remove_max((1, 3, 2)) == (1, 2)
         with pytest.raises(ValueError):
-            insert_max(Permutation((1, 2)), 3)
+            insert_max((1, 2), 3)
+        with pytest.raises(ValueError):
+            remove_max((1,))
 
     @given(perms(6), st.integers(0, 6))
-    def test_insert_remove_inverse(self, entries, t):
-        w = Permutation(entries)
+    def test_insert_remove_inverse(self, w, t):
         assert remove_max(insert_max(w, t)) == w
 
 
@@ -198,14 +216,14 @@ class TestPatterns:
         assert is_312_free(entries) == avoids(entries, (3, 1, 2))
 
     def test_descending_property(self):
-        assert has_descending_property(Permutation((4, 3, 2, 1)))
-        assert not has_descending_property(Permutation((1, 4, 2, 3)))
-        assert has_descending_property(Permutation((2, 1, 4, 3)))
+        assert has_descending_property((4, 3, 2, 1))
+        assert not has_descending_property((1, 4, 2, 3))
+        assert has_descending_property((2, 1, 4, 3))
 
     def test_312_free_iff_restrictions_descend(self):
         for n in range(1, 7):
-            for w in all_permutations(n):
-                free = is_312_free(w.entries)
+            for w in permutations_of(n):
+                free = is_312_free(w)
                 all_descend = all(
                     has_descending_property(restriction(w, m))
                     for m in range(1, n + 1)
@@ -215,19 +233,19 @@ class TestPatterns:
 
 class TestZeroFamily:
     def test_listings(self):
-        assert {w.to_string() for w in zero_family(3)} == {"123", "132", "213"}
-        assert {w.to_string() for w in zero_family(4)} == {
+        assert {word_text(w) for w in zero_family(3)} == {"123", "132", "213"}
+        assert {word_text(w) for w in zero_family(4)} == {
             "1234", "1243", "1324", "2134", "2143",
         }
 
     def test_identity_always_member(self):
         for n in range(1, 8):
-            assert in_zero_family(Permutation.identity(n))
+            assert in_zero_family(tuple(range(1, n + 1)))
 
     def test_three_definitions_agree(self):
         for n in range(1, 8):
             family = zero_family(n)
-            for w in all_permutations(n):
+            for w in permutations_of(n):
                 closed = in_zero_family(w)
                 assert closed == in_zero_family_inductive(w), w
                 assert closed == (w in family), w
@@ -320,7 +338,7 @@ class TestBitsetsOverSn:
 
     def test_up_sets_of_extremes(self):
         for n in range(1, 6):
-            full = (1 << len(list(all_permutations(n)))) - 1
-            assert bruhat_up_set(Permutation.identity(n).entries) == full
-            top = permutation_index(Permutation.longest(n).entries)
-            assert bruhat_up_set(Permutation.longest(n).entries) == 1 << top
+            full = (1 << len(list(permutations_of(n)))) - 1
+            longest = tuple(range(n, 0, -1))
+            assert bruhat_up_set(tuple(range(1, n + 1))) == full
+            assert bruhat_up_set(longest) == 1 << permutation_index(longest)

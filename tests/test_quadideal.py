@@ -7,12 +7,11 @@ from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_ro
 from mfl import exactla, golden, quadideal
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
-    Permutation,
     _alive_masks,
     _prefix_set_masks,
     all_index_keys,
-    all_permutations,
     vanishing_keys,
+    word_text,
 )
 from mfl.quadideal import (
     BINOMIAL,
@@ -23,13 +22,11 @@ from mfl.quadideal import (
     QuadraticRelation,
     _block_layouts,
     _block_matches,
-    _fiber_components,
     _fibers,
     _flag_ideal,
     classify_oracle,
     degree2_flag_ideal,
     initial_degree2,
-    key_text,
     matches_initial_degree2,
     mono_key,
     mono_text,
@@ -97,12 +94,12 @@ class TestRelations:
         obj = rel.to_json_obj()
         assert set(obj) == {"lhs", "rhs", "sign"}
         assert mono_text(rel.lhs).startswith("P_")
-        assert key_text((1, 2, 10)) == "1,2,10"
+        assert word_text((1, 2, 10)) == "1,2,10"
 
 
 class TestRestrict:
     def test_restricted_cell_example(self):
-        out = classify_oracle(4, 2, Permutation((3, 2, 1, 4)))
+        out = classify_oracle(4, 2, (3, 2, 1, 4))
         assert out.verdict == BINOMIAL
         assert len(out.surviving_binomials) == 1
         rel = out.surviving_binomials[0]
@@ -110,13 +107,13 @@ class TestRestrict:
         assert out.degree2_rank == 1
 
     def test_monomial_case(self):
-        out = classify_oracle(3, 0, Permutation((3, 1, 2)))
+        out = classify_oracle(3, 0, (3, 1, 2))
         assert out.verdict == NONBINOMIAL
         assert out.surviving_monomials == (((2,), (1, 3)),)
 
     def test_zero_case(self):
         for ell in range(4):
-            out = classify_oracle(4, ell, Permutation((1, 2, 3, 4)))
+            out = classify_oracle(4, ell, (1, 2, 3, 4))
             assert out.verdict == ZERO
             assert out.surviving_binomials == ()
             assert out.surviving_monomials == ()
@@ -126,7 +123,7 @@ class TestRestrict:
         # verdict, monomial list and rank do not depend on the spanning choice
         for n in (3, 4):
             for ell in range(n):
-                for w in all_permutations(n):
+                for w in itertools.permutations(range(1, n + 1)):
                     a = classify_oracle(n, ell, w, all_pairs=False)
                     b = classify_oracle(n, ell, w, all_pairs=True)
                     assert a.verdict == b.verdict
@@ -136,26 +133,30 @@ class TestRestrict:
 
 class TestClassifyOracle:
     def test_examples(self):
-        out = classify_oracle(3, 2, Permutation((3, 2, 1)))
+        out = classify_oracle(3, 2, (3, 2, 1))
         assert out.verdict == BINOMIAL
         assert {out.surviving_binomials[0].lhs, out.surviving_binomials[0].rhs} == {
             ((1,), (2, 3)), ((3,), (1, 2)),
         }
-        assert classify_oracle(4, 2, Permutation((4, 2, 3, 1))).verdict == BINOMIAL
-        assert classify_oracle(4, 2, Permutation((2, 4, 3, 1))).verdict == NONBINOMIAL
+        assert classify_oracle(4, 2, (4, 2, 3, 1)).verdict == BINOMIAL
+        assert classify_oracle(4, 2, (2, 4, 3, 1)).verdict == NONBINOMIAL
 
     def test_bounds(self):
         with pytest.raises(CapabilityError):
-            classify_oracle(8, 0, Permutation.identity(8))
+            classify_oracle(8, 0, (1, 2, 3, 4, 5, 6, 7, 8))
         with pytest.raises(ValueError):
-            classify_oracle(2, 0, Permutation.identity(2))
+            classify_oracle(2, 0, (1, 2))
         with pytest.raises(ValueError):
-            classify_oracle(4, 4, Permutation.identity(4))
+            classify_oracle(4, 4, (1, 2, 3, 4))
         with pytest.raises(ValueError):
-            classify_oracle(4, 0, Permutation.identity(5))
+            classify_oracle(4, 0, (1, 2, 3, 4, 5))
+        with pytest.raises(ValueError, match=r"not a permutation of \[4\]"):
+            classify_oracle(4, 0, (1, 1, 2, 3))
+        with pytest.raises(ValueError, match=r"length must be in 1\.\.16, got 0"):
+            classify_oracle(0, 0, ())
 
     def test_json_export(self):
-        obj = classify_oracle(4, 2, Permutation((3, 2, 1, 4))).to_json_obj()
+        obj = classify_oracle(4, 2, (3, 2, 1, 4)).to_json_obj()
         assert obj["schema"] == "mfl/1"
         assert obj["n"] == 4 and obj["ell"] == 2 and obj["w"] == "3214"
         assert obj["verdict"] == "binomial"
@@ -168,7 +169,7 @@ class TestClassifyOracle:
             for ell in range(n):
                 bulk = verdicts_for_all_w(n, ell)
                 for entries, verdict in bulk.items():
-                    oracle = classify_oracle(n, ell, Permutation(entries)).verdict
+                    oracle = classify_oracle(n, ell, entries).verdict
                     assert oracle == verdict, (n, ell, entries)
 
 
@@ -179,12 +180,12 @@ class TestVerdictKernel:
         for ell in range(7):
             items = list(verdicts_for_all_w(7, ell).items())
             for entries, verdict in items[::50]:
-                oracle = classify_oracle(7, ell, Permutation(entries)).verdict
+                oracle = classify_oracle(7, ell, entries).verdict
                 assert oracle == verdict, (ell, entries)
 
     def test_keys_in_permutation_order(self):
         keys = list(verdicts_for_all_w(4, 1))
-        assert keys == [w.entries for w in all_permutations(4)]
+        assert keys == list(itertools.permutations(range(1, 5)))
 
     def test_n7_counts(self):
         for ell, expected in enumerate(golden.COUNT_TABLE[7]):
@@ -200,7 +201,7 @@ class TestVerdictKernel:
         # per-pair caches hold all 25 pairs with n <= 7 without thrashing
         pairs = sum(range(3, 8))
         assert pairs == 25
-        for cached in (_fibers, _fiber_components, _block_layouts):
+        for cached in (_fibers, _block_layouts):
             assert pairs <= cached.cache_info().maxsize == PAIR_CACHE_SIZE
         assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
         assert det_terms.cache_info().maxsize is not None
@@ -210,8 +211,8 @@ class TestVerdictKernel:
 
     def test_alive_masks_match_vanishing_sets(self):
         alive = _alive_masks(4)
-        for i, w in enumerate(all_permutations(4)):
-            vanset = vanishing_keys(w.entries)
+        for i, w in enumerate(itertools.permutations(range(1, 5))):
+            vanset = vanishing_keys(w)
             for key, mask in alive.items():
                 assert bool(mask >> i & 1) == (key not in vanset), (w, key)
 
@@ -269,7 +270,7 @@ class TestDegreeTwoSpace:
             space = degree2_flag_ideal(n, cap=8)
             assert len(space.monomials) == monomials
             assert monomials - space.rank == standard
-            w0 = Permutation.longest(n)
+            w0 = tuple(range(n, 0, -1))
             for ell in range(n):
                 assert standard_monomial_count_deg2(n, ell, w0) == standard
 
@@ -308,7 +309,7 @@ class TestDegreeTwoSpace:
 
 class TestInitialDegree2:
     def test_restricted_example(self):
-        space = initial_degree2(4, 2, Permutation((3, 2, 1, 4)))
+        space = initial_degree2(4, 2, (3, 2, 1, 4))
         assert space.rank == 1
         (row,) = space.rows
         support = {space.monomials[c] for c, _ in row}
@@ -316,52 +317,58 @@ class TestInitialDegree2:
 
     def test_zero_for_zero_family(self):
         for ell in range(3):
-            assert initial_degree2(3, ell, Permutation((1, 2, 3))).rank == 0
+            assert initial_degree2(3, ell, (1, 2, 3)).rank == 0
 
     def test_full_flag_matches_relations(self):
         # with nothing vanishing, initial forms span the fiber relations
         for n in (3, 4):
             for ell in range(n):
-                w0 = Permutation.longest(n)
+                w0 = tuple(range(n, 0, -1))
                 init = initial_degree2(n, ell, w0)
                 gs = surviving_binomial_space(n, ell, w0, init)
                 assert gs.rows == init.rows
                 assert init.rank == len(quadratic_relations(n, ell))
 
     def test_theorem_equality_examples(self):
-        assert matches_initial_degree2(4, 2, Permutation((3, 2, 1, 4)))
-        assert matches_initial_degree2(4, 0, Permutation((1, 3, 4, 2)))
-        assert initial_degree2(4, 0, Permutation((1, 3, 4, 2))).rank == 1
+        assert matches_initial_degree2(4, 2, (3, 2, 1, 4))
+        assert matches_initial_degree2(4, 0, (1, 3, 4, 2))
+        assert initial_degree2(4, 0, (1, 3, 4, 2)).rank == 1
         for ell in range(4):
-            assert matches_initial_degree2(4, ell, Permutation((1, 2, 3, 4)))
-            assert initial_degree2(4, ell, Permutation((1, 2, 3, 4))).rank == 0
+            assert matches_initial_degree2(4, ell, (1, 2, 3, 4))
+            assert initial_degree2(4, ell, (1, 2, 3, 4)).rank == 0
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            matches_initial_degree2(3, 0, Permutation((3, 1, 2)))
+            matches_initial_degree2(3, 0, (3, 1, 2))
 
     def test_every_nonbinomial_case_raises(self):
         for ell in range(4):
             for entries, verdict in verdicts_for_all_w(4, ell).items():
                 if verdict == NONBINOMIAL:
                     with pytest.raises(ValueError, match="not monomial-free"):
-                        matches_initial_degree2(4, ell, Permutation(entries))
+                        matches_initial_degree2(4, ell, entries)
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="needs n >= 3"):
-            matches_initial_degree2(2, 0, Permutation.identity(2))
+            matches_initial_degree2(2, 0, (1, 2))
         with pytest.raises(ValueError, match="ell must be in"):
-            matches_initial_degree2(4, 4, Permutation.identity(4))
+            matches_initial_degree2(4, 4, (1, 2, 3, 4))
         with pytest.raises(ValueError, match="does not match n = 4"):
-            matches_initial_degree2(4, 0, Permutation.identity(5))
+            matches_initial_degree2(4, 0, (1, 2, 3, 4, 5))
+        with pytest.raises(ValueError, match="not a permutation"):
+            matches_initial_degree2(4, 0, (0, 1, 2, 3))
+        with pytest.raises(ValueError, match="does not match n = 4"):
+            initial_degree2(4, 0, (1, 2, 3))
+        with pytest.raises(ValueError, match="not a permutation"):
+            surviving_binomial_space(3, 0, (1, 1, 2), initial_degree2(3, 0, (1, 2, 3)))
         with pytest.raises(CapabilityError, match="linear-algebra cap"):
-            matches_initial_degree2(5, 0, Permutation.identity(5), cap=4)
+            matches_initial_degree2(5, 0, (1, 2, 3, 4, 5), cap=4)
 
     def test_la_cap_is_the_only_size_gate(self):
         # past the oracle bound (n <= 7) the la-cap alone decides
-        assert matches_initial_degree2(8, 0, Permutation.identity(8), cap=8)
+        assert matches_initial_degree2(8, 0, (1, 2, 3, 4, 5, 6, 7, 8), cap=8)
         with pytest.raises(CapabilityError, match="linear-algebra cap is n <= 7"):
-            matches_initial_degree2(8, 0, Permutation.identity(8), cap=7)
+            matches_initial_degree2(8, 0, (1, 2, 3, 4, 5, 6, 7, 8), cap=7)
 
     def test_blockwise_matches_reference(self):
         # the blockwise check against the global reference path, for every
@@ -369,10 +376,9 @@ class TestInitialDegree2:
         checked = 0
         for n in range(3, 6):
             for ell in range(n):
-                for entries, verdict in verdicts_for_all_w(n, ell).items():
+                for w, verdict in verdicts_for_all_w(n, ell).items():
                     if verdict == NONBINOMIAL:
                         continue
-                    w = Permutation(entries)
                     init = initial_degree2(n, ell, w)
                     reference = surviving_binomial_space(n, ell, w, init).rows == init.rows
                     assert matches_initial_degree2(n, ell, w) == reference, (n, ell, w)
@@ -384,12 +390,11 @@ class TestInitialDegree2:
 
         for n in (3, 4):
             for ell in range(n):
-                for entries, verdict in verdicts_for_all_w(n, ell).items():
+                for w, verdict in verdicts_for_all_w(n, ell).items():
                     if verdict == NONBINOMIAL:
                         continue
-                    w = Permutation(entries)
                     init = initial_degree2(n, ell, w)
-                    vanset = vanishing_keys(w.entries)
+                    vanset = vanishing_keys(w)
                     alive = [
                         k for k in all_index_keys(n) if k not in vanset
                     ]
@@ -516,7 +521,7 @@ class TestTheoremAKernel:
                     free = not monomial >> i & 1
                     assert bool(masks.checked >> i & 1) == free, (n, ell, entries)
                     if free:
-                        matches = matches_initial_degree2(n, ell, Permutation(entries))
+                        matches = matches_initial_degree2(n, ell, entries)
                         assert bool(masks.failing >> i & 1) != matches, (n, ell, entries)
         assert bool(failing) == fake
 

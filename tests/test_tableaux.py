@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from mfl import suites, tableaux
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
-    Permutation,
     all_index_keys,
-    all_permutations,
     bruhat_leq,
     is_312_free,
     vanishing_keys,
+    word_text,
 )
 from mfl.quadideal import CapabilityError
 from mfl.tableaux import (
@@ -108,12 +107,12 @@ class TestRowEqual:
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(enumerate_ssyt2(3, Permutation((3, 2, 1)))) == 20
+        assert len(enumerate_ssyt2(3, (3, 2, 1))) == 20
         assert len(enumerate_ssyt2(3)) == 20
         assert len(enumerate_ssyt2(5)) == 399
 
     def test_identity_filter(self):
-        tableaux = enumerate_ssyt2(3, Permutation((1, 2, 3)))
+        tableaux = enumerate_ssyt2(3, (1, 2, 3))
         assert {t.columns for t in tableaux} == {
             ((1,), (1,)),
             ((1, 2), (1,)),
@@ -121,7 +120,7 @@ class TestEnumeration:
         }
 
     def test_shape_example(self):
-        tableaux = enumerate_ssyt2(4, Permutation((3, 2, 1, 4)))
+        tableaux = enumerate_ssyt2(4, (3, 2, 1, 4))
         assert any(t.columns == ((1, 2), (3,)) for t in tableaux)
 
     def test_deterministic_order(self):
@@ -171,7 +170,7 @@ class TestRearrangement:
 
 class TestStandardMonomialCount:
     def test_examples(self):
-        w = Permutation((3, 2, 1))
+        w = (3, 2, 1)
         assert standard_monomial_count_deg2(3, 0, w) == 20
         assert standard_monomial_count_deg2(3, 0, w) == len(enumerate_ssyt2(3, w))
 
@@ -181,8 +180,8 @@ class TestStandardMonomialCount:
 
         for n in (3, 4):
             for ell in range(n):
-                w = Permutation.identity(n)
-                vanset = vanishing_keys(w.entries)
+                w = tuple(range(1, n + 1))
+                vanset = vanishing_keys(w)
                 alive = [k for k in all_index_keys(n) if k not in vanset]
                 expected = len(alive) * (len(alive) + 1) // 2
                 assert standard_monomial_count_deg2(n, ell, w) == expected
@@ -191,18 +190,18 @@ class TestStandardMonomialCount:
 class TestDefiningChains:
     def test_constructive_examples(self):
         chain = min_defining_chain2(Tableau(((1, 2, 4), (3,)), 4))
-        assert [p.to_string() for p in chain.perms] == ["1243", "3142"]
+        assert [word_text(p) for p in chain.perms] == ["1243", "3142"]
         chain = min_defining_chain2(Tableau(((1, 3), (2,)), 3))
-        assert chain.perms[1].to_string() == "231"
+        assert chain.perms[1] == (2, 3, 1)
 
     def test_equal_columns(self):
         chain = min_defining_chain2(Tableau(((1, 3), (2, 4)), 4))
-        assert chain.perms[1].to_string() == "2413"
+        assert chain.perms[1] == (2, 4, 1, 3)
         assert chain.tilde_i == ()
 
     def test_single_column(self):
         chain = min_defining_chain2(Tableau(((2, 3),), 4))
-        assert [p.to_string() for p in chain.perms] == ["2314"]
+        assert [word_text(p) for p in chain.perms] == ["2314"]
 
     def test_matches_exhaustive(self):
         for n in (3, 4, 5, 6):
@@ -250,20 +249,20 @@ class TestDefiningChains:
         with pytest.raises(CapabilityError):
             min_defining_chain2(t)
         with pytest.raises(CapabilityError):
-            is_standard(t, Permutation((4, 3, 2, 1)))
+            is_standard(t, (4, 3, 2, 1))
 
 
 class TestStandardness:
     def test_examples(self):
-        assert is_standard(Tableau(((1, 3), (2,)), 3), Permutation((2, 3, 1)))
+        assert is_standard(Tableau(((1, 3), (2,)), 3), (2, 3, 1))
         assert not is_standard(
-            Tableau(((1, 2, 4), (3,)), 4), Permutation((3, 2, 1, 4))
+            Tableau(((1, 2, 4), (3,)), 4), (3, 2, 1, 4)
         )
 
     def test_single_column_matches_domination(self):
         for n in (3, 4):
-            for w in all_permutations(n):
-                vanset = vanishing_keys(w.entries)
+            for w in itertools.permutations(range(1, n + 1)):
+                vanset = vanishing_keys(w)
                 for t in enumerate_ssyt2(n):
                     single = Tableau((t.columns[0],), n)
                     assert is_standard(single, w) == (
@@ -272,39 +271,39 @@ class TestStandardness:
 
     def test_two_column_theorem_for_312_free(self):
         for n in (3, 4):
-            for w in all_permutations(n):
-                if not is_312_free(w.entries):
+            for w in itertools.permutations(range(1, n + 1)):
+                if not is_312_free(w):
                     continue
-                vanset = vanishing_keys(w.entries)
+                vanset = vanishing_keys(w)
                 for t in enumerate_ssyt2(n):
                     dominated = all(c not in vanset for c in t.columns)
                     assert is_standard(t, w) == dominated, (w, t.columns)
 
     def test_counterexample_when_not_312_free(self):
         # for w = 312 the below-w tableau [13|2] is not standard
-        w = Permutation((3, 1, 2))
+        w = (3, 1, 2)
         t = Tableau(((1, 3), (2,)), 3)
-        vanset = vanishing_keys(w.entries)
+        vanset = vanishing_keys(w)
         assert all(c not in vanset for c in t.columns)
         assert not is_standard(t, w)
 
 
 class TestVerifyBijection:
     def test_examples(self):
-        r = verify_bijection(4, 2, Permutation((3, 2, 1, 4)))
+        r = verify_bijection(4, 2, (3, 2, 1, 4))
         assert r.ok and r.in_pattern
         assert r.standard_count == r.row_class_count == r.column_count == 27
-        r = verify_bijection(5, 1, Permutation((5, 1, 4, 3, 2)))
+        r = verify_bijection(5, 1, (5, 1, 4, 3, 2))
         assert r.ok and r.in_pattern
         assert r.standard_count == r.row_class_count == 169
-        r = verify_bijection(3, 0, Permutation((3, 2, 1)))
+        r = verify_bijection(3, 0, (3, 2, 1))
         assert r.ok
         assert r.standard_count == r.row_class_count == 20
 
     def test_column_form_counterexample_reported(self):
         # (3, 1, 312): pattern member with a 312 pattern; the column-form
         # count is 15 against 14 row classes, but the chain form holds
-        r = verify_bijection(3, 1, Permutation((3, 1, 2)))
+        r = verify_bijection(3, 1, (3, 1, 2))
         assert r.ok
         assert r.standard_count == r.row_class_count == 14
         assert r.column_count == 15
@@ -313,7 +312,7 @@ class TestVerifyBijection:
         assert "standard_count_identity" in names
 
     def test_out_of_pattern_family_runs_base_checks(self):
-        r = verify_bijection(3, 0, Permutation((3, 1, 2)))
+        r = verify_bijection(3, 0, (3, 1, 2))
         assert not r.in_pattern
         assert dict(r.checks)["injective"]
         assert dict(r.checks)["surjective"]
@@ -322,7 +321,7 @@ class TestVerifyBijection:
     @pytest.mark.parametrize("n", [3, 4])
     def test_pattern_family_sweep(self, n):
         for ell in range(n):
-            for w in all_permutations(n):
+            for w in itertools.permutations(range(1, n + 1)):
                 if in_pattern_family(w, ell):
                     report = verify_bijection(n, ell, w)
                     assert report.ok, (n, ell, w, report.failures[:3])
@@ -345,14 +344,14 @@ def reference_min_defining_chain2(t):
     s = len(right)
     valid = []
     for entries in itertools.permutations(range(1, n + 1)):
-        if set(entries[:s]) == right and bruhat_leq(v1.entries, entries):
+        if set(entries[:s]) == right and bruhat_leq(v1, entries):
             valid.append(entries)
     minima = [
         e for e in valid if all(bruhat_leq(e, other) for other in valid)
     ]
     if len(minima) != 1:
         raise ValueError(f"no unique minimum defining chain for {t.columns}")
-    return tableaux.DefiningChain((v1, Permutation(minima[0])))
+    return tableaux.DefiningChain((v1, minima[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +377,8 @@ def _reference_pairs(n):
 def reference_verify_bijection(n, ell, w):
     """verify_bijection as it was before the bitset tables: every check
     recomputed for each w from the tableaux and the vanishing set."""
-    if w.n != n:
-        raise ValueError(f"permutation length {w.n} does not match n = {n}")
+    if len(w) != n:
+        raise ValueError(f"permutation length {len(w)} does not match n = {n}")
     rearrange = tableaux.ssyt_to_matching_field
     data = _reference_signatures(n, ell, rearrange)
     failures = []
@@ -407,7 +406,7 @@ def reference_verify_bijection(n, ell, w):
             failures.append(f"monomial {(a, b)} misses every image row class")
     checks.append(("surjective", surjective))
 
-    vanset = vanishing_keys(w.entries)
+    vanset = vanishing_keys(w)
 
     def below(cols):
         return all(c not in vanset for c in cols)
@@ -421,14 +420,14 @@ def reference_verify_bijection(n, ell, w):
     checks.append(("preimage_below_w", preimage_ok))
 
     in_pattern = in_pattern_family(w, ell)
-    free_312 = is_312_free(w.entries)
+    free_312 = is_312_free(w)
     standard_count = None
     column_count = None
     row_class_count = None
     if in_pattern:
         row_class_count = standard_monomial_count_deg2(n, ell, w)
         standard_count = sum(
-            1 for t, _ in data if bruhat_leq(min_defining_chain2(t).last.entries, w.entries)
+            1 for t, _ in data if bruhat_leq(min_defining_chain2(t).last, w)
         )
         std_ok = standard_count == row_class_count
         if not std_ok:
@@ -475,7 +474,7 @@ def reference_verify_bijection(n, ell, w):
     return BijectionReport(
         n,
         ell,
-        w.to_string(),
+        word_text(w),
         in_pattern,
         tuple(checks),
         standard_count,
@@ -489,7 +488,7 @@ class TestBijectionTables:
     @pytest.mark.parametrize("n", [3, 4])
     def test_reports_match_reference_for_every_w(self, n):
         for ell in range(n):
-            for w in all_permutations(n):
+            for w in itertools.permutations(range(1, n + 1)):
                 assert verify_bijection(n, ell, w) == reference_verify_bijection(
                     n, ell, w
                 ), (n, ell, w)
@@ -497,7 +496,7 @@ class TestBijectionTables:
     def test_reports_match_reference_on_pattern_family_n5(self):
         checked = 0
         for ell in range(5):
-            for w in all_permutations(5):
+            for w in itertools.permutations(range(1, 6)):
                 if in_pattern_family(w, ell):
                     checked += 1
                     assert verify_bijection(5, ell, w) == reference_verify_bijection(
@@ -517,7 +516,7 @@ class TestBijectionTables:
             failed = set()
             for n in (3, 4):
                 for ell in range(n):
-                    for w in all_permutations(n):
+                    for w in itertools.permutations(range(1, n + 1)):
                         report = verify_bijection(n, ell, w)
                         assert report == reference_verify_bijection(n, ell, w)
                         failed.update(name for name, ok in report.checks if not ok)
@@ -527,32 +526,41 @@ class TestBijectionTables:
 
     def test_real_map_reports_below_w_failures(self):
         # the recorded-only column-form failures and the preimage failures
-        r = verify_bijection(3, 1, Permutation((3, 1, 2)))
+        r = verify_bijection(3, 1, (3, 1, 2))
         assert r.failures == ("image of below-w tableau ((1, 3), (2,)) not below w",)
-        r = verify_bijection(3, 1, Permutation((2, 3, 1)))
+        r = verify_bijection(3, 1, (2, 3, 1))
         assert not dict(r.checks)["preimage_below_w"]
         assert r.failures == (
             "preimage of below-w image ((1, 2), (3,)) is not below w",
         )
 
     def test_size_mismatch(self):
+        # the per-w entry points check the tuple's length and entries
         with pytest.raises(ValueError, match="does not match n = 4"):
-            verify_bijection(4, 1, Permutation((1, 2, 3)))
+            verify_bijection(4, 1, (1, 2, 3))
+        with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
+            verify_bijection(3, 1, (1, 2, 2))
+        with pytest.raises(ValueError, match="permutation length 3 does not match n = 4"):
+            is_standard(Tableau(((1, 2), (3,)), 4), (1, 2, 3))
+        with pytest.raises(ValueError, match="not a permutation"):
+            enumerate_ssyt2(3, (0, 1, 2))
+        with pytest.raises(ValueError, match="does not match n = 3"):
+            standard_monomial_count_deg2(3, 0, (2, 1))
 
 
 class TestStandardMasks:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_is_standard_matches_chain_end_below_w(self, n):
-        for w in all_permutations(n):
+        for w in itertools.permutations(range(1, n + 1)):
             for t in enumerate_ssyt2(n):
-                expected = bruhat_leq(min_defining_chain2(t).last.entries, w.entries)
+                expected = bruhat_leq(min_defining_chain2(t).last, w)
                 assert is_standard(t, w) == expected, (w, t.columns)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_masks_follow_enumeration_order(self, n):
         masks = standard_masks(n)
         assert len(masks) == len(enumerate_ssyt2(n))
-        for i, w in enumerate(all_permutations(n)):
+        for i, w in enumerate(itertools.permutations(range(1, n + 1))):
             for t, mask in zip(enumerate_ssyt2(n), masks):
                 assert bool(mask >> i & 1) == is_standard(t, w)
 
@@ -590,15 +598,15 @@ def reference_domination(n, standard):
     the bitsets: one vanishing set per 312-free w, one check per tableau."""
     report = suites.SuiteReport("tableaux")
     tableaux_n = enumerate_ssyt2(n)
-    for i, w in enumerate(all_permutations(n)):
-        if not is_312_free(w.entries):
+    for i, w in enumerate(itertools.permutations(range(1, n + 1))):
+        if not is_312_free(w):
             continue
-        vanset = vanishing_keys(w.entries)
+        vanset = vanishing_keys(w)
         for t, mask in zip(tableaux_n, standard):
             report.checked += 1
             dominated = all(c not in vanset for c in t.columns)
             if bool(mask >> i & 1) != dominated:
-                report.record(n=n, w=w.to_string(), columns=t.columns,
+                report.record(n=n, w=word_text(w), columns=t.columns,
                               detail="standardness differs from domination")
     return report
 

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from mfl import golden
-from mfl.permcomb import Permutation, all_permutations, in_zero_family
+from mfl.permcomb import in_zero_family
 from mfl.quadideal import BINOMIAL, NONBINOMIAL, ZERO
 from mfl.theoremsets import (
     CLASS_N,
@@ -67,43 +69,45 @@ class TestBinomialFamily:
 
 class TestPatternFamily:
     def test_examples(self):
-        assert in_pattern_family(Permutation((4, 2, 3, 1)), 2)
-        assert not in_pattern_family(Permutation((2, 4, 3, 1)), 2)
+        assert in_pattern_family((4, 2, 3, 1), 2)
+        assert not in_pattern_family((2, 4, 3, 1), 2)
         for n in (3, 4, 5):
             for ell in range(n):
-                assert in_pattern_family(Permutation.identity(n), ell)
+                assert in_pattern_family(tuple(range(1, n + 1)), ell)
 
     def test_diagonal_convention_is_312_freeness(self):
         from mfl.permcomb import is_312_free
 
-        for w in all_permutations(5):
-            assert in_pattern_family(w, 0) == is_312_free(w.entries)
+        for w in itertools.permutations(range(1, 6)):
+            assert in_pattern_family(w, 0) == is_312_free(w)
 
     def test_union_identity(self):
         # pattern family = zero family union binomial family, oracle-free
         for n in range(3, 8):
             for ell in range(n):
                 family = binomial_family(n, ell)
-                for w in all_permutations(n):
-                    expected = in_zero_family(w) or w.entries in family
+                for w in itertools.permutations(range(1, n + 1)):
+                    expected = in_zero_family(w) or w in family
                     assert in_pattern_family(w, ell) == expected, (n, ell, w)
 
     def test_families_disjoint(self):
         for n in range(3, 7):
             for ell in range(n):
                 for e in binomial_family(n, ell):
-                    assert not in_zero_family(Permutation(e))
+                    assert not in_zero_family(e)
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            in_pattern_family(Permutation((1, 2, 3)), 3)
+            in_pattern_family((1, 2, 3), 3)
+        with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
+            in_pattern_family((1, 1, 2), 0)
 
 
 class TestClassifyCombinatorial:
     def test_record_invariants(self):
         for n in (3, 4, 5):
             for ell in range(n):
-                for w in all_permutations(n):
+                for w in itertools.permutations(range(1, n + 1)):
                     record = classify_combinatorial(n, ell, w)
                     if record.combinatorial_class in (CLASS_Z, CLASS_T):
                         assert record.in_pattern
@@ -114,15 +118,22 @@ class TestClassifyCombinatorial:
                     )
 
     def test_predicted_verdicts(self):
-        record = classify_combinatorial(4, 2, Permutation((3, 2, 1, 4)))
+        record = classify_combinatorial(4, 2, (3, 2, 1, 4))
         assert record.combinatorial_class == CLASS_T
         assert record.predicted_verdict == BINOMIAL
+        assert record.w == (3, 2, 1, 4)
         assert classify_combinatorial(
-            4, 2, Permutation((1, 2, 3, 4))
+            4, 2, (1, 2, 3, 4)
         ).predicted_verdict == ZERO
         assert classify_combinatorial(
-            4, 2, Permutation((2, 4, 3, 1))
+            4, 2, (2, 4, 3, 1)
         ).predicted_verdict == NONBINOMIAL
+
+    def test_rejects_non_permutations(self):
+        with pytest.raises(ValueError, match="permutation length 3 does not match n = 4"):
+            classify_combinatorial(4, 2, (3, 2, 1))
+        with pytest.raises(ValueError, match=r"not a permutation of \[4\]: \(3, 3, 1, 4\)"):
+            classify_combinatorial(4, 2, (3, 3, 1, 4))
 
 
 class TestCrossValidation:
@@ -155,10 +166,10 @@ class TestCountTable:
                 row = by_cell[(n, ell)]
                 assert row.binomial_count == golden.COUNT_TABLE[n][ell]
                 assert row.zero_count == len(
-                    [w for w in all_permutations(n) if in_zero_family(w)]
+                    [w for w in itertools.permutations(range(1, n + 1)) if in_zero_family(w)]
                 )
                 total = row.binomial_count + row.zero_count + row.nonbinomial_count
-                assert total == len(list(all_permutations(n)))
+                assert total == len(list(itertools.permutations(range(1, n + 1))))
 
     def test_n7_rows(self):
         rows = count_table(7, 7)
