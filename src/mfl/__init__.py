@@ -9,7 +9,6 @@ descriptions of these classes against the brute-force oracle.
 
 from mfl.matchfield import (
     display_key,
-    plucker_weight_oracle,
     variable_image_key,
     verify_coherence,
     weight_key,

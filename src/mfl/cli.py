@@ -14,9 +14,10 @@ import sys
 from dataclasses import dataclass
 
 from mfl import golden
-from mfl.permcomb import check_permutation, word_text, zero_family, zero_family_size
+from mfl.permcomb import MAX_N, check_permutation, word_text, zero_family, zero_family_size
 from mfl.quadideal import (
     CapabilityError,
+    _check_case,
     classify_oracle,
     mono_key,
     mono_text,
@@ -226,6 +227,7 @@ def cmd_ideal(args, config: RunConfig) -> int:
     if args.w is not None:
         w = parse_permutation(args.w, args.n)
     else:
+        _check_case(args.n, args.ell, None)  # name n, not the default word
         w = tuple(range(args.n, 0, -1))
     outcome = classify_oracle(args.n, args.ell, w, all_pairs=config.all_pairs)
     if config.fmt == "json":
@@ -278,6 +280,8 @@ def cmd_verify(args, config: RunConfig) -> int:
         )
     if args.n_max is not None and args.n_max < 3:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
+    if args.n_max is not None and args.n_max > MAX_N:
+        raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
     report = run_suite(args.suite, n_max=args.n_max, cap=config.la_cap)
     if config.fmt == "json":
         _emit_json(report.to_json_obj())

@@ -163,6 +163,16 @@ class TestIdeal:
         assert code == 0
         assert out.strip() == "P_1*P_23 + P_3*P_12"
 
+    @pytest.mark.parametrize("n, message", [
+        ("-1", "classification needs n >= 3, got -1"),
+        ("20", "oracle bound is n <= 7, got n = 20"),
+    ])
+    def test_bad_n_without_w_names_n(self, capsys, n, message):
+        # checked before the default word w_0 is built from n
+        code, out, err = run(capsys, "ideal", "--n", n, "--ell", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_all_pairs_flag(self, capsys):
         code_a, out_a, _ = run(capsys, "--format", "json", "ideal", "--n", "4", "--ell", "0")
         code_b, out_b, _ = run(
@@ -297,6 +307,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "theoremB", "--n-max", n_max)
         assert (code, out) == (2, "")
         assert err == f"error: --n-max must be at least 3, got {n_max}\n"
+
+    @pytest.mark.parametrize("n_max", ["17", "40"])
+    def test_n_max_above_max_n_exits_2(self, capsys, monkeypatch, n_max):
+        # refused before any suite (and its 2^n_max-entry tables) runs
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        code, out, err = run(capsys, "verify", "--suite", "coherence", "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n-max must be at most 16, got {n_max}\n"
 
 
 class TestSweep:

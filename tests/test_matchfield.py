@@ -1,15 +1,58 @@
+import itertools
+import math
+
 import pytest
 
-from mfl import golden
+from mfl import golden, matchfield
 from mfl.matchfield import (
+    CoherenceFailure,
+    CoherenceReport,
+    _placement_weights,
+    _rule_placement,
+    _subset_minima,
     display_key,
-    plucker_weight_oracle,
     variable_image_key,
     verify_coherence,
     weight_key,
     weight_matrix,
 )
-from mfl.permcomb import all_index_keys
+from mfl.permcomb import MAX_N, all_index_keys
+
+
+def plucker_weight_oracle(n, ell, members):
+    """Minimum weight over all |J|! placements of J into rows 1..|J|."""
+    return min(_placement_weights(n, ell, members).values())
+
+
+def reference_verify_coherence(n, ell, rule="corrected"):
+    """The enumeration oracle for verify_coherence: for every index set J,
+    weigh all |J|! placements and report J unless the minimum is attained
+    once, at the rule's placement."""
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    failures = []
+    checked = 0
+    for size in range(1, n):
+        for members in itertools.combinations(range(1, n + 1), size):
+            checked += 1
+            weights = _placement_weights(n, ell, members)
+            best = min(weights.values())
+            argmin = tuple(sorted(rows for rows, v in weights.items() if v == best))
+            expected = _rule_placement(ell, members, rule)
+            if len(argmin) != 1 or argmin[0] != expected:
+                failures.append(
+                    CoherenceFailure(
+                        members=members,
+                        expected_rows=expected,
+                        minimal_rows=argmin,
+                        tie=len(argmin) > 1,
+                    )
+                )
+    return CoherenceReport(n, ell, rule, checked, tuple(failures))
+
+
+def bitmask(members):
+    return sum(1 << (v - 1) for v in members)
 
 
 def swap_tag(n, ell, members):
@@ -74,6 +117,9 @@ class TestPlacementRule:
             verify_coherence(4, -1)
         with pytest.raises(ValueError, match=r"ell must be in 0\.\.-1, got 0"):
             verify_coherence(0, 0)
+        # the subset tables have 2^n entries; n past MAX_N is refused first
+        with pytest.raises(ValueError, match=r"n must be at most 16, got 17"):
+            verify_coherence(MAX_N + 1, 0)
 
 
 class TestWeightMatrix:
@@ -102,6 +148,12 @@ class TestWeights:
                     assert weight_key(n, ell, k) == plucker_weight_oracle(n, ell, k), (
                         n, ell, k,
                     )
+        # ... and the subset minima, further than enumeration reaches
+        for n in range(2, 11):
+            for ell in range(n):
+                best, _ = _subset_minima(n, ell)
+                for k in all_index_keys(n):
+                    assert weight_key(n, ell, k) == best[bitmask(k)], (n, ell, k)
 
     def test_printed_vector_is_a_misprint(self):
         # the vector printed next to both n = 4 matrices matches neither
@@ -136,6 +188,52 @@ class TestCoherence:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             verify_coherence(3, 1, rule="bogus")
+
+    @pytest.mark.parametrize("rule", ["corrected", "literal"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_enumeration(self, n, rule):
+        for ell in range(n):
+            assert verify_coherence(n, ell, rule) == reference_verify_coherence(
+                n, ell, rule
+            ), (n, ell, rule)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("rule", ["corrected", "literal"])
+    def test_matches_enumeration_n8_slow(self, rule):
+        for ell in range(8):
+            assert verify_coherence(8, ell, rule) == reference_verify_coherence(
+                8, ell, rule
+            ), (ell, rule)
+
+    def test_placements_enumerated_only_for_failures(self, monkeypatch):
+        calls = []
+
+        def counted(n, ell, members):
+            calls.append(members)
+            return _placement_weights(n, ell, members)
+
+        monkeypatch.setattr(matchfield, "_placement_weights", counted)
+        for n in range(1, 8):
+            for ell in range(n):
+                assert verify_coherence(n, ell).ok
+        assert calls == []
+        literal = verify_coherence(4, 1, rule="literal")
+        assert calls == [f.members for f in literal.failures] != []
+
+    def test_ties_are_counted(self, monkeypatch):
+        # under a zero matrix every placement of J is minimal: |J|! ways
+        monkeypatch.setattr(
+            matchfield, "weight_matrix", lambda n, ell: ((0,) * n,) * n
+        )
+        best, ways = _subset_minima(5, 2)
+        assert set(best) == {0}
+        assert ways == [math.factorial(s.bit_count()) for s in range(1 << 5)]
+        report = verify_coherence(5, 2)
+        assert report == reference_verify_coherence(5, 2)
+        assert [f.members for f in report.failures] == [
+            k for k in all_index_keys(5) if len(k) >= 2
+        ]
+        assert all(f.tie for f in report.failures)
 
 
 class TestGridImage:
