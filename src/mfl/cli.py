@@ -158,9 +158,9 @@ def cmd_tables(args, config: RunConfig) -> int:
             if expected is not None and tuple(members) != tuple(sorted(expected)):
                 diffs.append(("list", n))
         sizes = {n: zero_family_size(n) for n in range(1, n_max + 1)}
-        for n in range(3, n_max + 1):
-            if sizes[n] != sizes[n - 1] + sizes[n - 2]:
-                diffs.append(("recurrence", n))
+        diffs.extend(
+            ("size", n) for n, members in listing.items() if len(members) != sizes[n]
+        )
         if config.fmt == "json":
             _emit_json(
                 {"schema": SCHEMA, "listing": listing, "sizes": sizes, "diffs": diffs}

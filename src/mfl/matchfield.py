@@ -229,7 +229,6 @@ def verify_coherence(n: int, ell: int, rule: str = "corrected") -> CoherenceRepo
 # The signed monomial map
 
 
-@lru_cache(maxsize=4096)  # the (n, ell, J) with n <= 8 number 3514
 def variable_image_key(
     n: int, ell: int, members: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -246,3 +245,22 @@ def variable_image_key(
     cells = tuple(sorted((row, col) for row, col in enumerate(disp, start=1)))
     sign = -1 if _swap_flag(ell, members) else 1
     return cells, sign
+
+
+def image_code(n: int, ell: int, members: tuple[int, ...]) -> int:
+    """Image of P_J under the monomial map, up to sign, as an int code.
+
+    The code has one 2-bit field per grid cell (row, value), at bit
+    ``2 ((row - 1) n + value - 1)``, holding how often the cell occurs, so
+    the code of a product of two variables is the sum of their codes.  Two
+    degree-two monomials have equal codes exactly when their images agree
+    up to sign, that is when their matching-field tableaux are row-wise
+    equal.
+
+    >>> image_code(4, 2, (1, 3)) == 1 << 4 | 1 << 8  # cells (1, 3), (2, 1)
+    True
+    """
+    return sum(
+        1 << 2 * ((row - 1) * n + value - 1)
+        for row, value in enumerate(display_key(n, ell, members), start=1)
+    )

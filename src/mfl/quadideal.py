@@ -27,11 +27,12 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
-from mfl.matchfield import variable_image_key, weight_key
+from mfl.matchfield import image_code, variable_image_key, weight_key
 from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
     check_permutation,
+    set_bits,
     vanishing_keys,
     word_text,
 )
@@ -136,22 +137,18 @@ def _fibers(n: int, ell: int) -> tuple[tuple[tuple[MonoKey, int], ...], ...]:
     (monomial key, image sign) in monomial order, sorted by image.
 
     Fibers refine the blocks of :func:`_degree_blocks`, so each block is
-    split by the image of its monomials, coded with one 2-bit field per grid
-    cell (bit ``2 ((row - 1) n + value - 1)``): the image of a product is the
-    sum of two codes.
+    split by the :func:`mfl.matchfield.image_code` of its monomials, the
+    sum of two variable codes.
 
     >>> _fibers(3, 0)
     (((((1,), (2, 3)), 1), (((2,), (1, 3)), 1)),)
     """
     variables = all_index_keys(n)
-    cells, signs = [], []
-    for key in variables:
-        image, sign = variable_image_key(n, ell, key)
-        # numbered in (row, value) order, so sorted cell lists compare as
-        # the sorted image tuples do
-        cells.append([(row - 1) * n + value - 1 for row, value in image])
-        signs.append(sign)
-    codes = [sum(1 << 2 * c for c in flat) for flat in cells]
+    codes = [image_code(n, ell, key) for key in variables]
+    # a variable's cells, numbered in (row, value) order, so sorted cell
+    # lists compare as the sorted images do
+    cells = [[p >> 1 for p in set_bits(code)] for code in codes]
+    signs = [variable_image_key(n, ell, key)[1] for key in variables]
     fibers = []
     for block in _degree_blocks(n):
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -217,10 +214,6 @@ class ClassificationOutcome:
     surviving_binomials: tuple[QuadraticRelation, ...]
     surviving_monomials: tuple[MonoKey, ...]
     degree2_rank: int
-
-    @property
-    def monomial_free(self) -> bool:
-        return self.verdict in (ZERO, BINOMIAL)
 
     def to_json_obj(self) -> dict:
         return {
@@ -546,9 +539,11 @@ class _BlockLayout(NamedTuple):
     fibers: tuple[tuple[int, dict[int, int]], ...]
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
-    """The blocks of the flag ideal at n that hold a flag row or a fiber."""
+    """The blocks of the flag ideal at n that hold a flag row or a fiber.
+
+    Not cached: the Theorem A sweep visits each (n, ell) once, and a cache
+    would keep the layouts of every cut alive through it."""
     flag = _flag_ideal(n)
     monomials = flag.space.monomials
     weight = {k: weight_key(n, ell, k) for k in all_index_keys(n)}
@@ -583,9 +578,9 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
     return tuple(layouts)
 
 
-def _block_matches(n: int, ell: int, b: int, alive: int) -> bool | None:
-    """Theorem A in block b of ``_block_layouts(n, ell)`` with the monomials
-    of the ``alive`` mask surviving: None if a fiber is partly alive, else
+def _block_matches(layout: _BlockLayout, alive: int) -> bool | None:
+    """Theorem A in the block of ``layout`` with the monomials of the
+    ``alive`` mask surviving: None if a fiber is partly alive, else
     whether the surviving fiber binomials span the block's initial forms.
 
     A fiber's binomials span the kernel of ``v -> sum_c s_c v_c`` on its
@@ -596,7 +591,6 @@ def _block_matches(n: int, ell: int, b: int, alive: int) -> bool | None:
     decides the equality: the rank must be that sum, and every truncation
     must lie on wholly alive fibers with each signed fiber sum zero.
     """
-    layout = _block_layouts(n, ell)[b]
     rank = 0
     # column -> (fiber, sign) over the wholly alive fibers
     live_sign: dict[int, tuple[int, int]] = {}
@@ -659,7 +653,7 @@ def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
     alive = _alive_masks(n)
     monomials = _flag_ideal(n).space.monomials
     failing = partial = 0
-    for b, layout in enumerate(_block_layouts(n, ell)):
+    for layout in _block_layouts(n, ell):
         parts = {0: checked}  # local alive mask -> the w that have it
         for c, i in enumerate(layout.block.members):
             first, second = monomials[i]
@@ -674,7 +668,7 @@ def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
             parts = refined
         for mask, ws in parts.items():
             if mask:
-                answer = _block_matches(n, ell, b, mask)
+                answer = _block_matches(layout, mask)
                 if answer is None:
                     partial |= ws
                 if not answer:
@@ -703,10 +697,10 @@ def matches_initial_degree2(
         dead |= variable_bits[key]
     alive = ~dead
     answers = []
-    for b, layout in enumerate(_block_layouts(n, ell)):
+    for layout in _block_layouts(n, ell):
         mask = (alive >> layout.block.offset) & layout.width
         if mask:
-            answers.append(_block_matches(n, ell, b, mask))
+            answers.append(_block_matches(layout, mask))
     if None in answers:
         raise ValueError(f"(n={n}, ell={ell}, w={word_text(w)}) is not monomial-free")
     return all(answers)

@@ -5,7 +5,10 @@ Semi-standard tableaux display each column in increasing order and require
 rows to be weakly increasing; matching-field tableaux display each column in
 the order dictated by B_ell.  Two tableaux of equal shape are row-wise equal
 when every row carries the same multiset of entries, which for matching-field
-displays is the same as having equal images under the monomial map.
+displays is the same as having equal images under the monomial map.  Row
+classes are therefore read off the monomial map's int image code
+(:func:`mfl.matchfield.image_code`), the code the degree-two fibers of
+:mod:`mfl.quadideal` are grouped by.
 
 The rearrangement map sends a two-column semi-standard tableau to a
 matching-field tableau and is a bijection across row classes.  Standardness
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from mfl.matchfield import display_key, variable_image_key
+from mfl.matchfield import display_key, image_code
 from mfl.permcomb import (
     _alive_masks,
     _prefix_set_masks,
@@ -214,15 +217,6 @@ def ssyt_to_matching_field(t: Tableau, ell: int) -> Tableau:
 # Row classes of degree-two monomials
 
 
-def _monomial_signature(n: int, ell: int, a: Key, b: Key) -> tuple:
-    ca, _ = variable_image_key(n, ell, a)
-    cb, _ = variable_image_key(n, ell, b)
-    rows: dict[int, list[int]] = {}
-    for r, c in ca + cb:
-        rows.setdefault(r, []).append(c)
-    return tuple(tuple(sorted(rows[r])) for r in sorted(rows))
-
-
 def standard_monomial_count_deg2(n: int, ell: int, w: tuple[int, ...]) -> int:
     """Number of distinct monomial-map images among degree-two products of
     non-vanishing Pluecker variables.
@@ -232,11 +226,8 @@ def standard_monomial_count_deg2(n: int, ell: int, w: tuple[int, ...]) -> int:
     """
     check_permutation(w, n)
     vanset = vanishing_keys(w)
-    alive = [k for k in all_index_keys(n) if k not in vanset]
-    seen = set()
-    for a, b in itertools.combinations_with_replacement(alive, 2):
-        seen.add(_monomial_signature(n, ell, a, b))
-    return len(seen)
+    codes = [image_code(n, ell, k) for k in all_index_keys(n) if k not in vanset]
+    return len({a + b for a, b in itertools.combinations_with_replacement(codes, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +417,14 @@ class _BijectionTable(NamedTuple):
 
     Every mask is a bitset over S_n in ``itertools.permutations`` order.
     ``checks`` and ``failures`` hold the two checks that do not depend on
-    w.  The four per-w counts are bit-sliced counters (:func:`_bit_sliced`):
+    w.  The three per-w counts are bit-sliced counters (:func:`_bit_sliced`):
     ``below`` counts the semi-standard tableaux whose columns both survive,
-    ``standard`` those standard for X(w), and ``classes`` and
-    ``signatures`` the row classes of monomials with some member surviving,
-    once with classes read off the monomial map (``_monomial_signature``),
-    once off tableau rows.  The three per-w checks list, in message order,
+    ``standard`` those standard for X(w), and ``classes`` the row classes
+    of monomials with some member surviving.  A row class is read off the
+    monomial map's int image code (:func:`mfl.matchfield.image_code`), the
+    code the fibers of :mod:`mfl.quadideal` share: two matching-field
+    tableaux are row-wise equal exactly when their monomials have equal
+    codes.  The three per-w checks list, in message order,
     what a failure message names (tableau columns or a monomial pair) with
     the w where it fails; entries that never fail are left out.
     """
@@ -444,7 +437,6 @@ class _BijectionTable(NamedTuple):
     image_failing: tuple[tuple[tuple, int], ...]
     surjective_failing: tuple[tuple[tuple, int], ...]
     classes: tuple[int, ...]
-    signatures: tuple[int, ...]
 
 
 def _nonzero(items: list[tuple[tuple, int]]) -> tuple[tuple[tuple, int], ...]:
@@ -476,14 +468,6 @@ def _bit_count(planes: tuple[int, ...], i: int) -> int:
     return sum((plane >> i & 1) << k for k, plane in enumerate(planes))
 
 
-def _pair_rows(da: Key, db: Key) -> tuple[Key, ...]:
-    """Sorted rows of the two columns displayed as ``da`` and ``db``, with
-    ``len(da) >= len(db)``: :meth:`Tableau.rows` without the tableau."""
-    return tuple((x, y) if x <= y else (y, x) for x, y in zip(da, db)) + tuple(
-        (v,) for v in da[len(db):]
-    )
-
-
 @lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
 def _cut_free_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two counters of :class:`_BijectionTable` that do not depend on
@@ -501,41 +485,38 @@ def _cut_free_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _bijection_table(n: int, ell: int) -> _BijectionTable:
     alive = _alive_masks(n)
     failures: list[str] = []
-    signatures: dict[tuple, Tableau] = {}
-    # image row signature -> the w where some below-w tableau has it
-    covered: dict[tuple, int] = {}
+    code = {key: image_code(n, ell, key) for key in all_index_keys(n)}
+    # image code -> the first tableau whose image has it
+    first: dict[int, Tableau] = {}
+    # image code -> the w where some below-w tableau has it
+    covered: dict[int, int] = {}
     preimage, image = [], []
-    display = {key: display_key(n, ell, key) for key in all_index_keys(n)}
     for t in _enumerate_ssyt2_all(n):
-        t_image = ssyt_to_matching_field(t, ell)
-        (a, b), (c, d) = t.columns, t_image.columns
-        sig = _pair_rows(display[c], display[d])
-        if sig in signatures:
+        (a, b), (c, d) = t.columns, ssyt_to_matching_field(t, ell).columns
+        row_class = code[c] + code[d]
+        if row_class in first:
             failures.append(
-                f"images of {signatures[sig].columns} and {t.columns} are row-equal"
+                f"images of {first[row_class].columns} and {t.columns} are row-equal"
             )
         else:
-            signatures[sig] = t
+            first[row_class] = t
         t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
-        covered[sig] = covered.get(sig, 0) | t_below
+        covered[row_class] = covered.get(row_class, 0) | t_below
         preimage.append((t.columns, image_below & ~t_below))
         image.append((t.columns, t_below & ~image_below))
     checks = [("injective", not failures)]
 
     surjective = True
     surviving = []
-    classes: dict[tuple, int] = {}
-    row_classes: dict[tuple, int] = {}
+    classes: dict[int, int] = {}
     for a, b in _all_monomial_pairs(n):
-        sig = _pair_rows(display[a], display[b])
-        if sig not in signatures:
+        row_class = code[a] + code[b]
+        if row_class not in first:
             surjective = False
             failures.append(f"monomial {(a, b)} misses every image row class")
         bits = alive[a] & alive[b]
-        surviving.append(((a, b), bits & ~covered.get(sig, 0)))
-        row_classes[sig] = row_classes.get(sig, 0) | bits
-        mono_sig = _monomial_signature(n, ell, a, b)
-        classes[mono_sig] = classes.get(mono_sig, 0) | bits
+        surviving.append(((a, b), bits & ~covered.get(row_class, 0)))
+        classes[row_class] = classes.get(row_class, 0) | bits
     checks.append(("surjective", surjective))
     below, standard = _cut_free_counts(n)
     return _BijectionTable(
@@ -547,7 +528,6 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
         image_failing=_nonzero(image),
         surjective_failing=_nonzero(surviving),
         classes=_bit_sliced(classes.values()),
-        signatures=_bit_sliced(row_classes.values()),
     )
 
 
@@ -628,8 +608,7 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
             f"surviving monomial {pair} misses below-w images"
             for pair in surjective_failing
         )
-        signature_count = _bit_count(table.signatures, i)
-        column_ok = column_count == row_class_count == signature_count
+        column_ok = column_count == row_class_count
         if families.free_312 >> i & 1:
             checks.append(("image_below_w", not image_failing))
             checks.append(("surjective_below_w", not surjective_failing))
@@ -637,7 +616,7 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
             if not column_ok:
                 failures.append(
                     f"column count identity fails: below_w={column_count}, "
-                    f"classes={row_class_count}, signatures={signature_count}"
+                    f"classes={row_class_count}"
                 )
 
     return BijectionReport(

@@ -42,7 +42,6 @@ from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
     ZERO,
-    classify_oracle,
     verdict_at,
     verdict_masks,
 )
@@ -239,12 +238,9 @@ def _families(n: int) -> tuple[FamilyMasks, ...]:
 
 
 def _oracle_seed(ell: int) -> int:
-    """The binomial family at n = 3, read off the oracle."""
-    return sum(
-        1 << i
-        for i, w in enumerate(itertools.permutations((1, 2, 3)))
-        if classify_oracle(3, ell, w).verdict == BINOMIAL
-    )
+    """The binomial family at n = 3, read off the oracle's verdict masks."""
+    monomial, surviving = verdict_masks(3, ell)
+    return surviving & ~monomial
 
 
 @lru_cache(maxsize=64)  # the (n, ell) with 3 <= n <= 8 number 33

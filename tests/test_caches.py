@@ -37,6 +37,13 @@ def test_no_module_level_family_dict():
     assert theoremsets.binomial_family(5, 2) is theoremsets.binomial_family(5, 2)
 
 
+def test_per_call_helpers_carry_no_cache():
+    # the monomial-map image is read once per variable by cached callers,
+    # and the Theorem A layouts once per (n, ell) of a sweep
+    assert not hasattr(matchfield.variable_image_key, "cache_info")
+    assert not hasattr(quadideal._block_layouts, "cache_info")
+
+
 @pytest.mark.parametrize(
     "cached, working_set",
     [
@@ -48,7 +55,6 @@ def test_no_module_level_family_dict():
         # the tableaux suite reads n = 3..7
         (permcomb._length_layers, 5),
         (permcomb.zero_family_size, permcomb.MAX_N),
-        (matchfield.variable_image_key, sum(n * (2**n - 2) for n in range(2, 9))),
         (matchfield.weight_matrix, sum(range(2, 9))),
         # the census reaches every (n, ell) with n <= 7
         (theoremsets.binomial_family, 25),

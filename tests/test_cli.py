@@ -140,6 +140,22 @@ class TestTables:
         assert "3,123" in out
         assert "# |Z_15| = 987" in out
 
+    def test_zn_size_mismatch_exits_1(self, capsys, monkeypatch):
+        # n = 7 has no golden listing, so only the size check can see this
+        original = cli.zero_family
+
+        def short(n):
+            members = original(n)
+            return members - {min(members)} if n == 7 else members
+
+        monkeypatch.setattr(cli, "zero_family", short)
+        code, out, _ = run(capsys, "zn", "--n-max", "8")
+        assert code == 1
+        assert "# |Z_7| = 21" in out
+        code, out, _ = run(capsys, "--format", "json", "zn", "--n-max", "8")
+        assert code == 1
+        assert json.loads(out)["diffs"] == [["size", 7]]
+
     @pytest.mark.parametrize("n_max", ["0", "2", "-1"])
     def test_n_max_below_three_exits_2(self, capsys, n_max):
         for argv in (["tables", "table2"], ["tables", "zn"], ["zn"]):

@@ -201,8 +201,7 @@ class TestVerdictKernel:
         # per-pair caches hold all 25 pairs with n <= 7 without thrashing
         pairs = sum(range(3, 8))
         assert pairs == 25
-        for cached in (_fibers, _block_layouts):
-            assert pairs <= cached.cache_info().maxsize == PAIR_CACHE_SIZE
+        assert pairs <= _fibers.cache_info().maxsize == PAIR_CACHE_SIZE
         assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
         assert det_terms.cache_info().maxsize is not None
         for n in range(3, 8):
@@ -405,12 +404,11 @@ class TestInitialDegree2:
                     ), (n, ell, w)
 
 
-def reference_block_matches(n, ell, b, alive):
+def reference_block_matches(layout, alive):
     """The block check by reduced elimination: the projected flag rows are
     row-reduced in (weight, monomial) order, truncated to their pivots'
     weights, and compared with the surviving fiber chains by two more
     reductions."""
-    layout = quadideal._block_layouts(n, ell)[b]
     chains = []
     for mask, signs in layout.fibers:
         live = alive & mask
@@ -462,27 +460,22 @@ class TestTheoremAKernel:
             for ell in range(n):
                 for b, layout in enumerate(_block_layouts(n, ell)):
                     for mask in range(1, layout.width + 1):
-                        expected = reference_block_matches(n, ell, b, mask)
-                        assert _block_matches(n, ell, b, mask) is expected, (n, ell, b, mask)
+                        expected = reference_block_matches(layout, mask)
+                        assert _block_matches(layout, mask) is expected, (n, ell, b, mask)
                         outcomes.add(expected)
         assert outcomes == {None, True, False}
 
-    def test_perturbed_fibers_match_reference(self, monkeypatch):
+    def test_perturbed_fibers_match_reference(self):
         # fibers the flag ideal does not have, so that the truncation
         # checks, not the rank, decide
         outcomes = set()
         for n in (3, 4):
             for ell in range(n):
-                layouts = _block_layouts(n, ell)
-                for b, layout in enumerate(layouts):
+                for b, layout in enumerate(_block_layouts(n, ell)):
                     for variant in perturbed_layouts(layout):
-                        patched = layouts[:b] + (variant,) + layouts[b + 1:]
-                        monkeypatch.setattr(
-                            quadideal, "_block_layouts", lambda n, ell: patched
-                        )
                         for mask in range(1, layout.width + 1):
-                            expected = reference_block_matches(n, ell, b, mask)
-                            actual = _block_matches(n, ell, b, mask)
+                            expected = reference_block_matches(variant, mask)
+                            actual = _block_matches(variant, mask)
                             assert actual is expected, (n, ell, b, mask, variant)
                             outcomes.add(expected)
         assert False in outcomes
@@ -496,8 +489,8 @@ class TestTheoremAKernel:
             for _ in range(80):
                 b = rng.randrange(len(layouts))
                 mask = rng.randint(1, layouts[b].width)
-                expected = reference_block_matches(n, ell, b, mask)
-                assert _block_matches(n, ell, b, mask) is expected, (n, ell, b, mask)
+                expected = reference_block_matches(layouts[b], mask)
+                assert _block_matches(layouts[b], mask) is expected, (n, ell, b, mask)
                 outcomes.add(expected)
         assert outcomes == {None, True, False}
 
@@ -508,7 +501,7 @@ class TestTheoremAKernel:
         if fake:
             monkeypatch.setattr(
                 quadideal, "_block_matches",
-                lambda n, ell, b, mask: (b + mask) % 3 != 0,
+                lambda layout, mask: (layout.block.offset + mask) % 3 != 0,
             )
         failing = 0
         for n in range(3, 6):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfl import suites, tableaux
-from mfl.matchfield import variable_image_key
+from mfl.matchfield import image_code, variable_image_key
 from mfl.permcomb import (
     all_index_keys,
     bruhat_leq,
@@ -83,26 +83,31 @@ class TestRowEqual:
         assert not row_equal(a, b)
 
     def test_matches_grid_image_fibers(self):
-        # equal shape matching-field tableaux are row-equal iff their
-        # monomials have the same image cells
+        # for every cut with n <= 5, equal shape matching-field tableaux are
+        # row-equal iff their monomials have the same image cells, that is
+        # the same image code
         def cells(a, b):
             return sorted(variable_image_key(n, ell, a)[0] + variable_image_key(n, ell, b)[0])
 
-        n, ell = 4, 2
-        pairs = [
-            (a, b)
-            for a, b in itertools.combinations_with_replacement(all_index_keys(n), 2)
-            if len(a) >= len(b)
-        ]
-        for a1, b1 in pairs:
-            t1 = Tableau((a1, b1), n, kind=MATCHING_FIELD, ell=ell)
-            g1 = cells(a1, b1)
-            for a2, b2 in pairs:
-                if (len(a2), len(b2)) != (len(a1), len(b1)):
-                    continue
-                t2 = Tableau((a2, b2), n, kind=MATCHING_FIELD, ell=ell)
-                g2 = cells(a2, b2)
-                assert row_equal(t1, t2) == (g1 == g2)
+        def code(a, b):
+            return image_code(n, ell, a) + image_code(n, ell, b)
+
+        for n in range(2, 6):
+            pairs = [
+                (a, b)
+                for a, b in itertools.combinations_with_replacement(all_index_keys(n), 2)
+                if len(a) >= len(b)
+            ]
+            for ell in range(n):
+                items = [
+                    (Tableau(p, n, kind=MATCHING_FIELD, ell=ell), cells(*p), code(*p))
+                    for p in pairs
+                ]
+                for t1, g1, c1 in items:
+                    for t2, g2, c2 in items:
+                        if t1.shape == t2.shape:
+                            assert row_equal(t1, t2) == (g1 == g2) == (c1 == c2), (
+                                n, ell, t1.columns, t2.columns)
 
 
 class TestEnumeration:
@@ -460,7 +465,9 @@ def reference_verify_bijection(n, ell, w):
                     failures.append(
                         f"surviving monomial {pair} misses below-w images"
                     )
-        column_ok = column_count == row_class_count == len(surviving_sigs)
+        # the row classes by tableau rows, against the image codes
+        assert len(surviving_sigs) == row_class_count, (n, ell, w)
+        column_ok = column_count == row_class_count
         if free_312:
             checks.append(("image_below_w", image_ok))
             checks.append(("surjective_below_w", surject_w_ok))
@@ -468,7 +475,7 @@ def reference_verify_bijection(n, ell, w):
             if not column_ok:
                 failures.append(
                     f"column count identity fails: below_w={column_count}, "
-                    f"classes={row_class_count}, signatures={len(surviving_sigs)}"
+                    f"classes={row_class_count}"
                 )
 
     return BijectionReport(
