@@ -321,8 +321,10 @@ def bruhat_leq_oracle(ve: tuple[int, ...], we: tuple[int, ...]) -> bool:
 #
 # Bit i of every mask below stands for the i-th permutation of [n] in
 # ``itertools.permutations`` order, whose rank :func:`permutation_index`
-# computes.  The per-n mask tables keep the four most recently used n; the
-# length layers, a few kilobytes per n, keep eight.
+# computes.  The w with w_1 = v are the run of (n - 1)! bits from bit
+# (v - 1) (n - 1)!, ordered like S_{n-1} on the other values, so a table at
+# n is built from runs of its table at n - 1.  Each per-n table keeps the
+# eight most recently used n.
 
 
 def permutation_index(entries: Sequence[int]) -> int:
@@ -366,29 +368,48 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)  # a build at n reads n - 1
 def _prefix_set_masks(n: int) -> dict[tuple[int, ...], int]:
     """Bit i of entry P is set iff the i-th permutation has
-    ``{w_1, ..., w_|P|} = P``."""
-    masks: dict[tuple[int, ...], int] = {}
-    for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
-        bit = 1 << i
-        for prefix in sorted_prefixes(entries)[:-1]:
-            masks[prefix] = masks.get(prefix, 0) | bit
+    ``{w_1, ..., w_|P|} = P``.
+
+    Such a w starts with some v in P and continues, in its run of
+    (n - 1)! bits, like a permutation of [n - 1] whose prefix is
+    P - {v} with every x > v lowered by one; for |P| = 1 the whole run.
+
+    >>> {p: bin(m) for p, m in _prefix_set_masks(3).items()}
+    {(1,): '0b11', (2,): '0b1100', (3,): '0b110000', (1, 2): '0b101', (1, 3): '0b10010', (2, 3): '0b101000'}
+    """
+    if n < 2:
+        return {}
+    prev = _prefix_set_masks(n - 1)
+    block = math.factorial(n - 1)
+    masks = {}
+    for prefix in all_index_keys(n):
+        mask = 0
+        for v in prefix:
+            rest = tuple(x - (x > v) for x in prefix if x != v)
+            mask |= (prev[rest] if rest else (1 << block) - 1) << (v - 1) * block
+        masks[prefix] = mask
     return masks
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
 def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
     """Bit i of entry J is set iff P_J survives on X(w) for the i-th
-    permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``."""
+    permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``.
+
+    The sets Gale-above J are J and those above its covers, which raise
+    one member j to a free j + 1; covers have a larger sum, so the sets
+    are visited by decreasing sum.
+    """
     prefix_masks = _prefix_set_masks(n)
-    alive = {}
-    for j in all_index_keys(n):
-        mask = 0
-        for prefix, bits in prefix_masks.items():
-            if len(prefix) == len(j) and dominated(j, prefix):
-                mask |= bits
+    alive: dict[tuple[int, ...], int] = {}
+    for j in sorted(prefix_masks, key=sum, reverse=True):
+        mask = prefix_masks[j]
+        for t, v in enumerate(j):
+            if v < n and v + 1 not in j:
+                mask |= alive[j[:t] + (v + 1,) + j[t + 1:]]
         alive[j] = mask
     return alive
 

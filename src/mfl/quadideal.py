@@ -32,7 +32,6 @@ from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
     check_permutation,
-    set_bits,
     vanishing_keys,
     word_text,
 )
@@ -132,37 +131,37 @@ def _degree_blocks(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _fibers(n: int, ell: int) -> tuple[tuple[tuple[MonoKey, int], ...], ...]:
-    """Fibers of size >= 2 of the degree-two monomials, as tuples of
-    (monomial key, image sign) in monomial order, sorted by image.
+def _fibers(n: int, ell: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Fibers of size >= 2 of the degree-two monomials, block by block:
+    entry b holds the fibers inside block b of :func:`_degree_blocks`, each
+    a tuple of (local column, image sign) in column order, which is
+    monomial order.
 
-    Fibers refine the blocks of :func:`_degree_blocks`, so each block is
-    split by the :func:`mfl.matchfield.image_code` of its monomials, the
-    sum of two variable codes.
+    Fibers refine the blocks, so each block is split by the
+    :func:`mfl.matchfield.image_code` of its monomials, the sum of two
+    variable codes.
 
-    >>> _fibers(3, 0)
-    (((((1,), (2, 3)), 1), (((2,), (1, 3)), 1)),)
+    >>> _fibers(3, 0)  # P_1 P_23 and P_2 P_13 share an image; P_3 P_12 not
+    ((((0, 1), (1, 1)),),)
     """
     variables = all_index_keys(n)
     codes = [image_code(n, ell, key) for key in variables]
-    # a variable's cells, numbered in (row, value) order, so sorted cell
-    # lists compare as the sorted images do
-    cells = [[p >> 1 for p in set_bits(code)] for code in codes]
     signs = [variable_image_key(n, ell, key)[1] for key in variables]
     fibers = []
-    for block in _degree_blocks(n):
+    for pairs in _degree_blocks(n):
         groups: dict[int, list[tuple[int, int]]] = {}
-        for i, j in block:
-            groups.setdefault(codes[i] + codes[j], []).append((i, j))
-        for pairs in groups.values():
-            if len(pairs) >= 2:
-                i, j = pairs[0]
-                fibers.append((sorted(cells[i] + cells[j]), pairs))
-    fibers.sort()
-    return tuple(
-        tuple(((variables[i], variables[j]), signs[i] * signs[j]) for i, j in pairs)
-        for _, pairs in fibers
-    )
+        for c, (i, j) in enumerate(pairs):
+            groups.setdefault(codes[i] + codes[j], []).append((c, signs[i] * signs[j]))
+        fibers.append(tuple(tuple(g) for g in groups.values() if len(g) >= 2))
+    return tuple(fibers)
+
+
+def _key_fibers(n: int, ell: int) -> Iterator[list[tuple[MonoKey, int]]]:
+    """The fibers of :func:`_fibers`, members as (monomial key, image sign)."""
+    keys = all_index_keys(n)
+    for pairs, fibers in zip(_degree_blocks(n), _fibers(n, ell)):
+        for fiber in fibers:
+            yield [((keys[pairs[c][0]], keys[pairs[c][1]]), s) for c, s in fiber]
 
 
 @lru_cache(maxsize=2 * PAIR_CACHE_SIZE)
@@ -176,18 +175,13 @@ def quadratic_relations(n: int, ell: int, all_pairs: bool = False) -> tuple[Quad
     >>> quadratic_relations(3, 0)[0].text()
     'P_1*P_23 - P_2*P_13'
     """
-    relations = []
-    for fiber in _fibers(n, ell):
-        if all_pairs:
-            pairs = itertools.combinations(fiber, 2)
-        else:
-            rep, rest = fiber[0], fiber[1:]
-            pairs = ((rep, other) for other in rest)
-        for (m1, s1), (m2, s2) in pairs:
-            lhs, rhs = (
-                (m1, m2) if _mono_order(m1) <= _mono_order(m2) else (m2, m1)
-            )
-            relations.append(QuadraticRelation(lhs, rhs, s1 * s2))
+    # members come in monomial order, so m1 precedes m2
+    relations = [
+        QuadraticRelation(m1, m2, s1 * s2)
+        for fiber in _key_fibers(n, ell)
+        for (m1, s1), (m2, s2) in itertools.combinations(fiber, 2)
+        if all_pairs or m1 == fiber[0][0]
+    ]
     return tuple(
         sorted(relations, key=lambda r: (_mono_order(r.lhs), _mono_order(r.rhs)))
     )
@@ -259,26 +253,26 @@ def classify_oracle(
     """
     _check_case(n, ell, bound, w)
     vanset = vanishing_keys(w)
-
-    def alive(mono: MonoKey) -> bool:
-        return mono[0] not in vanset and mono[1] not in vanset
-
-    monomials: list[MonoKey] = []
+    variables = all_index_keys(n)
+    live = [key not in vanset for key in variables]
+    monomials: list[tuple[int, int]] = []
     rank = 0
-    for fiber in _fibers(n, ell):
-        survivors = [m for m, _ in fiber if alive(m)]
-        if not survivors:
-            continue
-        if len(survivors) < len(fiber):
-            monomials.extend(survivors)
-            rank += len(survivors)
-        else:
-            rank += len(survivors) - 1
+    for pairs, fibers in zip(_degree_blocks(n), _fibers(n, ell)):
+        for fiber in fibers:
+            survivors = [
+                pairs[c] for c, _ in fiber if live[pairs[c][0]] and live[pairs[c][1]]
+            ]
+            # a wholly alive fiber spans |F| - 1 binomials, a partly
+            # alive one leaves its survivors as monomials
+            if len(survivors) < len(fiber):
+                monomials.extend(survivors)
+            rank += len(survivors) - (len(survivors) == len(fiber))
     binomials = tuple(
         r for r in quadratic_relations(n, ell, all_pairs)
-        if alive(r.lhs) and alive(r.rhs)
+        if vanset.isdisjoint(r.lhs) and vanset.isdisjoint(r.rhs)
     )
-    monomials_t = tuple(sorted(set(monomials), key=_mono_order))
+    # index pairs sort as their monomials do
+    monomials_t = tuple((variables[i], variables[j]) for i, j in sorted(monomials))
     if monomials_t:
         verdict = NONBINOMIAL
     elif binomials:
@@ -293,23 +287,26 @@ def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]
     ``itertools.permutations`` order: where a monomial survives
     (non-binomial) and where anything does (not zero).
 
-    A monomial is alive on the AND of its variables' alive bitsets; per
-    fiber, the OR (some member alive) and the AND (every member alive) of
-    its monomials give where it leaves a monomial (OR and not AND) or a
-    binomial (OR).
+    The monomial of column c of a block, the variable pair (i, j), is alive
+    on ``va[i] & va[j]``, where ``va`` lists the alive bitsets in variable
+    order; per fiber, the OR (some member alive) and the AND (every member
+    alive) of its monomials give where it leaves a monomial (OR and not
+    AND) or a binomial (OR).
     """
     _check_case(n, ell, bound)
     alive = _alive_masks(n)
-    monomial = 0
-    surviving = 0
-    for fiber in _fibers(n, ell):
-        some, every = 0, -1
-        for (a, b), _ in fiber:
-            bits = alive[a] & alive[b]
-            some |= bits
-            every &= bits
-        monomial |= some & ~every
-        surviving |= some
+    va = [alive[key] for key in all_index_keys(n)]
+    monomial = surviving = 0
+    for pairs, fibers in zip(_degree_blocks(n), _fibers(n, ell)):
+        for fiber in fibers:
+            some, every = 0, -1
+            for c, _ in fiber:
+                i, j = pairs[c]
+                bits = va[i] & va[j]
+                some |= bits
+                every &= bits
+            monomial |= some & ~every
+            surviving |= some
     return monomial, surviving
 
 
@@ -513,11 +510,8 @@ def surviving_binomial_space(
     col_of = {m: i for i, m in enumerate(coords.monomials)}
     vanset = vanishing_keys(w)
     rows = []
-    for fiber in _fibers(n, ell):
-        survivors = [
-            (m, s) for m, s in fiber
-            if m[0] not in vanset and m[1] not in vanset
-        ]
+    for fiber in _key_fibers(n, ell):
+        survivors = [(m, s) for m, s in fiber if vanset.isdisjoint(m)]
         for (m1, s1), (m2, s2) in zip(survivors, survivors[1:]):
             rows.append({col_of[m1]: 1, col_of[m2]: -s1 * s2})
     basis = exactla.rref(rows)
@@ -527,12 +521,14 @@ def surviving_binomial_space(
 class _BlockLayout(NamedTuple):
     """A flag block as the Theorem A check sees it for one (n, ell).
 
-    ``weights`` is the total weight of each local column and ``position``
-    its place in (weight, monomial) order.  Each fiber is its mask of local
-    columns plus the image sign of each of its columns.
+    ``pairs`` is the block of :func:`_degree_blocks`, the variable pair of
+    each local column.  ``weights`` is the total weight of each local column
+    and ``position`` its place in (weight, monomial) order.  Each fiber is
+    its mask of local columns plus the image sign of each of its columns.
     """
 
     block: _FlagBlock
+    pairs: tuple[tuple[int, int], ...]
     width: int
     weights: tuple[int, ...]
     position: tuple[int, ...]
@@ -544,36 +540,20 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
 
     Not cached: the Theorem A sweep visits each (n, ell) once, and a cache
     would keep the layouts of every cut alive through it."""
-    flag = _flag_ideal(n)
-    monomials = flag.space.monomials
-    weight = {k: weight_key(n, ell, k) for k in all_index_keys(n)}
-    where = {
-        monomials[i]: (b, c)
-        for b, block in enumerate(flag.blocks)
-        for c, i in enumerate(block.members)
-    }
-    fibers: dict[int, list] = {}
-    for fiber in _fibers(n, ell):
-        signs = {where[m][1]: s for m, s in fiber}
-        fibers.setdefault(where[fiber[0][0]][0], []).append(
-            (sum(1 << c for c in signs), signs)
-        )
+    weight = [weight_key(n, ell, key) for key in all_index_keys(n)]
     layouts = []
-    for b, block in enumerate(flag.blocks):
-        if not block.rows and b not in fibers:
+    for block, pairs, fibers in zip(
+        _flag_ideal(n).blocks, _degree_blocks(n), _fibers(n, ell)
+    ):
+        if not block.rows and not fibers:
             continue
-        weights = tuple(
-            weight[monomials[i][0]] + weight[monomials[i][1]] for i in block.members
-        )
-        order = sorted(
-            range(len(weights)), key=lambda c: (weights[c], monomials[block.members[c]])
-        )
-        position = [0] * len(order)
-        for p, c in enumerate(order):
-            position[c] = p
+        weights = tuple(weight[i] + weight[j] for i, j in pairs)
+        # index pairs sort as their monomials do
+        order = sorted(range(len(pairs)), key=lambda c: (weights[c], pairs[c]))
+        position = sorted(range(len(order)), key=order.__getitem__)  # its inverse
         layouts.append(_BlockLayout(
-            block, (1 << len(weights)) - 1, weights, tuple(position),
-            tuple(fibers.get(b, ())),
+            block, pairs, (1 << len(pairs)) - 1, weights, tuple(position),
+            tuple((sum(1 << c for c, _ in fiber), dict(fiber)) for fiber in fibers),
         ))
     return tuple(layouts)
 
@@ -642,22 +622,21 @@ def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
     """Decide Theorem A for every monomial-free w in S_n at once.
 
     Per block, the candidates are split by which of the block's monomials
-    survive, one column at a time (a monomial survives on the AND of its
-    variables' ``alive`` bitsets); each distinct (block, alive mask) is then
-    decided once by :func:`_block_matches`.
+    survive, one column at a time (the monomial of variables i and j
+    survives on the AND of their ``alive`` bitsets); each distinct (block,
+    alive mask) is then decided once by :func:`_block_matches`.
     """
     _check_la_cap(n, cap)
     # the la-cap, not the oracle bound, limits n
     monomial, _ = verdict_masks(n, ell, bound=n)
     checked = ((1 << math.factorial(n)) - 1) & ~monomial
     alive = _alive_masks(n)
-    monomials = _flag_ideal(n).space.monomials
+    va = [alive[key] for key in all_index_keys(n)]
     failing = partial = 0
     for layout in _block_layouts(n, ell):
         parts = {0: checked}  # local alive mask -> the w that have it
-        for c, i in enumerate(layout.block.members):
-            first, second = monomials[i]
-            column = alive[first] & alive[second]
+        for c, (i, j) in enumerate(layout.pairs):
+            column = va[i] & va[j]
             refined = {}
             for mask, ws in parts.items():
                 on = ws & column

@@ -1,0 +1,32 @@
+"""Per-permutation builds of the S_n bitset tables of ``mfl.permcomb``: the
+oracles the run-built prefix masks and the cover-built alive masks are
+compared against.  Each passes over all n! permutations."""
+
+import itertools
+
+from mfl.permcomb import all_index_keys, dominated, sorted_prefixes
+
+
+def reference_prefix_set_masks(n):
+    """Bit i of entry P is set iff the i-th permutation has
+    ``{w_1, ..., w_|P|} = P``, one permutation at a time."""
+    masks = {}
+    for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+        bit = 1 << i
+        for prefix in sorted_prefixes(entries)[:-1]:
+            masks[prefix] = masks.get(prefix, 0) | bit
+    return masks
+
+
+def reference_alive_masks(n):
+    """Bit i of entry J is set iff J is Gale-below the prefix set of size
+    |J| of the i-th permutation, by a scan over every pair of sets."""
+    prefix_masks = reference_prefix_set_masks(n)
+    alive = {}
+    for j in all_index_keys(n):
+        mask = 0
+        for prefix, bits in prefix_masks.items():
+            if len(prefix) == len(j) and dominated(j, prefix):
+                mask |= bits
+        alive[j] = mask
+    return alive

@@ -52,8 +52,11 @@ def test_per_call_helpers_carry_no_cache():
         (permcomb.vanishing_keys, 1024),
         # every permutation of n <= 7 may be a chain end
         (permcomb.bruhat_up_set, sum((6, 24, 120, 720, 5040))),
-        # the tableaux suite reads n = 3..7
+        # the tableaux suite reads n = 3..7, and a prefix-mask build at n
+        # reads n - 1, so it keeps n = 1..7
         (permcomb._length_layers, 5),
+        (permcomb._alive_masks, 5),
+        (permcomb._prefix_set_masks, 7),
         (permcomb.zero_family_size, permcomb.MAX_N),
         (matchfield.weight_matrix, sum(range(2, 9))),
         # the census reaches every (n, ell) with n <= 7
@@ -80,6 +83,8 @@ def test_tableaux_suite_evicts_nothing():
     touched = (
         permcomb.bruhat_up_set,
         permcomb._length_layers,
+        permcomb._prefix_set_masks,
+        permcomb._alive_masks,
         tableaux.min_defining_chain2,
         tableaux._bijection_table,
         tableaux._cut_free_counts,
@@ -101,6 +106,7 @@ def test_no_family_masks_at_import():
         "import mfl.cli, mfl.theoremsets as t, mfl.permcomb as p, "
         "mfl.quadideal as q; "
         "assert t._families.cache_info().currsize == 0; "
+        "assert p._prefix_set_masks.cache_info().currsize == 0; "
         "assert p._alive_masks.cache_info().currsize == 0; "
         "assert p._length_layers.cache_info().currsize == 0; "
         "assert q._degree_blocks.cache_info().currsize == 0; "

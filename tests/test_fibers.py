@@ -13,9 +13,11 @@ from mfl.quadideal import (
     _FlagIdeal,
     DegreeTwoSpace,
     MonoKey,
+    _degree_blocks,
     _fibers,
     _flag_ideal,
     _incidence_relations,
+    _key_fibers,
     _mono_order,
     mono_key,
 )
@@ -74,18 +76,41 @@ def reference_flag_ideal(n):
     return _FlagIdeal(space, tuple(blocks), variable_bits)
 
 
+def keyed_fibers(n, ell):
+    """The block-column fibers of ``_fibers`` with each column mapped to its
+    monomial key, sorted by their first member: the reference is sorted by
+    image instead, so the comparison sorts both sides."""
+    variables = all_index_keys(n)
+    blocks, fibers = _degree_blocks(n), _fibers(n, ell)
+    assert len(fibers) == len(blocks)
+    out = []
+    for pairs, block_fibers in zip(blocks, fibers):
+        for fiber in block_fibers:
+            columns = [c for c, _ in fiber]
+            assert columns == sorted(set(columns)) and columns[-1] < len(pairs)
+            out.append(tuple(
+                ((variables[pairs[c][0]], variables[pairs[c][1]]), s) for c, s in fiber
+            ))
+    return sorted(out)
+
+
 PAIRS = [(n, ell) for n in range(1, 8) for ell in range(n)]
 
 
 @pytest.mark.parametrize("n, ell", PAIRS, ids=lambda v: str(v))
 def test_fibers_match_reference(n, ell):
-    assert _fibers(n, ell) == reference_fibers(n, ell)
+    assert keyed_fibers(n, ell) == sorted(reference_fibers(n, ell))
+
+
+@pytest.mark.parametrize("n, ell", PAIRS, ids=lambda v: str(v))
+def test_key_fibers_map_the_block_columns(n, ell):
+    assert sorted(map(tuple, _key_fibers(n, ell))) == keyed_fibers(n, ell)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("ell", range(8))
 def test_fibers_match_reference_n8_slow(ell):
-    assert _fibers(8, ell) == reference_fibers(8, ell)
+    assert keyed_fibers(8, ell) == sorted(reference_fibers(8, ell))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mask_oracle import reference_alive_masks, reference_prefix_set_masks
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
     MAX_N,
+    _alive_masks,
     _length_layers,
+    _prefix_set_masks,
     avoids,
     bruhat_leq,
     bruhat_leq_oracle,
@@ -309,6 +312,14 @@ class TestBitsetsOverSn:
             up = bruhat_up_set(v)
             for i, w in enumerate(elements):
                 assert bool(up >> i & 1) == bruhat_leq_oracle(v, w), (v, w)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_prefix_set_masks_match_reference(self, n):
+        assert _prefix_set_masks(n) == reference_prefix_set_masks(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_alive_masks_match_reference(self, n):
+        assert _alive_masks(n) == reference_alive_masks(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_length_layers_count_inversions(self, n):

@@ -24,6 +24,7 @@ from mfl.quadideal import (
     _block_matches,
     _fibers,
     _flag_ideal,
+    _key_fibers,
     classify_oracle,
     degree2_flag_ideal,
     initial_degree2,
@@ -85,7 +86,7 @@ class TestRelations:
         # fibers containing a squared variable are singletons, hence dropped
         for n in range(3, 7):
             for ell in range(n):
-                for fiber in _fibers(n, ell):
+                for fiber in _key_fibers(n, ell):
                     for mono, _ in fiber:
                         assert mono[0] != mono[1], (n, ell, mono)
 
@@ -209,11 +210,13 @@ class TestVerdictKernel:
         assert _alive_masks.cache_info().currsize <= _alive_masks.cache_info().maxsize
 
     def test_alive_masks_match_vanishing_sets(self):
-        alive = _alive_masks(4)
-        for i, w in enumerate(itertools.permutations(range(1, 5))):
-            vanset = vanishing_keys(w)
-            for key, mask in alive.items():
-                assert bool(mask >> i & 1) == (key not in vanset), (w, key)
+        for n in range(1, 7):
+            alive = _alive_masks(n)
+            assert set(alive) == set(all_index_keys(n))
+            for i, w in enumerate(itertools.permutations(range(1, n + 1))):
+                vanset = vanishing_keys(w)
+                for key, mask in alive.items():
+                    assert bool(mask >> i & 1) == (key not in vanset), (w, key)
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="needs n >= 3, got 2"):
