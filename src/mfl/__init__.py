@@ -33,8 +33,6 @@ from mfl.quadideal import (
     QuadraticRelation,
     classify_oracle,
     degree2_flag_ideal,
-    initial_degree2,
-    matches_initial_degree2,
     quadratic_relations,
 )
 from mfl.tableaux import (

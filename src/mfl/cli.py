@@ -247,6 +247,8 @@ def cmd_ideal(args, config: RunConfig) -> int:
 def cmd_tableaux(args, config: RunConfig) -> int:
     if args.n < 2:
         raise ValueError(f"tableaux need n >= 2, got {args.n}")
+    if args.n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {args.n}")
     if args.ell is not None and not 0 <= args.ell <= args.n - 1:
         raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
     w = parse_permutation(args.w, args.n) if args.w is not None else None

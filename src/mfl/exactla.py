@@ -95,7 +95,3 @@ def rref(rows: Iterable[Row], col_pos: dict[int, int] | None = None) -> EchelonB
         basis.insert(row)
     return basis
 
-
-def span_equal(rows_a: Iterable[Row], rows_b: Iterable[Row],
-               col_pos: dict[int, int] | None = None) -> bool:
-    return rref(rows_a, col_pos).canonical() == rref(rows_b, col_pos).canonical()

@@ -12,10 +12,11 @@ set S_w to zero; what survives of each fiber decides the classification
                 monomial, so a monomial lies in the ideal.
 
 The linear-algebra half of the module builds the degree-two piece of the
-full flag ideal from the incidence Pluecker relations, puts it in canonical
-echelon form by exact integer elimination, restricts it to X(w), and
-extracts the span of lowest-weight initial forms.  This is the reference
-object the fiber combinatorics is checked against.
+full flag ideal from the incidence Pluecker relations, one multidegree block
+at a time in canonical echelon form by exact integer elimination, and
+checks Theorem A on it: for every monomial-free w, each block's flag rows
+restricted to X(w) must have lowest-weight initial forms spanned by the
+surviving fiber binomials.
 """
 
 from __future__ import annotations
@@ -365,20 +366,17 @@ class _FlagBlock(NamedTuple):
     ``members`` are the block's monomials as increasing indices into the
     global monomial list; local column c is ``members[c]``.  ``rows`` is the
     reduced echelon basis of the block's part of the ideal, over local
-    columns.  ``offset`` is the block's first bit in block-ordered masks.
+    columns.
     """
 
     members: tuple[int, ...]
     rows: tuple[exactla.Row, ...]
-    offset: int
 
 
 class _FlagIdeal(NamedTuple):
     space: DegreeTwoSpace
     #: every block with at least two monomials, in order of first monomial
     blocks: tuple[_FlagBlock, ...]
-    #: per variable, the block-ordered mask of the monomials that contain it
-    variable_bits: dict[Key, int]
 
 
 def _check_la_cap(n: int, cap: int | None) -> None:
@@ -432,9 +430,7 @@ def _flag_ideal(n: int) -> _FlagIdeal:
     for degree, row in _incidence_relations(n):
         relations.setdefault(degree, []).append(row)
     blocks = []
-    variable_bits = dict.fromkeys(variables, 0)
     global_rows = []
-    offset = 0
     size = len(variables)
     for pairs in _degree_blocks(n):
         # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
@@ -445,77 +441,13 @@ def _flag_ideal(n: int) -> _FlagIdeal:
         basis = exactla.rref(
             {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
         )
-        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows), offset))
+        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows)))
         global_rows.extend(
             tuple(sorted((members[c], v) for c, v in row.items()))
             for row in basis.rows
         )
-        for c, i in enumerate(members):
-            for key in monomials[i]:
-                variable_bits[key] |= 1 << (offset + c)
-        offset += len(members)
     space = DegreeTwoSpace(monomials, tuple(sorted(global_rows)))
-    return _FlagIdeal(space, tuple(blocks), variable_bits)
-
-
-def initial_degree2(
-    n: int, ell: int, w: tuple[int, ...], cap: int | None = None
-) -> DegreeTwoSpace:
-    """Degree-two span of initial forms of the Schubert ideal of X(w).
-
-    Vanishing variables are set to zero in the flag ideal (column deletion
-    plus re-reduction); columns are then ordered by total weight and each
-    echelon row is truncated to its lowest-weight stratum.  Coordinates of
-    the result are the surviving monomials in increasing (weight, key) order.
-    """
-    check_permutation(w, n)
-    flag = degree2_flag_ideal(n, cap)
-    vanset = vanishing_keys(w)
-
-    def alive(mono: MonoKey) -> bool:
-        return mono[0] not in vanset and mono[1] not in vanset
-
-    surviving = [i for i, m in enumerate(flag.monomials) if alive(m)]
-    weights = {
-        i: weight_key(n, ell, flag.monomials[i][0]) + weight_key(n, ell, flag.monomials[i][1])
-        for i in surviving
-    }
-    order = sorted(surviving, key=lambda i: (weights[i], flag.monomials[i]))
-    col_pos = {i: p for p, i in enumerate(order)}
-
-    projected = []
-    for row in flag.rows:
-        proj = {c: v for c, v in row if c in col_pos}
-        if proj:
-            projected.append(proj)
-    schubert = exactla.rref(projected, col_pos)
-    initial_rows = []
-    for pivot, row in zip(schubert.pivots, schubert.rows):
-        stratum = weights[pivot]
-        initial_rows.append({c: v for c, v in row.items() if weights[c] == stratum})
-    basis = exactla.rref(initial_rows, col_pos)
-    new_monos = tuple(flag.monomials[i] for i in order)
-    rows = tuple(
-        tuple(sorted((col_pos[c], v) for c, v in row.items()))
-        for row in basis.rows
-    )
-    return DegreeTwoSpace(new_monos, tuple(sorted(rows)))
-
-
-def surviving_binomial_space(
-    n: int, ell: int, w: tuple[int, ...], coords: DegreeTwoSpace
-) -> DegreeTwoSpace:
-    """Span of the surviving fiber binomials, in the coordinates of ``coords``."""
-    check_permutation(w, n)
-    col_of = {m: i for i, m in enumerate(coords.monomials)}
-    vanset = vanishing_keys(w)
-    rows = []
-    for fiber in _key_fibers(n, ell):
-        survivors = [(m, s) for m, s in fiber if vanset.isdisjoint(m)]
-        for (m1, s1), (m2, s2) in zip(survivors, survivors[1:]):
-            rows.append({col_of[m1]: 1, col_of[m2]: -s1 * s2})
-    basis = exactla.rref(rows)
-    return DegreeTwoSpace(coords.monomials, basis.canonical())
+    return _FlagIdeal(space, tuple(blocks))
 
 
 class _BlockLayout(NamedTuple):
@@ -529,7 +461,6 @@ class _BlockLayout(NamedTuple):
 
     block: _FlagBlock
     pairs: tuple[tuple[int, int], ...]
-    width: int
     weights: tuple[int, ...]
     position: tuple[int, ...]
     fibers: tuple[tuple[int, dict[int, int]], ...]
@@ -552,7 +483,7 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
         order = sorted(range(len(pairs)), key=lambda c: (weights[c], pairs[c]))
         position = sorted(range(len(order)), key=order.__getitem__)  # its inverse
         layouts.append(_BlockLayout(
-            block, pairs, (1 << len(pairs)) - 1, weights, tuple(position),
+            block, pairs, weights, tuple(position),
             tuple((sum(1 << c for c, _ in fiber), dict(fiber)) for fiber in fibers),
         ))
     return tuple(layouts)
@@ -654,32 +585,3 @@ def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
                     failing |= ws
     return TheoremAMasks(checked, failing, partial)
 
-
-def matches_initial_degree2(
-    n: int, ell: int, w: tuple[int, ...], cap: int | None = None
-) -> bool:
-    """True iff the surviving binomials span the initial degree-two space.
-
-    Precondition: (n, ell, w) is monomial-free, i.e. every fiber survives
-    whole or vanishes whole; otherwise ValueError, as ``classify_oracle``
-    would rule.  The check runs block by block (see ``degree2_flag_ideal``):
-    fibers refine blocks, and a block's answer depends only on which of its
-    monomials survive.  :func:`theorem_a_masks` is the bulk path over S_n;
-    ``initial_degree2`` and ``surviving_binomial_space`` are the global
-    reference path.
-    """
-    _check_case(n, ell, n, w)  # the la-cap, not the oracle bound, limits n
-    _check_la_cap(n, cap)
-    variable_bits = _flag_ideal(n).variable_bits
-    dead = 0
-    for key in vanishing_keys(w):
-        dead |= variable_bits[key]
-    alive = ~dead
-    answers = []
-    for layout in _block_layouts(n, ell):
-        mask = (alive >> layout.block.offset) & layout.width
-        if mask:
-            answers.append(_block_matches(layout, mask))
-    if None in answers:
-        raise ValueError(f"(n={n}, ell={ell}, w={word_text(w)}) is not monomial-free")
-    return all(answers)

@@ -1,0 +1,78 @@
+"""The global degree-two reference for Theorem A: the initial forms of the
+whole flag ideal restricted to X(w), and the span of the surviving fiber
+binomials in the same coordinates.  ``quadideal.theorem_a_masks`` decides
+the same equality block by block and over all of S_n at once; this path
+runs one global elimination per w."""
+
+from typing import Iterable
+
+from mfl import exactla
+from mfl.matchfield import weight_key
+from mfl.permcomb import check_permutation, vanishing_keys
+from mfl.quadideal import DegreeTwoSpace, MonoKey, _key_fibers, degree2_flag_ideal
+
+
+def span_equal(rows_a: Iterable[exactla.Row], rows_b: Iterable[exactla.Row],
+               col_pos: dict[int, int] | None = None) -> bool:
+    return (exactla.rref(rows_a, col_pos).canonical()
+            == exactla.rref(rows_b, col_pos).canonical())
+
+
+def initial_degree2(
+    n: int, ell: int, w: tuple[int, ...], cap: int | None = None
+) -> DegreeTwoSpace:
+    """Degree-two span of initial forms of the Schubert ideal of X(w).
+
+    Vanishing variables are set to zero in the flag ideal (column deletion
+    plus re-reduction); columns are then ordered by total weight and each
+    echelon row is truncated to its lowest-weight stratum.  Coordinates of
+    the result are the surviving monomials in increasing (weight, key) order.
+    """
+    check_permutation(w, n)
+    flag = degree2_flag_ideal(n, cap)
+    vanset = vanishing_keys(w)
+
+    def alive(mono: MonoKey) -> bool:
+        return mono[0] not in vanset and mono[1] not in vanset
+
+    surviving = [i for i, m in enumerate(flag.monomials) if alive(m)]
+    weights = {
+        i: weight_key(n, ell, flag.monomials[i][0]) + weight_key(n, ell, flag.monomials[i][1])
+        for i in surviving
+    }
+    order = sorted(surviving, key=lambda i: (weights[i], flag.monomials[i]))
+    col_pos = {i: p for p, i in enumerate(order)}
+
+    projected = []
+    for row in flag.rows:
+        proj = {c: v for c, v in row if c in col_pos}
+        if proj:
+            projected.append(proj)
+    schubert = exactla.rref(projected, col_pos)
+    initial_rows = []
+    for pivot, row in zip(schubert.pivots, schubert.rows):
+        stratum = weights[pivot]
+        initial_rows.append({c: v for c, v in row.items() if weights[c] == stratum})
+    basis = exactla.rref(initial_rows, col_pos)
+    new_monos = tuple(flag.monomials[i] for i in order)
+    rows = tuple(
+        tuple(sorted((col_pos[c], v) for c, v in row.items()))
+        for row in basis.rows
+    )
+    return DegreeTwoSpace(new_monos, tuple(sorted(rows)))
+
+
+def surviving_binomial_space(
+    n: int, ell: int, w: tuple[int, ...], coords: DegreeTwoSpace
+) -> DegreeTwoSpace:
+    """Span of the surviving fiber binomials, in the coordinates of ``coords``."""
+    check_permutation(w, n)
+    col_of = {m: i for i, m in enumerate(coords.monomials)}
+    vanset = vanishing_keys(w)
+    rows = []
+    for fiber in _key_fibers(n, ell):
+        survivors = [(m, s) for m, s in fiber if vanset.isdisjoint(m)]
+        for (m1, s1), (m2, s2) in zip(survivors, survivors[1:]):
+            rows.append({col_of[m1]: 1, col_of[m2]: -s1 * s2})
+    basis = exactla.rref(rows)
+    return DegreeTwoSpace(coords.monomials, basis.canonical())

@@ -11,11 +11,13 @@ from contextlib import contextmanager
 
 import pytest
 
+from initial_ideal_oracle import initial_degree2, surviving_binomial_space
 from mfl import golden
 from mfl.cli import parse_permutation
 from mfl.matchfield import verify_coherence
 from mfl.permcomb import (
     is_312_free,
+    permutation_index,
     vanishing_keys,
     word_text,
     zero_family,
@@ -25,11 +27,9 @@ from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
     classify_oracle,
-    initial_degree2,
-    matches_initial_degree2,
     mono_key,
     quadratic_relations,
-    surviving_binomial_space,
+    theorem_a_masks,
     verdicts_for_all_w,
 )
 from mfl.suites import run_tableaux, run_theorem_a
@@ -154,7 +154,9 @@ def test_criterion_6_restricted_cell():
         assert outcome.degree2_rank == 1
         (rel,) = outcome.surviving_binomials
         assert {rel.lhs, rel.rhs} == set(golden.RESTRICTED_CELL_4_2_3214)
-        assert matches_initial_degree2(4, 2, w)
+        masks = theorem_a_masks(4, 2)
+        i = permutation_index(w)
+        assert masks.checked >> i & 1 and not masks.failing >> i & 1
 
 
 def test_criterion_7_coherence():

@@ -47,8 +47,8 @@ def test_per_call_helpers_carry_no_cache():
 @pytest.mark.parametrize(
     "cached, working_set",
     [
-        # the per-w paths (classify_oracle, matches_initial_degree2, the
-        # tableaux reports) may visit every w with n <= 6, 870 of them
+        # the per-w paths (classify_oracle, the tableaux reports) may visit
+        # every w with n <= 6, 870 of them
         (permcomb.vanishing_keys, 1024),
         # every permutation of n <= 7 may be a chain end
         (permcomb.bruhat_up_set, sum((6, 24, 120, 720, 5040))),

@@ -231,6 +231,12 @@ class TestTableaux:
         assert out == ""
         assert err == "error: tableaux need n >= 2, got 1\n"
 
+    def test_n_above_max_exits_2(self, capsys):
+        code, out, err = run(capsys, "tableaux", "--n", "17")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be at most 16, got 17\n"
+
 
 class TestVerify:
     def test_coherence_suite(self, capsys):

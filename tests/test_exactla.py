@@ -1,7 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
 from expansion_oracle import left_kernel
-from mfl.exactla import EchelonBasis, make_primitive, rref, span_equal
+from initial_ideal_oracle import span_equal
+from mfl.exactla import EchelonBasis, make_primitive, rref
 
 
 class TestPrimitive:

@@ -53,9 +53,7 @@ def reference_flag_ideal(n):
     for degree, row in _incidence_relations(n):
         relations.setdefault(degree, []).append(row)
     blocks = []
-    variable_bits = dict.fromkeys(variables, 0)
     global_rows = []
-    offset = 0
     for degree, members in groups.items():
         if len(members) < 2:
             continue
@@ -63,17 +61,13 @@ def reference_flag_ideal(n):
         basis = exactla.rref(
             {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
         )
-        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows), offset))
+        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows)))
         global_rows.extend(
             tuple(sorted((members[c], v) for c, v in row.items()))
             for row in basis.rows
         )
-        for c, i in enumerate(members):
-            for key in monomials[i]:
-                variable_bits[key] |= 1 << (offset + c)
-        offset += len(members)
     space = DegreeTwoSpace(monomials, tuple(sorted(global_rows)))
-    return _FlagIdeal(space, tuple(blocks), variable_bits)
+    return _FlagIdeal(space, tuple(blocks))
 
 
 def keyed_fibers(n, ell):
@@ -119,5 +113,4 @@ def test_flag_ideal_matches_reference(n):
     reference = reference_flag_ideal(n)
     assert flag.blocks == reference.blocks
     assert flag.space == reference.space
-    assert flag.variable_bits == reference.variable_bits
 

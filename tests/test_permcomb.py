@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from mfl.permcomb import (
     _prefix_set_masks,
     avoids,
     bruhat_leq,
-    bruhat_leq_oracle,
     bruhat_minimum,
     bruhat_up_set,
     check_permutation,
@@ -21,7 +21,6 @@ from mfl.permcomb import (
     has_descending_property,
     in_zero_family,
     insert_max,
-    inversions,
     is_312_free,
     permutation_at,
     permutation_index,
@@ -50,6 +49,47 @@ def in_zero_family_inductive(w: tuple[int, ...]) -> bool:
             return True
         return in_zero_family_inductive(w[:-2])
     return False
+
+
+def inversions(entries: tuple[int, ...]) -> int:
+    return sum(
+        1
+        for i in range(len(entries))
+        for j in range(i + 1, len(entries))
+        if entries[i] > entries[j]
+    )
+
+
+@lru_cache(maxsize=256)  # |S_2| + ... + |S_5| = 152
+def _bruhat_down_set(we: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """All u <= w by closure of length-decreasing transposition steps.
+
+    Brute-force reachability oracle used to validate the dominance criterion;
+    exponential, keep n small.
+    """
+    n = len(we)
+    seen = {we}
+    frontier = [we]
+    while frontier:
+        current = frontier.pop()
+        inv = inversions(current)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if current[i] > current[j]:
+                    nxt = list(current)
+                    nxt[i], nxt[j] = nxt[j], nxt[i]
+                    nxt_t = tuple(nxt)
+                    if inversions(nxt_t) < inv and nxt_t not in seen:
+                        seen.add(nxt_t)
+                        frontier.append(nxt_t)
+    return frozenset(seen)
+
+
+def bruhat_leq_oracle(ve: tuple[int, ...], we: tuple[int, ...]) -> bool:
+    """Reachability-based Bruhat test (test oracle, small n only)."""
+    if len(ve) != len(we):
+        raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
+    return ve in _bruhat_down_set(we)
 
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(tuple)

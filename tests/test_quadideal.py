@@ -4,12 +4,14 @@ import random
 import pytest
 
 from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_row
+from initial_ideal_oracle import initial_degree2, span_equal, surviving_binomial_space
 from mfl import exactla, golden, quadideal
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
     _alive_masks,
     _prefix_set_masks,
     all_index_keys,
+    permutation_index,
     vanishing_keys,
     word_text,
 )
@@ -27,12 +29,9 @@ from mfl.quadideal import (
     _key_fibers,
     classify_oracle,
     degree2_flag_ideal,
-    initial_degree2,
-    matches_initial_degree2,
     mono_key,
     mono_text,
     quadratic_relations,
-    surviving_binomial_space,
     theorem_a_masks,
     verdict_masks,
     verdicts_for_all_w,
@@ -332,58 +331,45 @@ class TestInitialDegree2:
                 assert init.rank == len(quadratic_relations(n, ell))
 
     def test_theorem_equality_examples(self):
-        assert matches_initial_degree2(4, 2, (3, 2, 1, 4))
-        assert matches_initial_degree2(4, 0, (1, 3, 4, 2))
+        for ell, w in [(2, (3, 2, 1, 4)), (0, (1, 3, 4, 2))] + [
+            (ell, (1, 2, 3, 4)) for ell in range(4)
+        ]:
+            masks = theorem_a_masks(4, ell)
+            i = permutation_index(w)
+            assert masks.checked >> i & 1 and not masks.failing >> i & 1, (ell, w)
         assert initial_degree2(4, 0, (1, 3, 4, 2)).rank == 1
         for ell in range(4):
-            assert matches_initial_degree2(4, ell, (1, 2, 3, 4))
             assert initial_degree2(4, ell, (1, 2, 3, 4)).rank == 0
 
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            matches_initial_degree2(3, 0, (3, 1, 2))
-
-    def test_every_nonbinomial_case_raises(self):
-        for ell in range(4):
-            for entries, verdict in verdicts_for_all_w(4, ell).items():
-                if verdict == NONBINOMIAL:
-                    with pytest.raises(ValueError, match="not monomial-free"):
-                        matches_initial_degree2(4, ell, entries)
-
     def test_input_checks(self):
-        with pytest.raises(ValueError, match="needs n >= 3"):
-            matches_initial_degree2(2, 0, (1, 2))
-        with pytest.raises(ValueError, match="ell must be in"):
-            matches_initial_degree2(4, 4, (1, 2, 3, 4))
-        with pytest.raises(ValueError, match="does not match n = 4"):
-            matches_initial_degree2(4, 0, (1, 2, 3, 4, 5))
-        with pytest.raises(ValueError, match="not a permutation"):
-            matches_initial_degree2(4, 0, (0, 1, 2, 3))
         with pytest.raises(ValueError, match="does not match n = 4"):
             initial_degree2(4, 0, (1, 2, 3))
         with pytest.raises(ValueError, match="not a permutation"):
             surviving_binomial_space(3, 0, (1, 1, 2), initial_degree2(3, 0, (1, 2, 3)))
-        with pytest.raises(CapabilityError, match="linear-algebra cap"):
-            matches_initial_degree2(5, 0, (1, 2, 3, 4, 5), cap=4)
 
     def test_la_cap_is_the_only_size_gate(self):
         # past the oracle bound (n <= 7) the la-cap alone decides
-        assert matches_initial_degree2(8, 0, (1, 2, 3, 4, 5, 6, 7, 8), cap=8)
+        assert theorem_a_masks(8, 0, cap=8).failing == 0
         with pytest.raises(CapabilityError, match="linear-algebra cap is n <= 7"):
-            matches_initial_degree2(8, 0, (1, 2, 3, 4, 5, 6, 7, 8), cap=7)
+            theorem_a_masks(8, 0, cap=7)
 
     def test_blockwise_matches_reference(self):
-        # the blockwise check against the global reference path, for every
+        # the bitset sweep against the global reference path, for every
         # monomial-free case with n <= 5
         checked = 0
         for n in range(3, 6):
             for ell in range(n):
-                for w, verdict in verdicts_for_all_w(n, ell).items():
-                    if verdict == NONBINOMIAL:
+                masks = theorem_a_masks(n, ell, cap=5)
+                monomial, _ = verdict_masks(n, ell)
+                assert masks.partial == 0
+                for i, w in enumerate(itertools.permutations(range(1, n + 1))):
+                    free = not monomial >> i & 1
+                    assert bool(masks.checked >> i & 1) == free, (n, ell, w)
+                    if not free:
                         continue
                     init = initial_degree2(n, ell, w)
                     reference = surviving_binomial_space(n, ell, w, init).rows == init.rows
-                    assert matches_initial_degree2(n, ell, w) == reference, (n, ell, w)
+                    assert bool(masks.failing >> i & 1) != reference, (n, ell, w)
                     checked += 1
         assert checked == 248
 
@@ -433,7 +419,20 @@ def reference_block_matches(layout, alive):
         {c: v for c, v in row.items() if weights[c] == weights[pivot]}
         for pivot, row in zip(schubert.pivots, schubert.rows)
     )
-    return exactla.span_equal(initial, chains, col_pos)
+    return span_equal(initial, chains, col_pos)
+
+
+def per_w_block_matches(n, ell, w):
+    """Theorem A at one w, block by block: each block's local alive mask
+    holds the columns whose two variables both survive ``w``."""
+    vanset = vanishing_keys(w)
+    live = [key not in vanset for key in all_index_keys(n)]
+    answers = []
+    for layout in _block_layouts(n, ell):
+        mask = sum(1 << c for c, (i, j) in enumerate(layout.pairs) if live[i] and live[j])
+        if mask:
+            answers.append(quadideal._block_matches(layout, mask))
+    return all(answers)
 
 
 def perturbed_layouts(layout):
@@ -441,7 +440,7 @@ def perturbed_layouts(layout):
     sign flipped, or one fiber moved onto columns outside every fiber."""
     fibers = [signs for _, signs in layout.fibers]
     inside = {c for signs in fibers for c in signs}
-    outside = [c for c in range(layout.width.bit_length()) if c not in inside]
+    outside = [c for c in range(len(layout.pairs)) if c not in inside]
     variants = []
     for f, signs in enumerate(fibers):
         c = next(iter(signs))
@@ -462,7 +461,7 @@ class TestTheoremAKernel:
         for n in (3, 4):
             for ell in range(n):
                 for b, layout in enumerate(_block_layouts(n, ell)):
-                    for mask in range(1, layout.width + 1):
+                    for mask in range(1, 1 << len(layout.pairs)):
                         expected = reference_block_matches(layout, mask)
                         assert _block_matches(layout, mask) is expected, (n, ell, b, mask)
                         outcomes.add(expected)
@@ -476,7 +475,7 @@ class TestTheoremAKernel:
             for ell in range(n):
                 for b, layout in enumerate(_block_layouts(n, ell)):
                     for variant in perturbed_layouts(layout):
-                        for mask in range(1, layout.width + 1):
+                        for mask in range(1, 1 << len(layout.pairs)):
                             expected = reference_block_matches(variant, mask)
                             actual = _block_matches(variant, mask)
                             assert actual is expected, (n, ell, b, mask, variant)
@@ -491,21 +490,20 @@ class TestTheoremAKernel:
             layouts = _block_layouts(n, ell)
             for _ in range(80):
                 b = rng.randrange(len(layouts))
-                mask = rng.randint(1, layouts[b].width)
+                mask = rng.randint(1, (1 << len(layouts[b].pairs)) - 1)
                 expected = reference_block_matches(layouts[b], mask)
                 assert _block_matches(layouts[b], mask) is expected, (n, ell, b, mask)
                 outcomes.add(expected)
         assert outcomes == {None, True, False}
 
-    @pytest.mark.parametrize("fake", (False, True))
-    def test_masks_match_per_w(self, fake, monkeypatch):
-        # the bitset sweep against the per-w check, for every w with n <= 5;
-        # a fake block answer that fails often checks the partition itself
-        if fake:
-            monkeypatch.setattr(
-                quadideal, "_block_matches",
-                lambda layout, mask: (layout.block.offset + mask) % 3 != 0,
-            )
+    def test_masks_match_per_w(self, monkeypatch):
+        # a fake block answer that fails often checks the bitset partition:
+        # the sweep against each block's alive mask read off one w, for
+        # every w with n <= 5
+        monkeypatch.setattr(
+            quadideal, "_block_matches",
+            lambda layout, mask: (sum(layout.pairs[0]) + mask) % 3 != 0,
+        )
         failing = 0
         for n in range(3, 6):
             for ell in range(n):
@@ -517,9 +515,9 @@ class TestTheoremAKernel:
                     free = not monomial >> i & 1
                     assert bool(masks.checked >> i & 1) == free, (n, ell, entries)
                     if free:
-                        matches = matches_initial_degree2(n, ell, entries)
+                        matches = per_w_block_matches(n, ell, entries)
                         assert bool(masks.failing >> i & 1) != matches, (n, ell, entries)
-        assert bool(failing) == fake
+        assert failing
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="needs n >= 3"):
