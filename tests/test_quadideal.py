@@ -496,14 +496,16 @@ class TestTheoremAKernel:
                 outcomes.add(expected)
         assert outcomes == {None, True, False}
 
-    def test_masks_match_per_w(self, monkeypatch):
-        # a fake block answer that fails often checks the bitset partition:
-        # the sweep against each block's alive mask read off one w, for
-        # every w with n <= 5
-        monkeypatch.setattr(
-            quadideal, "_block_matches",
-            lambda layout, mask: (sum(layout.pairs[0]) + mask) % 3 != 0,
-        )
+    @pytest.mark.parametrize("fake", (False, True))
+    def test_masks_match_per_w(self, fake, monkeypatch):
+        # the bitset sweep against each block's alive mask read off one w,
+        # for every w with n <= 5; a fake block answer that fails often
+        # checks the partition itself
+        if fake:
+            monkeypatch.setattr(
+                quadideal, "_block_matches",
+                lambda layout, mask: (sum(layout.pairs[0]) + mask) % 3 != 0,
+            )
         failing = 0
         for n in range(3, 6):
             for ell in range(n):
@@ -517,7 +519,7 @@ class TestTheoremAKernel:
                     if free:
                         matches = per_w_block_matches(n, ell, entries)
                         assert bool(masks.failing >> i & 1) != matches, (n, ell, entries)
-        assert failing
+        assert bool(failing) == fake
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="needs n >= 3"):
