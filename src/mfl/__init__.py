@@ -36,12 +36,10 @@ from mfl.quadideal import (
     quadratic_relations,
 )
 from mfl.tableaux import (
-    DefiningChain,
-    Tableau,
+    check_tableau,
     enumerate_ssyt2,
     is_standard,
     min_defining_chain2,
-    row_equal,
     ssyt_to_matching_field,
     standard_monomial_count_deg2,
     verify_bijection,

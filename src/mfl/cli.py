@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Commands: classify, tables, zn, ideal, tableaux, verify, sweep.
-Exit codes: 0 success, 1 verification or golden-table mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification or golden-table mismatch or output
+cut short, 2 usage error.
 All output is deterministic for fixed flags; sweeps sort by (n, ell, w)
 before emission.  Every command runs in a single process.
 """
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from mfl import golden
+from mfl.matchfield import display_key
 from mfl.permcomb import MAX_N, check_permutation, word_text, zero_family, zero_family_size
 from mfl.quadideal import (
     CapabilityError,
@@ -28,15 +30,6 @@ from mfl.tableaux import enumerate_ssyt2, ssyt_to_matching_field
 from mfl.theoremsets import binomial_family, classify_combinatorial, count_table
 
 SCHEMA = "mfl/1"
-
-
-@dataclass
-class RunConfig:
-    """Resolved run options shared by the subcommands."""
-
-    fmt: str = "text"
-    la_cap: int | None = None
-    all_pairs: bool = False
 
 
 def parse_permutation(text: str, n: int) -> tuple[int, ...]:
@@ -65,11 +58,11 @@ def _emit_json(obj) -> None:
 # classify
 
 
-def cmd_classify(args, config: RunConfig) -> int:
+def cmd_classify(args) -> int:
     w = parse_permutation(args.w, args.n)
-    outcome = classify_oracle(args.n, args.ell, w, all_pairs=config.all_pairs)
+    outcome = classify_oracle(args.n, args.ell, w, all_pairs=args.all_pairs)
     record = classify_combinatorial(args.n, args.ell, w)
-    if config.fmt == "json":
+    if args.format == "json":
         obj = outcome.to_json_obj()
         obj["combinatorial_class"] = record.combinatorial_class
         obj["witness_tags"] = sorted(record.witness_tags)
@@ -91,7 +84,7 @@ def cmd_classify(args, config: RunConfig) -> int:
 # tables
 
 
-def cmd_tables(args, config: RunConfig) -> int:
+def cmd_tables(args) -> int:
     which = args.table
     if which == "table1" and args.n_max is not None:
         raise ValueError("table1 is fixed at n = 3 and 4; --n-max applies to table2 and zn")
@@ -106,7 +99,7 @@ def cmd_tables(args, config: RunConfig) -> int:
             if expected is not None and row.binomial_count != expected[row.ell]:
                 diffs.append((row.n, row.ell, row.binomial_count, expected[row.ell]))
         disagreements = [row for row in rows if row.oracle_counts is not None]
-        if config.fmt == "json":
+        if args.format == "json":
             _emit_json(
                 {
                     "schema": SCHEMA,
@@ -128,7 +121,7 @@ def cmd_tables(args, config: RunConfig) -> int:
                     f"{row.n},{row.ell},{row.binomial_count},"
                     f"{row.zero_count},{row.nonbinomial_count}"
                 )
-            if config.fmt != "csv":
+            if args.format != "csv":
                 for n in range(3, n_max + 1):
                     total = sum(r.binomial_count for r in rows if r.n == n)
                     printed = golden.COUNT_TABLE_PRINTED_TOTALS.get(n)
@@ -161,7 +154,7 @@ def cmd_tables(args, config: RunConfig) -> int:
         diffs.extend(
             ("size", n) for n, members in listing.items() if len(members) != sizes[n]
         )
-        if config.fmt == "json":
+        if args.format == "json":
             _emit_json(
                 {"schema": SCHEMA, "listing": listing, "sizes": sizes, "diffs": diffs}
             )
@@ -170,7 +163,7 @@ def cmd_tables(args, config: RunConfig) -> int:
             for n, members in listing.items():
                 for m in members:
                     print(f"{n},{m}")
-            if config.fmt != "csv":
+            if args.format != "csv":
                 for n, size in sizes.items():
                     print(f"# |Z_{n}| = {size}")
         return 1 if diffs else 0
@@ -180,7 +173,7 @@ def cmd_tables(args, config: RunConfig) -> int:
     cells = {}
     for (ell, wstr), expected in sorted(golden.IDEALS_N3.items()):
         outcome = classify_oracle(
-            3, ell, parse_permutation(wstr, 3), all_pairs=config.all_pairs
+            3, ell, parse_permutation(wstr, 3), all_pairs=args.all_pairs
         )
         supports = sorted({frozenset(r.lhs + r.rhs) for r in outcome.surviving_binomials},
                           key=sorted)
@@ -206,7 +199,7 @@ def cmd_tables(args, config: RunConfig) -> int:
         if computed != expected or family != expected:
             diffs.append(("toric", ell))
         toric[str(ell)] = computed
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {"schema": SCHEMA, "ideals_n3": cells, "toric_n4": toric, "diffs": diffs}
         )
@@ -223,14 +216,14 @@ def cmd_tables(args, config: RunConfig) -> int:
 # ideal
 
 
-def cmd_ideal(args, config: RunConfig) -> int:
+def cmd_ideal(args) -> int:
     if args.w is not None:
         w = parse_permutation(args.w, args.n)
     else:
         _check_case(args.n, args.ell, None)  # name n, not the default word
         w = tuple(range(args.n, 0, -1))
-    outcome = classify_oracle(args.n, args.ell, w, all_pairs=config.all_pairs)
-    if config.fmt == "json":
+    outcome = classify_oracle(args.n, args.ell, w, all_pairs=args.all_pairs)
+    if args.format == "json":
         _emit_json(outcome.to_json_obj())
     else:
         for rel in outcome.surviving_binomials:
@@ -244,7 +237,7 @@ def cmd_ideal(args, config: RunConfig) -> int:
 # tableaux
 
 
-def cmd_tableaux(args, config: RunConfig) -> int:
+def cmd_tableaux(args) -> int:
     if args.n < 2:
         raise ValueError(f"tableaux need n >= 2, got {args.n}")
     if args.n > MAX_N:
@@ -253,29 +246,43 @@ def cmd_tableaux(args, config: RunConfig) -> int:
         raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
     w = parse_permutation(args.w, args.n) if args.w is not None else None
     items = enumerate_ssyt2(args.n, w)
-    if config.fmt == "json":
+
+    def image(columns):  # the matching-field tableau, in B_ell order
+        return [display_key(args.n, args.ell, c)
+                for c in ssyt_to_matching_field(columns, args.ell)]
+
+    if args.format == "json":
         out = []
-        for t in items:
-            obj = {"columns": t.to_json_obj()}
+        for columns in items:
+            obj = {"columns": [[str(v) for v in c] for c in columns]}
             if args.ell is not None:
-                obj["image"] = ssyt_to_matching_field(t, args.ell).to_json_obj()
+                obj["image"] = [[str(v) for v in c] for c in image(columns)]
             out.append(obj)
         _emit_json({"schema": SCHEMA, "n": args.n, "ell": args.ell, "tableaux": out})
     else:
-        for t in items:
-            print(t.render_text())
+        for columns in items:
+            print(_render(columns))
             if args.ell is not None:
                 print("->")
-                print(ssyt_to_matching_field(t, args.ell).render_text())
+                print(_render(image(columns)))
             print()
     return 0
+
+
+def _render(columns) -> str:
+    """Rows of cells right-aligned to one width, joined by ``" | "``."""
+    width = max(len(str(v)) for col in columns for v in col)
+    return "\n".join(
+        " | ".join(str(col[r]).rjust(width) for col in columns if len(col) > r)
+        for r in range(len(columns[0]))
+    )
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.suite == "all" and args.n_max is not None:
         raise ValueError(
             "--n-max applies to a single suite; --suite all runs each at its default range"
@@ -284,8 +291,8 @@ def cmd_verify(args, config: RunConfig) -> int:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if args.n_max is not None and args.n_max > MAX_N:
         raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
-    report = run_suite(args.suite, n_max=args.n_max, cap=config.la_cap)
-    if config.fmt == "json":
+    report = run_suite(args.suite, n_max=args.n_max, cap=args.la_cap)
+    if args.format == "json":
         _emit_json(report.to_json_obj())
     else:
         status = "PASS" if report.ok else "FAIL"
@@ -316,7 +323,7 @@ def _sweep_rows(n: int, ell: int) -> list[tuple]:
     return rows
 
 
-def cmd_sweep(args, config: RunConfig) -> int:
+def cmd_sweep(args) -> int:
     if args.n < 3:
         raise ValueError(f"families are defined for n >= 3, got {args.n}")
     if args.ell is not None and not 0 <= args.ell <= args.n - 1:
@@ -324,7 +331,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     ells = [args.ell] if args.ell is not None else list(range(args.n))
     parts = [_sweep_rows(args.n, ell) for ell in ells]
     rows = sorted(r for part in parts for r in part)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema": SCHEMA,
@@ -402,16 +409,18 @@ def main(argv=None) -> int:
     if args.la_cap is not None and args.la_cap < 0:
         print(f"error: --la-cap must be at least 0, got {args.la_cap}", file=sys.stderr)
         return 2
-    config = RunConfig(
-        fmt=args.format,
-        la_cap=args.la_cap,
-        all_pairs=args.all_pairs,
-    )
     try:
-        return args.func(args, config)
+        code = args.func(args)
+        sys.stdout.flush()
     except (ValueError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from mfl.quadideal import (
     verdict_masks,
 )
 from mfl.tableaux import (
-    enumerate_ssyt2,
+    _enumerate_ssyt2_all,
     min_defining_chain2,
     min_defining_chain2_exhaustive,
     standard_masks,
@@ -216,26 +216,26 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
                 if not result.ok:
                     report.record(n=n, ell=ell, w=result.w,
                                   failures=result.failures[:3])
-        tableaux = enumerate_ssyt2(n)
+        tableaux = _enumerate_ssyt2_all(n)
         for t in tableaux:
             report.checked += 1
-            if min_defining_chain2(t).perms != min_defining_chain2_exhaustive(t).perms:
-                report.record(n=n, columns=t.columns,
+            if min_defining_chain2(n, t) != min_defining_chain2_exhaustive(n, t):
+                report.record(n=n, columns=t,
                               detail="constructive chain differs from exhaustive")
         # per tableau, the 312-free w where standardness and domination differ
         alive = _alive_masks(n)
         free_312 = family_masks(n, 0).free_312
         report.checked += free_312.bit_count() * len(tableaux)
         differs = [
-            (t, (mask ^ (alive[t.columns[0]] & alive[t.columns[1]])) & free_312)
-            for t, mask in zip(tableaux, standard_masks(n))
+            ((a, b), (mask ^ (alive[a] & alive[b])) & free_312)
+            for (a, b), mask in zip(tableaux, standard_masks(n))
         ]
         differs = [(t, mask) for t, mask in differs if mask]
         for i in set_bits(reduce(or_, (mask for _, mask in differs), 0)):
             w = word_text(permutation_at(n, i))
             for t, mask in differs:
                 if mask >> i & 1:
-                    report.record(n=n, w=w, columns=t.columns,
+                    report.record(n=n, w=w, columns=t,
                                   detail="standardness differs from domination")
     return report
 

@@ -1,12 +1,13 @@
 """Two-column tableaux, the matching-field rearrangement map, and standardness.
 
-A tableau is a list of columns (index sets) with weakly decreasing sizes.
-Semi-standard tableaux display each column in increasing order and require
-rows to be weakly increasing; matching-field tableaux display each column in
-the order dictated by B_ell.  Two tableaux of equal shape are row-wise equal
-when every row carries the same multiset of entries, which for matching-field
-displays is the same as having equal images under the monomial map.  Row
-classes are therefore read off the monomial map's int image code
+A tableau is the tuple of its columns, each a sorted member tuple, with
+weakly decreasing sizes; it is semi-standard when its rows weakly increase
+(:func:`check_tableau`).  Its matching-field tableau has the same columns,
+each shown in the order B_ell dictates
+(:func:`mfl.matchfield.display_key`).  Two matching-field tableaux of equal
+shape are row-wise equal when every row carries the same multiset of
+entries, which is the same as having equal images under the monomial map.
+Row classes are therefore read off the monomial map's int image code
 (:func:`mfl.matchfield.image_code`), the code the degree-two fibers of
 :mod:`mfl.quadideal` are grouped by.
 
@@ -32,9 +33,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from mfl.matchfield import display_key, image_code
+from mfl.matchfield import image_code
 from mfl.permcomb import (
     _alive_masks,
     _prefix_set_masks,
@@ -51,130 +52,72 @@ from mfl.quadideal import PAIR_CACHE_SIZE, CapabilityError
 from mfl.theoremsets import family_masks
 
 Key = tuple[int, ...]
-
-SSYT = "ssyt"
-MATCHING_FIELD = "mf"
+Columns = tuple[Key, ...]
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Columns are sorted member tuples; ``kind`` fixes the display order."""
+def check_tableau(n: int, columns: Columns) -> None:
+    """Raise ValueError unless ``columns`` is a semi-standard tableau over
+    [n]: strictly increasing proper non-empty subsets of [n] of weakly
+    decreasing size whose rows weakly increase; the per-tableau entry points
+    call it.
 
-    columns: tuple[Key, ...]
-    n: int
-    kind: str = SSYT
-    ell: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (SSYT, MATCHING_FIELD):
-            raise ValueError(f"unknown tableau kind {self.kind!r}")
-        if self.kind == MATCHING_FIELD and self.ell is None:
-            raise ValueError("matching-field tableaux need ell")
-        if not self.columns:
-            raise ValueError("tableau needs at least one column")
-        sizes = [len(c) for c in self.columns]
-        if any(a < b for a, b in zip(sizes, sizes[1:])):
-            raise ValueError(f"column sizes must weakly decrease: {sizes}")
-        for col in self.columns:
-            if not 1 <= len(col) <= self.n - 1:
-                raise ValueError(f"column must be a proper non-empty subset: {col}")
-            if any(a >= b for a, b in zip(col, col[1:])):
-                raise ValueError(f"column must be strictly increasing: {col}")
-        if self.kind == SSYT:
-            for left, right in zip(self.columns, self.columns[1:]):
-                if any(l > r for l, r in zip(left, right)):
-                    raise ValueError(
-                        f"rows must weakly increase: {left} | {right}"
-                    )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.columns)
-
-    def display(self) -> tuple[Key, ...]:
-        if self.kind == SSYT:
-            return self.columns
-        return tuple(display_key(self.n, self.ell, c) for c in self.columns)
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row multisets of the displayed tableau, each sorted."""
-        disp = self.display()
-        depth = len(disp[0])
-        return tuple(
-            tuple(sorted(col[r] for col in disp if len(col) > r))
-            for r in range(depth)
-        )
-
-    def to_json_obj(self) -> list[list[str]]:
-        return [[str(v) for v in col] for col in self.display()]
-
-    def render_text(self) -> str:
-        disp = self.display()
-        width = max(len(str(v)) for col in disp for v in col)
-        lines = []
-        for r in range(len(disp[0])):
-            cells = [str(col[r]).rjust(width) for col in disp if len(col) > r]
-            lines.append(" | ".join(cells))
-        return "\n".join(lines)
-
-
-def row_equal(t1: Tableau, t2: Tableau) -> bool:
-    """Equal per-row entry multisets; False on shape mismatch.
-
-    >>> a = Tableau(((1, 2), (3,)), 4)
-    >>> b = Tableau(((1, 3), (2,)), 4)
-    >>> row_equal(a, b)
-    False
+    >>> check_tableau(4, ((1, 2, 4), (2, 3)))
     """
-    if t1.shape != t2.shape:
-        return False
-    return t1.rows() == t2.rows()
+    if not columns:
+        raise ValueError("tableau needs at least one column")
+    sizes = [len(c) for c in columns]
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"column sizes must weakly decrease: {sizes}")
+    for col in columns:
+        if not (1 <= len(col) <= n - 1 and 1 <= min(col) and max(col) <= n):
+            raise ValueError(f"column must be a proper non-empty subset of [{n}]: {col}")
+        if any(a >= b for a, b in zip(col, col[1:])):
+            raise ValueError(f"column must be strictly increasing: {col}")
+    for left, right in zip(columns, columns[1:]):
+        if any(l > r for l, r in zip(left, right)):
+            raise ValueError(f"rows must weakly increase: {left} | {right}")
 
 
 # ---------------------------------------------------------------------------
 # Enumeration
 
 
-@lru_cache(maxsize=8)
-def _enumerate_ssyt2_all(n: int) -> tuple[Tableau, ...]:
-    out = []
-    subsets_by_size = {
-        size: tuple(itertools.combinations(range(1, n + 1), size))
-        for size in range(1, n)
-    }
-    for t in range(1, n):
-        for s in range(1, t + 1):
-            for left in subsets_by_size[t]:
-                for right in subsets_by_size[s]:
-                    if all(l <= r for l, r in zip(left, right)):
-                        out.append(Tableau((left, right), n))
-    return tuple(out)
+def enumerate_ssyt2(n: int, w: tuple[int, ...] | None = None) -> Iterator[Columns]:
+    """The two-column semi-standard tableaux over [n], lazily, ordered by
+    (left size, right size, left, right); optionally only those whose
+    columns are Gale-below the prefixes of w.
 
-
-def enumerate_ssyt2(n: int, w: tuple[int, ...] | None = None) -> tuple[Tableau, ...]:
-    """All two-column semi-standard tableaux over [n], lexicographically
-    ordered by (left size, right size, left, right); optionally only those
-    whose columns are Gale-below the prefixes of w.
-
-    >>> len(enumerate_ssyt2(3, (3, 2, 1)))
+    >>> sum(1 for _ in enumerate_ssyt2(3, (3, 2, 1)))
     20
     """
-    tableaux = _enumerate_ssyt2_all(n)
-    if w is None:
-        return tableaux
-    check_permutation(w, n)
-    vanset = vanishing_keys(w)
-    return tuple(
-        t for t in tableaux if all(col not in vanset for col in t.columns)
+    if w is not None:
+        check_permutation(w, n)
+    vanset = frozenset() if w is None else vanishing_keys(w)
+    subsets_by_size = [tuple(itertools.combinations(range(1, n + 1), k)) for k in range(n)]
+    return (
+        (left, right)
+        for t in range(1, n)
+        for s in range(1, t + 1)
+        for left in subsets_by_size[t]
+        if left not in vanset
+        for right in subsets_by_size[s]
+        if right not in vanset and all(l <= r for l, r in zip(left, right))
     )
+
+
+@lru_cache(maxsize=8)
+def _enumerate_ssyt2_all(n: int) -> tuple[Columns, ...]:
+    """Every tableau of :func:`enumerate_ssyt2`, kept for the bulk tables."""
+    return tuple(enumerate_ssyt2(n))
 
 
 # ---------------------------------------------------------------------------
 # The rearrangement map
 
 
-def ssyt_to_matching_field(t: Tableau, ell: int) -> Tableau:
-    """Rearrange a two-column semi-standard tableau for the field B_ell.
+def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
+    """Rearrange a two-column semi-standard tableau for the field B_ell and
+    return the columns of its matching-field tableau.
 
     Entries move only within the first two rows.  With L = {1..ell} low and
     the rest high, writing the columns I = {i_1 < i_2 < ...} and
@@ -188,29 +131,30 @@ def ssyt_to_matching_field(t: Tableau, ell: int) -> Tableau:
       (i_2, j_2) are replaced by (j_1, j_2) / (i_2, i_1);
     - in every other case the column contents are unchanged and only the
       display order moves.
+
+    >>> ssyt_to_matching_field(((1, 2, 4), (3,)), 1)
+    ((1, 3, 4), (2,))
     """
-    if t.kind != SSYT or len(t.columns) != 2:
-        raise ValueError("expected a two-column semi-standard tableau")
-    left, right = t.columns
+    if len(columns) != 2 or len(columns[0]) < len(columns[1]) or any(
+        l > r for l, r in zip(*columns)
+    ):
+        raise ValueError(f"expected a two-column semi-standard tableau: {columns}")
+    left, right = columns
     low = lambda v: v <= ell
-    new_left, new_right = left, right
     if len(right) == 1 and len(left) >= 2:
         i1, i2 = left[0], left[1]
         j1 = right[0]
         if low(i1) and not low(i2) and not low(j1):
             if i2 < j1 and (len(left) < 3 or j1 < left[2]):
-                new_left = tuple(sorted((i1, j1) + left[2:]))
-                new_right = (i2,)
-            elif j1 < i2:
-                new_left = tuple(sorted((j1,) + left[1:]))
-                new_right = (i1,)
+                return tuple(sorted((i1, j1) + left[2:])), (i2,)
+            if j1 < i2:
+                return tuple(sorted((j1,) + left[1:])), (i1,)
     elif len(right) >= 2:
         i1, i2 = left[0], left[1]
         j1, j2 = right[0], right[1]
         if low(i1) and not low(j2) and (low(i2) == low(j1)) and j1 < i2:
-            new_left = tuple(sorted((j1, i2) + left[2:]))
-            new_right = tuple(sorted((i1, j2) + right[2:]))
-    return Tableau((new_left, new_right), t.n, kind=MATCHING_FIELD, ell=ell)
+            return tuple(sorted((j1, i2) + left[2:])), tuple(sorted((i1, j2) + right[2:]))
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +178,6 @@ def standard_monomial_count_deg2(n: int, ell: int, w: tuple[int, ...]) -> int:
 # Defining chains and standardness
 
 
-@dataclass(frozen=True)
-class DefiningChain:
-    perms: tuple[tuple[int, ...], ...]
-    tilde_i: Key | None = None
-
-    @property
-    def last(self) -> tuple[int, ...]:
-        return self.perms[-1]
-
-
 def _block_permutation(n: int, *blocks: Key) -> tuple[int, ...]:
     used: list[int] = []
     for block in blocks:
@@ -258,8 +192,9 @@ def grassmannian_permutation(members: Key, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16384)  # the two-column tableaux with n <= 7 number 8286
-def min_defining_chain2(t: Tableau) -> DefiningChain:
-    """Minimum defining chain of a tableau with at most two columns.
+def min_defining_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:
+    """Minimum defining chain of a semi-standard tableau with at most two
+    columns, as its tuple of permutations.
 
     The first permutation is the Grassmannian permutation of the left
     column.  For an equal-size right column J the second is (J, rest); for a
@@ -267,73 +202,64 @@ def min_defining_chain2(t: Tableau) -> DefiningChain:
     largest left-column element below it; otherwise it is found by exhaustive
     minimization over the subsets of the left column that may follow J.
 
-    >>> min_defining_chain2(Tableau(((1, 2, 4), (3,)), 4)).perms
+    >>> min_defining_chain2(4, ((1, 2, 4), (3,)))
     ((1, 2, 4, 3), (3, 1, 4, 2))
     """
-    if len(t.columns) > 2:
+    if len(columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
-    n = t.n
-    left = t.columns[0]
+    check_tableau(n, columns)
+    left = columns[0]
     v1 = grassmannian_permutation(left, n)
-    if len(t.columns) == 1:
-        return DefiningChain((v1,))
-    right = t.columns[1]
+    if len(columns) == 1:
+        return (v1,)
+    right = columns[1]
     if len(right) == len(left):
-        return DefiningChain((v1, _block_permutation(n, right)), tilde_i=())
+        return v1, _block_permutation(n, right)
     if len(right) == 1:
-        j1 = right[0]
-        below = [v for v in left if v <= j1]
-        if not below:
-            raise ValueError(f"not a semi-standard tableau: {t.columns}")
-        i_star = max(below)
-        tilde = tuple(v for v in left if v != i_star)
-        v2 = _block_permutation(n, right, tilde)
-        return DefiningChain((v1, v2), tilde_i=tilde)
-    candidates: dict[tuple[int, ...], Key] = {}  # v2 -> its first tilde
+        i_star = max(v for v in left if v <= right[0])
+        return v1, _block_permutation(n, right, tuple(v for v in left if v != i_star))
     pool = tuple(v for v in left if v not in right)
-    for size in range(len(pool) + 1):
-        for tilde in itertools.combinations(pool, size):
-            v2 = _block_permutation(n, right, tilde)
-            if bruhat_leq(v1, v2) and v2 not in candidates:
-                candidates[v2] = tilde
+    tails = {
+        _block_permutation(n, right, tilde)
+        for size in range(len(pool) + 1)
+        for tilde in itertools.combinations(pool, size)
+    }
+    candidates = [v2 for v2 in tails if bruhat_leq(v1, v2)]
     minima = [
-        (tilde, v2)
-        for v2, tilde in candidates.items()
-        if all(bruhat_leq(v2, other) for other in candidates)
+        v2 for v2 in candidates if all(bruhat_leq(v2, other) for other in candidates)
     ]
     if len(minima) != 1:
         raise ValueError(
-            f"minimum defining chain not unique among candidates for {t.columns}"
+            f"minimum defining chain not unique among candidates for {columns}"
         )
-    tilde, v2 = minima[0]
-    return DefiningChain((v1, v2), tilde_i=tilde)
+    return v1, minima[0]
 
 
-def min_defining_chain2_exhaustive(t: Tableau) -> DefiningChain:
+def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:
     """Test oracle: minimize over every permutation with the right prefix.
 
     Decided on bitsets over S_n: the candidates are the w with
     {w_1, ..., w_|J|} = J for the right column J that lie Bruhat-above the
     first permutation v_1, and :func:`mfl.permcomb.bruhat_minimum` picks
-    their least element.
+    their least element.  Any pair of columns is accepted; one without a
+    unique minimum raises ``ValueError``.
 
-    >>> min_defining_chain2_exhaustive(Tableau(((1, 2, 4), (3,)), 4)).perms
+    >>> min_defining_chain2_exhaustive(4, ((1, 2, 4), (3,)))
     ((1, 2, 4, 3), (3, 1, 4, 2))
     """
-    if len(t.columns) > 2:
+    if len(columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
-    n = t.n
-    v1 = grassmannian_permutation(t.columns[0], n)
-    if len(t.columns) == 1:
-        return DefiningChain((v1,))
-    valid = _prefix_set_masks(n)[t.columns[1]] & bruhat_up_set(v1)
+    v1 = grassmannian_permutation(columns[0], n)
+    if len(columns) == 1:
+        return (v1,)
+    valid = _prefix_set_masks(n)[columns[1]] & bruhat_up_set(v1)
     minimum = bruhat_minimum(n, valid)
     if minimum is None:
-        raise ValueError(f"no unique minimum defining chain for {t.columns}")
-    return DefiningChain((v1, minimum))
+        raise ValueError(f"no unique minimum defining chain for {columns}")
+    return v1, minimum
 
 
-def is_standard(t: Tableau, w: tuple[int, ...]) -> bool:
+def is_standard(n: int, columns: Columns, w: tuple[int, ...]) -> bool:
     """Standardness for X(w): the minimum chain ends Bruhat-below w.
 
     Read as one bit: the tableau is standard iff w lies in the Bruhat
@@ -341,13 +267,11 @@ def is_standard(t: Tableau, w: tuple[int, ...]) -> bool:
     (:func:`mfl.permcomb.bruhat_up_set`), at bit
     :func:`mfl.permcomb.permutation_index` of w.
 
-    >>> is_standard(Tableau(((1, 2, 4), (3,)), 4), (3, 2, 1, 4))
+    >>> is_standard(4, ((1, 2, 4), (3,)), (3, 2, 1, 4))
     False
     """
-    if len(t.columns) > 2:
-        raise CapabilityError("standardness is implemented for <= 2 columns")
-    check_permutation(w, t.n)
-    up_set = bruhat_up_set(min_defining_chain2(t).last)
+    check_permutation(w, n)
+    up_set = bruhat_up_set(min_defining_chain2(n, columns)[-1])
     return bool(up_set >> permutation_index(w) & 1)
 
 
@@ -362,8 +286,8 @@ def standard_masks(n: int) -> tuple[int, ...]:
     20
     """
     return tuple(
-        bruhat_up_set(min_defining_chain2(t).last)
-        for t in _enumerate_ssyt2_all(n)
+        bruhat_up_set(min_defining_chain2(n, columns)[-1])
+        for columns in _enumerate_ssyt2_all(n)
     )
 
 
@@ -474,9 +398,7 @@ def _cut_free_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the cut: ``below`` and ``standard``."""
     alive = _alive_masks(n)
     return (
-        _bit_sliced(
-            alive[t.columns[0]] & alive[t.columns[1]] for t in _enumerate_ssyt2_all(n)
-        ),
+        _bit_sliced(alive[a] & alive[b] for a, b in _enumerate_ssyt2_all(n)),
         _bit_sliced(standard_masks(n)),
     )
 
@@ -487,23 +409,21 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     failures: list[str] = []
     code = {key: image_code(n, ell, key) for key in all_index_keys(n)}
     # image code -> the first tableau whose image has it
-    first: dict[int, Tableau] = {}
+    first: dict[int, Columns] = {}
     # image code -> the w where some below-w tableau has it
     covered: dict[int, int] = {}
     preimage, image = [], []
     for t in _enumerate_ssyt2_all(n):
-        (a, b), (c, d) = t.columns, ssyt_to_matching_field(t, ell).columns
+        (a, b), (c, d) = t, ssyt_to_matching_field(t, ell)
         row_class = code[c] + code[d]
         if row_class in first:
-            failures.append(
-                f"images of {first[row_class].columns} and {t.columns} are row-equal"
-            )
+            failures.append(f"images of {first[row_class]} and {t} are row-equal")
         else:
             first[row_class] = t
         t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
         covered[row_class] = covered.get(row_class, 0) | t_below
-        preimage.append((t.columns, image_below & ~t_below))
-        image.append((t.columns, t_below & ~image_below))
+        preimage.append((t, image_below & ~t_below))
+        image.append((t, t_below & ~image_below))
     checks = [("injective", not failures)]
 
     surjective = True

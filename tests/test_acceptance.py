@@ -288,11 +288,11 @@ def test_criterion_11_tableaux_suite_n7_slow():
 def test_criterion_12_standardness_two_columns():
     with criterion(12, "standardness = column domination for 312-free w, n<=5", 120.0):
         for n in range(3, 6):
-            tableaux = enumerate_ssyt2(n)
+            tableaux = list(enumerate_ssyt2(n))
             for w in itertools.permutations(range(1, n + 1)):
                 if not is_312_free(w):
                     continue
                 vanset = vanishing_keys(w)
                 for t in tableaux:
-                    dominated = all(c not in vanset for c in t.columns)
-                    assert is_standard(t, w) == dominated, (n, word_text(w), t.columns)
+                    dominated = all(c not in vanset for c in t)
+                    assert is_standard(n, t, w) == dominated, (n, word_text(w), t)

@@ -1,9 +1,12 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from mfl import cli, suites, theoremsets
+from mfl import cli, suites, tableaux, theoremsets
 from mfl.cli import main, parse_permutation
 from mfl.quadideal import classify_oracle
 from mfl.suites import SuiteReport
@@ -209,10 +212,39 @@ class TestTableaux:
         assert len(obj["tableaux"]) == 20
         assert all("image" in t for t in obj["tableaux"])
 
+    def test_json_pins_columns_and_image(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "tableaux", "--n", "4", "--ell", "2"
+        )
+        assert code == 0
+        (entry,) = [t for t in json.loads(out)["tableaux"]
+                    if t["columns"] == [["1", "3", "4"], ["2"]]]
+        assert entry["image"] == [["3", "1", "4"], ["2"]]
+
     def test_text_listing(self, capsys):
         code, out, _ = run(capsys, "tableaux", "--n", "3", "--w", "123")
         assert code == 0
         assert "1 | 1" in out
+
+    def test_listing_streams(self, capsys):
+        # the listing walks the lazy enumeration and keeps no tuple of it
+        tableaux._enumerate_ssyt2_all.cache_clear()
+        code, out, _ = run(capsys, "tableaux", "--n", "4")
+        assert code == 0 and out
+        assert tableaux._enumerate_ssyt2_all.cache_info().currsize == 0
+
+    def test_closed_stdout_ends_quietly(self):
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mfl.cli", "tableaux", "--n", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(64)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     @pytest.mark.parametrize("ell", ["9", "-1"])
     def test_out_of_range_ell_exits_2(self, capsys, ell):

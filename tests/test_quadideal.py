@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,7 @@ from mfl.quadideal import (
     verdicts_for_all_w,
 )
 from mfl.suites import run_suite, run_theorem_a
+from mfl.tableaux import enumerate_ssyt2
 
 
 def canon(mono_pair, sign):
@@ -274,6 +276,37 @@ class TestDegreeTwoSpace:
             w0 = tuple(range(n, 0, -1))
             for ell in range(n):
                 assert standard_monomial_count_deg2(n, ell, w0) == standard
+
+    @staticmethod
+    def _assert_block_coranks(n):
+        # per multidegree (column multiset and size pair), the quotient's
+        # dimension counts the semi-standard pairs of that multidegree
+        def degree(a, b):
+            return tuple(sorted(a + b)), tuple(sorted((len(a), len(b))))
+
+        flag = _flag_ideal(n)
+        monomials = flag.space.monomials
+        per_degree = Counter(degree(*m) for m in monomials)
+        semistandard = Counter(degree(*t) for t in enumerate_ssyt2(n))
+        assert set(semistandard) <= set(per_degree)
+        for block in flag.blocks:
+            d = degree(*monomials[block.members[0]])
+            assert per_degree[d] == len(block.members), (n, d)
+            assert len(block.members) - len(block.rows) == semistandard[d], (n, d)
+        # a multidegree with one monomial has no relation: one pair each
+        singles = [d for d, count in per_degree.items() if count == 1]
+        assert len(flag.blocks) + len(singles) == len(per_degree)
+        for d in singles:
+            assert semistandard[d] == 1, (n, d)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_block_corank_counts_semistandard_pairs(self, n):
+        self._assert_block_coranks(n)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_block_corank_counts_semistandard_pairs_slow(self, n):
+        self._assert_block_coranks(n)
 
     def test_blockwise_rref_matches_global_rref(self):
         # the per-block bases against one global elimination of every

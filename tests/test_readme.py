@@ -42,3 +42,14 @@ def test_readme_classify_transcripts(capsys):
         main(shlex.split(command)[1:])
         out = capsys.readouterr().out
         assert out == expected
+
+
+def test_readme_tableaux_transcript(capsys):
+    """The tableaux transcript in the README matches the real output byte
+    for byte, trailing blank line included."""
+    text = README.read_text()
+    blocks = re.findall(r"```console\n\$ (mfl tableaux[^\n]*)\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    (command, expected), = blocks
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == expected

@@ -5,8 +5,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfl import suites, tableaux
-from mfl.matchfield import image_code, variable_image_key
+from mfl import cli, suites, tableaux
+from mfl.matchfield import display_key, image_code, variable_image_key
 from mfl.permcomb import (
     all_index_keys,
     bruhat_leq,
@@ -16,18 +16,16 @@ from mfl.permcomb import (
 )
 from mfl.quadideal import CapabilityError
 from mfl.tableaux import (
-    MATCHING_FIELD,
-    SSYT,
     BijectionReport,
-    Tableau,
     _bijection_table,
     _bit_count,
     _bit_sliced,
+    _enumerate_ssyt2_all,
+    check_tableau,
     enumerate_ssyt2,
     is_standard,
     min_defining_chain2,
     min_defining_chain2_exhaustive,
-    row_equal,
     ssyt_to_matching_field,
     standard_masks,
     standard_monomial_count_deg2,
@@ -36,51 +34,80 @@ from mfl.tableaux import (
 from mfl.theoremsets import in_pattern_family
 
 
+# ---------------------------------------------------------------------------
+# Reference: row-wise equality by row multisets, which the image codes replace
+
+
+def mf_display(n, ell, columns):
+    """The matching-field tableau of ``columns``: each column in B_ell order."""
+    return tuple(display_key(n, ell, col) for col in columns)
+
+
+def rows(display):
+    """Row multisets of a displayed tableau, each sorted."""
+    return tuple(
+        tuple(sorted(col[r] for col in display if len(col) > r))
+        for r in range(len(display[0]))
+    )
+
+
+def row_equal(d1, d2):
+    """Equal per-row entry multisets; False on shape mismatch."""
+    if [len(c) for c in d1] != [len(c) for c in d2]:
+        return False
+    return rows(d1) == rows(d2)
+
+
 class TestTableau:
     def test_ssyt_validation(self):
-        Tableau(((1, 2), (1, 2)), 4)
-        with pytest.raises(ValueError):
-            Tableau(((1, 3), (1, 2)), 4)  # row 2 decreases
-        with pytest.raises(ValueError):
-            Tableau(((1,), (1, 2)), 4)  # sizes increase
-        with pytest.raises(ValueError):
-            Tableau(((1, 2, 3, 4),), 4)  # not proper
-        with pytest.raises(ValueError):
-            Tableau(((1, 2), (3,)), 4, kind="bogus")
-        with pytest.raises(ValueError):
-            Tableau(((1, 2), (3,)), 4, kind=MATCHING_FIELD)  # ell missing
+        check_tableau(4, ((1, 2), (1, 2)))
+        check_tableau(4, ((1, 2, 3),))
+        for columns, message in (
+            (((1, 3), (1, 2)), "rows must weakly increase"),
+            (((1,), (1, 2)), "sizes must weakly decrease"),
+            (((1, 2, 3, 4),), "proper non-empty subset"),
+            (((1, 5), (2,)), r"subset of \[4\]"),
+            (((0, 2), (1,)), r"subset of \[4\]"),
+            (((2, 1), (1,)), "strictly increasing"),
+            ((), "at least one column"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check_tableau(4, columns)
+
+    def test_entry_points_check(self):
+        # [23|1] is not semi-standard; the per-tableau entry points refuse it
+        columns = ((2, 3), (1,))
+        with pytest.raises(ValueError, match="rows must weakly increase"):
+            min_defining_chain2(4, columns)
+        with pytest.raises(ValueError, match="rows must weakly increase"):
+            is_standard(4, columns, (4, 3, 2, 1))
+        with pytest.raises(ValueError, match="two-column semi-standard"):
+            ssyt_to_matching_field(columns, 1)
 
     def test_matching_field_kind_skips_row_condition(self):
-        t = Tableau(((1, 3), (2,)), 4, kind=MATCHING_FIELD, ell=1)
-        assert t.display() == ((3, 1), (2,))
-        assert t.rows() == ((2, 3), (1,))
+        # the display of [13|2] for B_1 has the decreasing row 3 | 2
+        display = mf_display(4, 1, ((1, 3), (2,)))
+        assert display == ((3, 1), (2,))
+        assert rows(display) == ((2, 3), (1,))
 
     def test_ssyt_display_and_rows(self):
-        t = Tableau(((1, 2, 4), (2, 3)), 4)
-        assert t.display() == ((1, 2, 4), (2, 3))
-        assert t.rows() == ((1, 2), (2, 3), (4,))
-        assert t.shape == (3, 2)
+        assert rows(((1, 2, 4), (2, 3))) == ((1, 2), (2, 3), (4,))
 
     def test_render_text(self):
-        t = Tableau(((1, 2, 4), (2, 3)), 4)
-        assert t.render_text() == "1 | 2\n2 | 3\n4"
-
-    def test_json(self):
-        t = Tableau(((1, 3, 4), (2,)), 4, kind=MATCHING_FIELD, ell=2)
-        assert t.to_json_obj() == [["3", "1", "4"], ["2"]]
+        # the CLI's text form of a tableau
+        assert cli._render(((1, 2, 4), (2, 3))) == "1 | 2\n2 | 3\n4"
+        assert cli._render(((9, 10), (3,))) == " 9 |  3\n10"
 
 
 class TestRowEqual:
     def test_examples(self):
-        a = Tableau(((1, 2), (3,)), 4)
+        a = ((1, 2), (3,))
         assert row_equal(a, a)
-        b = Tableau(((1, 3), (2,)), 4)
+        b = ((1, 3), (2,))
         assert not row_equal(a, b)
 
     def test_shape_mismatch_is_false(self):
-        a = Tableau(((1, 2), (3,)), 4)
-        b = Tableau(((1, 2),), 4)
-        assert not row_equal(a, b)
+        assert not row_equal(((1, 2), (3,)), ((1, 2),))
 
     def test_matches_grid_image_fibers(self):
         # for every cut with n <= 5, equal shape matching-field tableaux are
@@ -99,90 +126,100 @@ class TestRowEqual:
                 if len(a) >= len(b)
             ]
             for ell in range(n):
-                items = [
-                    (Tableau(p, n, kind=MATCHING_FIELD, ell=ell), cells(*p), code(*p))
-                    for p in pairs
-                ]
-                for t1, g1, c1 in items:
-                    for t2, g2, c2 in items:
-                        if t1.shape == t2.shape:
-                            assert row_equal(t1, t2) == (g1 == g2) == (c1 == c2), (
-                                n, ell, t1.columns, t2.columns)
+                items = [(p, mf_display(n, ell, p), cells(*p), code(*p)) for p in pairs]
+                for p1, d1, g1, c1 in items:
+                    for p2, d2, g2, c2 in items:
+                        if [len(c) for c in p1] == [len(c) for c in p2]:
+                            assert row_equal(d1, d2) == (g1 == g2) == (c1 == c2), (
+                                n, ell, p1, p2)
 
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(enumerate_ssyt2(3, (3, 2, 1))) == 20
-        assert len(enumerate_ssyt2(3)) == 20
-        assert len(enumerate_ssyt2(5)) == 399
+        assert len(list(enumerate_ssyt2(3, (3, 2, 1)))) == 20
+        assert len(list(enumerate_ssyt2(3))) == 20
+        assert len(list(enumerate_ssyt2(5))) == 399
 
     def test_identity_filter(self):
-        tableaux = enumerate_ssyt2(3, (1, 2, 3))
-        assert {t.columns for t in tableaux} == {
+        assert set(enumerate_ssyt2(3, (1, 2, 3))) == {
             ((1,), (1,)),
             ((1, 2), (1,)),
             ((1, 2), (1, 2)),
         }
 
     def test_shape_example(self):
-        tableaux = enumerate_ssyt2(4, (3, 2, 1, 4))
-        assert any(t.columns == ((1, 2), (3,)) for t in tableaux)
+        assert ((1, 2), (3,)) in enumerate_ssyt2(4, (3, 2, 1, 4))
 
     def test_deterministic_order(self):
-        assert enumerate_ssyt2(4) == enumerate_ssyt2(4)
-        sizes = [(len(t.columns[0]), len(t.columns[1])) for t in enumerate_ssyt2(4)]
+        assert list(enumerate_ssyt2(4)) == list(enumerate_ssyt2(4))
+        sizes = [(len(left), len(right)) for left, right in enumerate_ssyt2(4)]
         assert sizes == sorted(sizes)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_filter_matches_full_enumeration(self, n):
+        # skipping a vanishing left column keeps the order of the full list
+        for w in itertools.permutations(range(1, n + 1)):
+            vanset = vanishing_keys(w)
+            assert list(enumerate_ssyt2(n, w)) == [
+                t for t in _enumerate_ssyt2_all(n) if all(c not in vanset for c in t)
+            ], w
+
+    def test_lazy(self):
+        # n = 16 has far too many tableaux to list; the first few come at once
+        first = list(itertools.islice(enumerate_ssyt2(16), 5))
+        assert first == [((1,), (v,)) for v in range(1, 6)]
 
 
 class TestRearrangement:
     def test_rectangular_examples(self):
-        t = Tableau(((1, 3, 5), (2, 4)), 5)
+        t = ((1, 3, 5), (2, 4))
         g1 = ssyt_to_matching_field(t, 1)
-        assert g1.columns == ((2, 3, 5), (1, 4))
-        assert g1.display() == ((2, 3, 5), (4, 1))
+        assert g1 == ((2, 3, 5), (1, 4))
+        assert mf_display(5, 1, g1) == ((2, 3, 5), (4, 1))
         g2 = ssyt_to_matching_field(t, 2)
-        assert g2.columns == ((1, 3, 5), (2, 4))
-        assert g2.display() == ((3, 1, 5), (4, 2))
+        assert g2 == ((1, 3, 5), (2, 4))
+        assert mf_display(5, 2, g2) == ((3, 1, 5), (4, 2))
 
     def test_single_row_second_column_examples(self):
-        a = ssyt_to_matching_field(Tableau(((1, 3, 4), (2,)), 4), 1)
-        assert a.columns == ((2, 3, 4), (1,))
-        assert a.display() == ((2, 3, 4), (1,))
-        b = ssyt_to_matching_field(Tableau(((1, 2, 4), (3,)), 4), 1)
-        assert b.columns == ((1, 3, 4), (2,))
-        assert b.display() == ((3, 1, 4), (2,))
-        c = ssyt_to_matching_field(Tableau(((1, 2, 3), (3,)), 4), 1)
-        assert c.columns == ((1, 2, 3), (3,))
-        assert c.display() == ((2, 1, 3), (3,))
+        a = ssyt_to_matching_field(((1, 3, 4), (2,)), 1)
+        assert a == ((2, 3, 4), (1,))
+        assert mf_display(4, 1, a) == ((2, 3, 4), (1,))
+        b = ssyt_to_matching_field(((1, 2, 4), (3,)), 1)
+        assert b == ((1, 3, 4), (2,))
+        assert mf_display(4, 1, b) == ((3, 1, 4), (2,))
+        c = ssyt_to_matching_field(((1, 2, 3), (3,)), 1)
+        assert c == ((1, 2, 3), (3,))
+        assert mf_display(4, 1, c) == ((2, 1, 3), (3,))
 
     def test_requires_two_column_ssyt(self):
-        with pytest.raises(ValueError):
-            ssyt_to_matching_field(Tableau(((1, 2),), 4), 1)
+        for columns in (
+            ((1, 2),),  # one column
+            ((1, 2), (2,), (3,)),  # three columns
+            ((1, 3), (1, 2)),  # row 2 decreases
+            ((1,), (1, 2)),  # sizes increase
+        ):
+            with pytest.raises(ValueError, match="two-column semi-standard"):
+                ssyt_to_matching_field(columns, 1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 5), st.data())
     def test_preserves_entry_multiset(self, n, data):
-        tableaux = enumerate_ssyt2(n)
-        t = data.draw(st.sampled_from(tableaux))
+        t = data.draw(st.sampled_from(_enumerate_ssyt2_all(n)))
         ell = data.draw(st.integers(0, n - 1))
         image = ssyt_to_matching_field(t, ell)
-        before = sorted(v for col in t.columns for v in col)
-        after = sorted(v for col in image.columns for v in col)
+        before = sorted(v for col in t for v in col)
+        after = sorted(v for col in image for v in col)
         assert before == after
-        assert image.shape == t.shape
-        assert image.kind == MATCHING_FIELD
+        assert [len(c) for c in image] == [len(c) for c in t]
 
 
 class TestStandardMonomialCount:
     def test_examples(self):
         w = (3, 2, 1)
         assert standard_monomial_count_deg2(3, 0, w) == 20
-        assert standard_monomial_count_deg2(3, 0, w) == len(enumerate_ssyt2(3, w))
+        assert standard_monomial_count_deg2(3, 0, w) == len(list(enumerate_ssyt2(3, w)))
 
     def test_zero_family_no_collisions(self):
-        import itertools
-        from mfl.permcomb import all_index_keys
-
         for n in (3, 4):
             for ell in range(n):
                 w = tuple(range(1, n + 1))
@@ -194,85 +231,76 @@ class TestStandardMonomialCount:
 
 class TestDefiningChains:
     def test_constructive_examples(self):
-        chain = min_defining_chain2(Tableau(((1, 2, 4), (3,)), 4))
-        assert [word_text(p) for p in chain.perms] == ["1243", "3142"]
-        chain = min_defining_chain2(Tableau(((1, 3), (2,)), 3))
-        assert chain.perms[1] == (2, 3, 1)
+        chain = min_defining_chain2(4, ((1, 2, 4), (3,)))
+        assert [word_text(p) for p in chain] == ["1243", "3142"]
+        chain = min_defining_chain2(3, ((1, 3), (2,)))
+        assert chain[1] == (2, 3, 1)
 
     def test_equal_columns(self):
-        chain = min_defining_chain2(Tableau(((1, 3), (2, 4)), 4))
-        assert chain.perms[1] == (2, 4, 1, 3)
-        assert chain.tilde_i == ()
+        chain = min_defining_chain2(4, ((1, 3), (2, 4)))
+        assert chain[1] == (2, 4, 1, 3)
 
     def test_single_column(self):
-        chain = min_defining_chain2(Tableau(((2, 3),), 4))
-        assert [word_text(p) for p in chain.perms] == ["2314"]
+        chain = min_defining_chain2(4, ((2, 3),))
+        assert [word_text(p) for p in chain] == ["2314"]
 
     def test_matches_exhaustive(self):
         for n in (3, 4, 5, 6):
             for t in enumerate_ssyt2(n):
-                assert (
-                    min_defining_chain2(t).perms
-                    == min_defining_chain2_exhaustive(t).perms
-                ), t.columns
+                assert min_defining_chain2(n, t) == min_defining_chain2_exhaustive(n, t), t
 
     def test_bitset_oracle_matches_reference(self):
         for n in (2, 3, 4, 5):
             for t in enumerate_ssyt2(n):
                 assert (
-                    min_defining_chain2_exhaustive(t)
-                    == reference_min_defining_chain2(t)
-                ), t.columns
-                single = Tableau(t.columns[:1], n)
+                    min_defining_chain2_exhaustive(n, t)
+                    == reference_min_defining_chain2(n, t)
+                ), t
+                single = t[:1]
                 assert min_defining_chain2_exhaustive(
-                    single
-                ) == reference_min_defining_chain2(single)
+                    n, single
+                ) == reference_min_defining_chain2(n, single)
 
     def test_bitset_oracle_raises_with_reference(self):
-        # matching-field tableaux skip the row condition, so some column
-        # pairs have no unique minimum chain; both oracles must refuse them
+        # column pairs that are not semi-standard may have no unique minimum
+        # chain; both oracles must refuse them
         raised = 0
         for n in (3, 4):
             keys = all_index_keys(n)
             for left, right in itertools.product(keys, repeat=2):
                 if len(left) < len(right):
                     continue
-                t = Tableau((left, right), n, kind=MATCHING_FIELD, ell=0)
+                t = (left, right)
                 try:
-                    expected = reference_min_defining_chain2(t)
+                    expected = reference_min_defining_chain2(n, t)
                 except ValueError as exc:
                     raised += 1
                     with pytest.raises(ValueError, match="no unique minimum"):
-                        min_defining_chain2_exhaustive(t)
+                        min_defining_chain2_exhaustive(n, t)
                     assert str(exc).startswith("no unique minimum")
                 else:
-                    assert min_defining_chain2_exhaustive(t) == expected
+                    assert min_defining_chain2_exhaustive(n, t) == expected
         assert raised > 0
 
     def test_capability_error(self):
-        t = Tableau(((1, 2), (1, 2), (1,)), 4)
+        t = ((1, 2), (1, 2), (1,))
         with pytest.raises(CapabilityError):
-            min_defining_chain2(t)
+            min_defining_chain2(4, t)
         with pytest.raises(CapabilityError):
-            is_standard(t, (4, 3, 2, 1))
+            is_standard(4, t, (4, 3, 2, 1))
 
 
 class TestStandardness:
     def test_examples(self):
-        assert is_standard(Tableau(((1, 3), (2,)), 3), (2, 3, 1))
-        assert not is_standard(
-            Tableau(((1, 2, 4), (3,)), 4), (3, 2, 1, 4)
-        )
+        assert is_standard(3, ((1, 3), (2,)), (2, 3, 1))
+        assert not is_standard(4, ((1, 2, 4), (3,)), (3, 2, 1, 4))
 
     def test_single_column_matches_domination(self):
         for n in (3, 4):
             for w in itertools.permutations(range(1, n + 1)):
                 vanset = vanishing_keys(w)
-                for t in enumerate_ssyt2(n):
-                    single = Tableau((t.columns[0],), n)
-                    assert is_standard(single, w) == (
-                        single.columns[0] not in vanset
-                    )
+                for left, _ in enumerate_ssyt2(n):
+                    assert is_standard(n, (left,), w) == (left not in vanset)
 
     def test_two_column_theorem_for_312_free(self):
         for n in (3, 4):
@@ -281,16 +309,16 @@ class TestStandardness:
                     continue
                 vanset = vanishing_keys(w)
                 for t in enumerate_ssyt2(n):
-                    dominated = all(c not in vanset for c in t.columns)
-                    assert is_standard(t, w) == dominated, (w, t.columns)
+                    dominated = all(c not in vanset for c in t)
+                    assert is_standard(n, t, w) == dominated, (w, t)
 
     def test_counterexample_when_not_312_free(self):
         # for w = 312 the below-w tableau [13|2] is not standard
         w = (3, 1, 2)
-        t = Tableau(((1, 3), (2,)), 3)
+        t = ((1, 3), (2,))
         vanset = vanishing_keys(w)
-        assert all(c not in vanset for c in t.columns)
-        assert not is_standard(t, w)
+        assert all(c not in vanset for c in t)
+        assert not is_standard(3, t, w)
 
 
 class TestVerifyBijection:
@@ -336,16 +364,15 @@ class TestVerifyBijection:
 # Reference: the scalar chain oracle the bitset oracle replaces
 
 
-def reference_min_defining_chain2(t):
+def reference_min_defining_chain2(n, columns):
     """Minimize over every permutation with the right prefix, one
     permutation and one Bruhat comparison at a time."""
-    if len(t.columns) > 2:
+    if len(columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
-    n = t.n
-    v1 = tableaux.grassmannian_permutation(t.columns[0], n)
-    if len(t.columns) == 1:
-        return tableaux.DefiningChain((v1,))
-    right = set(t.columns[1])
+    v1 = tableaux.grassmannian_permutation(columns[0], n)
+    if len(columns) == 1:
+        return (v1,)
+    right = set(columns[1])
     s = len(right)
     valid = []
     for entries in itertools.permutations(range(1, n + 1)):
@@ -355,8 +382,8 @@ def reference_min_defining_chain2(t):
         e for e in valid if all(bruhat_leq(e, other) for other in valid)
     ]
     if len(minima) != 1:
-        raise ValueError(f"no unique minimum defining chain for {t.columns}")
-    return tableaux.DefiningChain((v1, minima[0]))
+        raise ValueError(f"no unique minimum defining chain for {columns}")
+    return v1, minima[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +393,7 @@ def reference_min_defining_chain2(t):
 @lru_cache(maxsize=32)
 def _reference_signatures(n, ell, rearrange):
     return tuple(
-        (t, tuple(rearrange(t, ell).rows())) for t in enumerate_ssyt2(n)
+        (t, rows(mf_display(n, ell, rearrange(t, ell)))) for t in enumerate_ssyt2(n)
     )
 
 
@@ -395,7 +422,7 @@ def reference_verify_bijection(n, ell, w):
         if sig in signatures:
             injective = False
             failures.append(
-                f"images of {signatures[sig].columns} and {t.columns} are row-equal"
+                f"images of {signatures[sig]} and {t} are row-equal"
             )
         else:
             signatures[sig] = t
@@ -404,7 +431,7 @@ def reference_verify_bijection(n, ell, w):
     surjective = True
     mono_sigs = {}
     for a, b in _reference_pairs(n):
-        sig = tuple(Tableau((a, b), n, kind=MATCHING_FIELD, ell=ell).rows())
+        sig = rows(mf_display(n, ell, (a, b)))
         mono_sigs[(a, b)] = sig
         if sig not in signatures:
             surjective = False
@@ -418,10 +445,9 @@ def reference_verify_bijection(n, ell, w):
 
     preimage_ok = True
     for t, _ in data:
-        image = rearrange(t, ell)
-        if below(image.columns) and not below(t.columns):
+        if below(rearrange(t, ell)) and not below(t):
             preimage_ok = False
-            failures.append(f"preimage of below-w image {t.columns} is not below w")
+            failures.append(f"preimage of below-w image {t} is not below w")
     checks.append(("preimage_below_w", preimage_ok))
 
     in_pattern = in_pattern_family(w, ell)
@@ -432,7 +458,7 @@ def reference_verify_bijection(n, ell, w):
     if in_pattern:
         row_class_count = standard_monomial_count_deg2(n, ell, w)
         standard_count = sum(
-            1 for t, _ in data if bruhat_leq(min_defining_chain2(t).last, w)
+            1 for t, _ in data if bruhat_leq(min_defining_chain2(n, t)[-1], w)
         )
         std_ok = standard_count == row_class_count
         if not std_ok:
@@ -446,14 +472,11 @@ def reference_verify_bijection(n, ell, w):
         column_count = 0
         image_ok = True
         for t, sig in data:
-            if below(t.columns):
+            if below(t):
                 column_count += 1
-                image = rearrange(t, ell)
-                if not below(image.columns):
+                if not below(rearrange(t, ell)):
                     image_ok = False
-                    failures.append(
-                        f"image of below-w tableau {t.columns} not below w"
-                    )
+                    failures.append(f"image of below-w tableau {t} not below w")
                 surviving_image_sigs.add(sig)
         surject_w_ok = True
         surviving_sigs = set()
@@ -514,8 +537,8 @@ class TestBijectionTables:
     def test_failure_paths_match_reference(self, monkeypatch):
         # a map that only reorders the display breaks injectivity and both
         # surjectivity checks; the failure messages must still agree, in order
-        def unmoved(t, ell):
-            return Tableau(t.columns, t.n, kind=MATCHING_FIELD, ell=ell)
+        def unmoved(columns, ell):
+            return columns
 
         monkeypatch.setattr(tableaux, "ssyt_to_matching_field", unmoved)
         _bijection_table.cache_clear()
@@ -548,7 +571,7 @@ class TestBijectionTables:
         with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
             verify_bijection(3, 1, (1, 2, 2))
         with pytest.raises(ValueError, match="permutation length 3 does not match n = 4"):
-            is_standard(Tableau(((1, 2), (3,)), 4), (1, 2, 3))
+            is_standard(4, ((1, 2), (3,)), (1, 2, 3))
         with pytest.raises(ValueError, match="not a permutation"):
             enumerate_ssyt2(3, (0, 1, 2))
         with pytest.raises(ValueError, match="does not match n = 3"):
@@ -560,16 +583,16 @@ class TestStandardMasks:
     def test_is_standard_matches_chain_end_below_w(self, n):
         for w in itertools.permutations(range(1, n + 1)):
             for t in enumerate_ssyt2(n):
-                expected = bruhat_leq(min_defining_chain2(t).last, w)
-                assert is_standard(t, w) == expected, (w, t.columns)
+                expected = bruhat_leq(min_defining_chain2(n, t)[-1], w)
+                assert is_standard(n, t, w) == expected, (w, t)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_masks_follow_enumeration_order(self, n):
         masks = standard_masks(n)
-        assert len(masks) == len(enumerate_ssyt2(n))
+        assert len(masks) == len(list(enumerate_ssyt2(n)))
         for i, w in enumerate(itertools.permutations(range(1, n + 1))):
             for t, mask in zip(enumerate_ssyt2(n), masks):
-                assert bool(mask >> i & 1) == is_standard(t, w)
+                assert bool(mask >> i & 1) == is_standard(n, t, w)
 
 
 class TestBitSlicedCounter:
@@ -604,16 +627,16 @@ def reference_domination(n, standard):
     """run_tableaux's standardness-against-domination loop as it was before
     the bitsets: one vanishing set per 312-free w, one check per tableau."""
     report = suites.SuiteReport("tableaux")
-    tableaux_n = enumerate_ssyt2(n)
+    tableaux_n = list(enumerate_ssyt2(n))
     for i, w in enumerate(itertools.permutations(range(1, n + 1))):
         if not is_312_free(w):
             continue
         vanset = vanishing_keys(w)
         for t, mask in zip(tableaux_n, standard):
             report.checked += 1
-            dominated = all(c not in vanset for c in t.columns)
+            dominated = all(c not in vanset for c in t)
             if bool(mask >> i & 1) != dominated:
-                report.record(n=n, w=word_text(w), columns=t.columns,
+                report.record(n=n, w=word_text(w), columns=t,
                               detail="standardness differs from domination")
     return report
 
