@@ -10,24 +10,45 @@ before emission.  Every command runs in a single process.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 
 from mfl import golden
 from mfl.matchfield import display_key
-from mfl.permcomb import MAX_N, check_permutation, word_text, zero_family, zero_family_size
+from mfl.permcomb import (
+    MAX_N,
+    check_permutation,
+    mask_bits,
+    word_text,
+    zero_family,
+    zero_family_size,
+)
 from mfl.quadideal import (
+    BINOMIAL,
+    NONBINOMIAL,
+    ZERO,
     CapabilityError,
     _check_case,
     classify_oracle,
     mono_key,
     mono_text,
+    verdict_masks,
     verdicts_for_all_w,
 )
 from mfl.suites import SUITES, run_suite
 from mfl.tableaux import enumerate_ssyt2, ssyt_to_matching_field
-from mfl.theoremsets import binomial_family, classify_combinatorial, count_table
+from mfl.theoremsets import (
+    CLASS_N,
+    CLASS_T,
+    CLASS_Z,
+    binomial_family,
+    classify_combinatorial,
+    count_table,
+    family_masks,
+)
 
 SCHEMA = "mfl/1"
 
@@ -52,6 +73,21 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _emit_json_listing(obj, key: str, items) -> None:
+    """Print what ``_emit_json`` prints for ``obj`` with the list ``items``
+    added under ``key``, one item at a time as ``items`` yields it.
+    ``obj`` must be non-empty, and ``key`` must sort after its keys."""
+    write = sys.stdout.write
+    head = json.dumps(obj, indent=2, sort_keys=True)[:-2]  # without "\n}"
+    write(f"{head},\n  {json.dumps(key)}: [")
+    sep = "\n"
+    for item in items:
+        text = json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+        write(f"{sep}    {text}")
+        sep = ",\n"
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +288,14 @@ def cmd_tableaux(args) -> int:
                 for c in ssyt_to_matching_field(columns, args.ell)]
 
     if args.format == "json":
-        out = []
-        for columns in items:
+        def entry(columns):
             obj = {"columns": [[str(v) for v in c] for c in columns]}
             if args.ell is not None:
                 obj["image"] = [[str(v) for v in c] for c in image(columns)]
-            out.append(obj)
-        _emit_json({"schema": SCHEMA, "n": args.n, "ell": args.ell, "tableaux": out})
+            return obj
+
+        _emit_json_listing({"schema": SCHEMA, "n": args.n, "ell": args.ell},
+                           "tableaux", map(entry, items))
     else:
         for columns in items:
             print(_render(columns))
@@ -307,19 +344,36 @@ def cmd_verify(args) -> int:
 # sweep
 
 
-def _sweep_rows(n: int, ell: int) -> list[tuple]:
+def _sweep_rows(n: int, ell: int) -> list[tuple[int, str, str, str, str]]:
+    """The rows (ell, w, verdict, class, tags) of every w in S_n, in
+    ``itertools.permutations`` order.
+
+    One pass reads character i of the bit texts of the verdict masks, the
+    zero and binomial families and the binomial clauses' tag masks; no
+    per-w object is built.
+    """
+    monomial, surviving = verdict_masks(n, ell)  # the oracle bound is checked first
+    families = family_masks(n, ell)
+    width = math.factorial(n)
+    tags = sorted(families.tags)
+    names = [tag for tag, _ in tags]
+    texts = [mask_bits(mask, width)
+             for mask in (monomial, surviving, families.zero, families.binomial)]
+    texts += [mask_bits(mask, width) for _, mask in tags]
+    # word_text of each w, from the permutations of the entries' text
+    sep = "" if n <= 9 else ","
+    words = map(sep.join, itertools.permutations([str(v) for v in range(1, n + 1)]))
     rows = []
-    for w, verdict in verdicts_for_all_w(n, ell).items():
-        record = classify_combinatorial(n, ell, w)
-        rows.append(
-            (
-                ell,
-                word_text(w),
-                verdict,
-                record.combinatorial_class,
-                ",".join(sorted(record.witness_tags)),
-            )
-        )
+    for word, m, s, z, b, *tag_bits in zip(words, *texts):
+        verdict = NONBINOMIAL if m == "1" else BINOMIAL if s == "1" else ZERO
+        if z == "1":
+            cls, witness = CLASS_Z, ""
+        elif b == "1":
+            cls = CLASS_T
+            witness = ",".join(t for t, bit in zip(names, tag_bits) if bit == "1")
+        else:
+            cls, witness = CLASS_N, ""
+        rows.append((ell, word, verdict, cls, witness))
     return rows
 
 
@@ -343,9 +397,8 @@ def cmd_sweep(args) -> int:
             }
         )
     else:
-        print("n,ell,w,verdict,class,tags")
-        for e, w, v, c, t in rows:
-            print(f"{args.n},{e},{w},{v},{c},{t}")
+        lines = [f"{args.n},{e},{w},{v},{c},{t}\n" for e, w, v, c, t in rows]
+        sys.stdout.write("n,ell,w,verdict,class,tags\n" + "".join(lines))
     return 0
 
 

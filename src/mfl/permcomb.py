@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Hard implementation bound; the classification sweeps use n <= 7.
 MAX_N = 16
@@ -325,6 +325,29 @@ def set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_bits(mask: int, width: int) -> str:
+    """The bits 0..width-1 of ``mask`` as text: character i is ``"1"``
+    iff bit i is set (the reversed, zero-padded binary text).
+
+    >>> mask_bits(0b110, 4)
+    '0110'
+    """
+    return format(mask, f"0{width}b")[::-1]
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def to_mask(flags: Iterable[bool]) -> int:
+    """The bitset whose bit i is the i-th of the booleans ``flags``; the
+    inverse of :func:`mask_bits`.
+
+    >>> to_mask(c == "1" for c in mask_bits(0b110, 4))
+    6
+    """
+    return int(bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
 
 
 @lru_cache(maxsize=8)  # a build at n reads n - 1

@@ -33,6 +33,7 @@ from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
     check_permutation,
+    mask_bits,
     vanishing_keys,
     word_text,
 )
@@ -327,14 +328,13 @@ def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple
     'nonbinomial'
     """
     monomial, surviving = verdict_masks(n, ell, bound)
-    # bit i of a mask is character i of its reversed, zero-padded binary text
     width = math.factorial(n)
-    monomial_bits = format(monomial, f"0{width}b")[::-1]
-    surviving_bits = format(surviving, f"0{width}b")[::-1]
     return {
         entries: NONBINOMIAL if m == "1" else BINOMIAL if s == "1" else ZERO
         for entries, m, s in zip(
-            itertools.permutations(range(1, n + 1)), monomial_bits, surviving_bits
+            itertools.permutations(range(1, n + 1)),
+            mask_bits(monomial, width),
+            mask_bits(surviving, width),
         )
     }
 

@@ -26,15 +26,17 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 from operator import itemgetter, or_
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from mfl.permcomb import (
     check_permutation,
     is_312_free,
+    mask_bits,
     permutation_at,
     permutation_index,
     restriction,
     set_bits,
+    to_mask,
     word_text,
     zero_family_size,
 )
@@ -103,13 +105,6 @@ def _double_staircase(a: int, b: int) -> tuple[int, ...]:
 # Bit i of every mask stands for the i-th permutation of [n] in
 # ``itertools.permutations`` order (see :mod:`mfl.permcomb`).
 
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _to_mask(flags: Iterable[bool]) -> int:
-    """The bitset whose bit i is the i-th of the booleans ``flags``."""
-    return int(bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
-
 
 def _bit(entries: tuple[int, ...]) -> int:
     return 1 << permutation_index(entries)
@@ -166,7 +161,7 @@ def _families(n: int) -> tuple[FamilyMasks, ...]:
     prev = _families(n - 1)
     width_prev, width = math.factorial(n - 1), math.factorial(n)
     index_prev = {e: i for i, e in enumerate(itertools.permutations(range(1, n)))}
-    free_prev = format(prev[0].free_312, f"0{width_prev}b")[::-1]
+    free_prev = mask_bits(prev[0].free_312, width_prev)
     parent, gaps, tails, descending = [], [], [], []
     heads = [bytearray(width) for _ in range(n + 1)]  # heads[v]: w_2 = v, head holds
     for i, e in enumerate(itertools.permutations(range(1, n + 1))):
@@ -186,25 +181,25 @@ def _families(n: int) -> tuple[FamilyMasks, ...]:
             rest = tuple(x - (x > v) for x in e if x != v)
             heads[v][i] = free_prev[index_prev[rest]] == "1"
 
-    # character k of a mask's binary text is bit N-1-k; its parent is
-    # character width_prev-1-parent[N-1-k] of the text over S_{n-1}
-    pick = itemgetter(*[width_prev - 1 - p for p in reversed(parent)])
+    # character k of a mask's binary text is bit N-1-k, whose parent is
+    # character parent[N-1-k] of the bit text over S_{n-1}
+    pick = itemgetter(*reversed(parent))
 
     def lift(mask: int) -> int:
-        return int("".join(pick(format(mask, f"0{width_prev}b"))), 2) if mask else 0
+        return int("".join(pick(mask_bits(mask, width_prev))), 2) if mask else 0
 
     lifted_zero = lift(prev[0].zero)
-    desc = _to_mask(descending)
+    desc = to_mask(descending)
     free_312 = lift(prev[0].free_312) & desc
     staircase = lift(prev[0].staircase) | (_bit(_staircase(n)) if n >= 3 else 0)
-    zero = lifted_zero & _to_mask(x[-1] == n or x[-2:] == (n, n - 1) for x in tails)
+    zero = lifted_zero & to_mask(x[-1] == n or x[-2:] == (n, n - 1) for x in tails)
     # 312-free w belong unless a staircase restriction comes without a
     # double-staircase head at w_2 <= ell; the others iff w_2 = ell and w
     # without w_2 is 312-free
     patterns = [free_312]
     double_heads = 0
     for ell in range(1, n):
-        head = _to_mask(heads[ell])
+        head = to_mask(heads[ell])
         double_heads |= head & free_312
         patterns.append(free_312 & ~(staircase & ~double_heads) | head & ~free_312)
 
@@ -215,8 +210,8 @@ def _families(n: int) -> tuple[FamilyMasks, ...]:
         lifted = [lift(masks.binomial) for masks in prev]
         parent_desc = lift(prev[0].descending)
         a1_tails = ((n - 1, n, n - 2), (n, n - 1, n - 2))
-        a1 = ((TAG_A1, lifted_zero & _to_mask(x in a1_tails for x in tails)),)
-        ge_m1, ge_p1, ge_p2 = (_to_mask(g >= k for g in gaps) for k in (-1, 1, 2))
+        a1 = ((TAG_A1, lifted_zero & to_mask(x in a1_tails for x in tails)),)
+        ge_m1, ge_p1, ge_p2 = (to_mask(g >= k for g in gaps) for k in (-1, 1, 2))
         excluded = _bit(_a2_excluded(n))
         diag, semi = lifted[0], lifted[n - 2]
         tags[0] = a1 + ((TAG_A2, diag & parent_desc & ge_m1),)

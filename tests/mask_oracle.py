@@ -1,10 +1,13 @@
 """Per-permutation builds of the S_n bitset tables of ``mfl.permcomb``: the
 oracles the run-built prefix masks and the cover-built alive masks are
-compared against.  Each passes over all n! permutations."""
+compared against, and the per-w sweep rows the bit-text rows of
+``mfl.cli`` are compared against.  Each passes over all n! permutations."""
 
 import itertools
 
-from mfl.permcomb import all_index_keys, dominated, sorted_prefixes
+from mfl.permcomb import all_index_keys, dominated, sorted_prefixes, word_text
+from mfl.quadideal import verdicts_for_all_w
+from mfl.theoremsets import classify_combinatorial
 
 
 def reference_prefix_set_masks(n):
@@ -30,3 +33,21 @@ def reference_alive_masks(n):
                 mask |= bits
         alive[j] = mask
     return alive
+
+
+def reference_sweep_rows(n, ell):
+    """The rows (ell, w, verdict, class, tags) of ``mfl sweep``, with one
+    ``classify_combinatorial`` record per w."""
+    rows = []
+    for w, verdict in verdicts_for_all_w(n, ell).items():
+        record = classify_combinatorial(n, ell, w)
+        rows.append(
+            (
+                ell,
+                word_text(w),
+                verdict,
+                record.combinatorial_class,
+                ",".join(sorted(record.witness_tags)),
+            )
+        )
+    return rows

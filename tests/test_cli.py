@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mask_oracle import reference_sweep_rows
 from mfl import cli, suites, tableaux, theoremsets
 from mfl.cli import main, parse_permutation
 from mfl.quadideal import classify_oracle
@@ -221,6 +222,45 @@ class TestTableaux:
                     if t["columns"] == [["1", "3", "4"], ["2"]]]
         assert entry["image"] == [["3", "1", "4"], ["2"]]
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_json_listing_matches_one_dump(self, capsys, n):
+        # the streamed listing is what one json.dumps of the whole object prints
+        identity = "".join(map(str, range(1, n + 1)))
+        top = identity[::-1]
+        for flags in ([], ["--ell", "0"], ["--ell", str(n - 1)], ["--w", identity],
+                      ["--w", top], ["--ell", "1", "--w", top]):
+            code, out, _ = run(capsys, "--format", "json", "tableaux", "--n", str(n), *flags)
+            assert code == 0, flags
+            obj = json.loads(out)
+            assert obj["tableaux"], flags
+            cli._emit_json(obj)
+            assert out == capsys.readouterr().out, flags
+
+    def test_json_listing_of_no_items(self, capsys):
+        obj = {"ell": None, "n": 3, "schema": cli.SCHEMA}
+        cli._emit_json_listing(obj, "tableaux", iter(()))
+        streamed = capsys.readouterr().out
+        cli._emit_json(dict(obj, tableaux=[]))
+        assert streamed == capsys.readouterr().out
+
+    def test_json_listing_streams(self, capsys, monkeypatch):
+        # the first entry reaches stdout before the enumeration ends
+        seen = []
+
+        def enumerate_ssyt2(n, w):
+            items = tableaux.enumerate_ssyt2(n, w)
+            yield next(items)
+            seen.append(capsys.readouterr().out)
+            yield from items
+
+        monkeypatch.setattr(cli, "enumerate_ssyt2", enumerate_ssyt2)
+        code, out, _ = run(capsys, "--format", "json", "tableaux", "--n", "3")
+        assert code == 0
+        (head,) = seen
+        assert head.startswith('{\n  "ell": null,\n  "n": 3,\n  "schema": "mfl/1",\n'
+                               '  "tableaux": [\n    {\n      "columns": [')
+        assert len(json.loads(head + out)["tableaux"]) == 20
+
     def test_text_listing(self, capsys):
         code, out, _ = run(capsys, "tableaux", "--n", "3", "--w", "123")
         assert code == 0
@@ -415,6 +455,20 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--n", "8", "--ell", "9")
         assert (code, out) == (2, "")
         assert err == "error: ell must be in 0..7, got 9\n"
+
+    @pytest.mark.parametrize("n, ell", [(n, ell) for n in range(3, 8) for ell in range(n)])
+    def test_rows_match_per_w_reference(self, n, ell):
+        assert cli._sweep_rows(n, ell) == reference_sweep_rows(n, ell)
+
+    def test_n8_exits_2_before_families(self, capsys, monkeypatch):
+        def family_masks(n, ell):
+            raise AssertionError(f"family_masks({n}, {ell}) called")
+
+        monkeypatch.setattr(cli, "family_masks", family_masks)
+        for argv in (["sweep", "--n", "8"], ["--format", "json", "sweep", "--n", "8", "--ell", "3"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: oracle bound is n <= 7, got n = 8\n"
 
     def test_matches_oracle(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "4")

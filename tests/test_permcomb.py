@@ -22,11 +22,13 @@ from mfl.permcomb import (
     in_zero_family,
     insert_max,
     is_312_free,
+    mask_bits,
     permutation_at,
     permutation_index,
     remove_max,
     restriction,
     set_bits,
+    to_mask,
     vanishing_keys,
     word_text,
     zero_family,
@@ -335,6 +337,16 @@ class TestBitsetsOverSn:
         assert list(set_bits(0)) == []
         mask = (1 << 5039) | (1 << 64) | 0b1011
         assert list(set_bits(mask)) == [0, 1, 3, 64, 5039]
+
+    def test_mask_bits_and_to_mask(self):
+        mask = (1 << 5039) | (1 << 64) | 0b1011
+        text = mask_bits(mask, 5040)
+        assert len(text) == 5040
+        assert [i for i, c in enumerate(text) if c == "1"] == list(set_bits(mask))
+        assert to_mask(c == "1" for c in text) == mask
+        assert mask_bits(0, 3) == "000"
+        assert to_mask([False, False]) == 0
+        assert to_mask([True, False, True]) == 0b101
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_up_set_matches_bruhat_leq(self, n):

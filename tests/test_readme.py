@@ -33,23 +33,25 @@ def test_readme_command_runs(command, capsys):
     assert out
 
 
-def test_readme_classify_transcripts(capsys):
-    """The two transcripts shown in the README match the real output."""
+def check_transcripts(capsys, command, count):
+    """Each README console block of ``$ mfl <command> ...`` (there are
+    ``count``) shows the real output byte for byte, trailing blank lines
+    included."""
     text = README.read_text()
-    blocks = re.findall(r"```console\n\$ (mfl classify[^\n]*)\n(.*?)```", text, re.S)
-    assert len(blocks) == 2
-    for command, expected in blocks:
-        main(shlex.split(command)[1:])
-        out = capsys.readouterr().out
-        assert out == expected
+    blocks = re.findall(rf"```console\n\$ (mfl {command}[^\n]*)\n(.*?)```", text, re.S)
+    assert len(blocks) == count
+    for line, expected in blocks:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out == expected, line
+
+
+def test_readme_classify_transcripts(capsys):
+    check_transcripts(capsys, "classify", 2)
 
 
 def test_readme_tableaux_transcript(capsys):
-    """The tableaux transcript in the README matches the real output byte
-    for byte, trailing blank line included."""
-    text = README.read_text()
-    blocks = re.findall(r"```console\n\$ (mfl tableaux[^\n]*)\n(.*?)```", text, re.S)
-    assert len(blocks) == 1
-    (command, expected), = blocks
-    assert main(shlex.split(command)[1:]) == 0
-    assert capsys.readouterr().out == expected
+    check_transcripts(capsys, "tableaux", 1)
+
+
+def test_readme_sweep_transcript(capsys):
+    check_transcripts(capsys, "sweep", 1)
