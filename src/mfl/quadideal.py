@@ -284,21 +284,16 @@ def classify_oracle(
     return ClassificationOutcome(n, ell, w, verdict, binomials, monomials_t, rank)
 
 
-def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]:
-    """The verdicts of all of S_n as two bitsets in
-    ``itertools.permutations`` order: where a monomial survives
-    (non-binomial) and where anything does (not zero).
+def _fiber_folds(n: int, ell: int) -> Iterator[tuple[int, int, int]]:
+    """Per fiber of :func:`_fibers`, its size and where some member and
+    where every member survives, as bitsets over S_n.
 
     The monomial of column c of a block, the variable pair (i, j), is alive
     on ``va[i] & va[j]``, where ``va`` lists the alive bitsets in variable
-    order; per fiber, the OR (some member alive) and the AND (every member
-    alive) of its monomials give where it leaves a monomial (OR and not
-    AND) or a binomial (OR).
+    order; a fiber's OR and AND of those are its ``some`` and ``every``.
     """
-    _check_case(n, ell, bound)
     alive = _alive_masks(n)
     va = [alive[key] for key in all_index_keys(n)]
-    monomial = surviving = 0
     for pairs, fibers in zip(_degree_blocks(n), _fibers(n, ell)):
         for fiber in fibers:
             some, every = 0, -1
@@ -307,9 +302,45 @@ def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]
                 bits = va[i] & va[j]
                 some |= bits
                 every &= bits
-            monomial |= some & ~every
-            surviving |= some
+            yield len(fiber), some, every
+
+
+def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]:
+    """The verdicts of all of S_n as two bitsets in
+    ``itertools.permutations`` order: where a monomial survives
+    (non-binomial) and where anything does (not zero).
+
+    A fiber leaves a monomial where some but not every member survives, and
+    a binomial or a monomial where some member does (:func:`_fiber_folds`).
+    """
+    _check_case(n, ell, bound)
+    monomial = surviving = 0
+    for _, some, every in _fiber_folds(n, ell):
+        monomial |= some & ~every
+        surviving |= some
     return monomial, surviving
+
+
+def rank_one_mask(n: int, ell: int) -> int:
+    """The w of S_n whose restricted ideal is binomial with degree-two rank
+    one, as a bitset in ``itertools.permutations`` order: where
+    :func:`classify_oracle` gives verdict binomial and ``degree2_rank`` 1.
+
+    For a monomial-free w the rank is the sum of ``|F| - 1`` over the wholly
+    alive fibers F, so rank one means exactly one wholly alive fiber, and
+    that fiber has two members.  ``once`` collects where some fiber is
+    wholly alive and ``twice`` where the rank reaches two.
+
+    >>> bin(rank_one_mask(3, 0))  # bits 3 and 5: w = 231 and 321
+    '0b101000'
+    """
+    _check_case(n, ell, None)
+    monomial = once = twice = 0
+    for size, some, every in _fiber_folds(n, ell):
+        monomial |= some & ~every
+        twice |= every if size > 2 else once & every
+        once |= every
+    return once & ~(monomial | twice)
 
 
 def verdict_at(monomial: int, surviving: int, i: int) -> str:

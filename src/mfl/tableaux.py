@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_, xor
 from typing import Iterable, Iterator, NamedTuple
 
 from mfl.matchfield import image_code
@@ -451,6 +452,51 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     )
 
 
+def _counters_differ(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Where two bit-sliced counters differ: the OR over k of a[k] ^ b[k].
+
+    >>> bin(_counters_differ(_bit_sliced((0b011, 0b110)), _bit_sliced((0b111,))))
+    '0b10'
+    """
+    planes = itertools.zip_longest(a, b, fillvalue=0)
+    return reduce(or_, itertools.starmap(xor, planes), 0)
+
+
+def _any_failing(items: tuple[tuple[tuple, int], ...]) -> int:
+    return reduce(or_, (mask for _, mask in items), 0)
+
+
+def bijection_failing_mask(n: int, ell: int) -> int:
+    """The pattern-family w of S_n where :func:`verify_bijection` is not ok,
+    as a bitset in ``itertools.permutations`` order, read off the table of
+    (n, ell) with no per-w report.
+
+    A failing w-independent check fails every member.  Otherwise a member
+    fails where a preimage check fails or the standard count differs from
+    the class count, and a 312-free member also where an image or
+    surjectivity check fails or the below-w count differs from the class
+    count; counts are compared by XOR of counter planes
+    (:func:`_counters_differ`).
+
+    >>> bijection_failing_mask(4, 2)
+    0
+    """
+    table = _bijection_table(n, ell)
+    families = family_masks(n, ell)
+    if not all(passed for _, passed in table.checks):
+        return families.pattern
+    column = (
+        _any_failing(table.image_failing)
+        | _any_failing(table.surjective_failing)
+        | _counters_differ(table.below, table.classes)
+    )
+    return families.pattern & (
+        _any_failing(table.preimage_failing)
+        | _counters_differ(table.standard, table.classes)
+        | families.free_312 & column
+    )
+
+
 def _failing(items: tuple[tuple[tuple, int], ...], i: int) -> list[tuple]:
     return [label for label, mask in items if mask >> i & 1]
 
@@ -487,7 +533,9 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
     bitsets are summed into bit-sliced counters when the table is built, so
     per w the report reads bit :func:`mfl.permcomb.permutation_index` of a
     dozen or so counter planes for each count.  A failure message is written
-    only for an entry whose failure bit is set, in enumeration order.
+    only for an entry whose failure bit is set, in enumeration order.  The
+    tableaux suite reads ``ok`` for every w at once off the same table
+    (:func:`bijection_failing_mask`) and calls this only where it fails.
     """
     check_permutation(w, n)
     table = _bijection_table(n, ell)

@@ -385,13 +385,54 @@ def test_count_table_reports_disagreement(monkeypatch):
 
 
 def test_a1_rank_mismatch_w_is_a_digit_string(monkeypatch):
-    # a fake oracle rank of 2 fails every A1 member; w is text, as elsewhere
+    # a fake rank of 2 fails every A1 member: the rank-one mask is emptied
+    # where the suite decides, and the oracle that writes the record for a
+    # failing member reports rank 2; w is text, as elsewhere
     real = suites.classify_oracle
 
     def rank_two(n, ell, w):
         return dataclasses.replace(real(n, ell, w), degree2_rank=2)
 
+    monkeypatch.setattr(suites, "rank_one_mask", lambda n, ell: 0)
     monkeypatch.setattr(suites, "classify_oracle", rank_two)
     report = suites.run_a1_rank(4)
     assert report.checked == len(report.mismatches) > 0
     assert {m["w"] for m in report.mismatches} == set(golden.A1_N4_MEMBERS)
+    assert {(m["verdict"], m["rank"]) for m in report.mismatches} == {(BINOMIAL, 2)}
+
+
+def reference_run_a1_rank(n_max):
+    """run_a1_rank as it was before the rank-one mask: one oracle call per
+    A1 member."""
+    report = suites.SuiteReport("a1_rank")
+    for n in range(4, n_max + 1):
+        for ell in range(n):
+            for w, tags in binomial_family(n, ell).items():
+                if TAG_A1 not in tags:
+                    continue
+                report.checked += 1
+                outcome = classify_oracle(n, ell, w)
+                if outcome.verdict != BINOMIAL or outcome.degree2_rank != 1:
+                    report.record(n=n, ell=ell, w=word_text(w),
+                                  verdict=outcome.verdict,
+                                  rank=outcome.degree2_rank)
+    return report
+
+
+def test_a1_rank_matches_reference_with_a_flipped_bit(monkeypatch):
+    # clearing one A1 member's bit in the rank-one mask fails that member
+    # only, with the record the per-member loop writes for the real oracle
+    real = suites.rank_one_mask
+    dropped = permutation_index(perm("1342"))
+
+    def patched(n, ell):
+        return real(n, ell) & ~(1 << dropped) if (n, ell) == (4, 2) else real(n, ell)
+
+    monkeypatch.setattr(suites, "rank_one_mask", patched)
+    report = suites.run_a1_rank(5)
+    assert report.checked == reference_run_a1_rank(5).checked
+    assert report.mismatches == [
+        dict(n=4, ell=2, w="1342", verdict=BINOMIAL, rank=1)
+    ]
+    monkeypatch.undo()
+    assert suites.run_a1_rank(6) == reference_run_a1_rank(6)

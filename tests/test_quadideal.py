@@ -33,6 +33,7 @@ from mfl.quadideal import (
     mono_key,
     mono_text,
     quadratic_relations,
+    rank_one_mask,
     theorem_a_masks,
     verdict_masks,
     verdicts_for_all_w,
@@ -173,6 +174,17 @@ class TestClassifyOracle:
                 for entries, verdict in bulk.items():
                     oracle = classify_oracle(n, ell, entries).verdict
                     assert oracle == verdict, (n, ell, entries)
+
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rank_one_mask_agrees(self, n):
+        # the fiber fold against the per-w oracle, every w and every ell
+        for ell in range(n):
+            mask = rank_one_mask(n, ell)
+            for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
+                outcome = classify_oracle(n, ell, entries)
+                expected = outcome.verdict == BINOMIAL and outcome.degree2_rank == 1
+                assert bool(mask >> i & 1) == expected, (n, ell, entries)
 
 
 class TestVerdictKernel:

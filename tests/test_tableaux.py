@@ -1,6 +1,7 @@
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from mfl import cli, suites, tableaux
 from mfl.matchfield import display_key, image_code, variable_image_key
 from mfl.permcomb import (
+    _alive_masks,
     all_index_keys,
     bruhat_leq,
     is_312_free,
+    permutation_at,
+    set_bits,
     vanishing_keys,
     word_text,
 )
@@ -20,7 +24,9 @@ from mfl.tableaux import (
     _bijection_table,
     _bit_count,
     _bit_sliced,
+    _counters_differ,
     _enumerate_ssyt2_all,
+    bijection_failing_mask,
     check_tableau,
     enumerate_ssyt2,
     is_standard,
@@ -31,7 +37,7 @@ from mfl.tableaux import (
     standard_monomial_count_deg2,
     verify_bijection,
 )
-from mfl.theoremsets import in_pattern_family
+from mfl.theoremsets import family_masks, in_pattern_family
 
 
 # ---------------------------------------------------------------------------
@@ -664,3 +670,201 @@ class TestDominationAgainstReference:
         assert len({m["w"] for m in expected}) > 10
         # pinned from the per-w loop before the bitsets
         assert report.checked == 18950
+
+
+# ---------------------------------------------------------------------------
+# Reference: the tableaux suite with one verify_bijection per pattern member
+
+
+def reference_run_tableaux(n_max):
+    """run_tableaux as it was before the failing mask: every pattern-family
+    w gets its own bijection report."""
+    report = suites.SuiteReport("tableaux")
+    for n in range(3, n_max + 1):
+        for ell in range(n):
+            for i in set_bits(family_masks(n, ell).pattern):
+                result = verify_bijection(n, ell, permutation_at(n, i))
+                report.checked += 1
+                if not result.ok:
+                    report.record(n=n, ell=ell, w=result.w,
+                                  failures=result.failures[:3])
+        tableaux_n = _enumerate_ssyt2_all(n)
+        for t in tableaux_n:
+            report.checked += 1
+            if min_defining_chain2(n, t) != min_defining_chain2_exhaustive(n, t):
+                report.record(n=n, columns=t,
+                              detail="constructive chain differs from exhaustive")
+        alive = _alive_masks(n)
+        free_312 = family_masks(n, 0).free_312
+        report.checked += free_312.bit_count() * len(tableaux_n)
+        differs = [
+            ((a, b), (mask ^ (alive[a] & alive[b])) & free_312)
+            for (a, b), mask in zip(tableaux_n, suites.standard_masks(n))
+        ]
+        differs = [(t, mask) for t, mask in differs if mask]
+        for i in set_bits(reduce(or_, (m for _, m in differs), 0)):
+            w = word_text(permutation_at(n, i))
+            for t, mask in differs:
+                if mask >> i & 1:
+                    report.record(n=n, w=w, columns=t,
+                                  detail="standardness differs from domination")
+    return report
+
+
+def _first_bit(mask):
+    return mask & -mask
+
+
+def _targets(n, ell):
+    """One-bit masks at a 312-free member of the pattern family, at a member
+    with a 312 pattern, and at a w outside the family."""
+    masks = family_masks(n, ell)
+    full = (1 << math.factorial(n)) - 1
+    targets = {
+        "free_312": _first_bit(masks.pattern & masks.free_312),
+        "with_312": _first_bit(masks.pattern & ~masks.free_312),
+        "outside": _first_bit(full & ~masks.pattern),
+    }
+    assert all(targets.values())
+    return targets
+
+
+def _flip_first(items, bits):
+    """Flip ``bits`` in the first failing list entry, or add an entry."""
+    if not items:
+        return ((((1,), (2,)), bits),)
+    (label, mask), *rest = items
+    return ((label, mask ^ bits), *rest)
+
+
+def _flip_plane(planes, bits):
+    """Flip ``bits`` in plane 1 of a bit-sliced counter."""
+    return (planes[0], planes[1] ^ bits) + planes[2:]
+
+
+def _fail_check(table, index):
+    checks = list(table.checks)
+    checks[index] = (checks[index][0], False)
+    return table._replace(checks=tuple(checks),
+                          failures=("injected failure",) + table.failures)
+
+
+FAULT_CUT = (5, 2)
+# fault -> (how it changes the table at FAULT_CUT given the bits to flip,
+# which target members then fail)
+FAULTS = {
+    "injective": (lambda t, bits: _fail_check(t, 0), ("free_312", "with_312")),
+    "surjective": (lambda t, bits: _fail_check(t, 1), ("free_312", "with_312")),
+    "preimage_failing": (
+        lambda t, bits: t._replace(preimage_failing=_flip_first(t.preimage_failing, bits)),
+        ("free_312", "with_312"),
+    ),
+    "standard": (
+        lambda t, bits: t._replace(standard=_flip_plane(t.standard, bits)),
+        ("free_312", "with_312"),
+    ),
+    "below": (
+        lambda t, bits: t._replace(below=_flip_plane(t.below, bits)),
+        ("free_312",),
+    ),
+    "image_failing": (
+        lambda t, bits: t._replace(image_failing=_flip_first(t.image_failing, bits)),
+        ("free_312",),
+    ),
+    "surjective_failing": (
+        lambda t, bits: t._replace(
+            surjective_failing=_flip_first(t.surjective_failing, bits)
+        ),
+        ("free_312",),
+    ),
+}
+
+
+class TestBijectionFailingMask:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_empty_on_real_tables(self, n):
+        for ell in range(n):
+            assert bijection_failing_mask(n, ell) == 0, ell
+
+    @pytest.mark.parametrize("target", ["free_312", "with_312"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_faults_report_like_reference(self, monkeypatch, fault, target):
+        # each fault is set at one pattern member and at one w outside the
+        # family; the mask path and the per-w loop must agree record for
+        # record, in order, with the same count
+        change, fails_at = FAULTS[fault]
+        bits = _targets(*FAULT_CUT)
+        real = tableaux._bijection_table
+
+        def faulty(n, ell):
+            table = real(n, ell)
+            if (n, ell) == FAULT_CUT:
+                table = change(table, bits[target] | bits["outside"])
+            return table
+
+        monkeypatch.setattr(tableaux, "_bijection_table", faulty)
+        report = suites.run_tableaux(5)
+        expected = reference_run_tableaux(5)
+        assert report == expected
+        assert report.checked == 18950
+        failing = {(m["n"], m["ell"], m["w"]) for m in report.mismatches}
+        target_w = word_text(permutation_at(5, bits[target].bit_length() - 1))
+        assert ((5, 2, target_w) in failing) == (target in fails_at)
+        if fault in ("injective", "surjective"):
+            assert len(failing) == family_masks(*FAULT_CUT).pattern.bit_count()
+        else:
+            assert failing <= {(5, 2, target_w)}
+
+    @pytest.mark.parametrize("n_max", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
+    def test_real_tables_report_like_reference(self, n_max):
+        assert suites.run_tableaux(n_max) == reference_run_tableaux(n_max)
+
+
+class TestCountIdentityOverSn:
+    """The degree-two count identity holds exactly on the pattern family:
+    the standard count and the row-class count differ on every other w."""
+
+    @staticmethod
+    def _check(n):
+        full = (1 << math.factorial(n)) - 1
+        for ell in range(n):
+            table = _bijection_table(n, ell)
+            differs = _counters_differ(table.standard, table.classes)
+            assert differs == full & ~family_masks(n, ell).pattern, (n, ell)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equal_exactly_on_pattern_family(self, n):
+        self._check(n)
+
+    @pytest.mark.slow
+    def test_equal_exactly_on_pattern_family_n7_slow(self):
+        self._check(7)
+
+
+class TestTableauxSuiteBound:
+    def test_n_max_above_eight_raises_before_work(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"standard_masks({n}) called")
+
+        monkeypatch.setattr(suites, "standard_masks", refuse)
+        monkeypatch.setattr(tableaux, "standard_masks", refuse)
+        with pytest.raises(CapabilityError, match="n_max 9 exceeds"):
+            suites.run_tableaux(9)
+        code = cli.main(["verify", "--suite", "tableaux", "--n-max", "9"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: n_max 9 exceeds the tableaux suite's bound 8\n"
+
+    @pytest.mark.slow
+    def test_n8_slow(self):
+        # pinned after the mask path and the per-w path agreed at n <= 7
+        # and the mask path ran ok at n = 8; the n = 8 tables are dropped
+        # afterwards so that they do not stay cached for the whole session
+        try:
+            report = suites.run_tableaux(8)
+            assert report.ok, report.mismatches[:5]
+            assert report.checked == 36957374
+        finally:
+            for cached in (_bijection_table, tableaux._cut_free_counts,
+                           standard_masks, _enumerate_ssyt2_all):
+                cached.cache_clear()
