@@ -21,8 +21,10 @@ from mfl.permcomb import (
     has_descending_property,
     in_zero_family,
     insert_max,
+    permutation_at,
     remove_max,
     restriction,
+    set_bits,
     vanishing_keys,
     zero_family,
 )
@@ -34,6 +36,7 @@ from mfl.quadideal import (
     classify_oracle,
     degree2_flag_ideal,
     quadratic_relations,
+    verdict_masks,
 )
 from mfl.tableaux import (
     check_tableau,
@@ -46,10 +49,10 @@ from mfl.tableaux import (
 )
 from mfl.theoremsets import (
     ClassificationRecord,
-    binomial_family,
     classify_combinatorial,
     count_table,
     cross_validate,
+    family_masks,
     in_pattern_family,
 )
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 from mfl.permcomb import MAX_N
@@ -68,7 +67,6 @@ def display_key(n: int, ell: int, members: tuple[int, ...]) -> tuple[int, ...]:
 # Weight matrix and weights
 
 
-@lru_cache(maxsize=64)  # the (n, ell) with n <= 8 number 35
 def weight_matrix(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
     """The n x n weight matrix M_ell inducing B_ell, as a tuple of rows: row
     1 is zero, row 2 encodes the block cut, rows r >= 3 are (r-1)(n+1-j).

@@ -240,16 +240,13 @@ def zero_family(n: int) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=64)  # the recursion visits n, n - 1, ..., 2
 def zero_family_size(n: int) -> int:
-    """|Z_n| via the Fibonacci-style recurrence |Z_n| = |Z_{n-1}| + |Z_{n-2}|."""
-    if n <= 0:
-        return 1
-    if n == 1:
-        return 1
-    if n == 2:
-        return 2
-    return zero_family_size(n - 1) + zero_family_size(n - 2)
+    """|Z_n| via the Fibonacci-style recurrence |Z_n| = |Z_{n-1}| + |Z_{n-2}|
+    from |Z_0| = |Z_1| = 1."""
+    before, size = 1, 1
+    for _ in range(n - 1):
+        before, size = size, before + size
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
     check_permutation,
-    mask_bits,
     vanishing_keys,
     word_text,
 )
@@ -204,8 +203,8 @@ class ClassificationOutcome:
     """
 
     n: int
-    ell: int | None
-    w: tuple[int, ...] | None
+    ell: int
+    w: tuple[int, ...]
     verdict: str
     surviving_binomials: tuple[QuadraticRelation, ...]
     surviving_monomials: tuple[MonoKey, ...]
@@ -216,7 +215,7 @@ class ClassificationOutcome:
             "schema": "mfl/1",
             "n": self.n,
             "ell": self.ell,
-            "w": None if self.w is None else word_text(self.w),
+            "w": word_text(self.w),
             "verdict": self.verdict,
             "generators": [r.to_json_obj() for r in self.surviving_binomials],
             "monomials": [[word_text(k) for k in m] for m in self.surviving_monomials],
@@ -231,13 +230,20 @@ def _check_case(
     ``w`` is reported before a bad ``n``, ``ell`` or bound."""
     if w is not None:
         check_permutation(w, n)
-    bound = ORACLE_BOUND_DEFAULT if bound is None else bound
     if n < 3:
         raise ValueError(f"classification needs n >= 3, got {n}")
-    if n > bound:
-        raise CapabilityError(f"oracle bound is n <= {bound}, got n = {n}")
+    check_oracle_bound(n, n, bound)
     if not 0 <= ell <= n - 1:
         raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+
+
+def check_oracle_bound(n_min: int, n_max: int, bound: int | None = None) -> None:
+    """Refuse a run over n = n_min..n_max that reaches past the oracle
+    bound, naming the first n refused; the sweeps call it before any work."""
+    bound = ORACLE_BOUND_DEFAULT if bound is None else bound
+    first = max(n_min, bound + 1)
+    if first <= n_max:
+        raise CapabilityError(f"oracle bound is n <= {bound}, got n = {first}")
 
 
 def classify_oracle(
@@ -348,26 +354,6 @@ def verdict_at(monomial: int, surviving: int, i: int) -> str:
     if monomial >> i & 1:
         return NONBINOMIAL
     return BINOMIAL if surviving >> i & 1 else ZERO
-
-
-def verdicts_for_all_w(n: int, ell: int, bound: int | None = None) -> dict[tuple[int, ...], str]:
-    """Verdict of every w in S_n at once, read off :func:`verdict_masks`;
-    the bulk path used by the sweeps.  Keys come in
-    ``itertools.permutations`` order.
-
-    >>> verdicts_for_all_w(3, 1)[(2, 3, 1)]
-    'nonbinomial'
-    """
-    monomial, surviving = verdict_masks(n, ell, bound)
-    width = math.factorial(n)
-    return {
-        entries: NONBINOMIAL if m == "1" else BINOMIAL if s == "1" else ZERO
-        for entries, m, s in zip(
-            itertools.permutations(range(1, n + 1)),
-            mask_bits(monomial, width),
-            mask_bits(surviving, width),
-        )
-    }
 
 
 # ---------------------------------------------------------------------------

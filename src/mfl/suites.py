@@ -24,6 +24,7 @@ from mfl.permcomb import (
 from mfl.quadideal import (
     LA_CAP_DEFAULT,
     CapabilityError,
+    check_oracle_bound,
     classify_oracle,
     rank_one_mask,
     theorem_a_masks,
@@ -103,6 +104,7 @@ def run_coherence(n_max: int = 7) -> SuiteReport:
 
 def run_theorem_b(n_max: int = 6) -> SuiteReport:
     """Oracle verdict zero iff membership in the zero family, for every cut."""
+    check_oracle_bound(3, n_max)
     report = SuiteReport("theoremB")
     for n in range(3, n_max + 1):
         for ell in range(n):
@@ -118,6 +120,7 @@ def run_theorem_b(n_max: int = 6) -> SuiteReport:
 def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     """Binomial family against the oracle, the descending-property exception,
     and the oracle-free set identities up to combinatorial_n_max."""
+    check_oracle_bound(3, n_max)
     report = SuiteReport("theoremC")
     for n in range(3, n_max + 1):
         result = cross_validate(n)
@@ -145,6 +148,7 @@ def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
 def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     """Monomial-freeness iff pattern family membership, plus the structural
     facts about 312 patterns inside the pattern family."""
+    check_oracle_bound(3, n_max)
     report = SuiteReport("P")
     for n in range(3, n_max + 1):
         full = (1 << math.factorial(n)) - 1

@@ -312,20 +312,6 @@ class BijectionReport:
     def ok(self) -> bool:
         return all(passed for _, passed in self.checks)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "mfl/1",
-            "n": self.n,
-            "ell": self.ell,
-            "w": self.w,
-            "in_pattern_family": self.in_pattern,
-            "checks": dict(self.checks),
-            "standard_count": self.standard_count,
-            "column_count": self.column_count,
-            "row_class_count": self.row_class_count,
-            "failures": list(self.failures),
-        }
-
 
 @lru_cache(maxsize=8)
 def _all_monomial_pairs(n: int) -> tuple[tuple[Key, Key], ...]:

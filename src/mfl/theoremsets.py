@@ -24,9 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from types import MappingProxyType
 from operator import itemgetter, or_
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from mfl.permcomb import (
     check_permutation,
@@ -44,6 +43,7 @@ from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
     ZERO,
+    check_oracle_bound,
     verdict_at,
     verdict_masks,
 )
@@ -127,11 +127,13 @@ class FamilyMasks(NamedTuple):
 
 
 def family_masks(n: int, ell: int) -> FamilyMasks:
-    """The zero, binomial and pattern families at (n, ell).
+    """The zero, binomial and pattern families at (n, ell); ``ell = 0`` is
+    the diagonal field, ``ell = n-1`` the semi-diagonal one.  The binomial
+    family is built by induction on n from an oracle seed at n = 3.
 
-    >>> m = family_masks(3, 1)
-    >>> [e for i, e in enumerate(itertools.permutations((1, 2, 3))) if m.binomial >> i & 1]
-    [(3, 1, 2), (3, 2, 1)]
+    >>> m = family_masks(4, 2)
+    >>> [word_text(permutation_at(4, i)) for i in set_bits(m.binomial)]
+    ['1342', '1432', '3214', '3241', '4231', '4321']
     """
     if n < 3:
         raise ValueError(f"families are defined for n >= 3, got {n}")
@@ -238,26 +240,6 @@ def _oracle_seed(ell: int) -> int:
     return surviving & ~monomial
 
 
-@lru_cache(maxsize=64)  # the (n, ell) with 3 <= n <= 8 number 33
-def binomial_family(n: int, ell: int) -> Mapping[tuple[int, ...], frozenset[str]]:
-    """The permutations with binomial (non-zero) restricted ideal, with tags.
-
-    Built inductively in n from the size n-1 families; the n = 3 base case
-    is seeded from the oracle directly.  Every member carries the set of
-    clauses that admitted it (overlaps allowed).  ``ell = 0`` is the diagonal
-    field; ``ell = n-1`` the semi-diagonal one.  Members come in
-    ``itertools.permutations`` order, read off :func:`family_masks`.
-
-    >>> sorted("".join(map(str, e)) for e in binomial_family(4, 2))
-    ['1342', '1432', '3214', '3241', '4231', '4321']
-    """
-    masks = family_masks(n, ell)
-    return MappingProxyType({
-        permutation_at(n, i): frozenset(tag for tag, m in masks.tags if m >> i & 1)
-        for i in set_bits(masks.binomial)
-    })
-
-
 # ---------------------------------------------------------------------------
 # The pattern family, one permutation at a time
 
@@ -309,7 +291,8 @@ def classify_combinatorial(
     if masks.zero >> i & 1:
         cls, tags = CLASS_Z, frozenset()
     elif masks.binomial >> i & 1:
-        cls, tags = CLASS_T, binomial_family(n, ell)[w]
+        cls = CLASS_T
+        tags = frozenset(tag for tag, m in masks.tags if m >> i & 1)
     else:
         cls, tags = CLASS_N, frozenset()
     return ClassificationRecord(n, ell, w, cls, bool(masks.pattern >> i & 1), tags)
@@ -416,6 +399,7 @@ def count_table(
     """Per-(n, ell) classification counts of the families, with any
     disagreement of the oracle recorded in the row's ``oracle_counts``,
     never raised."""
+    check_oracle_bound(n_min, n_max, oracle_bound)
     rows = []
     for n in range(n_min, n_max + 1):
         total = math.factorial(n)

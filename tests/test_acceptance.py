@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from initial_ideal_oracle import initial_degree2, surviving_binomial_space
+from mask_oracle import binomial_members, verdict_items
 from mfl import golden
 from mfl.cli import parse_permutation
 from mfl.matchfield import verify_coherence
@@ -30,13 +31,11 @@ from mfl.quadideal import (
     mono_key,
     quadratic_relations,
     theorem_a_masks,
-    verdicts_for_all_w,
 )
 from mfl.suites import run_tableaux, run_theorem_a
 from mfl.tableaux import enumerate_ssyt2, is_standard, verify_bijection
 from mfl.theoremsets import (
     TAG_A1,
-    binomial_family,
     count_table,
     cross_validate,
     in_pattern_family,
@@ -94,11 +93,11 @@ def test_criterion_2_toric_lists_n4():
         for ell in range(4):
             expected = sorted(golden.TORIC_LISTS_N4[ell])
             family = sorted(
-                word_text(e) for e in binomial_family(4, ell)
+                word_text(e) for e in binomial_members(4, ell)
             )
             oracle = sorted(
                 word_text(e)
-                for e, v in verdicts_for_all_w(4, ell).items()
+                for e, v in verdict_items(4, ell)
                 if v == BINOMIAL
             )
             assert family == expected, ell
@@ -183,7 +182,7 @@ def test_criterion_9_principal_family():
     with criterion(9, "A1 members have rank-one ideals; n=4 cells exact", 5.0):
         for n in range(4, 7):
             for ell in range(n):
-                family = binomial_family(n, ell)
+                family = binomial_members(n, ell)
                 for entries, tags in family.items():
                     if TAG_A1 not in tags:
                         continue

@@ -4,21 +4,21 @@ runs it serves."""
 import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import mfl
 from mfl import matchfield, permcomb, quadideal, tableaux, theoremsets
 from mfl.quadideal import PAIR_CACHE_SIZE
 from mfl.suites import run_tableaux
 
-MODULES = ("permcomb", "matchfield", "quadideal", "exactla", "theoremsets",
-           "tableaux", "suites", "golden", "cli")
-
 
 def _caches():
-    for name in MODULES:
+    # every module of the package, so that a new one is checked too
+    for _, name, _ in pkgutil.iter_modules(mfl.__path__):
         module = importlib.import_module(f"mfl.{name}")
         for attr, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
@@ -30,18 +30,24 @@ def test_every_cache_is_bounded():
     assert "tableaux._bijection_table" in caches
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
+    # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
+    # quadideal.quadratic_relations and quadideal._flag_ideal
+    assert len(caches) == 16, sorted(caches)
 
 
 def test_no_module_level_family_dict():
     assert not hasattr(theoremsets, "_family_cache")
-    assert theoremsets.binomial_family(5, 2) is theoremsets.binomial_family(5, 2)
+    assert theoremsets.family_masks(5, 2) is theoremsets.family_masks(5, 2)
 
 
 def test_per_call_helpers_carry_no_cache():
     # the monomial-map image is read once per variable by cached callers,
-    # and the Theorem A layouts once per (n, ell) of a sweep
+    # and the Theorem A layouts once per (n, ell) of a sweep; the weight
+    # matrix and |Z_n| cost microseconds to build
     assert not hasattr(matchfield.variable_image_key, "cache_info")
     assert not hasattr(quadideal._block_layouts, "cache_info")
+    assert not hasattr(matchfield.weight_matrix, "cache_info")
+    assert not hasattr(permcomb.zero_family_size, "cache_info")
 
 
 @pytest.mark.parametrize(
@@ -57,10 +63,6 @@ def test_per_call_helpers_carry_no_cache():
         (permcomb._length_layers, 5),
         (permcomb._alive_masks, 5),
         (permcomb._prefix_set_masks, 7),
-        (permcomb.zero_family_size, permcomb.MAX_N),
-        (matchfield.weight_matrix, sum(range(2, 9))),
-        # the census reaches every (n, ell) with n <= 7
-        (theoremsets.binomial_family, 25),
         # the families up to n = 8 (the slow tests) build n = 1..8
         (theoremsets._families, 8),
         # the census and the slow fiber tests split the blocks of n = 3..8

@@ -387,6 +387,25 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: n_max 8 exceeds the linear-algebra cap 7\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", suite, "--n-max", n_max]
+        for suite in ("theoremB", "theoremC", "P") for n_max in ("8", "9")
+    ] + [
+        [*fmt, "tables", "table2", "--n-max", n_max]
+        for fmt in ([], ["--format", "json"]) for n_max in ("8", "9")
+    ], ids=" ".join)
+    def test_oracle_bound_refused_before_any_work(self, capsys, monkeypatch, argv):
+        # the first n past the bound is named, as when the sweep reached it
+        def fail(n, ell, *args, **kwargs):
+            raise AssertionError(f"masks of ({n}, {ell}) built")
+
+        for module in (suites, theoremsets):
+            monkeypatch.setattr(module, "verdict_masks", fail)
+            monkeypatch.setattr(module, "family_masks", fail)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: oracle bound is n <= 7, got n = 8\n"
+
     @pytest.mark.parametrize("n_max", ["3", "99"])
     def test_all_rejects_n_max(self, capsys, n_max):
         code, out, err = run(capsys, "verify", "--suite", "all", "--n-max", n_max)

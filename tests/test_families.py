@@ -8,6 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
+from mask_oracle import binomial_members, verdict_items
 from mfl import golden, suites, theoremsets
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
@@ -25,7 +26,6 @@ from mfl.quadideal import (
     NONBINOMIAL,
     ZERO,
     classify_oracle,
-    verdicts_for_all_w,
 )
 from mfl.theoremsets import (
     TAG_A1,
@@ -36,7 +36,6 @@ from mfl.theoremsets import (
     TAG_AT2,
     TAG_BASE,
     TAG_EXCEPTIONAL,
-    binomial_family,
     count_table,
     cross_validate,
     exceptional_entries,
@@ -113,13 +112,13 @@ def pairs(n_max):
 class TestFamilyMasks:
     @pytest.mark.parametrize("n, ell", pairs(7))
     def test_binomial_family_matches_reference(self, n, ell):
-        fast, slow = binomial_family(n, ell), reference_binomial_family(n, ell)
+        fast, slow = binomial_members(n, ell), reference_binomial_family(n, ell)
         assert list(fast.items()) == list(slow.items())
 
     @pytest.mark.slow
     @pytest.mark.parametrize("ell", range(8))
     def test_binomial_family_matches_reference_n8_slow(self, ell):
-        fast, slow = binomial_family(8, ell), reference_binomial_family(8, ell)
+        fast, slow = binomial_members(8, ell), reference_binomial_family(8, ell)
         assert list(fast.items()) == list(slow.items())
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -154,8 +153,8 @@ class TestFamilyMasks:
         for ell, expected in enumerate(golden.COUNT_TABLE[8]):
             assert family_masks(8, ell).binomial.bit_count() == expected
             assert len(reference_binomial_family(8, ell)) == expected
-            verdicts = verdicts_for_all_w(8, ell, bound=8)
-            assert sum(v == BINOMIAL for v in verdicts.values()) == expected, ell
+            verdicts = verdict_items(8, ell, bound=8)
+            assert sum(v == BINOMIAL for _, v in verdicts) == expected, ell
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +215,8 @@ def reference_cross_validate(n, fam):
     counts = []
     for ell in range(n):
         family = fam.family(n, ell)
-        verdicts = verdicts_for_all_w(n, ell)
         tally = {ZERO: 0, BINOMIAL: 0, NONBINOMIAL: 0}
-        for w, verdict in verdicts.items():
+        for w, verdict in verdict_items(n, ell):
             tally[verdict] += 1
             predicted = (
                 ZERO
@@ -247,7 +245,7 @@ def reference_run_theorem_b(n_max, fam):
     report = suites.SuiteReport("theoremB")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for w, verdict in verdicts_for_all_w(n, ell).items():
+            for w, verdict in verdict_items(n, ell):
                 report.checked += 1
                 if (verdict == ZERO) != fam.in_z(w):
                     report.record(n=n, ell=ell, w=word_text(w), verdict=verdict)
@@ -281,7 +279,7 @@ def reference_run_pattern(n_max, combinatorial_n_max, fam):
     report = suites.SuiteReport("P")
     for n in range(3, n_max + 1):
         for ell in range(n):
-            for w, verdict in verdicts_for_all_w(n, ell).items():
+            for w, verdict in verdict_items(n, ell):
                 report.checked += 1
                 if fam.in_p(w, ell) != (verdict != NONBINOMIAL):
                     report.record(n=n, ell=ell, w=word_text(w), verdict=verdict)
@@ -324,13 +322,6 @@ PERTURBED = Families(
 )
 
 
-@pytest.fixture
-def clean_family_caches():
-    binomial_family.cache_clear()
-    yield
-    binomial_family.cache_clear()
-
-
 @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
 class TestReportsMatchLoops:
     def families(self, perturbed, monkeypatch):
@@ -340,25 +331,25 @@ class TestReportsMatchLoops:
         return PERTURBED
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_cross_validate(self, perturbed, n, monkeypatch, clean_family_caches):
+    def test_cross_validate(self, perturbed, n, monkeypatch):
         fam = self.families(perturbed, monkeypatch)
         report = cross_validate(n)
         assert (report.counts, report.mismatches) == reference_cross_validate(n, fam)
         assert report.ok == (not perturbed)
 
-    def test_run_theorem_b(self, perturbed, monkeypatch, clean_family_caches):
+    def test_run_theorem_b(self, perturbed, monkeypatch):
         fam = self.families(perturbed, monkeypatch)
         report = suites.run_theorem_b(5)
         assert report == reference_run_theorem_b(5, fam)
         assert report.ok == (not perturbed)
 
-    def test_run_theorem_c(self, perturbed, monkeypatch, clean_family_caches):
+    def test_run_theorem_c(self, perturbed, monkeypatch):
         fam = self.families(perturbed, monkeypatch)
         report = suites.run_theorem_c(5, 5)
         assert report == reference_run_theorem_c(5, 5, fam)
         assert report.ok == (not perturbed)
 
-    def test_run_pattern(self, perturbed, monkeypatch, clean_family_caches):
+    def test_run_pattern(self, perturbed, monkeypatch):
         fam = self.families(perturbed, monkeypatch)
         report = suites.run_pattern(5, 5)
         assert report == reference_run_pattern(5, 5, fam)
@@ -407,7 +398,7 @@ def reference_run_a1_rank(n_max):
     report = suites.SuiteReport("a1_rank")
     for n in range(4, n_max + 1):
         for ell in range(n):
-            for w, tags in binomial_family(n, ell).items():
+            for w, tags in binomial_members(n, ell).items():
                 if TAG_A1 not in tags:
                     continue
                 report.checked += 1

