@@ -5,55 +5,85 @@ permutation w, the restricted ideal obtained by setting the Schubert
 vanishing variables to zero in the matching field ideal, classifies it as
 zero, binomial or non-binomial, and cross-validates the combinatorial
 descriptions of these classes against the brute-force oracle.
+
+The names below are exported lazily: ``mfl.<name>`` imports the submodule
+that defines it on first access, so ``import mfl`` (and every CLI command)
+loads only the layers it uses.
 """
 
-from mfl.matchfield import (
-    display_key,
-    variable_image_key,
-    verify_coherence,
-    weight_key,
-    weight_matrix,
-)
-from mfl.permcomb import (
-    avoids,
-    bruhat_leq,
-    dominated,
-    has_descending_property,
-    in_zero_family,
-    insert_max,
-    permutation_at,
-    remove_max,
-    restriction,
-    set_bits,
-    vanishing_keys,
-    zero_family,
-)
-from mfl.quadideal import (
-    CapabilityError,
-    ClassificationOutcome,
-    DegreeTwoSpace,
-    QuadraticRelation,
-    classify_oracle,
-    degree2_flag_ideal,
-    quadratic_relations,
-    verdict_masks,
-)
-from mfl.tableaux import (
-    check_tableau,
-    enumerate_ssyt2,
-    is_standard,
-    min_defining_chain2,
-    ssyt_to_matching_field,
-    standard_monomial_count_deg2,
-    verify_bijection,
-)
-from mfl.theoremsets import (
-    ClassificationRecord,
-    classify_combinatorial,
-    count_table,
-    cross_validate,
-    family_masks,
-    in_pattern_family,
-)
-
 __version__ = "0.1.0"
+
+#: The names of the verification suites of :mod:`mfl.suites`, defined here
+#: so that the CLI parser reads them without importing the suites.
+SUITES = ("coherence", "theoremB", "theoremC", "P", "theoremA", "tableaux", "all")
+
+_EXPORTS = {
+    "matchfield": (
+        "display_key",
+        "variable_image_key",
+        "verify_coherence",
+        "weight_key",
+        "weight_matrix",
+    ),
+    "permcomb": (
+        "avoids",
+        "bruhat_leq",
+        "dominated",
+        "has_descending_property",
+        "in_zero_family",
+        "insert_max",
+        "permutation_at",
+        "remove_max",
+        "restriction",
+        "set_bits",
+        "vanishing_keys",
+        "zero_family",
+    ),
+    "quadideal": (
+        "CapabilityError",
+        "ClassificationOutcome",
+        "DegreeTwoSpace",
+        "QuadraticRelation",
+        "classify_oracle",
+        "degree2_flag_ideal",
+        "quadratic_relations",
+        "verdict_masks",
+    ),
+    "tableaux": (
+        "check_tableau",
+        "enumerate_ssyt2",
+        "is_standard",
+        "min_defining_chain2",
+        "ssyt_to_matching_field",
+        "standard_monomial_count_deg2",
+        "verify_bijection",
+    ),
+    "theoremsets": (
+        "ClassificationRecord",
+        "classify_combinatorial",
+        "count_table",
+        "cross_validate",
+        "family_masks",
+        "in_pattern_family",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["SUITES", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -4,7 +4,9 @@ Commands: classify, tables, zn, ideal, tableaux, verify, sweep.
 Exit codes: 0 success, 1 verification or golden-table mismatch or output
 cut short, 2 usage error.
 All output is deterministic for fixed flags; sweeps sort by (n, ell, w)
-before emission.  Every command runs in a single process.
+before emission.  Every command runs in a single process and imports only
+the layers it runs: the tableaux layer, the suites and the golden tables
+load inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 import sys
 
-from mfl import golden
+from mfl import SUITES
 from mfl.matchfield import display_key
 from mfl.permcomb import (
     MAX_N,
@@ -39,8 +41,6 @@ from mfl.quadideal import (
     mono_text,
     verdict_masks,
 )
-from mfl.suites import SUITES, run_suite
-from mfl.tableaux import enumerate_ssyt2, ssyt_to_matching_field
 from mfl.theoremsets import (
     CLASS_N,
     CLASS_T,
@@ -121,6 +121,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from mfl import golden
+
     which = args.table
     if which == "table1" and args.n_max is not None:
         raise ValueError("table1 is fixed at n = 3 and 4; --n-max applies to table2 and zn")
@@ -140,7 +142,7 @@ def cmd_tables(args) -> int:
                 {
                     "schema": SCHEMA,
                     # oracle_counts only where the oracle disagrees
-                    "rows": [{k: v for k, v in row.__dict__.items() if v is not None}
+                    "rows": [{k: v for k, v in row._asdict().items() if v is not None}
                              for row in rows],
                     "totals": {
                         str(n): sum(r.binomial_count for r in rows if r.n == n)
@@ -280,6 +282,8 @@ def cmd_tableaux(args) -> int:
         raise ValueError(f"n must be at most {MAX_N}, got {args.n}")
     if args.ell is not None and not 0 <= args.ell <= args.n - 1:
         raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
+    from mfl.tableaux import enumerate_ssyt2, ssyt_to_matching_field
+
     w = parse_permutation(args.w, args.n) if args.w is not None else None
     items = enumerate_ssyt2(args.n, w)
 
@@ -328,6 +332,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if args.n_max is not None and args.n_max > MAX_N:
         raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
+    from mfl.suites import run_suite
+
     report = run_suite(args.suite, n_max=args.n_max, cap=args.la_cap)
     if args.format == "json":
         _emit_json(report.to_json_obj())

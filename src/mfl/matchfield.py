@@ -31,8 +31,7 @@ to describe the failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mfl.permcomb import MAX_N
 
@@ -126,21 +125,19 @@ def _rule_placement(ell: int, members: tuple[int, ...], rule: str) -> tuple[int,
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CoherenceFailure:
+class CoherenceFailure(NamedTuple):
     members: tuple[int, ...]
     expected_rows: tuple[int, ...]
     minimal_rows: tuple[tuple[int, ...], ...]
     tie: bool
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     n: int
     ell: int
     rule: str
     checked: int
-    failures: tuple[CoherenceFailure, ...] = field(default=())
+    failures: tuple[CoherenceFailure, ...] = ()
 
     @property
     def ok(self) -> bool:

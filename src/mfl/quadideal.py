@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -192,8 +191,7 @@ def quadratic_relations(n: int, ell: int, all_pairs: bool = False) -> tuple[Quad
 # Restriction by a permutation
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(NamedTuple):
     """Surviving generators of a restricted matching field ideal.
 
     ``surviving_monomials`` lists the surviving monomials whose fiber also
@@ -290,16 +288,33 @@ def classify_oracle(
     return ClassificationOutcome(n, ell, w, verdict, binomials, monomials_t, rank)
 
 
-def _fiber_folds(n: int, ell: int) -> Iterator[tuple[int, int, int]]:
-    """Per fiber of :func:`_fibers`, its size and where some member and
-    where every member survives, as bitsets over S_n.
+class _FiberFolds(NamedTuple):
+    """The fibers of one (n, ell) folded over S_n, as bitsets in
+    ``itertools.permutations`` order: where some fiber leaves a monomial,
+    where some fiber has a surviving member, where some fiber is wholly
+    alive (``once``), and where the wholly alive fibers F have
+    ``sum (|F| - 1)`` of at least two (``twice``)."""
+
+    monomial: int
+    surviving: int
+    once: int
+    twice: int
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _fiber_folds(n: int, ell: int) -> _FiberFolds:
+    """One pass over the fibers of :func:`_fibers` for all of S_n.
 
     The monomial of column c of a block, the variable pair (i, j), is alive
     on ``va[i] & va[j]``, where ``va`` lists the alive bitsets in variable
-    order; a fiber's OR and AND of those are its ``some`` and ``every``.
+    order; a fiber's OR and AND of those are where ``some`` and where
+    ``every`` member survives.  A fiber leaves a monomial where some but not
+    every member survives.  Cached, because a verify run reads each cut in
+    several suites.
     """
     alive = _alive_masks(n)
     va = [alive[key] for key in all_index_keys(n)]
+    monomial = surviving = once = twice = 0
     for pairs, fibers in zip(_degree_blocks(n), _fibers(n, ell)):
         for fiber in fibers:
             some, every = 0, -1
@@ -308,7 +323,11 @@ def _fiber_folds(n: int, ell: int) -> Iterator[tuple[int, int, int]]:
                 bits = va[i] & va[j]
                 some |= bits
                 every &= bits
-            yield len(fiber), some, every
+            monomial |= some & ~every
+            surviving |= some
+            twice |= every if len(fiber) > 2 else once & every
+            once |= every
+    return _FiberFolds(monomial, surviving, once, twice)
 
 
 def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]:
@@ -320,11 +339,8 @@ def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]
     a binomial or a monomial where some member does (:func:`_fiber_folds`).
     """
     _check_case(n, ell, bound)
-    monomial = surviving = 0
-    for _, some, every in _fiber_folds(n, ell):
-        monomial |= some & ~every
-        surviving |= some
-    return monomial, surviving
+    folds = _fiber_folds(n, ell)
+    return folds.monomial, folds.surviving
 
 
 def rank_one_mask(n: int, ell: int) -> int:
@@ -334,19 +350,15 @@ def rank_one_mask(n: int, ell: int) -> int:
 
     For a monomial-free w the rank is the sum of ``|F| - 1`` over the wholly
     alive fibers F, so rank one means exactly one wholly alive fiber, and
-    that fiber has two members.  ``once`` collects where some fiber is
-    wholly alive and ``twice`` where the rank reaches two.
+    that fiber has two members: ``once`` and not ``twice`` of
+    :func:`_fiber_folds`.
 
     >>> bin(rank_one_mask(3, 0))  # bits 3 and 5: w = 231 and 321
     '0b101000'
     """
     _check_case(n, ell, None)
-    monomial = once = twice = 0
-    for size, some, every in _fiber_folds(n, ell):
-        monomial |= some & ~every
-        twice |= every if size > 2 else once & every
-        once |= every
-    return once & ~(monomial | twice)
+    folds = _fiber_folds(n, ell)
+    return folds.once & ~(folds.monomial | folds.twice)
 
 
 def verdict_at(monomial: int, surviving: int, i: int) -> str:
@@ -360,8 +372,7 @@ def verdict_at(monomial: int, surviving: int, i: int) -> str:
 # Exact degree-two linear algebra
 
 
-@dataclass(frozen=True)
-class DegreeTwoSpace:
+class DegreeTwoSpace(NamedTuple):
     """A subspace of the span of degree-two Pluecker monomials.
 
     ``monomials`` fixes the coordinate order; ``rows`` is the canonical

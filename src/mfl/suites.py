@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
+from mfl import SUITES
 from mfl.matchfield import verify_coherence
 from mfl.permcomb import (
     _alive_masks,
@@ -45,14 +45,24 @@ from mfl.theoremsets import (
     family_masks,
 )
 
-SUITES = ("coherence", "theoremB", "theoremC", "P", "theoremA", "tableaux", "all")
-
-
-@dataclass
 class SuiteReport:
-    suite: str
-    checked: int = 0
-    mismatches: list[dict] = field(default_factory=list)
+    """The checks a suite ran and the mismatches it found; suites add to
+    both as they go, so this one record is mutable."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checked = 0
+        self.mismatches: list[dict] = []
+
+    def __eq__(self, other):
+        if type(other) is not SuiteReport:
+            return NotImplemented
+        return (self.suite, self.checked, self.mismatches) == (
+            other.suite, other.checked, other.mismatches)
+
+    def __repr__(self) -> str:
+        return (f"SuiteReport(suite={self.suite!r}, checked={self.checked!r}, "
+                f"mismatches={self.mismatches!r})")
 
     @property
     def ok(self) -> bool:

@@ -31,7 +31,6 @@ pattern-family members that contain a 312 pattern.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_, xor
 from typing import Iterable, Iterator, NamedTuple
@@ -296,8 +295,7 @@ def standard_masks(n: int) -> tuple[int, ...]:
 # Exhaustive verification
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     n: int
     ell: int
     w: str

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
@@ -64,8 +63,7 @@ CLASS_N = "N"
 _VERDICT_OF_CLASS = {CLASS_Z: ZERO, CLASS_T: BINOMIAL, CLASS_N: NONBINOMIAL}
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     n: int
     ell: int
     w: tuple[int, ...]
@@ -302,8 +300,7 @@ def classify_combinatorial(
 # Cross-validation against the oracle
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
+class CrossValidationReport(NamedTuple):
     n: int
     counts: tuple[tuple[int, dict[str, int]], ...]  # (ell, verdict counts)
     mismatches: tuple[dict, ...]
@@ -379,8 +376,7 @@ def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidatio
 # Count tables
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     """Counts at one (n, ell), from the families.  ``oracle_counts`` holds
     the oracle's (binomial, zero) counts where they differ from the
     families'; it is None where the two agree."""

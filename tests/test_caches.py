@@ -13,7 +13,7 @@ import pytest
 import mfl
 from mfl import matchfield, permcomb, quadideal, tableaux, theoremsets
 from mfl.quadideal import PAIR_CACHE_SIZE
-from mfl.suites import run_tableaux
+from mfl.suites import run_suite, run_tableaux
 
 
 def _caches():
@@ -32,7 +32,7 @@ def test_every_cache_is_bounded():
         assert cached.cache_info().maxsize is not None, name
     # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
     # quadideal.quadratic_relations and quadideal._flag_ideal
-    assert len(caches) == 16, sorted(caches)
+    assert len(caches) == 17, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -67,6 +67,8 @@ def test_per_call_helpers_carry_no_cache():
         (theoremsets._families, 8),
         # the census and the slow fiber tests split the blocks of n = 3..8
         (quadideal._degree_blocks, 6),
+        # a verify run folds the cuts of n = 3..6 in several suites
+        (quadideal._fiber_folds, 3 + 4 + 5 + 6),
         # a tableaux suite to n = 7 builds each chain once
         (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589 + 6180),
         (tableaux._bijection_table, sum(range(3, 8))),
@@ -101,6 +103,17 @@ def test_tableaux_suite_evicts_nothing():
         info = cached.cache_info()
         assert info.misses > 0 and info.currsize == info.misses, cached.__name__
     assert tableaux._bijection_table.cache_info().maxsize == PAIR_CACHE_SIZE
+
+
+def test_verify_folds_each_cut_once():
+    quadideal._fiber_folds.cache_clear()
+    theoremsets._families.cache_clear()
+    assert run_suite("all").ok
+    info = quadideal._fiber_folds.cache_info()
+    # theoremB, P, theoremC, theoremA, a1_rank and the family build (at
+    # n = 3) read the 18 cuts of n = 3..6, 79 times in all
+    assert (info.misses, info.currsize) == (18, 18)
+    assert info.hits + info.misses == 79
 
 
 def test_no_family_masks_at_import():

@@ -244,16 +244,18 @@ class TestTableaux:
         assert streamed == capsys.readouterr().out
 
     def test_json_listing_streams(self, capsys, monkeypatch):
-        # the first entry reaches stdout before the enumeration ends
+        # the first entry reaches stdout before the enumeration ends; the
+        # command imports enumerate_ssyt2 from the tableaux layer when it runs
         seen = []
+        real = tableaux.enumerate_ssyt2
 
         def enumerate_ssyt2(n, w):
-            items = tableaux.enumerate_ssyt2(n, w)
+            items = real(n, w)
             yield next(items)
             seen.append(capsys.readouterr().out)
             yield from items
 
-        monkeypatch.setattr(cli, "enumerate_ssyt2", enumerate_ssyt2)
+        monkeypatch.setattr(tableaux, "enumerate_ssyt2", enumerate_ssyt2)
         code, out, _ = run(capsys, "--format", "json", "tableaux", "--n", "3")
         assert code == 0
         (head,) = seen
@@ -364,7 +366,8 @@ class TestVerify:
             seen.append(cap)
             return SuiteReport(name)
 
-        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        # cmd_verify imports run_suite from the suites layer when it runs
+        monkeypatch.setattr(suites, "run_suite", fake_run_suite)
         environ = dict(os.environ)
         code, _, _ = run(capsys, "--la-cap", "6", "verify", "--suite", "theoremA")
         assert code == 0
@@ -427,7 +430,7 @@ class TestVerify:
         def must_not_run(*args, **kwargs):
             raise AssertionError("suite ran")
 
-        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        monkeypatch.setattr(suites, "run_suite", must_not_run)
         code, out, err = run(capsys, "verify", "--suite", "coherence", "--n-max", n_max)
         assert (code, out) == (2, "")
         assert err == f"error: --n-max must be at most 16, got {n_max}\n"

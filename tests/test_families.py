@@ -1,7 +1,6 @@
 """The bitset families against the per-permutation constructions they
 replace, and the suite reports against the per-permutation loops."""
 
-import dataclasses
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
@@ -382,7 +381,7 @@ def test_a1_rank_mismatch_w_is_a_digit_string(monkeypatch):
     real = suites.classify_oracle
 
     def rank_two(n, ell, w):
-        return dataclasses.replace(real(n, ell, w), degree2_rank=2)
+        return real(n, ell, w)._replace(degree2_rank=2)
 
     monkeypatch.setattr(suites, "rank_one_mask", lambda n, ell: 0)
     monkeypatch.setattr(suites, "classify_oracle", rank_two)

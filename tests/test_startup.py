@@ -1,0 +1,127 @@
+"""Start-up cost: ``import mfl`` loads no layer, each CLI command loads only
+the layers it runs, and the package's lazy exports resolve as the eager
+imports did."""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import mfl
+
+SRC = pathlib.Path(mfl.__file__).parents[1]
+
+#: Every name ``mfl`` exported by eager imports, by defining module.
+EXPORTS = {
+    "matchfield": ("display_key", "variable_image_key", "verify_coherence",
+                   "weight_key", "weight_matrix"),
+    "permcomb": ("avoids", "bruhat_leq", "dominated", "has_descending_property",
+                 "in_zero_family", "insert_max", "permutation_at", "remove_max",
+                 "restriction", "set_bits", "vanishing_keys", "zero_family"),
+    "quadideal": ("CapabilityError", "ClassificationOutcome", "DegreeTwoSpace",
+                  "QuadraticRelation", "classify_oracle", "degree2_flag_ideal",
+                  "quadratic_relations", "verdict_masks"),
+    "tableaux": ("check_tableau", "enumerate_ssyt2", "is_standard",
+                 "min_defining_chain2", "ssyt_to_matching_field",
+                 "standard_monomial_count_deg2", "verify_bijection"),
+    "theoremsets": ("ClassificationRecord", "classify_combinatorial", "count_table",
+                    "cross_validate", "family_masks", "in_pattern_family"),
+}
+
+#: Modules that only some commands need.
+DEFERRED = ("mfl.tableaux", "mfl.suites", "mfl.golden", "dataclasses")
+
+
+def _loaded_after(statements: str) -> list[str]:
+    """The modules a fresh interpreter loads to run ``statements``, beyond
+    those it had at start; the statements' stdout is discarded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statements}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_import_mfl_loads_no_layer():
+    loaded = _loaded_after("import mfl")
+    assert "mfl" in loaded
+    assert [m for m in loaded if m.startswith("mfl.")] == []
+
+
+@pytest.mark.parametrize("statements, deferred", [
+    ("import mfl.cli; mfl.cli.build_parser()", DEFERRED),
+    ("import mfl.cli; mfl.cli.main(['sweep', '--n', '4', '--ell', '1'])", DEFERRED),
+    ("import mfl.cli; mfl.cli.main(['tables', 'table2', '--n-max', '4'])",
+     ("mfl.tableaux", "mfl.suites", "dataclasses")),
+], ids=["parser", "sweep", "table2"])
+def test_command_loads_only_its_layers(statements, deferred):
+    loaded = _loaded_after(statements)
+    assert "mfl.cli" in loaded
+    assert [m for m in deferred if m in loaded] == []
+
+
+def test_table2_loads_golden_and_tableaux_loads_tableaux():
+    assert "mfl.golden" in _loaded_after(
+        "import mfl.cli; mfl.cli.main(['tables', 'table2', '--n-max', '4'])")
+    assert "mfl.tableaux" in _loaded_after(
+        "import mfl.cli; mfl.cli.main(['tableaux', '--n', '3'])")
+
+
+def test_verify_loads_the_suites_and_passes():
+    assert "mfl.suites" in _loaded_after(
+        "import mfl.cli; mfl.cli.main(['verify', '--suite', 'coherence', '--n-max', '3'])")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "mfl.cli", "verify", "--suite", "theoremA", "--n-max", "4"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("PASS theoremA (")
+
+
+def test_no_module_imports_dataclasses():
+    for path in (SRC / "mfl").glob("*.py"):
+        assert "dataclass" not in path.read_text(), path.name
+
+
+# ---------------------------------------------------------------------------
+# Lazy exports
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in EXPORTS.items() for name in names
+])
+def test_export_resolves_to_its_definition(module, name):
+    assert getattr(mfl, name) is getattr(importlib.import_module(f"mfl.{module}"), name)
+    assert name in dir(mfl)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mfl.no_such_name  # noqa: B018
+    assert not hasattr(mfl, "no_such_name")
+
+
+def test_version_and_suite_names():
+    assert mfl.__version__ == "0.1.0"
+    from mfl import cli, suites
+
+    assert suites.SUITES is cli.SUITES is mfl.SUITES
+    assert set(mfl.SUITES) == set(suites._RUNNERS) | {"all"}
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from mfl import *", namespace)
+    assert {n for names in EXPORTS.values() for n in names} <= set(namespace)
