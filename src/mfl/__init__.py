@@ -20,20 +20,14 @@ SUITES = ("coherence", "theoremB", "theoremC", "P", "theoremA", "tableaux", "all
 _EXPORTS = {
     "matchfield": (
         "display_key",
-        "variable_image_key",
         "verify_coherence",
         "weight_key",
         "weight_matrix",
     ),
     "permcomb": (
-        "avoids",
         "bruhat_leq",
         "dominated",
-        "has_descending_property",
-        "in_zero_family",
-        "insert_max",
         "permutation_at",
-        "remove_max",
         "restriction",
         "set_bits",
         "vanishing_keys",
@@ -42,20 +36,16 @@ _EXPORTS = {
     "quadideal": (
         "CapabilityError",
         "ClassificationOutcome",
-        "DegreeTwoSpace",
         "QuadraticRelation",
         "classify_oracle",
-        "degree2_flag_ideal",
         "quadratic_relations",
         "verdict_masks",
     ),
     "tableaux": (
         "check_tableau",
         "enumerate_ssyt2",
-        "is_standard",
         "min_defining_chain2",
         "ssyt_to_matching_field",
-        "standard_monomial_count_deg2",
         "verify_bijection",
     ),
     "theoremsets": (
@@ -64,7 +54,6 @@ _EXPORTS = {
         "count_table",
         "cross_validate",
         "family_masks",
-        "in_pattern_family",
     ),
 }
 

@@ -179,6 +179,8 @@ def cmd_tables(args) -> int:
         return 1 if diffs or disagreements else 0
 
     if which == "zn":
+        if args.n_max is not None and args.n_max > MAX_N:
+            raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
         n_max = 15 if args.n_max is None else args.n_max
         diffs = []
         listing = {}
@@ -258,7 +260,7 @@ def cmd_ideal(args) -> int:
     if args.w is not None:
         w = parse_permutation(args.w, args.n)
     else:
-        _check_case(args.n, args.ell, None)  # name n, not the default word
+        _check_case(args.n, args.ell)  # name n, not the default word
         w = tuple(range(args.n, 0, -1))
     outcome = classify_oracle(args.n, args.ell, w, all_pairs=args.all_pairs)
     if args.format == "json":

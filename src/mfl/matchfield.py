@@ -224,24 +224,6 @@ def verify_coherence(n: int, ell: int, rule: str = "corrected") -> CoherenceRepo
 # The signed monomial map
 
 
-def variable_image_key(
-    n: int, ell: int, members: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Image of P_J under the signed monomial map, as (sorted cells, sign).
-
-    P_J maps to sgn(B_ell(J)) times the product of x_{row, value} over its
-    displayed column; a product of variables maps to the union of their
-    cells and the product of their signs.
-
-    >>> variable_image_key(4, 2, (1, 3))
-    (((1, 3), (2, 1)), -1)
-    """
-    disp = display_key(n, ell, members)
-    cells = tuple(sorted((row, col) for row, col in enumerate(disp, start=1)))
-    sign = -1 if _swap_flag(ell, members) else 1
-    return cells, sign
-
-
 def image_code(n: int, ell: int, members: tuple[int, ...]) -> int:
     """Image of P_J under the monomial map, up to sign, as an int code.
 

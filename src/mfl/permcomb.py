@@ -106,7 +106,7 @@ def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Restriction, overline/underline
+# Restriction
 
 
 def restriction(w: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -122,107 +122,8 @@ def restriction(w: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(v for v in w if v <= m)
 
 
-def insert_max(w: tuple[int, ...], t: int) -> tuple[int, ...]:
-    """Insert the new maximum value n+1 after position t (0 <= t <= n).
-
-    >>> insert_max((1, 2), 1)
-    (1, 3, 2)
-    """
-    if not 0 <= t <= len(w):
-        raise ValueError(f"insertion position must be in 0..{len(w)}, got {t}")
-    return w[:t] + (len(w) + 1,) + w[t:]
-
-
-def remove_max(w: tuple[int, ...]) -> tuple[int, ...]:
-    """Delete the maximum value n; inverse of :func:`insert_max`."""
-    if len(w) < 2:
-        raise ValueError("cannot remove the maximum from a singleton permutation")
-    return tuple(v for v in w if v != len(w))
-
-
-# ---------------------------------------------------------------------------
-# Pattern avoidance
-
-
-def same_type(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Two distinct-entry sequences have the same type if all pairwise
-    comparisons agree."""
-    if len(a) != len(b):
-        return False
-    return all(
-        (a[i] < a[j]) == (b[i] < b[j])
-        for i in range(len(a))
-        for j in range(i + 1, len(a))
-    )
-
-
-def avoids(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff no subsequence of ``word`` has the same type as ``pattern``.
-
-    >>> avoids((1, 5, 2, 4, 3), (1, 4, 3, 2))
-    False
-    >>> avoids((1, 5, 2, 4, 3), (2, 3, 1))
-    True
-    """
-    word_t = tuple(word)
-    pattern_t = tuple(pattern)
-    if len(pattern_t) > len(word_t):
-        raise ValueError("pattern longer than word")
-    for positions in itertools.combinations(range(len(word_t)), len(pattern_t)):
-        if same_type(tuple(word_t[p] for p in positions), pattern_t):
-            return False
-    return True
-
-
-def is_312_free(word: Sequence[int]) -> bool:
-    """No subsequence (large, small, middle); O(n^2) scan.
-
-    >>> is_312_free((3, 1, 2))
-    False
-    >>> is_312_free((4, 3, 1))
-    True
-    """
-    values = tuple(word)
-    n = len(values)
-    for j in range(1, n - 1):
-        # largest value before position j can serve as the "3"
-        big = max(values[:j])
-        if big <= values[j]:
-            continue
-        for k in range(j + 1, n):
-            if values[j] < values[k] < big:
-                return False
-    return True
-
-
-def has_descending_property(w: Sequence[int]) -> bool:
-    """Entries after the position of n are strictly decreasing.
-
-    >>> has_descending_property((2, 1, 4, 3))
-    True
-    >>> has_descending_property((1, 4, 2, 3))
-    False
-    """
-    tail = w[w.index(len(w)):]
-    return all(a > b for a, b in zip(tail, tail[1:]))
-
-
 # ---------------------------------------------------------------------------
 # The zero family Z_n
-
-
-def in_zero_family(w: Sequence[int]) -> bool:
-    """Product of pairwise non-adjacent simple transpositions.
-
-    Closed-form test: w is an involution moving each point by at most one,
-    i.e. w(w(i)) = i and |w_i - i| <= 1 for all i.
-
-    >>> [in_zero_family(w) for w in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1))]
-    [True, True, True, False]
-    """
-    return all(abs(v - i) <= 1 for i, v in enumerate(w, start=1)) and all(
-        w[v - 1] == i for i, v in enumerate(w, start=1)
-    )
 
 
 def zero_family(n: int) -> frozenset[tuple[int, ...]]:

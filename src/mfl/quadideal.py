@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
-from mfl.matchfield import image_code, variable_image_key, weight_key
+from mfl.matchfield import _swap_flag, image_code, weight_key
 from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
@@ -41,7 +41,7 @@ MonoKey = tuple[Key, Key]
 
 #: classify_oracle refuses larger n unless overridden.
 ORACLE_BOUND_DEFAULT = 7
-#: degree2_flag_ideal refuses larger n unless passed a larger cap
+#: theorem_a_masks refuses larger n unless passed a larger cap
 #: (``mfl --la-cap``).
 LA_CAP_DEFAULT = 5
 
@@ -146,7 +146,7 @@ def _fibers(n: int, ell: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], 
     """
     variables = all_index_keys(n)
     codes = [image_code(n, ell, key) for key in variables]
-    signs = [variable_image_key(n, ell, key)[1] for key in variables]
+    signs = [-1 if _swap_flag(ell, key) else 1 for key in variables]
     fibers = []
     for pairs in _degree_blocks(n):
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -222,7 +222,7 @@ class ClassificationOutcome(NamedTuple):
 
 
 def _check_case(
-    n: int, ell: int, bound: int | None, w: tuple[int, ...] | None = None
+    n: int, ell: int, bound: int | None = None, w: tuple[int, ...] | None = None
 ) -> None:
     """The input checks shared by the classification entry points; a bad
     ``w`` is reported before a bad ``n``, ``ell`` or bound."""
@@ -250,14 +250,13 @@ def classify_oracle(
     w: tuple[int, ...],
     *,
     all_pairs: bool = False,
-    bound: int | None = None,
 ) -> ClassificationOutcome:
     """Restricted-ideal classification for (n, ell, w); memoizes per (n, ell).
 
     >>> classify_oracle(4, 2, (3, 2, 1, 4)).verdict
     'binomial'
     """
-    _check_case(n, ell, bound, w)
+    _check_case(n, ell, w=w)
     vanset = vanishing_keys(w)
     variables = all_index_keys(n)
     live = [key not in vanset for key in variables]
@@ -356,7 +355,7 @@ def rank_one_mask(n: int, ell: int) -> int:
     >>> bin(rank_one_mask(3, 0))  # bits 3 and 5: w = 231 and 321
     '0b101000'
     """
-    _check_case(n, ell, None)
+    _check_case(n, ell)
     folds = _fiber_folds(n, ell)
     return folds.once & ~(folds.monomial | folds.twice)
 
@@ -372,61 +371,23 @@ def verdict_at(monomial: int, surviving: int, i: int) -> str:
 # Exact degree-two linear algebra
 
 
-class DegreeTwoSpace(NamedTuple):
-    """A subspace of the span of degree-two Pluecker monomials.
-
-    ``monomials`` fixes the coordinate order; ``rows`` is the canonical
-    reduced echelon basis with primitive integer entries (column index,
-    coefficient).
-    """
-
-    monomials: tuple[MonoKey, ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 class _FlagBlock(NamedTuple):
     """The flag ideal in one multidegree (column multiset plus size multiset).
 
-    ``members`` are the block's monomials as increasing indices into the
-    global monomial list; local column c is ``members[c]``.  ``rows`` is the
-    reduced echelon basis of the block's part of the ideal, over local
-    columns.
+    ``members`` are the block's monomials as increasing indices into
+    ``combinations_with_replacement(all_index_keys(n), 2)``; local column c
+    is ``members[c]``.  ``rows`` is the reduced echelon basis of the block's
+    part of the ideal, over local columns.
     """
 
     members: tuple[int, ...]
     rows: tuple[exactla.Row, ...]
 
 
-class _FlagIdeal(NamedTuple):
-    space: DegreeTwoSpace
-    #: every block with at least two monomials, in order of first monomial
-    blocks: tuple[_FlagBlock, ...]
-
-
 def _check_la_cap(n: int, cap: int | None) -> None:
     cap = LA_CAP_DEFAULT if cap is None else cap
     if n > cap:
         raise CapabilityError(f"linear-algebra cap is n <= {cap}, got n = {n}")
-
-
-def degree2_flag_ideal(n: int, cap: int | None = None) -> DegreeTwoSpace:
-    """Degree-two piece of the full flag ideal, from the incidence Pluecker
-    relations.
-
-    For ``1 <= p <= q <= n - 1``, an ``I`` of size ``p - 1`` and a ``J`` of
-    size ``q + 1`` give the relation ``sum_k (-1)^k P_{I j_k} P_{J - j_k}``
-    (alternating in the indices of ``P``); these span the degree-two part of
-    the ideal.  Each relation is homogeneous in the column multiset and the
-    size multiset, so the ideal is a direct sum of these blocks: each block's
-    relations are put in reduced echelon form on their own, and the result is
-    the sorted union of the block bases.
-    """
-    _check_la_cap(n, cap)
-    return _flag_ideal(n).space
 
 
 def _incidence_relations(n: int) -> Iterator[tuple[tuple, dict[MonoKey, int]]]:
@@ -451,31 +412,37 @@ def _incidence_relations(n: int) -> Iterator[tuple[tuple, dict[MonoKey, int]]]:
 
 
 @lru_cache(maxsize=8)
-def _flag_ideal(n: int) -> _FlagIdeal:
+def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
+    """Degree-two piece of the full flag ideal, from the incidence Pluecker
+    relations, one block per block of :func:`_degree_blocks`.
+
+    For ``1 <= p <= q <= n - 1``, an ``I`` of size ``p - 1`` and a ``J`` of
+    size ``q + 1`` give the relation ``sum_k (-1)^k P_{I j_k} P_{J - j_k}``
+    (alternating in the indices of ``P``); these span the degree-two part of
+    the ideal.  Each relation is homogeneous in the column multiset and the
+    size multiset, so the ideal is a direct sum of these blocks, and each
+    block's relations are put in reduced echelon form on their own.
+    """
     variables = all_index_keys(n)
-    monomials = tuple(itertools.combinations_with_replacement(variables, 2))
     relations: dict[tuple, list[dict[MonoKey, int]]] = {}
     for degree, row in _incidence_relations(n):
         relations.setdefault(degree, []).append(row)
     blocks = []
-    global_rows = []
     size = len(variables)
     for pairs in _degree_blocks(n):
-        # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
-        members = [i * size - i * (i - 1) // 2 + j - i for i, j in pairs]
-        a, b = monomials[members[0]]
+        # variables come in (size, lex) order, so the pair (i, j) with
+        # i <= j is a monomial key
+        keys = [(variables[i], variables[j]) for i, j in pairs]
+        local = {m: c for c, m in enumerate(keys)}
+        a, b = keys[0]
         degree = (tuple(sorted(a + b)), (len(a), len(b)))
-        local = {monomials[i]: c for c, i in enumerate(members)}
         basis = exactla.rref(
             {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
         )
-        blocks.append(_FlagBlock(tuple(members), tuple(basis.rows)))
-        global_rows.extend(
-            tuple(sorted((members[c], v) for c, v in row.items()))
-            for row in basis.rows
-        )
-    space = DegreeTwoSpace(monomials, tuple(sorted(global_rows)))
-    return _FlagIdeal(space, tuple(blocks))
+        # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
+        members = tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs)
+        blocks.append(_FlagBlock(members, tuple(basis.rows)))
+    return tuple(blocks)
 
 
 class _BlockLayout(NamedTuple):
@@ -501,9 +468,7 @@ def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
     would keep the layouts of every cut alive through it."""
     weight = [weight_key(n, ell, key) for key in all_index_keys(n)]
     layouts = []
-    for block, pairs, fibers in zip(
-        _flag_ideal(n).blocks, _degree_blocks(n), _fibers(n, ell)
-    ):
+    for block, pairs, fibers in zip(_flag_ideal(n), _degree_blocks(n), _fibers(n, ell)):
         if not block.rows and not fibers:
             continue
         weights = tuple(weight[i] + weight[j] for i, j in pairs)

@@ -23,27 +23,19 @@ from mfl.permcomb import (
 )
 from mfl.quadideal import (
     LA_CAP_DEFAULT,
+    ZERO,
     CapabilityError,
     check_oracle_bound,
     classify_oracle,
     rank_one_mask,
     theorem_a_masks,
-    verdict_at,
-    verdict_masks,
-)
-from mfl.tableaux import (
-    _enumerate_ssyt2_all,
-    bijection_failing_mask,
-    min_defining_chain2,
-    min_defining_chain2_exhaustive,
-    standard_masks,
-    verify_bijection,
 )
 from mfl.theoremsets import (
     TAG_A1,
     cross_validate,
     family_masks,
 )
+
 
 class SuiteReport:
     """The checks a suite ran and the mismatches it found; suites add to
@@ -112,32 +104,34 @@ def run_coherence(n_max: int = 7) -> SuiteReport:
     return report
 
 
+def _cross_validated(report: SuiteReport, n_max: int):
+    """The mismatches of :func:`mfl.theoremsets.cross_validate` for n =
+    3..n_max, as (n, mismatch); every (ell, w) it compares counts as one
+    check of ``report``."""
+    check_oracle_bound(3, n_max)
+    for n in range(3, n_max + 1):
+        result = cross_validate(n)
+        report.checked += sum(sum(c.values()) for _, c in result.counts)
+        for m in result.mismatches:
+            yield n, m
+
+
 def run_theorem_b(n_max: int = 6) -> SuiteReport:
     """Oracle verdict zero iff membership in the zero family, for every cut."""
-    check_oracle_bound(3, n_max)
     report = SuiteReport("theoremB")
-    for n in range(3, n_max + 1):
-        for ell in range(n):
-            monomial, surviving = verdict_masks(n, ell)
-            full = (1 << math.factorial(n)) - 1
-            report.checked += math.factorial(n)
-            for i in set_bits(family_masks(n, ell).zero ^ (full & ~surviving)):
-                report.record(n=n, ell=ell, w=word_text(permutation_at(n, i)),
-                              verdict=verdict_at(monomial, surviving, i))
+    for n, m in _cross_validated(report, n_max):
+        if m["kind"] == "class" and (m["oracle"] == ZERO) != (m["combinatorial"] == ZERO):
+            report.record(n=n, ell=m["ell"], w=m["w"], verdict=m["oracle"])
     return report
 
 
 def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     """Binomial family against the oracle, the descending-property exception,
     and the oracle-free set identities up to combinatorial_n_max."""
-    check_oracle_bound(3, n_max)
     report = SuiteReport("theoremC")
-    for n in range(3, n_max + 1):
-        result = cross_validate(n)
-        report.checked += sum(sum(c.values()) for _, c in result.counts)
-        for m in result.mismatches:
-            if m["kind"] in ("class", "descending-exception"):
-                report.record(n=n, **m)
+    for n, m in _cross_validated(report, n_max):
+        if m["kind"] in ("class", "descending-exception"):
+            report.record(n=n, **m)
     for n in range(3, combinatorial_n_max + 1):
         for ell in range(n):
             masks = family_masks(n, ell)
@@ -158,17 +152,10 @@ def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
 def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     """Monomial-freeness iff pattern family membership, plus the structural
     facts about 312 patterns inside the pattern family."""
-    check_oracle_bound(3, n_max)
     report = SuiteReport("P")
-    for n in range(3, n_max + 1):
-        full = (1 << math.factorial(n)) - 1
-        for ell in range(n):
-            monomial, surviving = verdict_masks(n, ell)
-            report.checked += math.factorial(n)
-            for i in set_bits(family_masks(n, ell).pattern ^ (full & ~monomial)):
-                report.record(n=n, ell=ell,
-                              w=word_text(permutation_at(n, i)),
-                              verdict=verdict_at(monomial, surviving, i))
+    for n, m in _cross_validated(report, n_max):
+        if m["kind"] == "pattern":
+            report.record(n=n, ell=m["ell"], w=m["w"], verdict=m["oracle"])
     for n in range(3, combinatorial_n_max + 1):
         patterns = [(ell, family_masks(n, ell).pattern) for ell in range(1, n)]
         free_312 = family_masks(n, 0).free_312
@@ -232,12 +219,21 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
     :func:`mfl.tableaux.bijection_failing_mask` decides them all on bitsets
     over S_n; :func:`mfl.tableaux.verify_bijection` writes the report only
     for the w where that mask is set.  Raises ``CapabilityError`` for
-    n_max > 8 before any work.
+    n_max > 8 before any work.  Only this suite loads :mod:`mfl.tableaux`.
     """
     if n_max > TABLEAUX_N_MAX:
         raise CapabilityError(
             f"n_max {n_max} exceeds the tableaux suite's bound {TABLEAUX_N_MAX}"
         )
+    from mfl.tableaux import (
+        _enumerate_ssyt2_all,
+        bijection_failing_mask,
+        min_defining_chain2,
+        min_defining_chain2_exhaustive,
+        standard_masks,
+        verify_bijection,
+    )
+
     report = SuiteReport("tableaux")
     for n in range(3, n_max + 1):
         for ell in range(n):

@@ -158,23 +158,6 @@ def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
 
 
 # ---------------------------------------------------------------------------
-# Row classes of degree-two monomials
-
-
-def standard_monomial_count_deg2(n: int, ell: int, w: tuple[int, ...]) -> int:
-    """Number of distinct monomial-map images among degree-two products of
-    non-vanishing Pluecker variables.
-
-    >>> standard_monomial_count_deg2(3, 0, (3, 2, 1))
-    20
-    """
-    check_permutation(w, n)
-    vanset = vanishing_keys(w)
-    codes = [image_code(n, ell, k) for k in all_index_keys(n) if k not in vanset]
-    return len({a + b for a, b in itertools.combinations_with_replacement(codes, 2)})
-
-
-# ---------------------------------------------------------------------------
 # Defining chains and standardness
 
 
@@ -257,22 +240,6 @@ def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int,
     if minimum is None:
         raise ValueError(f"no unique minimum defining chain for {columns}")
     return v1, minimum
-
-
-def is_standard(n: int, columns: Columns, w: tuple[int, ...]) -> bool:
-    """Standardness for X(w): the minimum chain ends Bruhat-below w.
-
-    Read as one bit: the tableau is standard iff w lies in the Bruhat
-    up-set of the chain's last permutation
-    (:func:`mfl.permcomb.bruhat_up_set`), at bit
-    :func:`mfl.permcomb.permutation_index` of w.
-
-    >>> is_standard(4, ((1, 2, 4), (3,)), (3, 2, 1, 4))
-    False
-    """
-    check_permutation(w, n)
-    up_set = bruhat_up_set(min_defining_chain2(n, columns)[-1])
-    return bool(up_set >> permutation_index(w) & 1)
 
 
 @lru_cache(maxsize=8)

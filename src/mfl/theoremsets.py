@@ -12,8 +12,7 @@ the ideal oracle (except for the n = 3 seed):
   characterized through 312-avoidance.
 
 All three are kept as bitsets over S_n (:func:`family_masks`), built by
-insert-max induction once per n; :func:`in_pattern_family` stays as the
-per-permutation test.  :func:`cross_validate` replays the whole
+insert-max induction once per n.  :func:`cross_validate` replays the whole
 classification against the brute-force oracle and reports every
 disagreement.
 """
@@ -28,11 +27,9 @@ from typing import NamedTuple
 
 from mfl.permcomb import (
     check_permutation,
-    is_312_free,
     mask_bits,
     permutation_at,
     permutation_index,
-    restriction,
     set_bits,
     to_mask,
     word_text,
@@ -60,8 +57,6 @@ CLASS_Z = "Z"
 CLASS_T = "T"
 CLASS_N = "N"
 
-_VERDICT_OF_CLASS = {CLASS_Z: ZERO, CLASS_T: BINOMIAL, CLASS_N: NONBINOMIAL}
-
 
 class ClassificationRecord(NamedTuple):
     n: int
@@ -71,20 +66,12 @@ class ClassificationRecord(NamedTuple):
     in_pattern: bool
     witness_tags: frozenset[str]
 
-    @property
-    def predicted_verdict(self) -> str:
-        return _VERDICT_OF_CLASS[self.combinatorial_class]
-
 
 def exceptional_entries(n: int, ell: int) -> tuple[int, ...]:
     """(n, ell, n-1, ..., ell+1, ell-1, ..., 1); only defined for 1 <= ell <= n-2."""
     if not 1 <= ell <= n - 2:
         raise ValueError(f"no exceptional permutation for ell = {ell}")
     return (n, ell) + tuple(range(n - 1, ell, -1)) + tuple(range(ell - 1, 0, -1))
-
-
-def _a2_excluded(n: int) -> tuple[int, ...]:
-    return (n - 1, n) + tuple(range(n - 2, 0, -1))
 
 
 def _staircase(m: int) -> tuple[int, ...]:
@@ -146,14 +133,14 @@ def _families(n: int) -> tuple[FamilyMasks, ...]:
 
     One pass over S_n reads a few facts about each w; the rest is ANDs and
     ORs of lifted masks over S_{n-1} (the lift of a mask has the w whose
-    ``remove_max`` is in it):
+    parent, w with the value n deleted, is in it):
 
-    - w is in Z_n iff remove_max(w) is in Z_{n-1} and w ends with n or with
+    - w is in Z_n iff its parent is in Z_{n-1} and w ends with n or with
       (n, n-1);
-    - w is 312-free iff remove_max(w) is and w is descending (n can only
+    - w is 312-free iff its parent is and w is descending (n can only
       play the 3 of a 312);
-    - w|_m for m < n is (remove_max(w))|_m;
-    - each binomial clause is a condition on remove_max(w) and on the
+    - w|_m for m < n is the parent's restriction to m;
+    - each binomial clause is a condition on the parent and on the
       positions of n and n-1.
     """
     if n == 1:
@@ -212,7 +199,7 @@ def _families(n: int) -> tuple[FamilyMasks, ...]:
         a1_tails = ((n - 1, n, n - 2), (n, n - 1, n - 2))
         a1 = ((TAG_A1, lifted_zero & to_mask(x in a1_tails for x in tails)),)
         ge_m1, ge_p1, ge_p2 = (to_mask(g >= k for g in gaps) for k in (-1, 1, 2))
-        excluded = _bit(_a2_excluded(n))
+        excluded = _bit(_staircase(n))
         diag, semi = lifted[0], lifted[n - 2]
         tags[0] = a1 + ((TAG_A2, diag & parent_desc & ge_m1),)
         for ell in range(1, n - 1):
@@ -236,47 +223,6 @@ def _oracle_seed(ell: int) -> int:
     """The binomial family at n = 3, read off the oracle's verdict masks."""
     monomial, surviving = verdict_masks(3, ell)
     return surviving & ~monomial
-
-
-# ---------------------------------------------------------------------------
-# The pattern family, one permutation at a time
-
-
-def in_pattern_family(w: tuple[int, ...], ell: int) -> bool:
-    """Monomial-free characterization through 312-avoidance.
-
-    For ell = 0 (diagonal) this is plain 312-freeness.  For 1 <= ell <= n-1:
-
-    - a permutation containing a 312 pattern belongs iff w_1 > w_2 = ell and
-      w with the value ell deleted is 312-free;
-    - a 312-free permutation belongs unless some restriction w|_m equals
-      (m-1, m, m-2, ..., 1) while the head fails w_1 < w_2 <= ell or
-      w|_{w_2} differs from (w_1, w_2, w_2-1, ..., w_1+1, w_1-1, ..., 1).
-
-    The bulk callers read :func:`family_masks` instead.
-
-    >>> in_pattern_family((4, 2, 3, 1), 2)
-    True
-    >>> in_pattern_family((2, 4, 3, 1), 2)
-    False
-    """
-    n = len(w)
-    check_permutation(w, n)
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
-    if ell == 0:
-        return is_312_free(w)
-    if not is_312_free(w):
-        return w[0] > w[1] == ell and is_312_free([v for v in w if v != ell])
-    triggered = any(
-        restriction(w, m) == _staircase(m) for m in range(3, n + 1)
-    )
-    if not triggered:
-        return True
-    return (
-        w[0] < w[1] <= ell
-        and restriction(w, w[1]) == _double_staircase(w[0], w[1])
-    )
 
 
 def classify_combinatorial(
@@ -311,16 +257,6 @@ class CrossValidationReport(NamedTuple):
 
     def binomial_counts(self) -> tuple[int, ...]:
         return tuple(c[BINOMIAL] for _, c in self.counts)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": "mfl/1",
-            "n": self.n,
-            "mismatches": list(self.mismatches),
-            "counts": {
-                str(ell): dict(counts) for ell, counts in self.counts
-            },
-        }
 
 
 def cross_validate(n: int, *, oracle_bound: int | None = None) -> CrossValidationReport:
@@ -389,20 +325,18 @@ class CountRow(NamedTuple):
     oracle_counts: tuple[int, int] | None = None
 
 
-def count_table(
-    n_min: int, n_max: int, *, oracle_bound: int | None = None
-) -> list[CountRow]:
+def count_table(n_min: int, n_max: int) -> list[CountRow]:
     """Per-(n, ell) classification counts of the families, with any
     disagreement of the oracle recorded in the row's ``oracle_counts``,
     never raised."""
-    check_oracle_bound(n_min, n_max, oracle_bound)
+    check_oracle_bound(n_min, n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         total = math.factorial(n)
         z_count = zero_family_size(n)
         for ell in range(n):
             t_count = family_masks(n, ell).binomial.bit_count()
-            monomial, surviving = verdict_masks(n, ell, bound=oracle_bound)
+            monomial, surviving = verdict_masks(n, ell)
             observed = ((surviving & ~monomial).bit_count(),
                         total - surviving.bit_count())
             oracle_counts = None if observed == (t_count, z_count) else observed

@@ -2,14 +2,48 @@
 whole flag ideal restricted to X(w), and the span of the surviving fiber
 binomials in the same coordinates.  ``quadideal.theorem_a_masks`` decides
 the same equality block by block and over all of S_n at once; this path
-runs one global elimination per w."""
+runs one global elimination per w, in the coordinates of the whole
+degree-two flag ideal (:func:`degree2_flag_ideal`)."""
 
-from typing import Iterable
+import itertools
+from typing import Iterable, NamedTuple
 
 from mfl import exactla
 from mfl.matchfield import weight_key
-from mfl.permcomb import check_permutation, vanishing_keys
-from mfl.quadideal import DegreeTwoSpace, MonoKey, _key_fibers, degree2_flag_ideal
+from mfl.permcomb import all_index_keys, check_permutation, vanishing_keys
+from mfl.quadideal import MonoKey, _check_la_cap, _flag_ideal, _key_fibers
+
+
+class DegreeTwoSpace(NamedTuple):
+    """A subspace of the span of degree-two Pluecker monomials.
+
+    ``monomials`` fixes the coordinate order; ``rows`` is the canonical
+    reduced echelon basis with primitive integer entries (column index,
+    coefficient).
+    """
+
+    monomials: tuple[MonoKey, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def degree2_flag_ideal(n: int, cap: int | None = None) -> DegreeTwoSpace:
+    """Degree-two piece of the full flag ideal over every monomial of
+    ``combinations_with_replacement(all_index_keys(n), 2)``: the sorted
+    union of the block bases of ``quadideal._flag_ideal``, each row mapped
+    from local to global columns.  Refused past the linear-algebra cap, as
+    ``mfl --la-cap`` refuses the Theorem A suite."""
+    _check_la_cap(n, cap)
+    monomials = tuple(itertools.combinations_with_replacement(all_index_keys(n), 2))
+    rows = sorted(
+        tuple(sorted((block.members[c], v) for c, v in row.items()))
+        for block in _flag_ideal(n)
+        for row in block.rows
+    )
+    return DegreeTwoSpace(monomials, tuple(rows))
 
 
 def span_equal(rows_a: Iterable[exactla.Row], rows_b: Iterable[exactla.Row],

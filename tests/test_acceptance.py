@@ -17,7 +17,6 @@ from mfl import golden
 from mfl.cli import parse_permutation
 from mfl.matchfield import verify_coherence
 from mfl.permcomb import (
-    is_312_free,
     permutation_index,
     vanishing_keys,
     word_text,
@@ -33,13 +32,13 @@ from mfl.quadideal import (
     theorem_a_masks,
 )
 from mfl.suites import run_tableaux, run_theorem_a
-from mfl.tableaux import enumerate_ssyt2, is_standard, verify_bijection
+from mfl.tableaux import enumerate_ssyt2, verify_bijection
 from mfl.theoremsets import (
     TAG_A1,
     count_table,
     cross_validate,
-    in_pattern_family,
 )
+from per_w_reference import in_pattern_family, is_312_free, is_standard
 
 
 @contextmanager

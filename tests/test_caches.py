@@ -44,7 +44,7 @@ def test_per_call_helpers_carry_no_cache():
     # the monomial-map image is read once per variable by cached callers,
     # and the Theorem A layouts once per (n, ell) of a sweep; the weight
     # matrix and |Z_n| cost microseconds to build
-    assert not hasattr(matchfield.variable_image_key, "cache_info")
+    assert not hasattr(matchfield.image_code, "cache_info")
     assert not hasattr(quadideal._block_layouts, "cache_info")
     assert not hasattr(matchfield.weight_matrix, "cache_info")
     assert not hasattr(permcomb.zero_family_size, "cache_info")

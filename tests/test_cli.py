@@ -167,6 +167,21 @@ class TestTables:
             assert (code, out) == (2, ""), argv
             assert err == f"error: --n-max must be at least 3, got {n_max}\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_zn_n_max_above_max_n_exits_2(self, capsys, monkeypatch, fmt):
+        # the bound of verify --n-max, checked before any output
+        code, out, _ = run(capsys, "--format", fmt, "zn", "--n-max", "16")
+        assert code == 0 and "1597" in out  # |Z_16|
+
+        def must_not_run(n):
+            raise AssertionError(f"zero_family({n}) called")
+
+        monkeypatch.setattr(cli, "zero_family", must_not_run)
+        for argv in (["tables", "zn"], ["zn"]):
+            code, out, err = run(capsys, "--format", fmt, *argv, "--n-max", "17")
+            assert (code, out) == (2, ""), argv
+            assert err == "error: --n-max must be at most 16, got 17\n"
+
 
 class TestIdeal:
     def test_unrestricted_json(self, capsys):
@@ -321,13 +336,13 @@ class TestVerify:
     def test_mismatch_w_is_a_digit_string(self, capsys, monkeypatch):
         # empty the zero family at n = 4: theoremB reports every member of
         # Z_4, with w serialized as in every other suite
-        original = suites.family_masks
+        original = theoremsets.family_masks
 
         def emptied(n, ell):
             masks = original(n, ell)
             return masks._replace(zero=0) if n == 4 else masks
 
-        monkeypatch.setattr(suites, "family_masks", emptied)
+        monkeypatch.setattr(theoremsets, "family_masks", emptied)
         code, out, _ = run(
             capsys, "--format", "json", "verify", "--suite", "theoremB",
             "--n-max", "4",
@@ -402,8 +417,9 @@ class TestVerify:
         def fail(n, ell, *args, **kwargs):
             raise AssertionError(f"masks of ({n}, {ell}) built")
 
+        # the suites read the verdict masks through cross_validate only
+        monkeypatch.setattr(theoremsets, "verdict_masks", fail)
         for module in (suites, theoremsets):
-            monkeypatch.setattr(module, "verdict_masks", fail)
             monkeypatch.setattr(module, "family_masks", fail)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -8,6 +8,7 @@ import mfl.permcomb
 import mfl.quadideal
 import mfl.tableaux
 import mfl.theoremsets
+import per_w_reference
 
 MODULES = [
     mfl.permcomb,
@@ -16,6 +17,7 @@ MODULES = [
     mfl.tableaux,
     mfl.theoremsets,
     mfl.exactla,
+    per_w_reference,
 ]
 
 
@@ -23,5 +25,5 @@ MODULES = [
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
-    if module in (mfl.permcomb, mfl.matchfield):
+    if module in (mfl.permcomb, mfl.matchfield, per_w_reference):
         assert result.attempted > 0

@@ -11,11 +11,7 @@ from mask_oracle import binomial_members, verdict_items
 from mfl import golden, suites, theoremsets
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
-    has_descending_property,
-    in_zero_family,
-    is_312_free,
     permutation_index,
-    remove_max,
     restriction,
     word_text,
     zero_family,
@@ -39,7 +35,13 @@ from mfl.theoremsets import (
     cross_validate,
     exceptional_entries,
     family_masks,
+)
+from per_w_reference import (
+    has_descending_property,
     in_pattern_family,
+    in_zero_family,
+    is_312_free,
+    remove_max,
 )
 
 

@@ -5,13 +5,11 @@ import itertools
 
 import pytest
 
+from initial_ideal_oracle import DegreeTwoSpace, degree2_flag_ideal
 from mfl import exactla
-from mfl.matchfield import variable_image_key
 from mfl.permcomb import all_index_keys
 from mfl.quadideal import (
     _FlagBlock,
-    _FlagIdeal,
-    DegreeTwoSpace,
     MonoKey,
     _degree_blocks,
     _fibers,
@@ -21,6 +19,7 @@ from mfl.quadideal import (
     _mono_order,
     mono_key,
 )
+from per_w_reference import variable_image_key
 
 
 def reference_fibers(n, ell):
@@ -41,8 +40,8 @@ def reference_fibers(n, ell):
 
 
 def reference_flag_ideal(n):
-    """The flag ideal with its blocks grouped by (sorted columns, sorted
-    sizes) tuples, one monomial at a time."""
+    """The flag ideal over all monomials and its blocks, grouped by (sorted
+    columns, sorted sizes) tuples, one monomial at a time."""
     variables = all_index_keys(n)
     monomials = tuple(itertools.combinations_with_replacement(variables, 2))
     groups = {}
@@ -67,7 +66,7 @@ def reference_flag_ideal(n):
             for row in basis.rows
         )
     space = DegreeTwoSpace(monomials, tuple(sorted(global_rows)))
-    return _FlagIdeal(space, tuple(blocks))
+    return space, tuple(blocks)
 
 
 def keyed_fibers(n, ell):
@@ -109,8 +108,7 @@ def test_fibers_match_reference_n8_slow(ell):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_flag_ideal_matches_reference(n):
-    flag = _flag_ideal(n)
-    reference = reference_flag_ideal(n)
-    assert flag.blocks == reference.blocks
-    assert flag.space == reference.space
+    space, blocks = reference_flag_ideal(n)
+    assert _flag_ideal(n) == blocks
+    assert degree2_flag_ideal(n, cap=n) == space
 

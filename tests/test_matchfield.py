@@ -11,12 +11,12 @@ from mfl.matchfield import (
     _rule_placement,
     _subset_minima,
     display_key,
-    variable_image_key,
     verify_coherence,
     weight_key,
     weight_matrix,
 )
 from mfl.permcomb import MAX_N, all_index_keys
+from per_w_reference import variable_image_key
 
 
 def plucker_weight_oracle(n, ell, members):

@@ -12,20 +12,14 @@ from mfl.permcomb import (
     _alive_masks,
     _length_layers,
     _prefix_set_masks,
-    avoids,
     bruhat_leq,
     bruhat_minimum,
     bruhat_up_set,
     check_permutation,
     dominated,
-    has_descending_property,
-    in_zero_family,
-    insert_max,
-    is_312_free,
     mask_bits,
     permutation_at,
     permutation_index,
-    remove_max,
     restriction,
     set_bits,
     to_mask,
@@ -33,6 +27,14 @@ from mfl.permcomb import (
     word_text,
     zero_family,
     zero_family_size,
+)
+from per_w_reference import (
+    avoids,
+    has_descending_property,
+    in_zero_family,
+    insert_max,
+    is_312_free,
+    remove_max,
 )
 
 

@@ -5,10 +5,14 @@ from collections import Counter
 import pytest
 
 from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_row
-from initial_ideal_oracle import initial_degree2, span_equal, surviving_binomial_space
+from initial_ideal_oracle import (
+    degree2_flag_ideal,
+    initial_degree2,
+    span_equal,
+    surviving_binomial_space,
+)
 from mask_oracle import verdict_items
 from mfl import exactla, golden, quadideal
-from mfl.matchfield import variable_image_key
 from mfl.permcomb import (
     _alive_masks,
     _prefix_set_masks,
@@ -31,7 +35,6 @@ from mfl.quadideal import (
     _flag_ideal,
     _key_fibers,
     classify_oracle,
-    degree2_flag_ideal,
     mono_key,
     mono_text,
     quadratic_relations,
@@ -41,6 +44,7 @@ from mfl.quadideal import (
 )
 from mfl.suites import run_suite, run_theorem_a
 from mfl.tableaux import enumerate_ssyt2
+from per_w_reference import variable_image_key
 
 
 def canon(mono_pair, sign):
@@ -277,7 +281,7 @@ class TestDegreeTwoSpace:
 
     def test_rank_matches_standard_monomial_count(self):
         # independently: the quotient's dimension counts the fibers
-        from mfl.tableaux import standard_monomial_count_deg2
+        from per_w_reference import standard_monomial_count_deg2
 
         for n, monomials, standard in (
             (5, 465, 399), (6, 1953, 1589), (7, 8001, 6180), (8, 32385, 23799),
@@ -296,18 +300,18 @@ class TestDegreeTwoSpace:
         def degree(a, b):
             return tuple(sorted(a + b)), tuple(sorted((len(a), len(b))))
 
-        flag = _flag_ideal(n)
-        monomials = flag.space.monomials
+        monomials = degree2_flag_ideal(n, cap=n).monomials
+        blocks = _flag_ideal(n)
         per_degree = Counter(degree(*m) for m in monomials)
         semistandard = Counter(degree(*t) for t in enumerate_ssyt2(n))
         assert set(semistandard) <= set(per_degree)
-        for block in flag.blocks:
+        for block in blocks:
             d = degree(*monomials[block.members[0]])
             assert per_degree[d] == len(block.members), (n, d)
             assert len(block.members) - len(block.rows) == semistandard[d], (n, d)
         # a multidegree with one monomial has no relation: one pair each
         singles = [d for d, count in per_degree.items() if count == 1]
-        assert len(flag.blocks) + len(singles) == len(per_degree)
+        assert len(blocks) + len(singles) == len(per_degree)
         for d in singles:
             assert semistandard[d] == 1, (n, d)
 
@@ -326,7 +330,7 @@ class TestDegreeTwoSpace:
         for n in (3, 4, 5):
             space = degree2_flag_ideal(n)
             rows = []
-            for block in _flag_ideal(n).blocks:
+            for block in _flag_ideal(n):
                 products = [product_row(n, *space.monomials[i]) for i in block.members]
                 rows.extend(
                     {i: c for i, c in zip(block.members, vec) if c}
@@ -419,7 +423,7 @@ class TestInitialDegree2:
         assert checked == 248
 
     def test_standard_monomial_dimension_identity(self):
-        from mfl.tableaux import standard_monomial_count_deg2
+        from per_w_reference import standard_monomial_count_deg2
 
         for n in (3, 4):
             for ell in range(n):

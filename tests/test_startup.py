@@ -15,21 +15,29 @@ import mfl
 
 SRC = pathlib.Path(mfl.__file__).parents[1]
 
-#: Every name ``mfl`` exported by eager imports, by defining module.
+#: Every name ``mfl`` exports, by defining module.
 EXPORTS = {
-    "matchfield": ("display_key", "variable_image_key", "verify_coherence",
-                   "weight_key", "weight_matrix"),
-    "permcomb": ("avoids", "bruhat_leq", "dominated", "has_descending_property",
-                 "in_zero_family", "insert_max", "permutation_at", "remove_max",
-                 "restriction", "set_bits", "vanishing_keys", "zero_family"),
-    "quadideal": ("CapabilityError", "ClassificationOutcome", "DegreeTwoSpace",
-                  "QuadraticRelation", "classify_oracle", "degree2_flag_ideal",
-                  "quadratic_relations", "verdict_masks"),
-    "tableaux": ("check_tableau", "enumerate_ssyt2", "is_standard",
-                 "min_defining_chain2", "ssyt_to_matching_field",
-                 "standard_monomial_count_deg2", "verify_bijection"),
+    "matchfield": ("display_key", "verify_coherence", "weight_key", "weight_matrix"),
+    "permcomb": ("bruhat_leq", "dominated", "permutation_at", "restriction",
+                 "set_bits", "vanishing_keys", "zero_family"),
+    "quadideal": ("CapabilityError", "ClassificationOutcome", "QuadraticRelation",
+                  "classify_oracle", "quadratic_relations", "verdict_masks"),
+    "tableaux": ("check_tableau", "enumerate_ssyt2", "min_defining_chain2",
+                 "ssyt_to_matching_field", "verify_bijection"),
     "theoremsets": ("ClassificationRecord", "classify_combinatorial", "count_table",
-                    "cross_validate", "family_masks", "in_pattern_family"),
+                    "cross_validate", "family_masks"),
+}
+
+#: The names ``mfl`` exported until the per-permutation references moved to
+#: ``tests/per_w_reference.py`` and the global degree-two space to
+#: ``tests/initial_ideal_oracle.py``, by the module that defined them.
+MOVED = {
+    "matchfield": ("variable_image_key",),
+    "permcomb": ("avoids", "has_descending_property", "in_zero_family",
+                 "insert_max", "remove_max"),
+    "quadideal": ("DegreeTwoSpace", "degree2_flag_ideal"),
+    "tableaux": ("is_standard", "standard_monomial_count_deg2"),
+    "theoremsets": ("in_pattern_family",),
 }
 
 #: Modules that only some commands need.
@@ -78,6 +86,13 @@ def test_table2_loads_golden_and_tableaux_loads_tableaux():
         "import mfl.cli; mfl.cli.main(['tableaux', '--n', '3'])")
 
 
+def test_theorem_a_does_not_load_tableaux():
+    loaded = _loaded_after(
+        "import mfl.cli; mfl.cli.main(['verify', '--suite', 'theoremA', '--n-max', '4'])")
+    assert "mfl.suites" in loaded
+    assert "mfl.tableaux" not in loaded
+
+
 def test_verify_loads_the_suites_and_passes():
     assert "mfl.suites" in _loaded_after(
         "import mfl.cli; mfl.cli.main(['verify', '--suite', 'coherence', '--n-max', '3'])")
@@ -100,11 +115,22 @@ def test_no_module_imports_dataclasses():
 
 
 @pytest.mark.parametrize("module, name", [
-    (module, name) for module, names in EXPORTS.items() for name in names
+    (module, name) for table in (EXPORTS, MOVED)
+    for module, names in table.items() for name in names
 ])
 def test_export_resolves_to_its_definition(module, name):
-    assert getattr(mfl, name) is getattr(importlib.import_module(f"mfl.{module}"), name)
+    defining = importlib.import_module(f"mfl.{module}")
+    if name in MOVED[module]:
+        # no longer in the package: neither exported nor defined
+        assert not hasattr(mfl, name) and name not in dir(mfl)
+        assert not hasattr(defining, name)
+        return
+    assert getattr(mfl, name) is getattr(defining, name)
     assert name in dir(mfl)
+
+
+def test_exports_are_the_product_api():
+    assert mfl.__all__ == ["SUITES", *(n for names in EXPORTS.values() for n in names)]
 
 
 def test_unknown_name_raises_attribute_error():
