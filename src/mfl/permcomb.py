@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 #: Hard implementation bound; the classification sweeps use n <= 7.
@@ -235,17 +236,47 @@ def mask_bits(mask: int, width: int) -> str:
     return format(mask, f"0{width}b")[::-1]
 
 
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+def repeat_run(mask: int, width: int, count: int) -> int:
+    """``mask``, ``width`` bits wide, copied into runs 0..count-1.
 
-
-def to_mask(flags: Iterable[bool]) -> int:
-    """The bitset whose bit i is the i-th of the booleans ``flags``; the
-    inverse of :func:`mask_bits`.
-
-    >>> to_mask(c == "1" for c in mask_bits(0b110, 4))
-    6
+    >>> bin(repeat_run(0b01, 2, 3))
+    '0b10101'
     """
-    return int(bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
+    return sum(mask << r * width for r in range(count))
+
+
+def suffix_mask(n: int, suffix: tuple[int, ...]) -> int:
+    """The w in S_n that end with ``suffix``, some of the largest values of
+    [n]: in each run v below them, the w whose rest ends so.
+
+    >>> bin(suffix_mask(3, (3,)))
+    '0b101'
+    """
+    if n == len(suffix):
+        return 1 << permutation_index(suffix)
+    rest = suffix_mask(n - 1, tuple(x - 1 for x in suffix))
+    return repeat_run(rest, math.factorial(n - 1), n - len(suffix))
+
+
+def lift_masks(n: int, masks: Iterable[int]) -> list[int]:
+    """Each mask over S_{n-1} (n >= 2) lifted to S_n: bit i is set iff the
+    parent of the i-th w, w with n deleted, is in the mask.  The parent of
+    a w in run v < n is the parent of its rest, moved to run v of S_{n-1};
+    in run n it is the rest itself.
+
+    >>> [bin(m) for m in lift_masks(3, [0b01, 0b10])]
+    ['0b10011', '0b101100']
+    """
+    parents = [0]  # over S_1
+    for m in range(2, n + 1):
+        sub = math.factorial(m - 2)
+        parents = [v * sub + p for v in range(m - 1) for p in parents] + list(
+            range(len(parents)))
+    # character k of a mask's binary text is bit N-1-k, whose parent is
+    # character parents[N-1-k] of the bit text over S_{n-1}
+    pick = itemgetter(*reversed(parents))
+    width = math.factorial(n - 1)
+    return [int("".join(pick(mask_bits(m, width))), 2) if m else 0 for m in masks]
 
 
 @lru_cache(maxsize=8)  # a build at n reads n - 1

@@ -161,17 +161,19 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
         free_312 = family_masks(n, 0).free_312
         for index in set_bits(reduce(or_, (mask for _, mask in patterns))):
             w = permutation_at(n, index)
+            # each 312 in w, once for all ell: (position of the 3, the 1)
+            occurrences = [(i, w[j]) for i, j, k in itertools.combinations(range(n), 3)
+                           if w[j] < w[k] < w[i]]
             for ell, mask in patterns:
                 if not mask >> index & 1:
                     continue
                 report.checked += 1
-                for i, j, k in itertools.combinations(range(n), 3):
-                    if w[j] < w[k] < w[i]:
-                        if i != 0 or w[j] != ell:
-                            report.record(
-                                n=n, ell=ell, w=word_text(w),
-                                detail="312 pattern not anchored at (w_1, ell)",
-                            )
+                for i, low in occurrences:
+                    if i != 0 or low != ell:
+                        report.record(
+                            n=n, ell=ell, w=word_text(w),
+                            detail="312 pattern not anchored at (w_1, ell)",
+                        )
                 if not free_312 >> index & 1:
                     expected = (w[0], ell) + tuple(
                         v for v in range(w[0] - 1, 0, -1) if v != ell

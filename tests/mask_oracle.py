@@ -1,24 +1,58 @@
-"""Per-permutation builds of the S_n bitset tables of ``mfl.permcomb``: the
-oracles the run-built prefix masks and the cover-built alive masks are
-compared against, and the per-w sweep rows the bit-text rows of
-``mfl.cli`` are compared against.  Each passes over all n! permutations.
+"""Per-permutation builds of the S_n bitset tables of ``mfl.permcomb`` and
+``mfl.theoremsets``: the oracles the run-built prefix masks, the
+cover-built alive masks and the run-built families are compared against,
+and the per-w sweep rows the bit-text rows of ``mfl.cli`` are compared
+against.  Each passes over all n! permutations.
 
 ``verdict_items`` and ``binomial_members`` read the verdict and family
 masks one bit at a time, for tests that walk S_n or the binomial family
 per permutation."""
 
 import itertools
+import math
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 
 from mfl.permcomb import (
     all_index_keys,
     dominated,
+    mask_bits,
     permutation_at,
+    permutation_index,
     set_bits,
     sorted_prefixes,
     word_text,
 )
 from mfl.quadideal import verdict_at, verdict_masks
-from mfl.theoremsets import classify_combinatorial, family_masks
+from mfl.theoremsets import (
+    TAG_A1,
+    TAG_A2,
+    TAG_A2P,
+    TAG_A3,
+    TAG_AT1,
+    TAG_AT2,
+    TAG_BASE,
+    TAG_EXCEPTIONAL,
+    FamilyMasks,
+    _oracle_seed,
+    _staircase,
+    classify_combinatorial,
+    exceptional_entries,
+    family_masks,
+)
+from per_w_reference import _double_staircase
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def to_mask(flags):
+    """The bitset whose bit i is the i-th of the booleans ``flags``; the
+    inverse of ``mfl.permcomb.mask_bits``.
+
+    >>> to_mask(c == "1" for c in mask_bits(0b110, 4))
+    6
+    """
+    return int(bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
 
 
 def verdict_items(n, ell, bound=None):
@@ -83,3 +117,90 @@ def reference_sweep_rows(n, ell):
             )
         )
     return rows
+
+
+def bit(entries):
+    return 1 << permutation_index(entries)
+
+
+@lru_cache(maxsize=10)
+def reference_families(n):
+    """``mfl.theoremsets._families(n)`` by one pass over S_n that reads, for
+    each w, its parent index, the gap between the positions of n and n-1,
+    its last three entries, the descending property and its pattern head,
+    recursing on itself; the rest are ANDs and ORs of masks lifted from
+    S_{n-1}."""
+    if n == 1:
+        return (FamilyMasks(1, 0, 1, 1, 1, 0, ()),)
+    prev = reference_families(n - 1)
+    width_prev, width = math.factorial(n - 1), math.factorial(n)
+    index_prev = {e: i for i, e in enumerate(itertools.permutations(range(1, n)))}
+    free_prev = mask_bits(prev[0].free_312, width_prev)
+    parent, gaps, tails, descending = [], [], [], []
+    heads = [bytearray(width) for _ in range(n + 1)]  # heads[v]: w_2 = v, head holds
+    for i, e in enumerate(itertools.permutations(range(1, n + 1))):
+        t = e.index(n)
+        parent.append(index_prev[e[:t] + e[t + 1:]])
+        gaps.append(t - e.index(n - 1))
+        tails.append(e[-3:])
+        after = e[t + 1:]
+        descending.append(all(a > b for a, b in zip(after, after[1:])))
+        v = e[1]
+        free = descending[i] and free_prev[parent[i]] == "1"
+        if free and e[0] < v:
+            # is w|_{w_2} = (w_1, w_2, w_2-1, ..., w_1+1, w_1-1, ..., 1)?
+            heads[v][i] = tuple(x for x in e if x <= v) == _double_staircase(e[0], v)
+        elif not free and e[0] > v:
+            # is w without w_2 312-free?
+            rest = tuple(x - (x > v) for x in e if x != v)
+            heads[v][i] = free_prev[index_prev[rest]] == "1"
+
+    # character k of a mask's binary text is bit N-1-k, whose parent is
+    # character parent[N-1-k] of the bit text over S_{n-1}
+    pick = itemgetter(*reversed(parent))
+
+    def lift(mask: int) -> int:
+        return int("".join(pick(mask_bits(mask, width_prev))), 2) if mask else 0
+
+    lifted_zero = lift(prev[0].zero)
+    desc = to_mask(descending)
+    free_312 = lift(prev[0].free_312) & desc
+    staircase = lift(prev[0].staircase) | (bit(_staircase(n)) if n >= 3 else 0)
+    zero = lifted_zero & to_mask(x[-1] == n or x[-2:] == (n, n - 1) for x in tails)
+    # 312-free w belong unless a staircase restriction comes without a
+    # double-staircase head at w_2 <= ell; the others iff w_2 = ell and w
+    # without w_2 is 312-free
+    patterns = [free_312]
+    double_heads = 0
+    for ell in range(1, n):
+        head = to_mask(heads[ell])
+        double_heads |= head & free_312
+        patterns.append(free_312 & ~(staircase & ~double_heads) | head & ~free_312)
+
+    tags: list[tuple[tuple[str, int], ...]] = [()] * n
+    if n == 3:
+        tags = [((TAG_BASE, _oracle_seed(ell)),) for ell in range(3)]
+    elif n > 3:
+        lifted = [lift(masks.binomial) for masks in prev]
+        parent_desc = lift(prev[0].descending)
+        a1_tails = ((n - 1, n, n - 2), (n, n - 1, n - 2))
+        a1 = ((TAG_A1, lifted_zero & to_mask(x in a1_tails for x in tails)),)
+        ge_m1, ge_p1, ge_p2 = (to_mask(g >= k for g in gaps) for k in (-1, 1, 2))
+        excluded = bit(_staircase(n))
+        diag, semi = lifted[0], lifted[n - 2]
+        tags[0] = a1 + ((TAG_A2, diag & parent_desc & ge_m1),)
+        for ell in range(1, n - 1):
+            tags[ell] = a1 + (
+                (TAG_A2P, lifted[ell] & parent_desc & ge_m1 & ~excluded),
+                (TAG_A3, lifted[ell] & ~parent_desc & ge_p2),
+                (TAG_EXCEPTIONAL, bit(exceptional_entries(n, ell))),
+            )
+        tags[n - 1] = a1 + (
+            (TAG_AT1, diag & semi & parent_desc & ge_m1 & ~excluded),
+            (TAG_AT2, diag & ~semi & ge_p1),
+        )
+    return tuple(
+        FamilyMasks(zero, reduce(or_, (m for _, m in clauses), 0), pattern,
+                    free_312, desc, staircase, clauses)
+        for clauses, pattern in zip(tags, patterns)
+    )

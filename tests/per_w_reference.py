@@ -22,7 +22,7 @@ from mfl.permcomb import (
     vanishing_keys,
 )
 from mfl.tableaux import Columns, min_defining_chain2
-from mfl.theoremsets import _double_staircase, _staircase
+from mfl.theoremsets import _staircase
 
 # ---------------------------------------------------------------------------
 # Insert-max moves and pattern avoidance
@@ -125,6 +125,11 @@ def in_zero_family(w: Sequence[int]) -> bool:
     return all(abs(v - i) <= 1 for i, v in enumerate(w, start=1)) and all(
         w[v - 1] == i for i, v in enumerate(w, start=1)
     )
+
+
+def _double_staircase(a: int, b: int) -> tuple[int, ...]:
+    """(a, b, b-1, ..., a+1, a-1, ..., 1), a permutation of [b]."""
+    return (a, b) + tuple(range(b - 1, a, -1)) + tuple(range(a - 1, 0, -1))
 
 
 def in_pattern_family(w: tuple[int, ...], ell: int) -> bool:

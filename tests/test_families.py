@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from mask_oracle import binomial_members, verdict_items
+from mask_oracle import binomial_members, reference_families, verdict_items
 from mfl import golden, suites, theoremsets
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
@@ -111,6 +111,29 @@ def pairs(n_max):
 
 
 class TestFamilyMasks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_run_build_matches_per_w_build(self, n):
+        assert theoremsets._families(n) == reference_families(n)
+
+    @pytest.mark.slow
+    def test_run_build_matches_per_w_build_n9_slow(self):
+        assert theoremsets._families(9) == reference_families(9)
+
+    def test_build_enumerates_no_s_n(self, monkeypatch):
+        sizes = []
+        permutations = itertools.permutations
+
+        def counted(iterable, *args):
+            items = tuple(iterable)
+            sizes.append(len(items))
+            return permutations(items, *args)
+
+        monkeypatch.setattr(itertools, "permutations", counted)
+        theoremsets._families.cache_clear()
+        theoremsets._families(7)
+        # the oracle seed at n = 3 may enumerate S_3, nothing larger is read
+        assert all(size <= 3 for size in sizes), sizes
+
     @pytest.mark.parametrize("n, ell", pairs(7))
     def test_binomial_family_matches_reference(self, n, ell):
         fast, slow = binomial_members(n, ell), reference_binomial_family(n, ell)

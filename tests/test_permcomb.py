@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mask_oracle import reference_alive_masks, reference_prefix_set_masks
+from mask_oracle import reference_alive_masks, reference_prefix_set_masks, to_mask
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
     MAX_N,
@@ -17,12 +18,13 @@ from mfl.permcomb import (
     bruhat_up_set,
     check_permutation,
     dominated,
+    lift_masks,
     mask_bits,
     permutation_at,
     permutation_index,
     restriction,
     set_bits,
-    to_mask,
+    suffix_mask,
     vanishing_keys,
     word_text,
     zero_family,
@@ -349,6 +351,23 @@ class TestBitsetsOverSn:
         assert mask_bits(0, 3) == "000"
         assert to_mask([False, False]) == 0
         assert to_mask([True, False, True]) == 0b101
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lift_masks_read_the_parent(self, n):
+        rng = random.Random(n)
+        masks = [rng.getrandbits(math.factorial(n - 1)) for _ in range(3)] + [0]
+        lifted = lift_masks(n, masks)
+        for i, w in enumerate(itertools.permutations(range(1, n + 1))):
+            parent = permutation_index(remove_max(w))
+            for mask, lift in zip(masks, lifted):
+                assert lift >> i & 1 == mask >> parent & 1, (w, mask)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_suffix_mask_matches_the_tails(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for suffix in [(n,), (n, n - 1), (n - 1, n), (n - 1, n, n - 2), (n, n - 1, n - 2)]:
+            expected = sum(1 << i for i, w in enumerate(perms) if w[-len(suffix):] == suffix)
+            assert suffix_mask(n, suffix) == expected, suffix
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_up_set_matches_bruhat_leq(self, n):
