@@ -22,6 +22,7 @@ from mfl import SUITES
 from mfl.matchfield import display_key
 from mfl.permcomb import (
     MAX_N,
+    check_cut,
     check_permutation,
     mask_bits,
     permutation_at,
@@ -282,8 +283,8 @@ def cmd_tableaux(args) -> int:
         raise ValueError(f"tableaux need n >= 2, got {args.n}")
     if args.n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {args.n}")
-    if args.ell is not None and not 0 <= args.ell <= args.n - 1:
-        raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
+    if args.ell is not None:
+        check_cut(args.n, args.ell)
     from mfl.tableaux import enumerate_ssyt2, ssyt_to_matching_field
 
     w = parse_permutation(args.w, args.n) if args.w is not None else None
@@ -388,8 +389,8 @@ def _sweep_rows(n: int, ell: int) -> list[tuple[int, str, str, str, str]]:
 def cmd_sweep(args) -> int:
     if args.n < 3:
         raise ValueError(f"families are defined for n >= 3, got {args.n}")
-    if args.ell is not None and not 0 <= args.ell <= args.n - 1:
-        raise ValueError(f"ell must be in 0..{args.n - 1}, got {args.ell}")
+    if args.ell is not None:
+        check_cut(args.n, args.ell)
     ells = [args.ell] if args.ell is not None else list(range(args.n))
     parts = [_sweep_rows(args.n, ell) for ell in ells]
     rows = sorted(r for part in parts for r in part)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from mfl.permcomb import MAX_N
+from mfl.permcomb import MAX_N, check_cut
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +193,7 @@ def verify_coherence(n: int, ell: int, rule: str = "corrected") -> CoherenceRepo
     >>> verify_coherence(4, 1).ok, verify_coherence(4, 1, rule="literal").ok
     (True, False)
     """
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    check_cut(n, ell)
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {n}")
     matrix = weight_matrix(n, ell)

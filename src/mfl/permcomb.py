@@ -43,6 +43,12 @@ def check_permutation(w: Sequence[int], n: int) -> None:
         raise ValueError(f"permutation length {m} does not match n = {n}")
 
 
+def check_cut(n: int, ell: int) -> None:
+    """Raise ValueError unless ``ell`` is a block cut of [n]: 0 <= ell < n."""
+    if not 0 <= ell <= n - 1:
+        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+
+
 def word_text(values: Sequence[int]) -> str:
     """A one-line word or an index set as text: digits when every value is
     at most 9, comma-separated otherwise.

@@ -31,6 +31,7 @@ from mfl.matchfield import _swap_flag, image_code, weight_key
 from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
+    check_cut,
     check_permutation,
     vanishing_keys,
     word_text,
@@ -231,8 +232,7 @@ def _check_case(
     if n < 3:
         raise ValueError(f"classification needs n >= 3, got {n}")
     check_oracle_bound(n, n, bound)
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    check_cut(n, ell)
 
 
 def check_oracle_bound(n_min: int, n_max: int, bound: int | None = None) -> None:

@@ -14,13 +14,7 @@ from operator import or_
 
 from mfl import SUITES
 from mfl.matchfield import verify_coherence
-from mfl.permcomb import (
-    _alive_masks,
-    permutation_at,
-    restriction,
-    set_bits,
-    word_text,
-)
+from mfl.permcomb import permutation_at, restriction, set_bits, word_text
 from mfl.quadideal import (
     LA_CAP_DEFAULT,
     ZERO,
@@ -207,8 +201,9 @@ def run_theorem_a(n_max: int = 4, cap: int | None = None) -> SuiteReport:
     return report
 
 
-#: run_tableaux refuses larger n: the n = 9 standardness masks alone would
-#: take about 4 GB.
+#: run_tableaux refuses larger n: at n = 9, _bijection_table would hold one
+#: bitset of up to 45 KB per row class (91355 of them) in each of two dicts
+#: while it builds; building it one class at a time is ROADMAP item 1.
 TABLEAUX_N_MAX = 8
 
 
@@ -227,14 +222,7 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
         raise CapabilityError(
             f"n_max {n_max} exceeds the tableaux suite's bound {TABLEAUX_N_MAX}"
         )
-    from mfl.tableaux import (
-        _enumerate_ssyt2_all,
-        bijection_failing_mask,
-        min_defining_chain2,
-        min_defining_chain2_exhaustive,
-        standard_masks,
-        verify_bijection,
-    )
+    from mfl.tableaux import _level, bijection_failing_mask, verify_bijection
 
     report = SuiteReport("tableaux")
     for n in range(3, n_max + 1):
@@ -244,21 +232,14 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
                 result = verify_bijection(n, ell, permutation_at(n, i))
                 report.record(n=n, ell=ell, w=result.w,
                               failures=result.failures[:3])
-        tableaux = _enumerate_ssyt2_all(n)
-        for t in tableaux:
-            report.checked += 1
-            if min_defining_chain2(n, t) != min_defining_chain2_exhaustive(n, t):
-                report.record(n=n, columns=t,
-                              detail="constructive chain differs from exhaustive")
+        level = _level(n)
+        report.checked += len(level.tableaux)
+        for t in level.chain_failing:
+            report.record(n=n, columns=t,
+                          detail="constructive chain differs from exhaustive")
         # per tableau, the 312-free w where standardness and domination differ
-        alive = _alive_masks(n)
-        free_312 = family_masks(n, 0).free_312
-        report.checked += free_312.bit_count() * len(tableaux)
-        differs = [
-            ((a, b), (mask ^ (alive[a] & alive[b])) & free_312)
-            for (a, b), mask in zip(tableaux, standard_masks(n))
-        ]
-        differs = [(t, mask) for t, mask in differs if mask]
+        report.checked += family_masks(n, 0).free_312.bit_count() * len(level.tableaux)
+        differs = level.domination_failing
         for i in set_bits(reduce(or_, (mask for _, mask in differs), 0)):
             w = word_text(permutation_at(n, i))
             for t, mask in differs:

@@ -105,12 +105,6 @@ def enumerate_ssyt2(n: int, w: tuple[int, ...] | None = None) -> Iterator[Column
     )
 
 
-@lru_cache(maxsize=8)
-def _enumerate_ssyt2_all(n: int) -> tuple[Columns, ...]:
-    """Every tableau of :func:`enumerate_ssyt2`, kept for the bulk tables."""
-    return tuple(enumerate_ssyt2(n))
-
-
 # ---------------------------------------------------------------------------
 # The rearrangement map
 
@@ -174,7 +168,6 @@ def grassmannian_permutation(members: Key, n: int) -> tuple[int, ...]:
     return _block_permutation(n, members)
 
 
-@lru_cache(maxsize=16384)  # the two-column tableaux with n <= 7 number 8286
 def min_defining_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:
     """Minimum defining chain of a semi-standard tableau with at most two
     columns, as its tuple of permutations.
@@ -242,22 +235,6 @@ def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int,
     return v1, minimum
 
 
-@lru_cache(maxsize=8)
-def standard_masks(n: int) -> tuple[int, ...]:
-    """For each tableau of :func:`enumerate_ssyt2`, in order, the bitset
-    over S_n (bit i: the i-th permutation in ``itertools.permutations``
-    order) of the w it is standard for: the Bruhat up-set of its minimum
-    chain's end.
-
-    >>> [mask >> 5 & 1 for mask in standard_masks(3)].count(1)  # w = 321
-    20
-    """
-    return tuple(
-        bruhat_up_set(min_defining_chain2(n, columns)[-1])
-        for columns in _enumerate_ssyt2_all(n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive verification
 
@@ -278,37 +255,25 @@ class BijectionReport(NamedTuple):
         return all(passed for _, passed in self.checks)
 
 
-@lru_cache(maxsize=8)
-def _all_monomial_pairs(n: int) -> tuple[tuple[Key, Key], ...]:
-    keys = sorted(all_index_keys(n), key=lambda k: (-len(k), k))
-    return tuple(
-        (a, b)
-        for a, b in itertools.combinations_with_replacement(keys, 2)
-        if len(a) >= len(b)
-    )
-
-
 class _BijectionTable(NamedTuple):
     """What :func:`verify_bijection` needs of one (n, ell), built once.
 
     Every mask is a bitset over S_n in ``itertools.permutations`` order.
     ``checks`` and ``failures`` hold the two checks that do not depend on
-    w.  The three per-w counts are bit-sliced counters (:func:`_bit_sliced`):
-    ``below`` counts the semi-standard tableaux whose columns both survive,
-    ``standard`` those standard for X(w), and ``classes`` the row classes
-    of monomials with some member surviving.  A row class is read off the
-    monomial map's int image code (:func:`mfl.matchfield.image_code`), the
-    code the fibers of :mod:`mfl.quadideal` share: two matching-field
-    tableaux are row-wise equal exactly when their monomials have equal
-    codes.  The three per-w checks list, in message order,
-    what a failure message names (tableau columns or a monomial pair) with
-    the w where it fails; entries that never fail are left out.
+    w.  ``classes`` is a bit-sliced counter (:func:`_bit_sliced`) of the
+    row classes of monomials with some member surviving; the tableau counts
+    do not depend on the cut and are kept per n (:class:`_Level`).  A row
+    class is read off the monomial map's int image code
+    (:func:`mfl.matchfield.image_code`), the code the fibers of
+    :mod:`mfl.quadideal` share: two matching-field tableaux are row-wise
+    equal exactly when their monomials have equal codes.  The three per-w
+    checks list, in message order, what a failure message names (tableau
+    columns or a monomial pair) with the w where it fails; entries that
+    never fail are left out.
     """
 
     checks: tuple[tuple[str, bool], ...]
     failures: tuple[str, ...]
-    below: tuple[int, ...]
-    standard: tuple[int, ...]
     preimage_failing: tuple[tuple[tuple, int], ...]
     image_failing: tuple[tuple[tuple, int], ...]
     surjective_failing: tuple[tuple[tuple, int], ...]
@@ -327,16 +292,20 @@ def _bit_sliced(masks: Iterable[int]) -> tuple[int, ...]:
     ['0b111', '0b10']
     """
     planes: list[int] = []
-    for carry in masks:
-        for k, plane in enumerate(planes):
-            planes[k] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            if carry:
-                planes.append(carry)
+    for mask in masks:
+        _add(planes, mask)
     return tuple(planes)
+
+
+def _add(planes: list[int], carry: int) -> None:
+    """Add one bitset to the bit-sliced counter ``planes``, in place."""
+    for k, plane in enumerate(planes):
+        planes[k] = plane ^ carry
+        carry &= plane
+        if not carry:
+            return
+    if carry:
+        planes.append(carry)
 
 
 def _bit_count(planes: tuple[int, ...], i: int) -> int:
@@ -344,15 +313,46 @@ def _bit_count(planes: tuple[int, ...], i: int) -> int:
     return sum((plane >> i & 1) << k for k, plane in enumerate(planes))
 
 
+class _Level(NamedTuple):
+    """What the tableaux layer needs of one n (:func:`_level`): the tableaux
+    of :func:`enumerate_ssyt2` in order, bit-sliced counters over S_n of
+    those below w and of those standard for X(w), the tableaux whose chain
+    differs from :func:`min_defining_chain2_exhaustive`, and each tableau
+    with the 312-free w where standardness differs from domination, if any.
+    """
+
+    tableaux: tuple[Columns, ...]
+    below: tuple[int, ...]
+    standard: tuple[int, ...]
+    chain_failing: tuple[Columns, ...]
+    domination_failing: tuple[tuple[Columns, int], ...]
+
+
 @lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
-def _cut_free_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two counters of :class:`_BijectionTable` that do not depend on
-    the cut: ``below`` and ``standard``."""
+def _level(n: int) -> _Level:
+    """One pass over the tableaux of n that builds each minimum chain once;
+    its end's Bruhat up-set, the w the tableau is standard for, is counted
+    and compared with the below-w bitset, then dropped.
+
+    >>> _bit_count(_level(3).standard, 5)  # w = 321
+    20
+    """
     alive = _alive_masks(n)
-    return (
-        _bit_sliced(alive[a] & alive[b] for a, b in _enumerate_ssyt2_all(n)),
-        _bit_sliced(standard_masks(n)),
-    )
+    free_312 = family_masks(n, 0).free_312
+    tableaux, below, standard, chain_failing, domination_failing = [], [], [], [], []
+    for t in enumerate_ssyt2(n):
+        tableaux.append(t)
+        chain = min_defining_chain2(n, t)
+        if chain != min_defining_chain2_exhaustive(n, t):
+            chain_failing.append(t)
+        t_below, t_standard = alive[t[0]] & alive[t[1]], bruhat_up_set(chain[-1])
+        _add(below, t_below)
+        _add(standard, t_standard)
+        differs = (t_standard ^ t_below) & free_312
+        if differs:
+            domination_failing.append((t, differs))
+    return _Level(tuple(tableaux), tuple(below), tuple(standard),
+                  tuple(chain_failing), tuple(domination_failing))
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -365,7 +365,7 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     # image code -> the w where some below-w tableau has it
     covered: dict[int, int] = {}
     preimage, image = [], []
-    for t in _enumerate_ssyt2_all(n):
+    for t in _level(n).tableaux:
         (a, b), (c, d) = t, ssyt_to_matching_field(t, ell)
         row_class = code[c] + code[d]
         if row_class in first:
@@ -381,7 +381,8 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     surjective = True
     surviving = []
     classes: dict[int, int] = {}
-    for a, b in _all_monomial_pairs(n):
+    keys = sorted(code, key=lambda k: (-len(k), k))
+    for a, b in itertools.combinations_with_replacement(keys, 2):
         row_class = code[a] + code[b]
         if row_class not in first:
             surjective = False
@@ -390,12 +391,9 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
         surviving.append(((a, b), bits & ~covered.get(row_class, 0)))
         classes[row_class] = classes.get(row_class, 0) | bits
     checks.append(("surjective", surjective))
-    below, standard = _cut_free_counts(n)
     return _BijectionTable(
         checks=tuple(checks),
         failures=tuple(failures),
-        below=below,
-        standard=standard,
         preimage_failing=_nonzero(preimage),
         image_failing=_nonzero(image),
         surjective_failing=_nonzero(surviving),
@@ -439,11 +437,11 @@ def bijection_failing_mask(n: int, ell: int) -> int:
     column = (
         _any_failing(table.image_failing)
         | _any_failing(table.surjective_failing)
-        | _counters_differ(table.below, table.classes)
+        | _counters_differ(_level(n).below, table.classes)
     )
     return families.pattern & (
         _any_failing(table.preimage_failing)
-        | _counters_differ(table.standard, table.classes)
+        | _counters_differ(_level(n).standard, table.classes)
         | families.free_312 & column
     )
 
@@ -478,10 +476,10 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
     built once per (n, ell) in a bounded table, with every w-dependent fact
     as a bitset over S_n: "below w" is the AND of the columns' ``alive``
     bitsets (:func:`mfl.permcomb._alive_masks`), and "standard for X(w)" is
-    the Bruhat up-set of the chain end (:func:`standard_masks`); pattern
-    membership and 312-freeness come from
-    :func:`mfl.theoremsets.family_masks`.  The per-tableau and per-class
-    bitsets are summed into bit-sliced counters when the table is built, so
+    the Bruhat up-set of the chain end; pattern membership and 312-freeness
+    come from :func:`mfl.theoremsets.family_masks`.  The per-class bitsets
+    are summed into a bit-sliced counter when the table is built, and the
+    per-tableau ones once per n, when :func:`_level` builds the chains, so
     per w the report reads bit :func:`mfl.permcomb.permutation_index` of a
     dozen or so counter planes for each count.  A failure message is written
     only for an entry whose failure bit is set, in enumeration order.  The
@@ -508,7 +506,7 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
     row_class_count = None
     if in_pattern:
         row_class_count = _bit_count(table.classes, i)
-        standard_count = _bit_count(table.standard, i)
+        standard_count = _bit_count(_level(n).standard, i)
         std_ok = standard_count == row_class_count
         if not std_ok:
             failures.append(
@@ -517,7 +515,7 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
             )
         checks.append(("standard_count_identity", std_ok))
 
-        column_count = _bit_count(table.below, i)
+        column_count = _bit_count(_level(n).below, i)
         image_failing = _failing(table.image_failing, i)
         failures.extend(
             f"image of below-w tableau {cols} not below w" for cols in image_failing

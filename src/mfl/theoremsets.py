@@ -30,6 +30,7 @@ from operator import or_
 from typing import NamedTuple
 
 from mfl.permcomb import (
+    check_cut,
     check_permutation,
     lift_masks,
     permutation_at,
@@ -122,8 +123,7 @@ def family_masks(n: int, ell: int) -> FamilyMasks:
     """
     if n < 3:
         raise ValueError(f"families are defined for n >= 3, got {n}")
-    if not 0 <= ell <= n - 1:
-        raise ValueError(f"ell must be in 0..{n - 1}, got {ell}")
+    check_cut(n, ell)
     return _families(n)[ell]
 
 

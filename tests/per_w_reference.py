@@ -3,13 +3,14 @@ S_n: pattern avoidance and the insert-max moves, the zero family, the
 descending property and the pattern family one w at a time, standardness
 and the degree-two row-class count for one (w, tableau), and the signed
 image of one Pluecker variable.  The package reads the masks of
-``mfl.theoremsets.family_masks``, ``mfl.tableaux.standard_masks`` and the
-int codes of ``mfl.matchfield.image_code`` instead; the tests compare the
-two, w by w."""
+``mfl.theoremsets.family_masks``, the standardness counter of
+``mfl.tableaux._level`` and the int codes of ``mfl.matchfield.image_code``
+instead; the tests compare the two, w by w."""
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Sequence
 
 from mfl.matchfield import _swap_flag, display_key, image_code
@@ -183,8 +184,14 @@ def is_standard(n: int, columns: Columns, w: tuple[int, ...]) -> bool:
     False
     """
     check_permutation(w, n)
-    up_set = bruhat_up_set(min_defining_chain2(n, columns)[-1])
-    return bool(up_set >> permutation_index(w) & 1)
+    return bool(_chain_up_set(n, columns) >> permutation_index(w) & 1)
+
+
+@lru_cache(maxsize=16384)  # the tableaux with n <= 7 number 8286
+def _chain_up_set(n: int, columns: Columns) -> int:
+    """The Bruhat up-set of the minimum chain's end, kept per tableau so
+    that a loop over w builds each chain once."""
+    return bruhat_up_set(min_defining_chain2(n, columns)[-1])
 
 
 def standard_monomial_count_deg2(n: int, ell: int, w: tuple[int, ...]) -> int:

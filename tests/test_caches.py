@@ -32,7 +32,7 @@ def test_every_cache_is_bounded():
         assert cached.cache_info().maxsize is not None, name
     # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
     # quadideal.quadratic_relations and quadideal._flag_ideal
-    assert len(caches) == 17, sorted(caches)
+    assert len(caches) == 13, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -69,13 +69,10 @@ def test_per_call_helpers_carry_no_cache():
         (quadideal._degree_blocks, 6),
         # a verify run folds the cuts of n = 3..6 in several suites
         (quadideal._fiber_folds, 3 + 4 + 5 + 6),
-        # a tableaux suite to n = 7 builds each chain once
-        (tableaux.min_defining_chain2, 3 + 20 + 95 + 399 + 1589 + 6180),
+        # a tableaux suite to n = 7 builds each cut's table and each n's
+        # level, with its chains, once
         (tableaux._bijection_table, sum(range(3, 8))),
-        (tableaux._cut_free_counts, 5),
-        (tableaux._enumerate_ssyt2_all, 5),
-        (tableaux.standard_masks, 5),
-        (tableaux._all_monomial_pairs, 5),
+        (tableaux._level, 5),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
@@ -89,12 +86,8 @@ def test_tableaux_suite_evicts_nothing():
         permcomb._length_layers,
         permcomb._prefix_set_masks,
         permcomb._alive_masks,
-        tableaux.min_defining_chain2,
         tableaux._bijection_table,
-        tableaux._cut_free_counts,
-        tableaux._enumerate_ssyt2_all,
-        tableaux.standard_masks,
-        tableaux._all_monomial_pairs,
+        tableaux._level,
     )
     for cached in touched:
         cached.cache_clear()
@@ -133,13 +126,19 @@ def test_no_family_masks_at_import():
 
 
 @pytest.mark.slow
-def test_tableaux_suite_n7_builds_each_chain_once_slow():
-    touched = (permcomb.bruhat_up_set, tableaux.min_defining_chain2)
-    for cached in touched:
+def test_tableaux_suite_n7_builds_each_chain_once_slow(monkeypatch):
+    calls = []
+    real = tableaux.min_defining_chain2
+
+    def counted(n, columns):
+        calls.append(n)
+        return real(n, columns)
+
+    monkeypatch.setattr(tableaux, "min_defining_chain2", counted)
+    for cached in (permcomb.bruhat_up_set, tableaux._level):
         cached.cache_clear()
     assert run_tableaux(7).ok
-    for cached in touched:
-        info = cached.cache_info()
-        assert info.currsize == info.misses, cached.__name__
+    info = permcomb.bruhat_up_set.cache_info()
+    assert info.currsize == info.misses
     # one chain per two-column tableau with 3 <= n <= 7
-    assert tableaux.min_defining_chain2.cache_info().misses == 8283
+    assert len(calls) == 8283

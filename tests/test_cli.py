@@ -285,10 +285,10 @@ class TestTableaux:
 
     def test_listing_streams(self, capsys):
         # the listing walks the lazy enumeration and keeps no tuple of it
-        tableaux._enumerate_ssyt2_all.cache_clear()
+        tableaux._level.cache_clear()
         code, out, _ = run(capsys, "tableaux", "--n", "4")
         assert code == 0 and out
-        assert tableaux._enumerate_ssyt2_all.cache_info().currsize == 0
+        assert tableaux._level.cache_info().currsize == 0
 
     def test_closed_stdout_ends_quietly(self):
         src = pathlib.Path(cli.__file__).parents[1]

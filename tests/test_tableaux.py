@@ -12,7 +12,9 @@ from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
     bruhat_leq,
+    bruhat_up_set,
     permutation_at,
+    permutation_index,
     set_bits,
     vanishing_keys,
     word_text,
@@ -24,14 +26,13 @@ from mfl.tableaux import (
     _bit_count,
     _bit_sliced,
     _counters_differ,
-    _enumerate_ssyt2_all,
+    _level,
     bijection_failing_mask,
     check_tableau,
     enumerate_ssyt2,
     min_defining_chain2,
     min_defining_chain2_exhaustive,
     ssyt_to_matching_field,
-    standard_masks,
     verify_bijection,
 )
 from mfl.theoremsets import family_masks
@@ -168,10 +169,11 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_filter_matches_full_enumeration(self, n):
         # skipping a vanishing left column keeps the order of the full list
+        tableaux_n = list(enumerate_ssyt2(n))
         for w in itertools.permutations(range(1, n + 1)):
             vanset = vanishing_keys(w)
             assert list(enumerate_ssyt2(n, w)) == [
-                t for t in _enumerate_ssyt2_all(n) if all(c not in vanset for c in t)
+                t for t in tableaux_n if all(c not in vanset for c in t)
             ], w
 
     def test_lazy(self):
@@ -214,7 +216,7 @@ class TestRearrangement:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 5), st.data())
     def test_preserves_entry_multiset(self, n, data):
-        t = data.draw(st.sampled_from(_enumerate_ssyt2_all(n)))
+        t = data.draw(st.sampled_from(tuple(enumerate_ssyt2(n))))
         ell = data.draw(st.integers(0, n - 1))
         image = ssyt_to_matching_field(t, ell)
         before = sorted(v for col in t for v in col)
@@ -407,6 +409,12 @@ def _reference_signatures(n, ell, rearrange):
     )
 
 
+@lru_cache(maxsize=8)
+def _reference_chains(n):
+    """The minimum chain of each tableau, in enumeration order."""
+    return tuple(min_defining_chain2(n, t) for t in enumerate_ssyt2(n))
+
+
 def _reference_pairs(n):
     keys = sorted(all_index_keys(n), key=lambda k: (-len(k), k))
     return tuple(
@@ -468,7 +476,7 @@ def reference_verify_bijection(n, ell, w):
     if in_pattern:
         row_class_count = standard_monomial_count_deg2(n, ell, w)
         standard_count = sum(
-            1 for t, _ in data if bruhat_leq(min_defining_chain2(n, t)[-1], w)
+            1 for chain in _reference_chains(n) if bruhat_leq(chain[-1], w)
         )
         std_ok = standard_count == row_class_count
         if not std_ok:
@@ -591,18 +599,24 @@ class TestBijectionTables:
 class TestStandardMasks:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_is_standard_matches_chain_end_below_w(self, n):
-        for w in itertools.permutations(range(1, n + 1)):
-            for t in enumerate_ssyt2(n):
-                expected = bruhat_leq(min_defining_chain2(n, t)[-1], w)
-                assert is_standard(n, t, w) == expected, (w, t)
+        for t in enumerate_ssyt2(n):
+            end = min_defining_chain2(n, t)[-1]
+            for w in itertools.permutations(range(1, n + 1)):
+                assert is_standard(n, t, w) == bruhat_leq(end, w), (w, t)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_masks_follow_enumeration_order(self, n):
-        masks = standard_masks(n)
-        assert len(masks) == len(list(enumerate_ssyt2(n)))
+        # the per-n pass keeps the enumeration order, and its counters sum
+        # standardness and column domination tableau by tableau
+        level = _level(n)
+        tableaux_n = list(enumerate_ssyt2(n))
+        assert level.tableaux == tuple(tableaux_n)
         for i, w in enumerate(itertools.permutations(range(1, n + 1))):
-            for t, mask in zip(enumerate_ssyt2(n), masks):
-                assert bool(mask >> i & 1) == is_standard(n, t, w)
+            vanset = vanishing_keys(w)
+            standard = sum(is_standard(n, t, w) for t in tableaux_n)
+            below = sum(all(c not in vanset for c in t) for t in tableaux_n)
+            assert _bit_count(level.standard, i) == standard, w
+            assert _bit_count(level.below, i) == below, w
 
 
 class TestBitSlicedCounter:
@@ -654,32 +668,44 @@ def reference_domination(n, standard):
 class TestDominationAgainstReference:
     DETAIL = "standardness differs from domination"
 
+    @staticmethod
+    def _perturbed_up_set(entries):
+        """The Bruhat up-set with one bit flipped for every chain end with
+        two or more descents (about a fifth of the tableaux), at 312-free and
+        other w.  The exhaustive chain oracle reads only up-sets of Grassmannian
+        permutations (at most one descent), so it sees the real ones."""
+        up_set = bruhat_up_set(entries)
+        if sum(a > b for a, b in zip(entries, entries[1:])) >= 2:
+            k = permutation_index(entries)
+            up_set ^= 1 << (7 * k % math.factorial(len(entries)))
+        return up_set
+
     def test_perturbed_masks_report_like_reference(self, monkeypatch):
-        # flip one bit in every third standard mask, at 312-free and other w
         perturbed = {
             n: tuple(
-                mask ^ 1 << (7 * k % math.factorial(n))
-                if k % 3 == 0 else mask
-                for k, mask in enumerate(standard_masks(n))
+                self._perturbed_up_set(min_defining_chain2(n, t)[-1])
+                for t in enumerate_ssyt2(n)
             )
             for n in (3, 4, 5)
         }
-        # the bijection tables read the masks too: build them from the real
-        # masks first, so that only the domination check sees the perturbed
-        # ones and no counter built from them stays cached
-        for n in (3, 4, 5):
-            for ell in range(n):
-                _bijection_table(n, ell)
-        misses = tableaux._cut_free_counts.cache_info().misses
-        monkeypatch.setattr(tableaux, "standard_masks", perturbed.__getitem__)
-        report = suites.run_tableaux(5)
-        assert tableaux._cut_free_counts.cache_info().misses == misses
+        # the one pass per n builds the standardness counter and the
+        # domination check together; no level built from perturbed up-sets
+        # may stay cached
+        _level.cache_clear()
+        monkeypatch.setattr(tableaux, "bruhat_up_set", self._perturbed_up_set)
+        try:
+            report = suites.run_tableaux(5)
+        finally:
+            _level.cache_clear()
         expected = []
         for n in (3, 4, 5):
             expected.extend(reference_domination(n, perturbed[n]).mismatches)
         found = [m for m in report.mismatches if m.get("detail") == self.DETAIL]
         assert found == expected
         assert len({m["w"] for m in expected}) > 10
+        # the chain oracle saw the real up-sets
+        assert not any(m.get("detail") == "constructive chain differs from exhaustive"
+                       for m in report.mismatches)
         # pinned from the per-w loop before the bitsets
         assert report.checked == 18950
 
@@ -700,18 +726,19 @@ def reference_run_tableaux(n_max):
                 if not result.ok:
                     report.record(n=n, ell=ell, w=result.w,
                                   failures=result.failures[:3])
-        tableaux_n = _enumerate_ssyt2_all(n)
-        for t in tableaux_n:
+        tableaux_n = list(enumerate_ssyt2(n))
+        chains = _reference_chains(n)
+        for t, chain in zip(tableaux_n, chains):
             report.checked += 1
-            if min_defining_chain2(n, t) != min_defining_chain2_exhaustive(n, t):
+            if chain != min_defining_chain2_exhaustive(n, t):
                 report.record(n=n, columns=t,
                               detail="constructive chain differs from exhaustive")
         alive = _alive_masks(n)
         free_312 = family_masks(n, 0).free_312
         report.checked += free_312.bit_count() * len(tableaux_n)
         differs = [
-            ((a, b), (mask ^ (alive[a] & alive[b])) & free_312)
-            for (a, b), mask in zip(tableaux_n, tableaux.standard_masks(n))
+            ((a, b), (bruhat_up_set(chain[-1]) ^ (alive[a] & alive[b])) & free_312)
+            for (a, b), chain in zip(tableaux_n, chains)
         ]
         differs = [(t, mask) for t, mask in differs if mask]
         for i in set_bits(reduce(or_, (m for _, m in differs), 0)):
@@ -729,13 +756,15 @@ def _first_bit(mask):
 
 def _targets(n, ell):
     """One-bit masks at a 312-free member of the pattern family, at a member
-    with a 312 pattern, and at a w outside the family."""
+    with a 312 pattern, and at a w outside the family of every cut (a fault
+    in the per-n counters reaches every cut)."""
     masks = family_masks(n, ell)
     full = (1 << math.factorial(n)) - 1
+    members = reduce(or_, (family_masks(n, cut).pattern for cut in range(n)))
     targets = {
         "free_312": _first_bit(masks.pattern & masks.free_312),
         "with_312": _first_bit(masks.pattern & ~masks.free_312),
-        "outside": _first_bit(full & ~masks.pattern),
+        "outside": _first_bit(full & ~members),
     }
     assert all(targets.values())
     return targets
@@ -762,28 +791,38 @@ def _fail_check(table, index):
 
 
 FAULT_CUT = (5, 2)
-# fault -> (how it changes the table at FAULT_CUT given the bits to flip,
-# which target members then fail)
+# fault -> (the record it changes: the table of FAULT_CUT or the level of
+# its n; how it changes it given the bits to flip; which target members of
+# FAULT_CUT then fail)
 FAULTS = {
-    "injective": (lambda t, bits: _fail_check(t, 0), ("free_312", "with_312")),
-    "surjective": (lambda t, bits: _fail_check(t, 1), ("free_312", "with_312")),
+    "injective": (
+        "_bijection_table", lambda t, bits: _fail_check(t, 0), ("free_312", "with_312"),
+    ),
+    "surjective": (
+        "_bijection_table", lambda t, bits: _fail_check(t, 1), ("free_312", "with_312"),
+    ),
     "preimage_failing": (
+        "_bijection_table",
         lambda t, bits: t._replace(preimage_failing=_flip_first(t.preimage_failing, bits)),
         ("free_312", "with_312"),
     ),
     "standard": (
+        "_level",
         lambda t, bits: t._replace(standard=_flip_plane(t.standard, bits)),
         ("free_312", "with_312"),
     ),
     "below": (
+        "_level",
         lambda t, bits: t._replace(below=_flip_plane(t.below, bits)),
         ("free_312",),
     ),
     "image_failing": (
+        "_bijection_table",
         lambda t, bits: t._replace(image_failing=_flip_first(t.image_failing, bits)),
         ("free_312",),
     ),
     "surjective_failing": (
+        "_bijection_table",
         lambda t, bits: t._replace(
             surjective_failing=_flip_first(t.surjective_failing, bits)
         ),
@@ -804,17 +843,19 @@ class TestBijectionFailingMask:
         # each fault is set at one pattern member and at one w outside the
         # family; the mask path and the per-w loop must agree record for
         # record, in order, with the same count
-        change, fails_at = FAULTS[fault]
+        name, change, fails_at = FAULTS[fault]
         bits = _targets(*FAULT_CUT)
-        real = tableaux._bijection_table
+        real = getattr(tableaux, name)
+        # the table takes (n, ell) and the level n alone
+        key = FAULT_CUT if name == "_bijection_table" else FAULT_CUT[:1]
 
-        def faulty(n, ell):
-            table = real(n, ell)
-            if (n, ell) == FAULT_CUT:
-                table = change(table, bits[target] | bits["outside"])
-            return table
+        def faulty(*args):
+            record = real(*args)
+            if args == key:
+                record = change(record, bits[target] | bits["outside"])
+            return record
 
-        monkeypatch.setattr(tableaux, "_bijection_table", faulty)
+        monkeypatch.setattr(tableaux, name, faulty)
         report = suites.run_tableaux(5)
         expected = reference_run_tableaux(5)
         assert report == expected
@@ -825,7 +866,9 @@ class TestBijectionFailingMask:
         if fault in ("injective", "surjective"):
             assert len(failing) == family_masks(*FAULT_CUT).pattern.bit_count()
         else:
-            assert failing <= {(5, 2, target_w)}
+            # a fault in the level of n = 5 reaches every cut of n = 5
+            cuts = range(5) if name == "_level" else (2,)
+            assert failing <= {(5, ell, target_w) for ell in cuts}
 
     @pytest.mark.parametrize("n_max", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
     def test_real_tables_report_like_reference(self, n_max):
@@ -841,7 +884,7 @@ class TestCountIdentityOverSn:
         full = (1 << math.factorial(n)) - 1
         for ell in range(n):
             table = _bijection_table(n, ell)
-            differs = _counters_differ(table.standard, table.classes)
+            differs = _counters_differ(_level(n).standard, table.classes)
             assert differs == full & ~family_masks(n, ell).pattern, (n, ell)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -856,9 +899,9 @@ class TestCountIdentityOverSn:
 class TestTableauxSuiteBound:
     def test_n_max_above_eight_raises_before_work(self, capsys, monkeypatch):
         def refuse(n):
-            raise AssertionError(f"standard_masks({n}) called")
+            raise AssertionError(f"_level({n}) called")
 
-        monkeypatch.setattr(tableaux, "standard_masks", refuse)
+        monkeypatch.setattr(tableaux, "_level", refuse)
         with pytest.raises(CapabilityError, match="n_max 9 exceeds"):
             suites.run_tableaux(9)
         code = cli.main(["verify", "--suite", "tableaux", "--n-max", "9"])
@@ -876,6 +919,5 @@ class TestTableauxSuiteBound:
             assert report.ok, report.mismatches[:5]
             assert report.checked == 36957374
         finally:
-            for cached in (_bijection_table, tableaux._cut_free_counts,
-                           standard_masks, _enumerate_ssyt2_all):
+            for cached in (_bijection_table, _level):
                 cached.cache_clear()
