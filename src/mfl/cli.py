@@ -56,16 +56,15 @@ SCHEMA = "mfl/1"
 
 def parse_permutation(text: str, n: int) -> tuple[int, ...]:
     """Parse ``--w``: ``"3214"`` (values up to 9) or comma-separated
-    ``"10,3,..."``, which must be a permutation of [n]."""
+    ``"10,3,..."`` with a number in every field, which must be a
+    permutation of [n]."""
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty permutation string")
-    if "," in stripped:
-        w = tuple(int(p) for p in stripped.split(","))
-    elif stripped.isdigit():
-        w = tuple(int(ch) for ch in stripped)
-    else:
+    parts = stripped.split(",") if "," in stripped else list(stripped)
+    if not all(p.strip().isdecimal() for p in parts):
         raise ValueError(f"malformed permutation string: {stripped!r}")
+    w = tuple(int(p) for p in parts)
     check_permutation(w, len(w))  # length 1..MAX_N, each of 1..len(w) once
     if len(w) != n:
         raise ValueError(f"permutation {text!r} has length {len(w)}, expected {n}")

@@ -201,9 +201,9 @@ def run_theorem_a(n_max: int = 4, cap: int | None = None) -> SuiteReport:
     return report
 
 
-#: run_tableaux refuses larger n: at n = 9, _bijection_table would hold one
-#: bitset of up to 45 KB per row class (91355 of them) in each of two dicts
-#: while it builds; building it one class at a time is ROADMAP item 1.
+#: run_tableaux refuses larger n.  n = 9 waits on _level(9): 64.8 s of CPU
+#: and a 457 MB peak when measured once, up to 370 MB of that in
+#: bruhat_up_set's cache of 45 KB up-sets (ROADMAP item 1).
 TABLEAUX_N_MAX = 8
 
 

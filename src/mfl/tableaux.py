@@ -31,9 +31,10 @@ pattern-family members that contain a 312 pattern.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache, reduce
 from operator import or_, xor
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from mfl.matchfield import image_code
 from mfl.permcomb import (
@@ -260,16 +261,17 @@ class _BijectionTable(NamedTuple):
 
     Every mask is a bitset over S_n in ``itertools.permutations`` order.
     ``checks`` and ``failures`` hold the two checks that do not depend on
-    w.  ``classes`` is a bit-sliced counter (:func:`_bit_sliced`) of the
-    row classes of monomials with some member surviving; the tableau counts
-    do not depend on the cut and are kept per n (:class:`_Level`).  A row
+    w.  ``classes`` is a bit-sliced counter (:func:`_add`) of the row
+    classes of monomials with some member surviving; the tableau counts do
+    not depend on the cut and are kept per n (:class:`_Level`).  A row
     class is read off the monomial map's int image code
     (:func:`mfl.matchfield.image_code`), the code the fibers of
     :mod:`mfl.quadideal` share: two matching-field tableaux are row-wise
     equal exactly when their monomials have equal codes.  The three per-w
     checks list, in message order, what a failure message names (tableau
     columns or a monomial pair) with the w where it fails; entries that
-    never fail are left out.
+    never fail are left out.  The build groups tableaux and pairs by code,
+    as labels, and builds each class's masks only in its turn.
     """
 
     checks: tuple[tuple[str, bool], ...]
@@ -280,25 +282,10 @@ class _BijectionTable(NamedTuple):
     classes: tuple[int, ...]
 
 
-def _nonzero(items: list[tuple[tuple, int]]) -> tuple[tuple[tuple, int], ...]:
-    return tuple((label, mask) for label, mask in items if mask)
-
-
-def _bit_sliced(masks: Iterable[int]) -> tuple[int, ...]:
-    """Add bitsets as a bit-sliced counter: bit i of plane k is bit k of
-    the number of masks with bit i set.  Each mask is added by ripple carry.
-
-    >>> [bin(plane) for plane in _bit_sliced((0b011, 0b110, 0b010))]
-    ['0b111', '0b10']
-    """
-    planes: list[int] = []
-    for mask in masks:
-        _add(planes, mask)
-    return tuple(planes)
-
-
 def _add(planes: list[int], carry: int) -> None:
-    """Add one bitset to the bit-sliced counter ``planes``, in place."""
+    """Add one bitset to the bit-sliced counter ``planes`` in place, by
+    ripple carry: bit i of plane k is bit k of the number of bitsets added
+    with bit i set."""
     for k, plane in enumerate(planes):
         planes[k] = plane ^ carry
         carry &= plane
@@ -358,53 +345,57 @@ def _level(n: int) -> _Level:
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _bijection_table(n: int, ell: int) -> _BijectionTable:
     alive = _alive_masks(n)
-    failures: list[str] = []
     code = {key: image_code(n, ell, key) for key in all_index_keys(n)}
-    # image code -> the first tableau whose image has it
-    first: dict[int, Columns] = {}
-    # image code -> the w where some below-w tableau has it
-    covered: dict[int, int] = {}
-    preimage, image = [], []
+    keys = sorted(code, key=lambda k: (-len(k), k))
+    pairs = list(itertools.combinations_with_replacement(keys, 2))
+    # image code -> its tableaux and the indices of its monomial pairs
+    groups: defaultdict[int, tuple[list[Columns], list[int]]] = defaultdict(lambda: ([], []))
+    failures, preimage, image = [], [], []
     for t in _level(n).tableaux:
         (a, b), (c, d) = t, ssyt_to_matching_field(t, ell)
-        row_class = code[c] + code[d]
-        if row_class in first:
-            failures.append(f"images of {first[row_class]} and {t} are row-equal")
-        else:
-            first[row_class] = t
+        tableaux = groups[code[c] + code[d]][0]
+        if tableaux:
+            failures.append(f"images of {tableaux[0]} and {t} are row-equal")
+        tableaux.append(t)
         t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
-        covered[row_class] = covered.get(row_class, 0) | t_below
-        preimage.append((t, image_below & ~t_below))
-        image.append((t, t_below & ~image_below))
-    checks = [("injective", not failures)]
-
-    surjective = True
-    surviving = []
-    classes: dict[int, int] = {}
-    keys = sorted(code, key=lambda k: (-len(k), k))
-    for a, b in itertools.combinations_with_replacement(keys, 2):
-        row_class = code[a] + code[b]
-        if row_class not in first:
-            surjective = False
+        if missed := image_below & ~t_below:
+            preimage.append((t, missed))
+        if missed := t_below & ~image_below:
+            image.append((t, missed))
+    injective, imaged = not failures, len(groups)
+    for p, (a, b) in enumerate(pairs):
+        tableaux, indices = groups[code[a] + code[b]]
+        if not tableaux:
             failures.append(f"monomial {(a, b)} misses every image row class")
-        bits = alive[a] & alive[b]
-        surviving.append(((a, b), bits & ~covered.get(row_class, 0)))
-        classes[row_class] = classes.get(row_class, 0) | bits
-    checks.append(("surjective", surjective))
+        indices.append(p)
+    # one class at a time: the w where a below-w tableau or a pair has its code
+    surviving, classes = [], []
+    for tableaux, indices in groups.values():
+        covered = members = 0
+        for a, b in tableaux:
+            covered |= alive[a] & alive[b]
+        for p in indices:
+            a, b = pairs[p]
+            bits = alive[a] & alive[b]
+            members |= bits
+            if missed := bits & ~covered:
+                surviving.append((p, missed))
+        _add(classes, members)
     return _BijectionTable(
-        checks=tuple(checks),
+        checks=(("injective", injective), ("surjective", len(groups) == imaged)),
         failures=tuple(failures),
-        preimage_failing=_nonzero(preimage),
-        image_failing=_nonzero(image),
-        surjective_failing=_nonzero(surviving),
-        classes=_bit_sliced(classes.values()),
+        preimage_failing=tuple(preimage),
+        image_failing=tuple(image),
+        surjective_failing=tuple((pairs[p], missed) for p, missed in sorted(surviving)),
+        classes=tuple(classes),
     )
 
 
 def _counters_differ(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Where two bit-sliced counters differ: the OR over k of a[k] ^ b[k].
 
-    >>> bin(_counters_differ(_bit_sliced((0b011, 0b110)), _bit_sliced((0b111,))))
+    >>> a, b = [], []; _add(a, 0b011); _add(a, 0b110); _add(b, 0b111)
+    >>> bin(_counters_differ(a, b))
     '0b10'
     """
     planes = itertools.zip_longest(a, b, fillvalue=0)
@@ -415,35 +406,40 @@ def _any_failing(items: tuple[tuple[tuple, int], ...]) -> int:
     return reduce(or_, (mask for _, mask in items), 0)
 
 
+def _check_masks(n: int, ell: int) -> tuple[tuple[str, int, int], ...]:
+    """The checks of :func:`verify_bijection` in report order, each as its
+    name, the w it applies to and the w where it fails, bitsets over S_n;
+    counts are compared by XOR of counter planes (:func:`_counters_differ`).
+
+    >>> [name for name, applies, fails in _check_masks(3, 1) if applies & fails]
+    ['preimage_below_w']
+    """
+    table = _bijection_table(n, ell)
+    level = _level(n)
+    families = family_masks(n, ell)
+    everywhere = -1  # every bit set
+    column_form = families.pattern & families.free_312
+    return (
+        *((name, everywhere, 0 if passed else everywhere) for name, passed in table.checks),
+        ("preimage_below_w", everywhere, _any_failing(table.preimage_failing)),
+        ("standard_count_identity", families.pattern,
+         _counters_differ(level.standard, table.classes)),
+        ("image_below_w", column_form, _any_failing(table.image_failing)),
+        ("surjective_below_w", column_form, _any_failing(table.surjective_failing)),
+        ("column_count_identity", column_form, _counters_differ(level.below, table.classes)),
+    )
+
+
 def bijection_failing_mask(n: int, ell: int) -> int:
     """The pattern-family w of S_n where :func:`verify_bijection` is not ok,
-    as a bitset in ``itertools.permutations`` order, read off the table of
-    (n, ell) with no per-w report.
-
-    A failing w-independent check fails every member.  Otherwise a member
-    fails where a preimage check fails or the standard count differs from
-    the class count, and a 312-free member also where an image or
-    surjectivity check fails or the below-w count differs from the class
-    count; counts are compared by XOR of counter planes
-    (:func:`_counters_differ`).
+    as a bitset in ``itertools.permutations`` order, read off the checks of
+    (n, ell) (:func:`_check_masks`) with no per-w report.
 
     >>> bijection_failing_mask(4, 2)
     0
     """
-    table = _bijection_table(n, ell)
-    families = family_masks(n, ell)
-    if not all(passed for _, passed in table.checks):
-        return families.pattern
-    column = (
-        _any_failing(table.image_failing)
-        | _any_failing(table.surjective_failing)
-        | _counters_differ(_level(n).below, table.classes)
-    )
-    return families.pattern & (
-        _any_failing(table.preimage_failing)
-        | _counters_differ(_level(n).standard, table.classes)
-        | families.free_312 & column
-    )
+    failing = reduce(or_, (applies & fails for _, applies, fails in _check_masks(n, ell)))
+    return family_masks(n, ell).pattern & failing
 
 
 def _failing(items: tuple[tuple[tuple, int], ...], i: int) -> list[tuple]:
@@ -472,78 +468,57 @@ def verify_bijection(n: int, ell: int, w: tuple[int, ...]) -> BijectionReport:
     column, leaving 15 below-w tableaux against 14 row classes), so they are
     reported as data but not required.
 
-    The images, row classes and the two checks that do not depend on w are
-    built once per (n, ell) in a bounded table, with every w-dependent fact
-    as a bitset over S_n: "below w" is the AND of the columns' ``alive``
-    bitsets (:func:`mfl.permcomb._alive_masks`), and "standard for X(w)" is
-    the Bruhat up-set of the chain end; pattern membership and 312-freeness
-    come from :func:`mfl.theoremsets.family_masks`.  The per-class bitsets
-    are summed into a bit-sliced counter when the table is built, and the
-    per-tableau ones once per n, when :func:`_level` builds the chains, so
-    per w the report reads bit :func:`mfl.permcomb.permutation_index` of a
-    dozen or so counter planes for each count.  A failure message is written
-    only for an entry whose failure bit is set, in enumeration order.  The
-    tableaux suite reads ``ok`` for every w at once off the same table
-    (:func:`bijection_failing_mask`) and calls this only where it fails.
+    The table of (n, ell) (:class:`_BijectionTable`) and the record of n
+    (:class:`_Level`) hold every w-dependent fact as a bitset over S_n:
+    "below w" is the AND of the columns' ``alive`` bitsets
+    (:func:`mfl.permcomb._alive_masks`), "standard for X(w)" the Bruhat
+    up-set of the chain end, and each count a bit-sliced counter, so per w
+    the report reads bit :func:`mfl.permcomb.permutation_index` of a dozen
+    or so counter planes for each count.  Which checks apply and which fail
+    is read at that bit off :func:`_check_masks`, the masks the tableaux
+    suite reads for every w at once (:func:`bijection_failing_mask`) before
+    it calls this only where one fails.  A failure message is written only
+    for an entry whose failure bit is set, in enumeration order.
     """
     check_permutation(w, n)
     table = _bijection_table(n, ell)
     i = permutation_index(w)
-    failures = list(table.failures)
-    checks = list(table.checks)
-
-    preimage_failing = _failing(table.preimage_failing, i)
-    failures.extend(
-        f"preimage of below-w image {cols} is not below w"
-        for cols in preimage_failing
+    checks = tuple(
+        (name, not fails >> i & 1)
+        for name, applies, fails in _check_masks(n, ell)
+        if applies >> i & 1
     )
-    checks.append(("preimage_below_w", not preimage_failing))
+    passed = dict(checks)
+    failures = list(table.failures) + [
+        f"preimage of below-w image {cols} is not below w"
+        for cols in _failing(table.preimage_failing, i)
+    ]
 
-    families = family_masks(n, ell)
-    in_pattern = bool(families.pattern >> i & 1)
-    standard_count = None
-    column_count = None
-    row_class_count = None
+    in_pattern = "standard_count_identity" in passed
+    standard_count = column_count = row_class_count = None
     if in_pattern:
         row_class_count = _bit_count(table.classes, i)
         standard_count = _bit_count(_level(n).standard, i)
-        std_ok = standard_count == row_class_count
-        if not std_ok:
+        column_count = _bit_count(_level(n).below, i)
+        if not passed["standard_count_identity"]:
             failures.append(
                 f"standard count identity fails: standard={standard_count}, "
                 f"classes={row_class_count}"
             )
-        checks.append(("standard_count_identity", std_ok))
-
-        column_count = _bit_count(_level(n).below, i)
-        image_failing = _failing(table.image_failing, i)
+        # reported for every pattern member, required only where 312-free
         failures.extend(
-            f"image of below-w tableau {cols} not below w" for cols in image_failing
+            f"image of below-w tableau {cols} not below w"
+            for cols in _failing(table.image_failing, i)
         )
-        surjective_failing = _failing(table.surjective_failing, i)
         failures.extend(
             f"surviving monomial {pair} misses below-w images"
-            for pair in surjective_failing
+            for pair in _failing(table.surjective_failing, i)
         )
-        column_ok = column_count == row_class_count
-        if families.free_312 >> i & 1:
-            checks.append(("image_below_w", not image_failing))
-            checks.append(("surjective_below_w", not surjective_failing))
-            checks.append(("column_count_identity", column_ok))
-            if not column_ok:
-                failures.append(
-                    f"column count identity fails: below_w={column_count}, "
-                    f"classes={row_class_count}"
-                )
+        if not passed.get("column_count_identity", True):
+            failures.append(
+                f"column count identity fails: below_w={column_count}, "
+                f"classes={row_class_count}"
+            )
 
-    return BijectionReport(
-        n,
-        ell,
-        word_text(w),
-        in_pattern,
-        tuple(checks),
-        standard_count,
-        column_count,
-        row_class_count,
-        tuple(failures),
-    )
+    return BijectionReport(n, ell, word_text(w), in_pattern, checks, standard_count,
+                           column_count, row_class_count, tuple(failures))

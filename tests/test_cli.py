@@ -61,7 +61,11 @@ class TestClassify:
             ("0123", "not a permutation of [4]: (0, 1, 2, 3)"),
             ("1123", "not a permutation of [4]: (1, 1, 2, 3)"),
             ("", "empty permutation string"),
-            ("1,,2", "invalid literal for int() with base 10: ''"),
+            # an empty field between, before or after the commas
+            ("1,,2,3", "malformed permutation string: '1,,2,3'"),
+            (",1,2,3", "malformed permutation string: ',1,2,3'"),
+            ("1,2,3,", "malformed permutation string: '1,2,3,'"),
+            ("3,x,1,2", "malformed permutation string: '3,x,1,2'"),
         ):
             self.check_bad_w(capsys, w, message)
 

@@ -1,29 +1,23 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import mfl.exactla
-import mfl.matchfield
-import mfl.permcomb
-import mfl.quadideal
-import mfl.tableaux
-import mfl.theoremsets
+import mask_oracle
+import mfl
 import per_w_reference
 
+# every module of the package, so that a new one is run too
 MODULES = [
-    mfl.permcomb,
-    mfl.matchfield,
-    mfl.quadideal,
-    mfl.tableaux,
-    mfl.theoremsets,
-    mfl.exactla,
-    per_w_reference,
-]
+    importlib.import_module(f"mfl.{name}")
+    for _, name, _ in pkgutil.iter_modules(mfl.__path__)
+] + [per_w_reference, mask_oracle]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
-    if module in (mfl.permcomb, mfl.matchfield, per_w_reference):
+    if module.__name__ in ("mfl.permcomb", "mfl.matchfield", "per_w_reference", "mask_oracle"):
         assert result.attempted > 0

@@ -134,7 +134,7 @@ class TestTypes:
             ("", "empty permutation string"),
             ("  ", "empty permutation string"),
             ("0123", r"not a permutation of \[4\]: \(0, 1, 2, 3\)"),
-            ("1,,2", "invalid literal"),
+            ("1,,2", "malformed permutation string: '1,,2'"),
             (",".join(map(str, range(1, 18))), r"must be in 1\.\.16, got 17"),
             ("321", "permutation '321' has length 3, expected 4"),
         ):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -22,9 +23,9 @@ from mfl.permcomb import (
 from mfl.quadideal import CapabilityError
 from mfl.tableaux import (
     BijectionReport,
+    _add,
     _bijection_table,
     _bit_count,
-    _bit_sliced,
     _counters_differ,
     _level,
     bijection_failing_mask,
@@ -619,16 +620,24 @@ class TestStandardMasks:
             assert _bit_count(level.below, i) == below, w
 
 
+def bit_sliced(masks):
+    """The bit-sliced counter of ``masks``, added one at a time by ``_add``."""
+    planes = []
+    for mask in masks:
+        _add(planes, mask)
+    return tuple(planes)
+
+
 class TestBitSlicedCounter:
     @staticmethod
     def _assert_counts(masks, width):
-        planes = _bit_sliced(masks)
+        planes = bit_sliced(masks)
         for i in range(width + 2):
             assert _bit_count(planes, i) == sum(mask >> i & 1 for mask in masks), i
 
     def test_empty_and_all_zero(self):
-        assert _bit_sliced(()) == ()
-        assert _bit_sliced((0, 0, 0)) == ()
+        assert bit_sliced(()) == ()
+        assert bit_sliced((0, 0, 0)) == ()
         assert _bit_count((), 5) == 0
         self._assert_counts((0,) * 9, 8)
 
@@ -640,11 +649,110 @@ class TestBitSlicedCounter:
             sum(1 << j for j in range(width) if j > m) for m in range(width)
         )
         self._assert_counts(masks, width)
-        assert len(_bit_sliced(masks)) == (width - 1).bit_length()
+        assert len(bit_sliced(masks)) == (width - 1).bit_length()
 
     def test_wide_masks(self):
         masks = tuple((0x9E3779B97F4A7C15 * (m + 1)) % (1 << 200) for m in range(300))
         self._assert_counts(masks, 200)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the table built with one full mask per row class
+
+
+def reference_bijection_table(n, ell, rearrange):
+    """_bijection_table as it was before the grouped build, with the
+    rearrangement map as an argument: two dicts, ``covered`` and
+    ``classes``, each hold one bitset over S_n per row class until the end,
+    and every tableau and pair gets an entry before the zero ones are
+    dropped."""
+    alive = _alive_masks(n)
+    failures = []
+    code = {key: image_code(n, ell, key) for key in all_index_keys(n)}
+    first = {}  # image code -> the first tableau whose image has it
+    covered = {}  # image code -> the w where some below-w tableau has it
+    preimage, image = [], []
+    for t in enumerate_ssyt2(n):
+        (a, b), (c, d) = t, rearrange(t, ell)
+        row_class = code[c] + code[d]
+        if row_class in first:
+            failures.append(f"images of {first[row_class]} and {t} are row-equal")
+        else:
+            first[row_class] = t
+        t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
+        covered[row_class] = covered.get(row_class, 0) | t_below
+        preimage.append((t, image_below & ~t_below))
+        image.append((t, t_below & ~image_below))
+    checks = [("injective", not failures)]
+
+    surjective = True
+    surviving = []
+    classes = {}
+    for a, b in _reference_pairs(n):
+        row_class = code[a] + code[b]
+        if row_class not in first:
+            surjective = False
+            failures.append(f"monomial {(a, b)} misses every image row class")
+        bits = alive[a] & alive[b]
+        surviving.append(((a, b), bits & ~covered.get(row_class, 0)))
+        classes[row_class] = classes.get(row_class, 0) | bits
+    checks.append(("surjective", surjective))
+
+    def nonzero(items):
+        return tuple((label, mask) for label, mask in items if mask)
+
+    return tableaux._BijectionTable(
+        checks=tuple(checks),
+        failures=tuple(failures),
+        preimage_failing=nonzero(preimage),
+        image_failing=nonzero(image),
+        surjective_failing=nonzero(surviving),
+        classes=bit_sliced(classes.values()),
+    )
+
+
+class TestGroupedTable:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+    def test_equals_two_dict_build(self, n):
+        for ell in range(n):
+            table = _bijection_table(n, ell)
+            expected = reference_bijection_table(n, ell, ssyt_to_matching_field)
+            for field in table._fields:
+                assert getattr(table, field) == getattr(expected, field), (ell, field)
+
+    def test_equals_two_dict_build_for_non_injective_map(self, monkeypatch):
+        # the map of test_failure_paths_match_reference: row classes with
+        # several tableaux, and classes with no tableau at all
+        def unmoved(columns, ell):
+            return columns
+
+        monkeypatch.setattr(tableaux, "ssyt_to_matching_field", unmoved)
+        _bijection_table.cache_clear()
+        failed = set()
+        try:
+            for n in (3, 4):
+                for ell in range(n):
+                    table = _bijection_table(n, ell)
+                    assert table == reference_bijection_table(n, ell, unmoved), (n, ell)
+                    failed.update(name for name, ok in table.checks if not ok)
+        finally:
+            _bijection_table.cache_clear()
+        assert failed == {"injective", "surjective"}
+
+    def test_build_holds_less_than_one_mask_per_row_class(self):
+        # with one full mask per row class live at once (a dict of them),
+        # the build would peak at len(tableaux) masks or more
+        n, ell = 7, 3
+        bound = len(_level(n).tableaux) * (math.factorial(n) // 8)
+        _bijection_table.cache_clear()
+        tracemalloc.start()
+        try:
+            _bijection_table(n, ell)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _bijection_table.cache_clear()
+        assert peak < bound, (peak, bound)
 
 
 def reference_domination(n, standard):
