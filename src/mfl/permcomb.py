@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 #: Hard implementation bound; the classification sweeps use n <= 7.
@@ -73,7 +73,7 @@ def dominated(members: Sequence[int], sorted_prefix: Sequence[int]) -> bool:
     >>> dominated((1, 4), (2, 3))
     False
     """
-    return all(x <= y for x, y in zip(members, sorted_prefix))
+    return not any(map(gt, members, sorted_prefix))
 
 
 def sorted_prefixes(entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -90,7 +90,6 @@ def sorted_prefixes(entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)  # every w with n <= 6 (870) fits
 def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """The vanishing set S_w of the one-line word ``entries``, as sorted
     member tuples.
@@ -103,13 +102,12 @@ def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """
     n = len(entries)
     prefixes = sorted_prefixes(entries)
-    out = set()
-    for size in range(1, n):
-        prefix = prefixes[size - 1]
-        for combo in itertools.combinations(range(1, n + 1), size):
-            if not dominated(combo, prefix):
-                out.add(combo)
-    return frozenset(out)
+    return frozenset(
+        combo
+        for size in range(1, n)
+        for combo in itertools.combinations(range(1, n + 1), size)
+        if not dominated(combo, prefixes[size - 1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +329,9 @@ def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
     return alive
 
 
-@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
-def _length_layers(n: int) -> tuple[int, ...]:
-    """Entry k is the bitset over S_n of the w with k inversions.
-
-    The factorial-base digits of a bit position are the Lehmer code of its
-    permutation (see :func:`permutation_index`), and the length is their
-    sum: the block of (m-1)! bits whose first entry is q + 1 holds the
-    layers of S_{m-1} raised by q.
-
-    >>> [bin(layer) for layer in _length_layers(3)]
-    ['0b1', '0b110', '0b11000', '0b100000']
-    """
-    layers = (1,)
-    for m in range(2, n + 1):
-        block = math.factorial(m - 1)
-        out = [0] * (len(layers) + m - 1)
-        for q in range(m):
-            for k, mask in enumerate(layers):
-                out[k + q] |= mask << (q * block)
-        layers = tuple(out)
-    return layers
-
-
-@lru_cache(maxsize=8192)  # |S_3| + ... + |S_7| = 5910 possible arguments
+# |S_3| + ... + |S_7| = 5910 possible arguments with n <= 7; a fresh
+# tableaux._level(8) adds 4541 chain ends of S_8, 5.4 KB each (24.5 MB)
+@lru_cache(maxsize=8192)
 def bruhat_up_set(entries: tuple[int, ...]) -> int:
     """Bitset over S_n of the w with ``entries`` Bruhat-below w.
 
@@ -379,18 +356,19 @@ def bruhat_minimum(n: int, members: int) -> tuple[int, ...] | None:
     """The Bruhat-least permutation of the bitset ``members`` over S_n, or
     None when there is none.
 
-    A least member is the unique shortest one, so only the first non-empty
-    length layer (:func:`_length_layers`) is read; its one member is the
-    least if its up-set (:func:`bruhat_up_set`) holds every member.
+    By the dominance criterion, v <= w with v != w puts v_k < w_k at the
+    first position k where they differ, so v comes first in
+    ``itertools.permutations`` order: the bit order is a linear extension
+    of Bruhat order.  The only possible least member is therefore the
+    lowest set bit, and it is the least if its up-set
+    (:func:`bruhat_up_set`) holds every member.
 
-    >>> bruhat_minimum(3, 0b011000), bruhat_minimum(3, 0b011010)
-    (None, (1, 3, 2))
+    >>> bruhat_minimum(3, 0b011000), bruhat_minimum(3, 0b011010), bruhat_minimum(3, 0)
+    (None, (1, 3, 2), None)
     """
-    layers = _length_layers(n)
-    shortest = next((members & layer for layer in layers if members & layer), 0)
-    if shortest.bit_count() != 1:
+    if not members:
         return None
-    least = permutation_at(n, shortest.bit_length() - 1)
+    least = permutation_at(n, (members & -members).bit_length() - 1)
     return None if members & ~bruhat_up_set(least) else least
 
 

@@ -100,11 +100,6 @@ def _mono_order(m: MonoKey) -> tuple:
 # Fibers of the signed monomial map in degree two
 
 
-#: Bound of the per-(n, ell) caches: there are 25 pairs with n <= 7, and a
-#: verify run cycles through every pair with n <= 6 in several suites.
-PAIR_CACHE_SIZE = 32
-
-
 @lru_cache(maxsize=8)
 def _degree_blocks(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The degree-two monomials grouped by multidegree (column multiset plus
@@ -131,7 +126,7 @@ def _degree_blocks(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(pairs) for pairs in groups.values() if len(pairs) >= 2)
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
+@lru_cache(maxsize=1)  # callers read again only the cut just built
 def _fibers(n: int, ell: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """Fibers of size >= 2 of the degree-two monomials, block by block:
     entry b holds the fibers inside block b of :func:`_degree_blocks`, each
@@ -165,7 +160,7 @@ def _key_fibers(n: int, ell: int) -> Iterator[list[tuple[MonoKey, int]]]:
             yield [((keys[pairs[c][0]], keys[pairs[c][1]]), s) for c, s in fiber]
 
 
-@lru_cache(maxsize=2 * PAIR_CACHE_SIZE)
+@lru_cache(maxsize=1)  # table1 reads one cut's relations for each w
 def quadratic_relations(n: int, ell: int, all_pairs: bool = False) -> tuple[QuadraticRelation, ...]:
     """Degree-two binomial generators of the matching field ideal.
 
@@ -251,7 +246,8 @@ def classify_oracle(
     *,
     all_pairs: bool = False,
 ) -> ClassificationOutcome:
-    """Restricted-ideal classification for (n, ell, w); memoizes per (n, ell).
+    """Restricted-ideal classification for (n, ell, w); the fibers and the
+    relations of the last (n, ell) are kept.
 
     >>> classify_oracle(4, 2, (3, 2, 1, 4)).verdict
     'binomial'
@@ -300,7 +296,9 @@ class _FiberFolds(NamedTuple):
     twice: int
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
+# the one per-cut memo a run reads on a later pass: a verify run reads
+# the 18 cuts of n = 3..6, 79 times across its suites
+@lru_cache(maxsize=32)
 def _fiber_folds(n: int, ell: int) -> _FiberFolds:
     """One pass over the fibers of :func:`_fibers` for all of S_n.
 
@@ -308,8 +306,7 @@ def _fiber_folds(n: int, ell: int) -> _FiberFolds:
     on ``va[i] & va[j]``, where ``va`` lists the alive bitsets in variable
     order; a fiber's OR and AND of those are where ``some`` and where
     ``every`` member survives.  A fiber leaves a monomial where some but not
-    every member survives.  Cached, because a verify run reads each cut in
-    several suites.
+    every member survives.  Kept per cut, unlike :func:`_fibers`.
     """
     alive = _alive_masks(n)
     va = [alive[key] for key in all_index_keys(n)]

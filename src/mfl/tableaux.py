@@ -49,7 +49,7 @@ from mfl.permcomb import (
     vanishing_keys,
     word_text,
 )
-from mfl.quadideal import PAIR_CACHE_SIZE, CapabilityError
+from mfl.quadideal import CapabilityError
 from mfl.theoremsets import family_masks
 
 Key = tuple[int, ...]
@@ -217,8 +217,9 @@ def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int,
 
     Decided on bitsets over S_n: the candidates are the w with
     {w_1, ..., w_|J|} = J for the right column J that lie Bruhat-above the
-    first permutation v_1, and :func:`mfl.permcomb.bruhat_minimum` picks
-    their least element.  Any pair of columns is accepted; one without a
+    first permutation v_1, and :func:`mfl.permcomb.bruhat_minimum` checks
+    whether their lowest bit, the only possible least element, is below
+    all of them.  Any pair of columns is accepted; one without a
     unique minimum raises ``ValueError``.
 
     >>> min_defining_chain2_exhaustive(4, ((1, 2, 4), (3,)))
@@ -342,7 +343,7 @@ def _level(n: int) -> _Level:
                   tuple(chain_failing), tuple(domination_failing))
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
+@lru_cache(maxsize=1)  # the tableaux suite is done with a cut before the next
 def _bijection_table(n: int, ell: int) -> _BijectionTable:
     alive = _alive_masks(n)
     code = {key: image_code(n, ell, key) for key in all_index_keys(n)}

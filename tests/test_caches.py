@@ -1,5 +1,6 @@
 """Every memo table in the package is bounded, above the working set of the
-runs it serves."""
+runs it serves; a per-cut memo that no run reads again once it moves on
+holds the one cut in hand."""
 
 import importlib
 import os
@@ -12,7 +13,6 @@ import pytest
 
 import mfl
 from mfl import matchfield, permcomb, quadideal, tableaux, theoremsets
-from mfl.quadideal import PAIR_CACHE_SIZE
 from mfl.suites import run_suite, run_tableaux
 
 
@@ -31,8 +31,9 @@ def test_every_cache_is_bounded():
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
     # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
-    # quadideal.quadratic_relations and quadideal._flag_ideal
-    assert len(caches) == 13, sorted(caches)
+    # quadideal.quadratic_relations, quadideal._flag_ideal and
+    # tableaux._bijection_table
+    assert len(caches) == 11, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -53,14 +54,10 @@ def test_per_call_helpers_carry_no_cache():
 @pytest.mark.parametrize(
     "cached, working_set",
     [
-        # the per-w paths (classify_oracle, the tableaux reports) may visit
-        # every w with n <= 6, 870 of them
-        (permcomb.vanishing_keys, 1024),
         # every permutation of n <= 7 may be a chain end
         (permcomb.bruhat_up_set, sum((6, 24, 120, 720, 5040))),
         # the tableaux suite reads n = 3..7, and a prefix-mask build at n
         # reads n - 1, so it keeps n = 1..7
-        (permcomb._length_layers, 5),
         (permcomb._alive_masks, 5),
         (permcomb._prefix_set_masks, 7),
         # the families up to n = 8 (the slow tests) build n = 1..8
@@ -69,9 +66,8 @@ def test_per_call_helpers_carry_no_cache():
         (quadideal._degree_blocks, 6),
         # a verify run folds the cuts of n = 3..6 in several suites
         (quadideal._fiber_folds, 3 + 4 + 5 + 6),
-        # a tableaux suite to n = 7 builds each cut's table and each n's
-        # level, with its chains, once
-        (tableaux._bijection_table, sum(range(3, 8))),
+        # a tableaux suite to n = 7 builds each n's level, with its
+        # chains, once
         (tableaux._level, 5),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
@@ -81,21 +77,30 @@ def test_bounds_cover_working_sets(cached, working_set):
 
 
 def test_tableaux_suite_evicts_nothing():
-    touched = (
+    per_n = (
         permcomb.bruhat_up_set,
-        permcomb._length_layers,
         permcomb._prefix_set_masks,
         permcomb._alive_masks,
-        tableaux._bijection_table,
         tableaux._level,
     )
-    for cached in touched:
+    for cached in per_n + (tableaux._bijection_table,):
         cached.cache_clear()
     assert run_tableaux(5).ok
-    for cached in touched:
+    for cached in per_n:
         info = cached.cache_info()
         assert info.misses > 0 and info.currsize == info.misses, cached.__name__
-    assert tableaux._bijection_table.cache_info().maxsize == PAIR_CACHE_SIZE
+    # one table per cut of n = 3..5, built once and held until the next
+    info = tableaux._bijection_table.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (12, 1, 1)
+
+
+def test_bijection_report_reads_the_cut_table():
+    # the suite writes a report only after the failing mask of its cut
+    tableaux._bijection_table.cache_clear()
+    tableaux.bijection_failing_mask(4, 1)
+    tableaux.verify_bijection(4, 1, (3, 1, 2, 4))
+    info = tableaux._bijection_table.cache_info()
+    assert info.misses == 1 and info.hits > 0
 
 
 def test_verify_folds_each_cut_once():
@@ -116,7 +121,6 @@ def test_no_family_masks_at_import():
         "assert t._families.cache_info().currsize == 0; "
         "assert p._prefix_set_masks.cache_info().currsize == 0; "
         "assert p._alive_masks.cache_info().currsize == 0; "
-        "assert p._length_layers.cache_info().currsize == 0; "
         "assert q._degree_blocks.cache_info().currsize == 0; "
         "assert q._fibers.cache_info().currsize == 0"
     )

@@ -11,7 +11,6 @@ from mfl.cli import parse_permutation
 from mfl.permcomb import (
     MAX_N,
     _alive_masks,
-    _length_layers,
     _prefix_set_masks,
     bruhat_leq,
     bruhat_minimum,
@@ -395,30 +394,29 @@ class TestBitsetsOverSn:
         assert _alive_masks(n) == reference_alive_masks(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_length_layers_count_inversions(self, n):
-        layers = _length_layers(n)
-        assert len(layers) == n * (n - 1) // 2 + 1
-        for i, entries in enumerate(itertools.permutations(range(1, n + 1))):
-            assert [k for k, layer in enumerate(layers) if layer >> i & 1] == [
-                inversions(entries)
-            ], entries
+    def test_up_set_has_no_bit_below_its_permutation(self, n):
+        # the bit order is a linear extension of Bruhat order, which is
+        # what lets bruhat_minimum try only the lowest member
+        for entries in itertools.permutations(range(1, n + 1)):
+            below = (1 << permutation_index(entries)) - 1
+            assert bruhat_up_set(entries) & below == 0, entries
 
     def test_bruhat_minimum_matches_scalar(self):
-        # every subset of S_3 and seeded random subsets of S_4, some of which
-        # have one shortest member that is not below all the others
+        # every subset of S_3, the empty one too, and seeded random subsets
+        # of S_4, some of which have a lowest member that is not below all
+        # the others
         cases = [(3, mask) for mask in range(64)]
         rng = random.Random(7)
         cases += [(4, rng.getrandbits(24) & rng.getrandbits(24)) for _ in range(400)]
-        shortest_not_least = 0
+        lowest_not_least = 0
         for n, mask in cases:
             members = [e for i, e in enumerate(itertools.permutations(range(1, n + 1)))
                        if mask >> i & 1]
             least = [e for e in members if all(bruhat_leq(e, o) for o in members)]
             assert bruhat_minimum(n, mask) == (least[0] if least else None), members
-            lengths = sorted(inversions(e) for e in members)
-            if not least and len(lengths) > 1 and lengths[0] < lengths[1]:
-                shortest_not_least += 1
-        assert shortest_not_least > 0
+            if members and not least:
+                lowest_not_least += 1
+        assert lowest_not_least > 0
 
     def test_up_sets_of_extremes(self):
         for n in range(1, 6):

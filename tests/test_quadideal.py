@@ -26,7 +26,6 @@ from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
     ZERO,
-    PAIR_CACHE_SIZE,
     CapabilityError,
     QuadraticRelation,
     _block_layouts,
@@ -215,12 +214,12 @@ class TestVerdictKernel:
         for cached in (_prefix_set_masks, _alive_masks, _flag_ideal):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize <= 8
-        # a verify run cycles through every (n, ell) with n <= 6, so the
-        # per-pair caches hold all 25 pairs with n <= 7 without thrashing
-        pairs = sum(range(3, 8))
-        assert pairs == 25
-        assert pairs <= _fibers.cache_info().maxsize == PAIR_CACHE_SIZE
-        assert quadratic_relations.cache_info().maxsize == 2 * PAIR_CACHE_SIZE
+        # every re-read of the fibers and the relations is of the cut just
+        # built, while a verify run folds the 18 cuts of n = 3..6 in
+        # several suites
+        assert _fibers.cache_info().maxsize == 1
+        assert quadratic_relations.cache_info().maxsize == 1
+        assert quadideal._fiber_folds.cache_info().maxsize >= 18
         assert det_terms.cache_info().maxsize is not None
         for n in range(3, 8):
             verdict_masks(n, 0)
