@@ -11,6 +11,12 @@ set S_w to zero; what survives of each fiber decides the classification
     nonbinomial some fiber contains both a vanishing and a surviving
                 monomial, so a monomial lies in the ideal.
 
+The fibers of all cuts of n are found together.  B_ell moves only rows 1
+and 2 of a column, so every fiber of every cut lies in a sub-block of
+monomials that agree in the rows below, and most fibers are the same for
+many cuts: each distinct fiber is kept once with its mask of cuts (2279
+for the 11081 (fiber, cut) pairs at n = 7) and folded over S_n once.
+
 The linear-algebra half of the module builds the degree-two piece of the
 full flag ideal from the incidence Pluecker relations, one multidegree block
 at a time in canonical echelon form by exact integer elimination, and
@@ -24,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
@@ -126,30 +133,126 @@ def _degree_blocks(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(pairs) for pairs in groups.values() if len(pairs) >= 2)
 
 
+@lru_cache(maxsize=8)  # the census reads n = 3..7, a verify run n = 3..6
+def _fiber_table(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Every fiber of size >= 2 of every cut of n, once, as (block, local
+    columns, cuts): bit ell of ``cuts`` is set iff the columns of the block
+    of :func:`_degree_blocks` form a fiber of B_ell.  Sorted by block and
+    columns, so the fibers of one cut come in :func:`_fibers` order.  Of
+    the 11081 (fiber, cut) pairs at n = 7, 2279 are distinct; at n = 9,
+    39532 of 266724.
+
+    B_ell swaps at most rows 1 and 2 of a column, so the grid rows below
+    them are the same for every cut, and each block splits once into
+    sub-blocks of monomials that agree there; every fiber of every cut lies
+    in one.  The block fixes all the entries and the sub-block those below
+    row 2, so two monomials of a sub-block share a fiber at a cut exactly
+    when their row-1 entries agree as multisets.
+
+    A monomial's row-1 entries under all n cuts are packed in one int, a
+    field of ``2 n + 1`` bits per cut holding the sum of ``1 << 2 (v - 1)``
+    over its two row-1 entries v, with the top bit of each field a guard,
+    kept clear.  Adding all-ones fields to the XOR of two packed ints
+    carries into the guard of each field where they differ, so the guards
+    left clear are the cuts where the two share a fiber.  A member of a
+    sub-block leads its fiber at the cuts where no earlier member shares
+    it, and those cuts are split by which later members do.  Most
+    sub-blocks (986 of 1509 at n = 7) have one packed int throughout, so
+    they are one fiber at every cut.  The split of any other depends only
+    on its members' packed ints, and few tuples of them recur (126 for the
+    other 523 at n = 7), so each tuple is split once.
+
+    >>> _fiber_table(3)  # P_1 P_23, P_2 P_13 and P_3 P_12: two of them
+    ... # share an image under each B_ell
+    ((0, (0, 1), 1), (0, (0, 2), 4), (0, (1, 2), 2))
+    """
+    width = 2 * n + 1
+    units = sum(1 << width * e for e in range(n))  # a 1 in every field
+    guards = units << 2 * n
+    variables = all_index_keys(n)
+    # the image code above row 2 (bits from 4 n up) is the same for every cut
+    below = [image_code(n, 0, key) >> 4 * n for key in variables]
+    row_one = []
+    for key in variables:
+        # B_e swaps rows 1 and 2 of P_J, putting key[1] on top, exactly
+        # when one member is at most e: for key[0] <= e < key[1]
+        code = units << 2 * key[0] - 2
+        for e in range(key[0], key[1] if len(key) > 1 else 0):
+            code += (1 << 2 * key[1] - 2) - (1 << 2 * key[0] - 2) << width * e
+        row_one.append(code)
+    every_cut = (1 << n) - 1
+    cuts_of: dict[int, int] = {}  # a set of clear guards -> its cuts
+
+    def split(packed: tuple[int, ...]) -> list[tuple[itemgetter, int]]:
+        # the fibers of a sub-block, as (getter of their members, cuts)
+        joined = [0] * len(packed)  # the cuts where an earlier one shares it
+        fibers = []
+        for x, code in enumerate(packed):
+            parts = [((x,), every_cut & ~joined[x])]  # the fibers x leads
+            for y in range(x + 1, len(packed)):
+                clear = guards & ~((code ^ packed[y]) + guards - units)
+                if not clear:
+                    continue
+                shared = cuts_of.get(clear)
+                if shared is None:
+                    shared = cuts_of[clear] = sum(
+                        1 << e for e in range(n) if clear >> width * e + 2 * n & 1
+                    )
+                joined[y] |= shared
+                refined = []
+                for part, cuts in parts:
+                    if cuts & shared:
+                        refined.append((part + (y,), cuts & shared))
+                    if cuts & ~shared:
+                        refined.append((part, cuts & ~shared))
+                parts = refined
+            fibers.extend((itemgetter(*p), cuts) for p, cuts in parts if len(p) > 1)
+        return fibers
+
+    splits: dict[tuple[int, ...], list[tuple[itemgetter, int]]] = {}
+    table = []
+    for b, pairs in enumerate(_degree_blocks(n)):
+        sub_blocks: dict[int, list[int]] = {}
+        for c, (i, j) in enumerate(pairs):
+            sub_blocks.setdefault(below[i] + below[j], []).append(c)
+        for columns in sub_blocks.values():
+            if len(columns) < 2:
+                continue
+            packed = [row_one[pairs[c][0]] + row_one[pairs[c][1]] for c in columns]
+            if packed.count(packed[0]) == len(packed):  # one fiber at every cut
+                table.append((b, tuple(columns), every_cut))
+                continue
+            packed = tuple(packed)
+            fibers = splits.get(packed)
+            if fibers is None:
+                fibers = splits[packed] = split(packed)
+            for fiber, cuts in fibers:
+                table.append((b, fiber(columns), cuts))
+    table.sort()
+    return tuple(table)
+
+
 @lru_cache(maxsize=1)  # callers read again only the cut just built
 def _fibers(n: int, ell: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """Fibers of size >= 2 of the degree-two monomials, block by block:
     entry b holds the fibers inside block b of :func:`_degree_blocks`, each
     a tuple of (local column, image sign) in column order, which is
-    monomial order.
-
-    Fibers refine the blocks, so each block is split by the
-    :func:`mfl.matchfield.image_code` of its monomials, the sum of two
-    variable codes.
+    monomial order, the fibers in order of first column.  Read off the
+    fibers of :func:`_fiber_table` that hold cut ``ell``.
 
     >>> _fibers(3, 0)  # P_1 P_23 and P_2 P_13 share an image; P_3 P_12 not
     ((((0, 1), (1, 1)),),)
     """
-    variables = all_index_keys(n)
-    codes = [image_code(n, ell, key) for key in variables]
-    signs = [-1 if _swap_flag(ell, key) else 1 for key in variables]
-    fibers = []
-    for pairs in _degree_blocks(n):
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for c, (i, j) in enumerate(pairs):
-            groups.setdefault(codes[i] + codes[j], []).append((c, signs[i] * signs[j]))
-        fibers.append(tuple(tuple(g) for g in groups.values() if len(g) >= 2))
-    return tuple(fibers)
+    signs = [-1 if _swap_flag(ell, key) else 1 for key in all_index_keys(n)]
+    blocks = _degree_blocks(n)
+    fibers: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in blocks]
+    for b, columns, cuts in _fiber_table(n):
+        if cuts >> ell & 1:
+            pairs = blocks[b]
+            fibers[b].append(tuple(
+                (c, signs[pairs[c][0]] * signs[pairs[c][1]]) for c in columns
+            ))
+    return tuple(map(tuple, fibers))
 
 
 def _key_fibers(n: int, ell: int) -> Iterator[list[tuple[MonoKey, int]]]:
@@ -286,44 +389,53 @@ def classify_oracle(
 class _FiberFolds(NamedTuple):
     """The fibers of one (n, ell) folded over S_n, as bitsets in
     ``itertools.permutations`` order: where some fiber leaves a monomial,
-    where some fiber has a surviving member, where some fiber is wholly
-    alive (``once``), and where the wholly alive fibers F have
-    ``sum (|F| - 1)`` of at least two (``twice``)."""
+    where some fiber is wholly alive (``once``), and where the wholly alive
+    fibers F have ``sum (|F| - 1)`` of at least two (``twice``).  Something
+    survives exactly where a monomial is left or a fiber is wholly alive."""
 
     monomial: int
-    surviving: int
     once: int
     twice: int
 
 
-# the one per-cut memo a run reads on a later pass: a verify run reads
-# the 18 cuts of n = 3..6, 79 times across its suites
-@lru_cache(maxsize=32)
-def _fiber_folds(n: int, ell: int) -> _FiberFolds:
-    """One pass over the fibers of :func:`_fibers` for all of S_n.
+@lru_cache(maxsize=8)  # the census reads n = 3..7, a verify run n = 3..6
+def _fiber_folds(n: int) -> tuple[_FiberFolds, ...]:
+    """The folds of every cut of n, entry ell for B_ell, with each distinct
+    fiber of :func:`_fiber_table` folded once.
 
     The monomial of column c of a block, the variable pair (i, j), is alive
     on ``va[i] & va[j]``, where ``va`` lists the alive bitsets in variable
-    order; a fiber's OR and AND of those are where ``some`` and where
-    ``every`` member survives.  A fiber leaves a monomial where some but not
-    every member survives.  Kept per cut, unlike :func:`_fibers`.
+    order; a fiber's OR and AND of those are where some and where every
+    member survives, and it leaves a monomial where some but not every
+    member does.  The fibers of one mask of cuts are folded together and
+    then into each of its cuts, one mask at a time: a cut that has a wholly
+    alive fiber and gets another from the mask has two.
     """
     alive = _alive_masks(n)
     va = [alive[key] for key in all_index_keys(n)]
-    monomial = surviving = once = twice = 0
-    for pairs, fibers in zip(_degree_blocks(n), _fibers(n, ell)):
-        for fiber in fibers:
+    blocks = _degree_blocks(n)
+    folds = [[0, 0, 0] for _ in range(n)]
+    cut_mask = itemgetter(2)
+    for cuts, fibers in itertools.groupby(sorted(_fiber_table(n), key=cut_mask), cut_mask):
+        monomial = once = twice = 0
+        for b, columns, _ in fibers:
+            pairs = blocks[b]
             some, every = 0, -1
-            for c, _ in fiber:
+            for c in columns:
                 i, j = pairs[c]
                 bits = va[i] & va[j]
                 some |= bits
                 every &= bits
-            monomial |= some & ~every
-            surviving |= some
-            twice |= every if len(fiber) > 2 else once & every
+            monomial |= some ^ every  # every lies in some
+            twice |= every if len(columns) > 2 else once & every
             once |= every
-    return _FiberFolds(monomial, surviving, once, twice)
+        for ell in range(n):
+            if cuts >> ell & 1:
+                fold = folds[ell]
+                fold[0] |= monomial
+                fold[2] |= twice | fold[1] & once
+                fold[1] |= once
+    return tuple(_FiberFolds(*fold) for fold in folds)
 
 
 def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]:
@@ -335,8 +447,8 @@ def verdict_masks(n: int, ell: int, bound: int | None = None) -> tuple[int, int]
     a binomial or a monomial where some member does (:func:`_fiber_folds`).
     """
     _check_case(n, ell, bound)
-    folds = _fiber_folds(n, ell)
-    return folds.monomial, folds.surviving
+    folds = _fiber_folds(n)[ell]
+    return folds.monomial, folds.monomial | folds.once
 
 
 def rank_one_mask(n: int, ell: int) -> int:
@@ -353,7 +465,7 @@ def rank_one_mask(n: int, ell: int) -> int:
     '0b101000'
     """
     _check_case(n, ell)
-    folds = _fiber_folds(n, ell)
+    folds = _fiber_folds(n)[ell]
     return folds.once & ~(folds.monomial | folds.twice)
 
 

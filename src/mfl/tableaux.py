@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache, reduce
-from operator import or_, xor
+from operator import gt, or_, xor
 from typing import Iterator, NamedTuple
 
 from mfl.matchfield import image_code
@@ -130,9 +130,7 @@ def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
     >>> ssyt_to_matching_field(((1, 2, 4), (3,)), 1)
     ((1, 3, 4), (2,))
     """
-    if len(columns) != 2 or len(columns[0]) < len(columns[1]) or any(
-        l > r for l, r in zip(*columns)
-    ):
+    if len(columns) != 2 or len(columns[0]) < len(columns[1]) or any(map(gt, *columns)):
         raise ValueError(f"expected a two-column semi-standard tableau: {columns}")
     left, right = columns
     low = lambda v: v <= ell

@@ -6,14 +6,18 @@ against.  Each passes over all n! permutations.
 
 ``verdict_items`` and ``binomial_members`` read the verdict and family
 masks one bit at a time, for tests that walk S_n or the binomial family
-per permutation."""
+per permutation.  ``reference_block_fibers`` and ``reference_fiber_folds``
+build the fibers and their folds over S_n one cut at a time, the oracles of
+the distinct-fiber table and its folds over all cuts."""
 
 import itertools
 import math
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 
+from mfl.matchfield import _swap_flag, image_code
 from mfl.permcomb import (
+    _alive_masks,
     all_index_keys,
     dominated,
     mask_bits,
@@ -23,7 +27,7 @@ from mfl.permcomb import (
     sorted_prefixes,
     word_text,
 )
-from mfl.quadideal import verdict_at, verdict_masks
+from mfl.quadideal import _degree_blocks, verdict_at, verdict_masks
 from mfl.theoremsets import (
     TAG_A1,
     TAG_A2,
@@ -74,6 +78,45 @@ def binomial_members(n, ell):
         permutation_at(n, i): frozenset(tag for tag, m in masks.tags if m >> i & 1)
         for i in set_bits(masks.binomial)
     }
+
+
+def reference_block_fibers(n, ell):
+    """``mfl.quadideal._fibers(n, ell)`` by splitting each block of
+    ``_degree_blocks(n)`` by the image code of its monomials under B_ell
+    alone: fibers of size >= 2 in order of first column, each a tuple of
+    (local column, image sign)."""
+    variables = all_index_keys(n)
+    codes = [image_code(n, ell, key) for key in variables]
+    signs = [-1 if _swap_flag(ell, key) else 1 for key in variables]
+    fibers = []
+    for pairs in _degree_blocks(n):
+        groups = {}
+        for c, (i, j) in enumerate(pairs):
+            groups.setdefault(codes[i] + codes[j], []).append((c, signs[i] * signs[j]))
+        fibers.append(tuple(tuple(g) for g in groups.values() if len(g) >= 2))
+    return tuple(fibers)
+
+
+def reference_fiber_folds(n, ell):
+    """``mfl.quadideal._fiber_folds(n)[ell]`` as a tuple, by one pass over
+    the fibers of B_ell alone (``reference_block_fibers``): OR and AND of
+    the members' alive bitsets per fiber, folded fiber by fiber."""
+    alive = _alive_masks(n)
+    va = [alive[key] for key in all_index_keys(n)]
+    monomial = surviving = once = twice = 0
+    for pairs, fibers in zip(_degree_blocks(n), reference_block_fibers(n, ell)):
+        for fiber in fibers:
+            some, every = 0, -1
+            for c, _ in fiber:
+                i, j = pairs[c]
+                bits = va[i] & va[j]
+                some |= bits
+                every &= bits
+            monomial |= some & ~every
+            surviving |= some
+            twice |= every if len(fiber) > 2 else once & every
+            once |= every
+    return monomial, surviving, once, twice
 
 
 def reference_prefix_set_masks(n):

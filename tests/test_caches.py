@@ -33,7 +33,7 @@ def test_every_cache_is_bounded():
     # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
     # quadideal.quadratic_relations, quadideal._flag_ideal and
     # tableaux._bijection_table
-    assert len(caches) == 11, sorted(caches)
+    assert len(caches) == 12, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -64,8 +64,10 @@ def test_per_call_helpers_carry_no_cache():
         (theoremsets._families, 8),
         # the census and the slow fiber tests split the blocks of n = 3..8
         (quadideal._degree_blocks, 6),
-        # a verify run folds the cuts of n = 3..6 in several suites
-        (quadideal._fiber_folds, 3 + 4 + 5 + 6),
+        # the census folds all cuts of n = 3..7 from one table per n, and a
+        # verify run those of n = 3..6, in several suites
+        (quadideal._fiber_table, 5),
+        (quadideal._fiber_folds, 5),
         # a tableaux suite to n = 7 builds each n's level, with its
         # chains, once
         (tableaux._level, 5),
@@ -103,15 +105,19 @@ def test_bijection_report_reads_the_cut_table():
     assert info.misses == 1 and info.hits > 0
 
 
-def test_verify_folds_each_cut_once():
+def test_verify_folds_each_n_once():
+    quadideal._fiber_table.cache_clear()
     quadideal._fiber_folds.cache_clear()
     theoremsets._families.cache_clear()
     assert run_suite("all").ok
-    info = quadideal._fiber_folds.cache_info()
     # theoremB, P, theoremC, theoremA, a1_rank and the family build (at
-    # n = 3) read the 18 cuts of n = 3..6, 79 times in all
-    assert (info.misses, info.currsize) == (18, 18)
+    # n = 3) read the 18 cuts of n = 3..6, 79 times in all, and all cuts of
+    # one n are folded together from one table
+    info = quadideal._fiber_folds.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
     assert info.hits + info.misses == 79
+    info = quadideal._fiber_table.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
 
 
 def test_no_family_masks_at_import():
@@ -122,6 +128,8 @@ def test_no_family_masks_at_import():
         "assert p._prefix_set_masks.cache_info().currsize == 0; "
         "assert p._alive_masks.cache_info().currsize == 0; "
         "assert q._degree_blocks.cache_info().currsize == 0; "
+        "assert q._fiber_table.cache_info().currsize == 0; "
+        "assert q._fiber_folds.cache_info().currsize == 0; "
         "assert q._fibers.cache_info().currsize == 0"
     )
     src = pathlib.Path(theoremsets.__file__).parents[1]

@@ -1,17 +1,22 @@
-"""The fibers and the flag-ideal blocks, read off the int-coded multidegree
-blocks, against the direct groupings they replace."""
+"""The fibers, their folds over S_n and the flag-ideal blocks, read off the
+int-coded multidegree blocks, against the direct groupings they replace:
+the fibers and folds of all cuts of n, built from one table of distinct
+fibers, against the per-cut splits and folds."""
 
 import itertools
 
 import pytest
 
 from initial_ideal_oracle import DegreeTwoSpace, degree2_flag_ideal
+from mask_oracle import reference_block_fibers, reference_fiber_folds
 from mfl import exactla
 from mfl.permcomb import all_index_keys
 from mfl.quadideal import (
     _FlagBlock,
     MonoKey,
     _degree_blocks,
+    _fiber_folds,
+    _fiber_table,
     _fibers,
     _flag_ideal,
     _incidence_relations,
@@ -104,6 +109,50 @@ def test_key_fibers_map_the_block_columns(n, ell):
 @pytest.mark.parametrize("ell", range(8))
 def test_fibers_match_reference_n8_slow(ell):
     assert keyed_fibers(8, ell) == sorted(reference_fibers(8, ell))
+
+
+@pytest.mark.parametrize("n, ell", PAIRS, ids=lambda v: str(v))
+def test_fibers_match_per_cut_split(n, ell):
+    # order included: blocks, fibers by first column, members by column
+    assert _fibers(n, ell) == reference_block_fibers(n, ell)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_cut_masks_match_reference(n):
+    variables = all_index_keys(n)
+    blocks = _degree_blocks(n)
+    table = _fiber_table(n)
+    assert list(table) == sorted(table)
+    masks = {
+        tuple((variables[i], variables[j]) for i, j in map(blocks[b].__getitem__, columns)): cuts
+        for b, columns, cuts in table
+    }
+    assert len(masks) == len(table)
+    expected = {}
+    for ell in range(n):
+        for fiber in reference_fibers(n, ell):
+            members = tuple(m for m, _ in fiber)
+            expected[members] = expected.get(members, 0) | 1 << ell
+    assert masks == expected
+
+
+def check_folds(n):
+    folds = _fiber_folds(n)
+    assert len(folds) == n
+    for ell, fold in enumerate(folds):
+        surviving = fold.monomial | fold.once
+        got = (fold.monomial, surviving, fold.once, fold.twice)
+        assert got == reference_fiber_folds(n, ell), ell
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_folds_match_per_cut_reference(n):
+    check_folds(n)
+
+
+@pytest.mark.slow
+def test_folds_match_per_cut_reference_n8_slow():
+    check_folds(8)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -147,6 +147,14 @@ class TestCrossValidation:
         assert report.ok, report.mismatches[:5]
         assert report.binomial_counts() == golden.COUNT_TABLE[8]
 
+    @pytest.mark.slow
+    def test_no_mismatches_n9_slow(self):
+        # every cut of n = 9; the binomial row is where the bitset families,
+        # this kernel and the insert-max construction one w at a time agreed
+        report = cross_validate(9, oracle_bound=9)
+        assert report.ok, report.mismatches[:5]
+        assert report.binomial_counts() == (4807, 3806, 3377, 3509, 3938, 4358, 4631, 4759, 4800)
+
 
 class TestCountTable:
     def test_rows_match_reference(self):
