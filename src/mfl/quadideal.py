@@ -17,24 +17,18 @@ monomials that agree in the rows below, and most fibers are the same for
 many cuts: each distinct fiber is kept once with its mask of cuts (2279
 for the 11081 (fiber, cut) pairs at n = 7) and folded over S_n once.
 
-The linear-algebra half of the module builds the degree-two piece of the
-full flag ideal from the incidence Pluecker relations, one multidegree block
-at a time in canonical echelon form by exact integer elimination, and
-checks Theorem A on it: for every monomial-free w, each block's flag rows
-restricted to X(w) must have lowest-weight initial forms spanned by the
-surviving fiber binomials.
+The exact linear algebra of Theorem A, which reads these fibers, lives in
+:mod:`mfl.flagideal`; only the Theorem A suite loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from mfl import exactla
-from mfl.matchfield import _swap_flag, image_code, weight_key
+from mfl.matchfield import _swap_flag, image_code
 from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
@@ -49,9 +43,6 @@ MonoKey = tuple[Key, Key]
 
 #: classify_oracle refuses larger n unless overridden.
 ORACLE_BOUND_DEFAULT = 7
-#: theorem_a_masks refuses larger n unless passed a larger cap
-#: (``mfl --la-cap``).
-LA_CAP_DEFAULT = 5
 
 ZERO = "zero"
 BINOMIAL = "binomial"
@@ -474,216 +465,3 @@ def verdict_at(monomial: int, surviving: int, i: int) -> str:
     if monomial >> i & 1:
         return NONBINOMIAL
     return BINOMIAL if surviving >> i & 1 else ZERO
-
-
-# ---------------------------------------------------------------------------
-# Exact degree-two linear algebra
-
-
-class _FlagBlock(NamedTuple):
-    """The flag ideal in one multidegree (column multiset plus size multiset).
-
-    ``members`` are the block's monomials as increasing indices into
-    ``combinations_with_replacement(all_index_keys(n), 2)``; local column c
-    is ``members[c]``.  ``rows`` is the reduced echelon basis of the block's
-    part of the ideal, over local columns.
-    """
-
-    members: tuple[int, ...]
-    rows: tuple[exactla.Row, ...]
-
-
-def _check_la_cap(n: int, cap: int | None) -> None:
-    cap = LA_CAP_DEFAULT if cap is None else cap
-    if n > cap:
-        raise CapabilityError(f"linear-algebra cap is n <= {cap}, got n = {n}")
-
-
-def _incidence_relations(n: int) -> Iterator[tuple[tuple, dict[MonoKey, int]]]:
-    """The incidence Pluecker relations in degree two, as (multidegree, row
-    keyed by monomial); terms with a repeated index vanish, repeated
-    monomials are merged, and zero coefficients are left to ``rref``."""
-    for p in range(1, n):
-        for q in range(p, n):
-            for lower in itertools.combinations(range(1, n + 1), p - 1):
-                for upper in itertools.combinations(range(1, n + 1), q + 1):
-                    row: dict[MonoKey, int] = {}
-                    for k, j in enumerate(upper):
-                        if j in lower:
-                            continue
-                        # sorting (lower, j) moves j past every larger entry
-                        sign = -1 if (k + sum(i > j for i in lower)) % 2 else 1
-                        mono = mono_key(
-                            tuple(sorted(lower + (j,))), upper[:k] + upper[k + 1:]
-                        )
-                        row[mono] = row.get(mono, 0) + sign
-                    yield (tuple(sorted(lower + upper)), (p, q)), row
-
-
-@lru_cache(maxsize=8)
-def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
-    """Degree-two piece of the full flag ideal, from the incidence Pluecker
-    relations, one block per block of :func:`_degree_blocks`.
-
-    For ``1 <= p <= q <= n - 1``, an ``I`` of size ``p - 1`` and a ``J`` of
-    size ``q + 1`` give the relation ``sum_k (-1)^k P_{I j_k} P_{J - j_k}``
-    (alternating in the indices of ``P``); these span the degree-two part of
-    the ideal.  Each relation is homogeneous in the column multiset and the
-    size multiset, so the ideal is a direct sum of these blocks, and each
-    block's relations are put in reduced echelon form on their own.
-    """
-    variables = all_index_keys(n)
-    relations: dict[tuple, list[dict[MonoKey, int]]] = {}
-    for degree, row in _incidence_relations(n):
-        relations.setdefault(degree, []).append(row)
-    blocks = []
-    size = len(variables)
-    for pairs in _degree_blocks(n):
-        # variables come in (size, lex) order, so the pair (i, j) with
-        # i <= j is a monomial key
-        keys = [(variables[i], variables[j]) for i, j in pairs]
-        local = {m: c for c, m in enumerate(keys)}
-        a, b = keys[0]
-        degree = (tuple(sorted(a + b)), (len(a), len(b)))
-        basis = exactla.rref(
-            {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
-        )
-        # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
-        members = tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs)
-        blocks.append(_FlagBlock(members, tuple(basis.rows)))
-    return tuple(blocks)
-
-
-class _BlockLayout(NamedTuple):
-    """A flag block as the Theorem A check sees it for one (n, ell).
-
-    ``pairs`` is the block of :func:`_degree_blocks`, the variable pair of
-    each local column.  ``weights`` is the total weight of each local column
-    and ``position`` its place in (weight, monomial) order.  Each fiber is
-    its mask of local columns plus the image sign of each of its columns.
-    """
-
-    block: _FlagBlock
-    pairs: tuple[tuple[int, int], ...]
-    weights: tuple[int, ...]
-    position: tuple[int, ...]
-    fibers: tuple[tuple[int, dict[int, int]], ...]
-
-
-def _block_layouts(n: int, ell: int) -> tuple[_BlockLayout, ...]:
-    """The blocks of the flag ideal at n that hold a flag row or a fiber.
-
-    Not cached: the Theorem A sweep visits each (n, ell) once, and a cache
-    would keep the layouts of every cut alive through it."""
-    weight = [weight_key(n, ell, key) for key in all_index_keys(n)]
-    layouts = []
-    for block, pairs, fibers in zip(_flag_ideal(n), _degree_blocks(n), _fibers(n, ell)):
-        if not block.rows and not fibers:
-            continue
-        weights = tuple(weight[i] + weight[j] for i, j in pairs)
-        # index pairs sort as their monomials do
-        order = sorted(range(len(pairs)), key=lambda c: (weights[c], pairs[c]))
-        position = sorted(range(len(order)), key=order.__getitem__)  # its inverse
-        layouts.append(_BlockLayout(
-            block, pairs, weights, tuple(position),
-            tuple((sum(1 << c for c, _ in fiber), dict(fiber)) for fiber in fibers),
-        ))
-    return tuple(layouts)
-
-
-def _block_matches(layout: _BlockLayout, alive: int) -> bool | None:
-    """Theorem A in the block of ``layout`` with the monomials of the
-    ``alive`` mask surviving: None if a fiber is partly alive, else
-    whether the surviving fiber binomials span the block's initial forms.
-
-    A fiber's binomials span the kernel of ``v -> sum_c s_c v_c`` on its
-    columns, so the wholly alive fibers F span ``sum (|F| - 1)`` dimensions.
-    The rows of any echelon basis in (weight, monomial) order have distinct
-    pivots, so their truncations to the pivot's weight are a basis of the
-    initial forms.  One forward elimination of the projected flag rows thus
-    decides the equality: the rank must be that sum, and every truncation
-    must lie on wholly alive fibers with each signed fiber sum zero.
-    """
-    rank = 0
-    # column -> (fiber, sign) over the wholly alive fibers
-    live_sign: dict[int, tuple[int, int]] = {}
-    for f, (mask, signs) in enumerate(layout.fibers):
-        live = alive & mask
-        if live == mask:
-            rank += len(signs) - 1
-            live_sign.update((c, (f, s)) for c, s in signs.items())
-        elif live:
-            return None
-    position, weights = layout.position, layout.weights
-    basis: dict[int, exactla.Row] = {}
-    for flag_row in layout.block.rows:
-        row = {c: v for c, v in flag_row.items() if alive >> c & 1}
-        while row:
-            pivot = min(row, key=position.__getitem__)
-            if pivot not in basis:
-                break
-            row = exactla._eliminate(row, basis[pivot], pivot)
-        if not row:
-            continue
-        if len(basis) == rank:
-            return False
-        basis[pivot] = row
-        sums = [0] * len(layout.fibers)
-        for c, v in row.items():
-            if weights[c] == weights[pivot]:
-                if c not in live_sign:
-                    return False
-                f, s = live_sign[c]
-                sums[f] += s * v
-        if any(sums):
-            return False
-    return len(basis) == rank
-
-
-class TheoremAMasks(NamedTuple):
-    """Theorem A over all of S_n for one (n, ell), as bitsets in
-    ``itertools.permutations`` order: the monomial-free w that are checked,
-    those where the equality fails, and among these the w where a block
-    finds a fiber partly alive after all (so the verdict was wrong)."""
-
-    checked: int
-    failing: int
-    partial: int
-
-
-def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:
-    """Decide Theorem A for every monomial-free w in S_n at once.
-
-    Per block, the candidates are split by which of the block's monomials
-    survive, one column at a time (the monomial of variables i and j
-    survives on the AND of their ``alive`` bitsets); each distinct (block,
-    alive mask) is then decided once by :func:`_block_matches`.
-    """
-    _check_la_cap(n, cap)
-    # the la-cap, not the oracle bound, limits n
-    monomial, _ = verdict_masks(n, ell, bound=n)
-    checked = ((1 << math.factorial(n)) - 1) & ~monomial
-    alive = _alive_masks(n)
-    va = [alive[key] for key in all_index_keys(n)]
-    failing = partial = 0
-    for layout in _block_layouts(n, ell):
-        parts = {0: checked}  # local alive mask -> the w that have it
-        for c, (i, j) in enumerate(layout.pairs):
-            column = va[i] & va[j]
-            refined = {}
-            for mask, ws in parts.items():
-                on = ws & column
-                if on:
-                    refined[mask | 1 << c] = on
-                if on != ws:
-                    refined[mask] = ws ^ on
-            parts = refined
-        for mask, ws in parts.items():
-            if mask:
-                answer = _block_matches(layout, mask)
-                if answer is None:
-                    partial |= ws
-                if not answer:
-                    failing |= ws
-    return TheoremAMasks(checked, failing, partial)
-

@@ -16,13 +16,11 @@ from mfl import SUITES
 from mfl.matchfield import verify_coherence
 from mfl.permcomb import permutation_at, restriction, set_bits, word_text
 from mfl.quadideal import (
-    LA_CAP_DEFAULT,
     ZERO,
     CapabilityError,
     check_oracle_bound,
     classify_oracle,
     rank_one_mask,
-    theorem_a_masks,
 )
 from mfl.theoremsets import (
     TAG_A1,
@@ -180,9 +178,16 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     return report
 
 
-def run_theorem_a(n_max: int = 4, cap: int | None = None) -> SuiteReport:
+#: run_theorem_a's range when no n_max is given, as in ``--suite all``.
+THEOREM_A_N_MAX = 4
+
+
+def run_theorem_a(n_max: int = THEOREM_A_N_MAX, cap: int | None = None) -> SuiteReport:
     """Surviving binomial span equals the initial degree-two span for every
-    monomial-free case up to n_max."""
+    monomial-free case up to n_max.  Only this suite loads
+    :mod:`mfl.flagideal`, and with it the exact linear algebra."""
+    from mfl.flagideal import LA_CAP_DEFAULT, theorem_a_masks
+
     report = SuiteReport("theoremA")
     cap = LA_CAP_DEFAULT if cap is None else cap
     if n_max > cap:
@@ -285,6 +290,12 @@ def run_suite(name: str, n_max: int | None = None, cap: int | None = None) -> Su
     """Run one named suite (or "all") with its default range unless n_max is
     given; caps apply to the linear-algebra suite only."""
     if name == "all":
+        # checked before any suite runs, not when theoremA's turn comes
+        if cap is not None and cap < THEOREM_A_N_MAX:
+            raise ValueError(
+                f"--suite all runs theoremA to n = {THEOREM_A_N_MAX} (its default range),"
+                f" past the linear-algebra cap {cap}; use --la-cap {THEOREM_A_N_MAX} or more"
+            )
         combined = SuiteReport("all")
         for sub in _RUNNERS:
             combined.merge(run_suite(sub, n_max=None, cap=cap))

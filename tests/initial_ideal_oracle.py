@@ -1,6 +1,6 @@
 """The global degree-two reference for Theorem A: the initial forms of the
 whole flag ideal restricted to X(w), and the span of the surviving fiber
-binomials in the same coordinates.  ``quadideal.theorem_a_masks`` decides
+binomials in the same coordinates.  ``flagideal.theorem_a_masks`` decides
 the same equality block by block and over all of S_n at once; this path
 runs one global elimination per w, in the coordinates of the whole
 degree-two flag ideal (:func:`degree2_flag_ideal`)."""
@@ -11,7 +11,8 @@ from typing import Iterable, NamedTuple
 from mfl import exactla
 from mfl.matchfield import weight_key
 from mfl.permcomb import all_index_keys, check_permutation, vanishing_keys
-from mfl.quadideal import MonoKey, _check_la_cap, _flag_ideal, _key_fibers
+from mfl.flagideal import _check_la_cap, _flag_ideal
+from mfl.quadideal import MonoKey, _key_fibers
 
 
 class DegreeTwoSpace(NamedTuple):
@@ -33,7 +34,7 @@ class DegreeTwoSpace(NamedTuple):
 def degree2_flag_ideal(n: int, cap: int | None = None) -> DegreeTwoSpace:
     """Degree-two piece of the full flag ideal over every monomial of
     ``combinations_with_replacement(all_index_keys(n), 2)``: the sorted
-    union of the block bases of ``quadideal._flag_ideal``, each row mapped
+    union of the block bases of ``flagideal._flag_ideal``, each row mapped
     from local to global columns.  Refused past the linear-algebra cap, as
     ``mfl --la-cap`` refuses the Theorem A suite."""
     _check_la_cap(n, cap)

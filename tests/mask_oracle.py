@@ -8,14 +8,18 @@ against.  Each passes over all n! permutations.
 masks one bit at a time, for tests that walk S_n or the binomial family
 per permutation.  ``reference_block_fibers`` and ``reference_fiber_folds``
 build the fibers and their folds over S_n one cut at a time, the oracles of
-the distinct-fiber table and its folds over all cuts."""
+the distinct-fiber table and its folds over all cuts;
+``block_layouts`` lays out the flag blocks for one cut alone, and
+``reference_theorem_a_masks`` decides Theorem A on them one cut at a time,
+the oracle of the pass over all cuts."""
 
 import itertools
 import math
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 
-from mfl.matchfield import _swap_flag, image_code
+from mfl import flagideal
+from mfl.matchfield import _swap_flag, image_code, weight_key
 from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
@@ -27,7 +31,7 @@ from mfl.permcomb import (
     sorted_prefixes,
     word_text,
 )
-from mfl.quadideal import _degree_blocks, verdict_at, verdict_masks
+from mfl.quadideal import _degree_blocks, _fibers, verdict_at, verdict_masks
 from mfl.theoremsets import (
     TAG_A1,
     TAG_A2,
@@ -117,6 +121,56 @@ def reference_fiber_folds(n, ell):
             twice |= every if len(fiber) > 2 else once & every
             once |= every
     return monomial, surviving, once, twice
+
+
+def block_layouts(n, ell):
+    """The blocks of the flag ideal at n that hold a flag row or a fiber of
+    cut ``ell``, laid out for that cut alone, with its own weights and
+    signs (``_fibers(n, ell)``); ``flagideal._theorem_a_cuts`` lays out a
+    block once for all the cuts that see it alike."""
+    weight = [weight_key(n, ell, key) for key in all_index_keys(n)]
+    return tuple(
+        flagideal._block_layout(
+            block, pairs, tuple(weight[i] + weight[j] for i, j in pairs), fibers
+        )
+        for block, pairs, fibers in zip(
+            flagideal._flag_ideal(n), _degree_blocks(n), _fibers(n, ell)
+        )
+        if block.rows or fibers
+    )
+
+
+def reference_theorem_a_masks(n, ell):
+    """``mfl.flagideal.theorem_a_masks(n, ell)`` by a pass over cut ell
+    alone: per block of ``block_layouts(n, ell)``, the cut's own checked
+    set is split by which of the block's monomials survive, and each
+    distinct (block, alive mask) is decided once by the module's
+    ``_block_matches`` (looked up at call time, so a test may replace it)."""
+    monomial, _ = verdict_masks(n, ell, bound=n)
+    checked = ((1 << math.factorial(n)) - 1) & ~monomial
+    alive = _alive_masks(n)
+    va = [alive[key] for key in all_index_keys(n)]
+    failing = partial = 0
+    for layout in block_layouts(n, ell):
+        parts = {0: checked}  # local alive mask -> the w that have it
+        for c, (i, j) in enumerate(layout.pairs):
+            column = va[i] & va[j]
+            refined = {}
+            for mask, ws in parts.items():
+                on = ws & column
+                if on:
+                    refined[mask | 1 << c] = on
+                if on != ws:
+                    refined[mask] = ws ^ on
+            parts = refined
+        for mask, ws in parts.items():
+            if mask:
+                answer = flagideal._block_matches(layout, mask)
+                if answer is None:
+                    partial |= ws
+                if not answer:
+                    failing |= ws
+    return flagideal.TheoremAMasks(checked, failing, partial)
 
 
 def reference_prefix_set_masks(n):

@@ -23,13 +23,13 @@ from mfl.permcomb import (
     zero_family,
     zero_family_size,
 )
+from mfl.flagideal import theorem_a_masks
 from mfl.quadideal import (
     BINOMIAL,
     NONBINOMIAL,
     classify_oracle,
     mono_key,
     quadratic_relations,
-    theorem_a_masks,
 )
 from mfl.suites import run_tableaux, run_theorem_a
 from mfl.tableaux import enumerate_ssyt2, verify_bijection

@@ -12,8 +12,8 @@ import sys
 import pytest
 
 import mfl
-from mfl import matchfield, permcomb, quadideal, tableaux, theoremsets
-from mfl.suites import run_suite, run_tableaux
+from mfl import flagideal, matchfield, permcomb, quadideal, tableaux, theoremsets
+from mfl.suites import run_suite, run_tableaux, run_theorem_a
 
 
 def _caches():
@@ -31,9 +31,9 @@ def test_every_cache_is_bounded():
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
     # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
-    # quadideal.quadratic_relations, quadideal._flag_ideal and
-    # tableaux._bijection_table
-    assert len(caches) == 12, sorted(caches)
+    # quadideal.quadratic_relations, flagideal._flag_ideal,
+    # flagideal._theorem_a_cuts and tableaux._bijection_table
+    assert len(caches) == 13, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -43,10 +43,10 @@ def test_no_module_level_family_dict():
 
 def test_per_call_helpers_carry_no_cache():
     # the monomial-map image is read once per variable by cached callers,
-    # and the Theorem A layouts once per (n, ell) of a sweep; the weight
-    # matrix and |Z_n| cost microseconds to build
+    # and each Theorem A layout once per (block, n); the weight matrix and
+    # |Z_n| cost microseconds to build
     assert not hasattr(matchfield.image_code, "cache_info")
-    assert not hasattr(quadideal._block_layouts, "cache_info")
+    assert not hasattr(flagideal._block_layout, "cache_info")
     assert not hasattr(matchfield.weight_matrix, "cache_info")
     assert not hasattr(permcomb.zero_family_size, "cache_info")
 
@@ -110,14 +110,22 @@ def test_verify_folds_each_n_once():
     quadideal._fiber_folds.cache_clear()
     theoremsets._families.cache_clear()
     assert run_suite("all").ok
-    # theoremB, P, theoremC, theoremA, a1_rank and the family build (at
-    # n = 3) read the 18 cuts of n = 3..6, 79 times in all, and all cuts of
-    # one n are folded together from one table
+    # theoremB, P, theoremC, a1_rank and the family build (at n = 3) read
+    # the 18 cuts of n = 3..6, and theoremA all cuts of n = 3, 4 at once,
+    # 74 times in all; all cuts of one n are folded together from one table
     info = quadideal._fiber_folds.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
-    assert info.hits + info.misses == 79
+    assert info.hits + info.misses == 74
     info = quadideal._fiber_table.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
+
+
+def test_theorem_a_decides_each_n_once():
+    # all cuts of one n are decided together, and only the n in hand is held
+    flagideal._theorem_a_cuts.cache_clear()
+    assert run_theorem_a(5, cap=5).ok
+    info = flagideal._theorem_a_cuts.cache_info()
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (3, 9, 1, 1)
 
 
 def test_no_family_masks_at_import():

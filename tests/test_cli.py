@@ -400,6 +400,17 @@ class TestVerify:
         assert code == 2
         assert "cap" in err
 
+    def test_small_la_cap_refuses_suite_all_before_any_suite(self, capsys, monkeypatch):
+        # theoremA runs fifth in --suite all, at its default n_max 4
+        ran = []
+        monkeypatch.setitem(suites._RUNNERS, "coherence", lambda: ran.append(1))
+        code, out, err = run(capsys, "--la-cap", "3", "verify", "--suite", "all")
+        assert (code, out, ran) == (2, "", [])
+        assert err == (
+            "error: --suite all runs theoremA to n = 4 (its default range), past the"
+            " linear-algebra cap 3; use --la-cap 4 or more\n"
+        )
+
     def test_la_cap_not_oracle_bound_gates_theorem_a(self, capsys):
         # n = 8 is past the oracle bound (n <= 7): the la-cap message, not
         # the oracle bound's, stops the run

@@ -10,16 +10,14 @@ import pytest
 from initial_ideal_oracle import DegreeTwoSpace, degree2_flag_ideal
 from mask_oracle import reference_block_fibers, reference_fiber_folds
 from mfl import exactla
+from mfl.flagideal import _FlagBlock, _flag_ideal, _incidence_relations
 from mfl.permcomb import all_index_keys
 from mfl.quadideal import (
-    _FlagBlock,
     MonoKey,
     _degree_blocks,
     _fiber_folds,
     _fiber_table,
     _fibers,
-    _flag_ideal,
-    _incidence_relations,
     _key_fibers,
     _mono_order,
     mono_key,

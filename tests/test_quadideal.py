@@ -11,8 +11,9 @@ from initial_ideal_oracle import (
     span_equal,
     surviving_binomial_space,
 )
-from mask_oracle import verdict_items
-from mfl import exactla, golden, quadideal
+from mask_oracle import block_layouts, reference_theorem_a_masks, verdict_items
+from mfl import exactla, flagideal, golden
+from mfl.flagideal import _block_matches, _flag_ideal, theorem_a_masks
 from mfl.permcomb import (
     _alive_masks,
     _prefix_set_masks,
@@ -28,17 +29,15 @@ from mfl.quadideal import (
     ZERO,
     CapabilityError,
     QuadraticRelation,
-    _block_layouts,
-    _block_matches,
+    _fiber_folds,
+    _fiber_table,
     _fibers,
-    _flag_ideal,
     _key_fibers,
     classify_oracle,
     mono_key,
     mono_text,
     quadratic_relations,
     rank_one_mask,
-    theorem_a_masks,
     verdict_masks,
 )
 from mfl.suites import run_suite, run_theorem_a
@@ -219,7 +218,7 @@ class TestVerdictKernel:
         # of n: the census reads n = 3..7, a verify run n = 3..6
         assert _fibers.cache_info().maxsize == 1
         assert quadratic_relations.cache_info().maxsize == 1
-        for cached in (quadideal._fiber_table, quadideal._fiber_folds):
+        for cached in (_fiber_table, _fiber_folds):
             assert 5 <= cached.cache_info().maxsize <= 8
         assert det_terms.cache_info().maxsize is not None
         for n in range(3, 8):
@@ -471,16 +470,30 @@ def reference_block_matches(layout, alive):
     return span_equal(initial, chains, col_pos)
 
 
+@pytest.fixture
+def patch_block_matches(monkeypatch):
+    """Replace ``flagideal._block_matches`` for one test; the all-cuts memo
+    is emptied before and after, so no answer of the replacement outlives
+    the test."""
+
+    def patch(replacement):
+        flagideal._theorem_a_cuts.cache_clear()
+        monkeypatch.setattr(flagideal, "_block_matches", replacement)
+
+    yield patch
+    flagideal._theorem_a_cuts.cache_clear()
+
+
 def per_w_block_matches(n, ell, w):
     """Theorem A at one w, block by block: each block's local alive mask
     holds the columns whose two variables both survive ``w``."""
     vanset = vanishing_keys(w)
     live = [key not in vanset for key in all_index_keys(n)]
     answers = []
-    for layout in _block_layouts(n, ell):
+    for layout in block_layouts(n, ell):
         mask = sum(1 << c for c, (i, j) in enumerate(layout.pairs) if live[i] and live[j])
         if mask:
-            answers.append(quadideal._block_matches(layout, mask))
+            answers.append(flagideal._block_matches(layout, mask))
     return all(answers)
 
 
@@ -509,7 +522,7 @@ class TestTheoremAKernel:
         outcomes = set()
         for n in (3, 4):
             for ell in range(n):
-                for b, layout in enumerate(_block_layouts(n, ell)):
+                for b, layout in enumerate(block_layouts(n, ell)):
                     for mask in range(1, 1 << len(layout.pairs)):
                         expected = reference_block_matches(layout, mask)
                         assert _block_matches(layout, mask) is expected, (n, ell, b, mask)
@@ -522,7 +535,7 @@ class TestTheoremAKernel:
         outcomes = set()
         for n in (3, 4):
             for ell in range(n):
-                for b, layout in enumerate(_block_layouts(n, ell)):
+                for b, layout in enumerate(block_layouts(n, ell)):
                     for variant in perturbed_layouts(layout):
                         for mask in range(1, 1 << len(layout.pairs)):
                             expected = reference_block_matches(variant, mask)
@@ -536,7 +549,7 @@ class TestTheoremAKernel:
         rng = random.Random(n)
         outcomes = set()
         for ell in range(n):
-            layouts = _block_layouts(n, ell)
+            layouts = block_layouts(n, ell)
             for _ in range(80):
                 b = rng.randrange(len(layouts))
                 mask = rng.randint(1, (1 << len(layouts[b].pairs)) - 1)
@@ -546,13 +559,12 @@ class TestTheoremAKernel:
         assert outcomes == {None, True, False}
 
     @pytest.mark.parametrize("fake", (False, True))
-    def test_masks_match_per_w(self, fake, monkeypatch):
+    def test_masks_match_per_w(self, fake, patch_block_matches):
         # the bitset sweep against each block's alive mask read off one w,
         # for every w with n <= 5; a fake block answer that fails often
         # checks the partition itself
         if fake:
-            monkeypatch.setattr(
-                quadideal, "_block_matches",
+            patch_block_matches(
                 lambda layout, mask: (sum(layout.pairs[0]) + mask) % 3 != 0,
             )
         failing = 0
@@ -578,12 +590,110 @@ class TestTheoremAKernel:
         with pytest.raises(CapabilityError, match="linear-algebra cap is n <= 4"):
             theorem_a_masks(5, 0, cap=4)
 
-    def test_partly_alive_fiber_is_reported_as_data(self, monkeypatch):
+    def test_partly_alive_fiber_is_reported_as_data(self, patch_block_matches):
         # a block that finds a fiber partly alive contradicts the verdict:
         # the suite records it and carries on
         checked = run_theorem_a(4).checked
-        monkeypatch.setattr(quadideal, "_block_matches", lambda *args: None)
+        patch_block_matches(lambda *args: None)
         report = run_theorem_a(4)
         assert not report.ok
         assert report.checked == checked
         assert all("not monomial-free" in m["detail"] for m in report.mismatches)
+
+    def test_answer_depends_only_on_the_shared_layout(self):
+        # the pass over all cuts keeps of a cut's layout only the weight
+        # ranks and each fiber's signs relative to its first column; the
+        # perturbed fibers make some answers False
+        outcomes = set()
+        for n in (3, 4):
+            for ell in range(n):
+                for layout in block_layouts(n, ell):
+                    for variant in [layout, *perturbed_layouts(layout)]:
+                        rank = {x: r for r, x in enumerate(sorted(set(variant.weights)))}
+                        fibers = tuple(
+                            tuple((c, s * signs[min(signs)]) for c, s in sorted(signs.items()))
+                            for _, signs in variant.fibers
+                        )
+                        shared = flagideal._block_layout(
+                            variant.block, variant.pairs,
+                            tuple(rank[x] for x in variant.weights), fibers,
+                        )
+                        for mask in range(1, 1 << len(layout.pairs)):
+                            answer = _block_matches(variant, mask)
+                            assert _block_matches(shared, mask) is answer, (n, ell, mask)
+                            outcomes.add(answer)
+        assert outcomes == {None, True, False}
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_each_cut_shares_a_layout_it_agrees_with(self, n):
+        # a cut's own layout of a block and the layout it shares have the
+        # same column order and weight ties, and the same fibers up to the
+        # sign of a whole fiber; every cut that has the block shares once
+        def kept(layout):
+            size = len(layout.pairs)
+            ties = {(c, d) for c in range(size) for d in range(c)
+                    if layout.weights[c] == layout.weights[d]}
+            fibers = [(mask, [s * signs[min(signs)] for _, s in sorted(signs.items())])
+                      for mask, signs in layout.fibers]
+            return layout.block, layout.position, ties, fibers
+
+        own = [{layout.pairs: layout for layout in block_layouts(n, ell)} for ell in range(n)]
+        for pairs, shared in flagideal._shared_layouts(n):
+            cuts = sorted(ell for _, ells in shared for ell in ells)
+            assert cuts == [ell for ell in range(n) if pairs in own[ell]], (n, pairs)
+            for layout, ells in shared:
+                for ell in ells:
+                    assert kept(own[ell].pop(pairs)) == kept(layout), (n, ell, pairs)
+        assert not any(own), n
+
+    @staticmethod
+    def _shared_data_answer(layout, mask):
+        # a fake block answer that reads all the shared layout keeps: the
+        # column order, the weight ties, the fiber masks and relative signs
+        size = len(layout.pairs)
+        ties = tuple(layout.weights[c] == layout.weights[d]
+                     for c in range(size) for d in range(c))
+        signs = tuple(s * next(iter(f.values())) for _, f in layout.fibers for s in f.values())
+        masks = tuple(m for m, _ in layout.fibers)
+        return (None, False, True)[hash((layout.position, ties, signs, masks, mask)) % 3]
+
+    def _assert_cuts_match_reference(self, n, fake, patch_block_matches):
+        # the pass over all cuts against each cut decided alone; the fake
+        # block answer gives all three answers, so failing and partial are
+        # not empty, and differs between cuts that a coarser sharing of
+        # layouts would merge
+        if fake:
+            patch_block_matches(self._shared_data_answer)
+        failing = partial = 0
+        for ell in range(n):
+            masks = theorem_a_masks(n, ell, cap=n)
+            assert masks == reference_theorem_a_masks(n, ell), (n, ell)
+            failing |= masks.failing
+            partial |= masks.partial
+        assert bool(failing) == bool(partial) == fake
+
+    @pytest.mark.parametrize("fake", (False, True))
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_cuts_match_per_cut_reference(self, n, fake, patch_block_matches):
+        self._assert_cuts_match_reference(n, fake, patch_block_matches)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("fake", (False, True))
+    def test_cuts_match_per_cut_reference_n7_slow(self, fake, patch_block_matches):
+        self._assert_cuts_match_reference(7, fake, patch_block_matches)
+
+    def test_each_layout_and_mask_is_decided_once(self, patch_block_matches):
+        # cuts that agree on the weight ties and the fibers (up to the sign
+        # of a whole fiber) share their eliminations: 4795 block
+        # eliminations when each cut was decided alone, 1490 now
+        calls = []
+        real = flagideal._block_matches
+
+        def counted(layout, mask):
+            calls.append(mask)
+            return real(layout, mask)
+
+        patch_block_matches(counted)
+        report = run_theorem_a(6, cap=6)
+        assert report.ok and report.checked == 938
+        assert len(calls) <= 1490

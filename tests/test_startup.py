@@ -41,7 +41,8 @@ MOVED = {
 }
 
 #: Modules that only some commands need.
-DEFERRED = ("mfl.tableaux", "mfl.suites", "mfl.golden", "dataclasses")
+DEFERRED = ("mfl.tableaux", "mfl.suites", "mfl.golden", "mfl.flagideal",
+            "mfl.exactla", "dataclasses")
 
 
 def _loaded_after(statements: str) -> list[str]:
@@ -71,7 +72,7 @@ def test_import_mfl_loads_no_layer():
     ("import mfl.cli; mfl.cli.build_parser()", DEFERRED),
     ("import mfl.cli; mfl.cli.main(['sweep', '--n', '4', '--ell', '1'])", DEFERRED),
     ("import mfl.cli; mfl.cli.main(['tables', 'table2', '--n-max', '4'])",
-     ("mfl.tableaux", "mfl.suites", "dataclasses")),
+     ("mfl.tableaux", "mfl.suites", "mfl.flagideal", "mfl.exactla", "dataclasses")),
 ], ids=["parser", "sweep", "table2"])
 def test_command_loads_only_its_layers(statements, deferred):
     loaded = _loaded_after(statements)
@@ -91,6 +92,8 @@ def test_theorem_a_does_not_load_tableaux():
         "import mfl.cli; mfl.cli.main(['verify', '--suite', 'theoremA', '--n-max', '4'])")
     assert "mfl.suites" in loaded
     assert "mfl.tableaux" not in loaded
+    # the exact linear algebra loads with this suite only
+    assert "mfl.flagideal" in loaded and "mfl.exactla" in loaded
 
 
 def test_verify_loads_the_suites_and_passes():
