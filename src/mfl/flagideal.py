@@ -141,8 +141,8 @@ def _block_layout(
     weights: tuple[int, ...],
     fibers: tuple[tuple[tuple[int, int], ...], ...],
 ) -> _BlockLayout:
-    """The layout of one block at one cut, from the weight of each local
-    column and the block's fibers as tuples of (local column, image sign)."""
+    """The layout of one block, from the weight (or weight rank) of each
+    local column and the fibers as tuples of (local column, image sign)."""
     # the pairs increase, so a stable sort puts equal weights in monomial order
     order = sorted(range(len(pairs)), key=weights.__getitem__)
     position = sorted(range(len(order)), key=order.__getitem__)  # its inverse
