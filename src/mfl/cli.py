@@ -5,15 +5,15 @@ Exit codes: 0 success, 1 verification or golden-table mismatch or output
 cut short, 2 usage error.
 All output is deterministic for fixed flags; sweeps sort by (n, ell, w)
 before emission.  Every command runs in a single process and imports only
-the layers it runs: the tableaux layer, the suites and the golden tables
-load inside the commands that use them.
+the layers it runs: the combinatorial families, the tableaux layer, the
+suites, the golden tables and ``json`` load inside the commands that use
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -42,15 +42,6 @@ from mfl.quadideal import (
     mono_text,
     verdict_masks,
 )
-from mfl.theoremsets import (
-    CLASS_N,
-    CLASS_T,
-    CLASS_Z,
-    classify_combinatorial,
-    count_table,
-    family_masks,
-)
-
 SCHEMA = "mfl/1"
 
 
@@ -72,6 +63,8 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
@@ -79,6 +72,8 @@ def _emit_json_listing(obj, key: str, items) -> None:
     """Print what ``_emit_json`` prints for ``obj`` with the list ``items``
     added under ``key``, one item at a time as ``items`` yields it.
     ``obj`` must be non-empty, and ``key`` must sort after its keys."""
+    import json
+
     write = sys.stdout.write
     head = json.dumps(obj, indent=2, sort_keys=True)[:-2]  # without "\n}"
     write(f"{head},\n  {json.dumps(key)}: [")
@@ -95,6 +90,8 @@ def _emit_json_listing(obj, key: str, items) -> None:
 
 
 def cmd_classify(args) -> int:
+    from mfl.theoremsets import classify_combinatorial
+
     w = parse_permutation(args.w, args.n)
     outcome = classify_oracle(args.n, args.ell, w, all_pairs=args.all_pairs)
     record = classify_combinatorial(args.n, args.ell, w)
@@ -122,6 +119,7 @@ def cmd_classify(args) -> int:
 
 def cmd_tables(args) -> int:
     from mfl import golden
+    from mfl.theoremsets import count_table, family_masks
 
     which = args.table
     if which == "table1" and args.n_max is not None:
@@ -360,6 +358,8 @@ def _sweep_rows(n: int, ell: int) -> list[tuple[int, str, str, str, str]]:
     zero and binomial families and the binomial clauses' tag masks; no
     per-w object is built.
     """
+    from mfl.theoremsets import CLASS_N, CLASS_T, CLASS_Z, family_masks
+
     monomial, surviving = verdict_masks(n, ell)  # the oracle bound is checked first
     families = family_masks(n, ell)
     width = math.factorial(n)

@@ -30,12 +30,10 @@ from mfl.matchfield import _swap_flag, weight_key
 from mfl.permcomb import _alive_masks, all_index_keys
 from mfl.quadideal import (
     CapabilityError,
-    MonoKey,
     _check_case,
     _degree_blocks,
     _fiber_folds,
     _fiber_table,
-    mono_key,
 )
 
 #: theorem_a_masks refuses larger n unless passed a larger cap
@@ -62,27 +60,6 @@ def _check_la_cap(n: int, cap: int | None) -> None:
         raise CapabilityError(f"linear-algebra cap is n <= {cap}, got n = {n}")
 
 
-def _incidence_relations(n: int) -> Iterator[tuple[tuple, dict[MonoKey, int]]]:
-    """The incidence Pluecker relations in degree two, as (multidegree, row
-    keyed by monomial); terms with a repeated index vanish, repeated
-    monomials are merged, and zero coefficients are left to ``rref``."""
-    for p in range(1, n):
-        for q in range(p, n):
-            for lower in itertools.combinations(range(1, n + 1), p - 1):
-                for upper in itertools.combinations(range(1, n + 1), q + 1):
-                    row: dict[MonoKey, int] = {}
-                    for k, j in enumerate(upper):
-                        if j in lower:
-                            continue
-                        # sorting (lower, j) moves j past every larger entry
-                        sign = -1 if (k + sum(i > j for i in lower)) % 2 else 1
-                        mono = mono_key(
-                            tuple(sorted(lower + (j,))), upper[:k] + upper[k + 1:]
-                        )
-                        row[mono] = row.get(mono, 0) + sign
-                    yield (tuple(sorted(lower + upper)), (p, q)), row
-
-
 @lru_cache(maxsize=8)
 def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
     """Degree-two piece of the full flag ideal, from the incidence Pluecker
@@ -94,27 +71,52 @@ def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
     the ideal.  Each relation is homogeneous in the column multiset and the
     size multiset, so the ideal is a direct sum of these blocks, and each
     block's relations are put in reduced echelon form on their own.
+
+    Each relation is written straight onto its block's local columns: a
+    variable is looked up by its set of members as a bitmask, and the
+    monomial of variables ``i <= j`` by ``i * size + j``.  Terms with a
+    repeated index vanish, repeated monomials are merged, zero coefficients
+    are left to ``rref``, and a relation whose block holds one monomial
+    only is dropped.
     """
     variables = all_index_keys(n)
-    relations: dict[tuple, list[dict[MonoKey, int]]] = {}
-    for degree, row in _incidence_relations(n):
-        relations.setdefault(degree, []).append(row)
-    blocks = []
     size = len(variables)
-    for pairs in _degree_blocks(n):
-        # variables come in (size, lex) order, so the pair (i, j) with
-        # i <= j is a monomial key
-        keys = [(variables[i], variables[j]) for i, j in pairs]
-        local = {m: c for c, m in enumerate(keys)}
-        a, b = keys[0]
-        degree = (tuple(sorted(a + b)), (len(a), len(b)))
-        basis = exactla.rref(
-            {local[m]: v for m, v in row.items()} for row in relations.get(degree, ())
+    index = {sum(1 << v for v in key): i for i, key in enumerate(variables)}
+    blocks = _degree_blocks(n)
+    place = {  # monomial i * size + j -> (block, local column)
+        i * size + j: (b, c)
+        for b, pairs in enumerate(blocks) for c, (i, j) in enumerate(pairs)
+    }
+    relations: list[list[exactla.Row]] = [[] for _ in blocks]
+    for p in range(1, n):
+        for q in range(p, n):
+            for lower in itertools.combinations(range(1, n + 1), p - 1):
+                low = sum(1 << v for v in lower)
+                for upper in itertools.combinations(range(1, n + 1), q + 1):
+                    up = sum(1 << v for v in upper)
+                    row: exactla.Row = {}
+                    for k, j in enumerate(upper):
+                        bit = 1 << j
+                        if low & bit:
+                            continue
+                        a, b = index[low | bit], index[up ^ bit]
+                        found = place.get(a * size + b if a <= b else b * size + a)
+                        if found is None:  # its block holds one monomial
+                            break
+                        block, c = found
+                        # sorting (lower, j) moves j past every larger entry
+                        sign = -1 if (k + (low >> j).bit_count()) % 2 else 1
+                        row[c] = row.get(c, 0) + sign
+                    else:  # J has two entries more than I, so a term set block
+                        relations[block].append(row)
+    return tuple(
+        _FlagBlock(
+            # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
+            tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs),
+            tuple(exactla.rref(rows).rows),
         )
-        # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
-        members = tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs)
-        blocks.append(_FlagBlock(members, tuple(basis.rows)))
-    return tuple(blocks)
+        for pairs, rows in zip(blocks, relations)
+    )
 
 
 class _BlockLayout(NamedTuple):

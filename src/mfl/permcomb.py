@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import gt, itemgetter
+from operator import gt, itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 #: Hard implementation bound; the classification sweeps use n <= 7.
@@ -172,10 +172,9 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
     """
     if len(ve) != len(we):
         raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
-    for pv, pw in zip(sorted_prefixes(ve)[:-1], sorted_prefixes(we)[:-1]):
-        if not all(x <= y for x, y in zip(pv, pw)):
-            return False
-    return True
+    return all(
+        all(map(le, sorted(ve[:k]), sorted(we[:k]))) for k in range(1, len(ve))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each suite runs a family of checks over a configurable range and returns a
 :class:`SuiteReport`; nothing raises on a mathematical mismatch, so a failing
-suite can be inspected as data.
+suite can be inspected as data.  Each suite imports the layers it reads when
+it runs: the combinatorial families, the tableaux layer and the exact linear
+algebra load only with the suites that use them.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from mfl.quadideal import (
     check_oracle_bound,
     classify_oracle,
     rank_one_mask,
-)
-from mfl.theoremsets import (
-    TAG_A1,
-    cross_validate,
-    family_masks,
 )
 
 
@@ -100,6 +97,8 @@ def _cross_validated(report: SuiteReport, n_max: int):
     """The mismatches of :func:`mfl.theoremsets.cross_validate` for n =
     3..n_max, as (n, mismatch); every (ell, w) it compares counts as one
     check of ``report``."""
+    from mfl.theoremsets import cross_validate
+
     check_oracle_bound(3, n_max)
     for n in range(3, n_max + 1):
         result = cross_validate(n)
@@ -120,6 +119,8 @@ def run_theorem_b(n_max: int = 6) -> SuiteReport:
 def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     """Binomial family against the oracle, the descending-property exception,
     and the oracle-free set identities up to combinatorial_n_max."""
+    from mfl.theoremsets import family_masks
+
     report = SuiteReport("theoremC")
     for n, m in _cross_validated(report, n_max):
         if m["kind"] in ("class", "descending-exception"):
@@ -144,6 +145,8 @@ def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
 def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     """Monomial-freeness iff pattern family membership, plus the structural
     facts about 312 patterns inside the pattern family."""
+    from mfl.theoremsets import family_masks
+
     report = SuiteReport("P")
     for n, m in _cross_validated(report, n_max):
         if m["kind"] == "pattern":
@@ -206,7 +209,7 @@ def run_theorem_a(n_max: int = THEOREM_A_N_MAX, cap: int | None = None) -> Suite
     return report
 
 
-#: run_tableaux refuses larger n.  n = 9 waits on _level(9): 64.8 s of CPU
+#: run_tableaux refuses larger n.  n = 9 waits on _level(9): 46.8 s of CPU
 #: and a 457 MB peak when measured once, up to 370 MB of that in
 #: bruhat_up_set's cache of 45 KB up-sets (ROADMAP item 1).
 TABLEAUX_N_MAX = 8
@@ -228,6 +231,7 @@ def run_tableaux(n_max: int = 5) -> SuiteReport:
             f"n_max {n_max} exceeds the tableaux suite's bound {TABLEAUX_N_MAX}"
         )
     from mfl.tableaux import _level, bijection_failing_mask, verify_bijection
+    from mfl.theoremsets import family_masks
 
     report = SuiteReport("tableaux")
     for n in range(3, n_max + 1):
@@ -262,6 +266,8 @@ def run_a1_rank(n_max: int = 6) -> SuiteReport:
     :func:`mfl.quadideal.classify_oracle` run, to record the verdict and
     the rank.
     """
+    from mfl.theoremsets import TAG_A1, family_masks
+
     report = SuiteReport("a1_rank")
     for n in range(4, n_max + 1):
         for ell in range(n):

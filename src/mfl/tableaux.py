@@ -174,8 +174,8 @@ def min_defining_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]
     The first permutation is the Grassmannian permutation of the left
     column.  For an equal-size right column J the second is (J, rest); for a
     singleton J = {j} it is built constructively by swapping j with the
-    largest left-column element below it; otherwise it is found by exhaustive
-    minimization over the subsets of the left column that may follow J.
+    largest left-column element below it; otherwise it is the least of the
+    candidates that the subsets of the left column that may follow J give.
 
     >>> min_defining_chain2(4, ((1, 2, 4), (3,)))
     ((1, 2, 4, 3), (3, 1, 4, 2))
@@ -199,15 +199,15 @@ def min_defining_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]
         for size in range(len(pool) + 1)
         for tilde in itertools.combinations(pool, size)
     }
-    candidates = [v2 for v2 in tails if bruhat_leq(v1, v2)]
-    minima = [
-        v2 for v2 in candidates if all(bruhat_leq(v2, other) for other in candidates)
-    ]
-    if len(minima) != 1:
+    candidates = sorted(v2 for v2 in tails if bruhat_leq(v1, v2))
+    # sorted is itertools.permutations order, a linear extension of Bruhat
+    # order, so a least candidate comes first if there is one
+    least = candidates[0] if candidates else None
+    if least is None or not all(bruhat_leq(least, v2) for v2 in candidates[1:]):
         raise ValueError(
             f"minimum defining chain not unique among candidates for {columns}"
         )
-    return v1, minima[0]
+    return v1, least
 
 
 def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:

@@ -432,10 +432,10 @@ class TestVerify:
         def fail(n, ell, *args, **kwargs):
             raise AssertionError(f"masks of ({n}, {ell}) built")
 
-        # the suites read the verdict masks through cross_validate only
+        # the suites read the verdict masks through cross_validate only, and
+        # import family_masks from theoremsets when they run
         monkeypatch.setattr(theoremsets, "verdict_masks", fail)
-        for module in (suites, theoremsets):
-            monkeypatch.setattr(module, "family_masks", fail)
+        monkeypatch.setattr(theoremsets, "family_masks", fail)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: oracle bound is n <= 7, got n = 8\n"
@@ -517,7 +517,7 @@ class TestSweep:
         def family_masks(n, ell):
             raise AssertionError(f"family_masks({n}, {ell}) called")
 
-        monkeypatch.setattr(cli, "family_masks", family_masks)
+        monkeypatch.setattr(theoremsets, "family_masks", family_masks)
         for argv in (["sweep", "--n", "8"], ["--format", "json", "sweep", "--n", "8", "--ell", "3"]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")

@@ -10,7 +10,7 @@ import pytest
 from initial_ideal_oracle import DegreeTwoSpace, degree2_flag_ideal
 from mask_oracle import reference_block_fibers, reference_fiber_folds
 from mfl import exactla
-from mfl.flagideal import _FlagBlock, _flag_ideal, _incidence_relations
+from mfl.flagideal import _FlagBlock, _flag_ideal
 from mfl.permcomb import all_index_keys
 from mfl.quadideal import (
     MonoKey,
@@ -42,6 +42,27 @@ def reference_fibers(n, ell):
     )
 
 
+def reference_incidence_relations(n):
+    """The incidence Pluecker relations in degree two, as (multidegree, row
+    keyed by monomial); terms with a repeated index vanish, repeated
+    monomials are merged, and zero coefficients are left to ``rref``."""
+    for p in range(1, n):
+        for q in range(p, n):
+            for lower in itertools.combinations(range(1, n + 1), p - 1):
+                for upper in itertools.combinations(range(1, n + 1), q + 1):
+                    row: dict[MonoKey, int] = {}
+                    for k, j in enumerate(upper):
+                        if j in lower:
+                            continue
+                        # sorting (lower, j) moves j past every larger entry
+                        sign = -1 if (k + sum(i > j for i in lower)) % 2 else 1
+                        mono = mono_key(
+                            tuple(sorted(lower + (j,))), upper[:k] + upper[k + 1:]
+                        )
+                        row[mono] = row.get(mono, 0) + sign
+                    yield (tuple(sorted(lower + upper)), (p, q)), row
+
+
 def reference_flag_ideal(n):
     """The flag ideal over all monomials and its blocks, grouped by (sorted
     columns, sorted sizes) tuples, one monomial at a time."""
@@ -52,7 +73,7 @@ def reference_flag_ideal(n):
         degree = (tuple(sorted(a + b)), tuple(sorted((len(a), len(b)))))
         groups.setdefault(degree, []).append(i)
     relations: dict[tuple, list[dict[MonoKey, int]]] = {}
-    for degree, row in _incidence_relations(n):
+    for degree, row in reference_incidence_relations(n):
         relations.setdefault(degree, []).append(row)
     blocks = []
     global_rows = []
@@ -153,9 +174,13 @@ def test_folds_match_per_cut_reference_n8_slow():
     check_folds(8)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_flag_ideal_matches_reference(n):
     space, blocks = reference_flag_ideal(n)
     assert _flag_ideal(n) == blocks
+    # the same rows to rref in the same order: each row's entries in order too
+    assert [[list(row.items()) for row in block.rows] for block in _flag_ideal(n)] == [
+        [list(row.items()) for row in block.rows] for block in blocks
+    ]
     assert degree2_flag_ideal(n, cap=n) == space
 

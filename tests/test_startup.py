@@ -42,18 +42,22 @@ MOVED = {
 
 #: Modules that only some commands need.
 DEFERRED = ("mfl.tableaux", "mfl.suites", "mfl.golden", "mfl.flagideal",
-            "mfl.exactla", "dataclasses")
+            "mfl.exactla", "dataclasses", "json")
 
 
 def _loaded_after(statements: str) -> list[str]:
     """The modules a fresh interpreter loads to run ``statements``, beyond
-    those it had at start; the statements' stdout is discarded."""
+    those it had at start; the statements' stdout is discarded.  ``json``
+    is imported only after the modules are listed, so it is listed when the
+    statements load it."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {statements}\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", code], env=env,
@@ -69,10 +73,11 @@ def test_import_mfl_loads_no_layer():
 
 
 @pytest.mark.parametrize("statements, deferred", [
-    ("import mfl.cli; mfl.cli.build_parser()", DEFERRED),
+    ("import mfl.cli; mfl.cli.build_parser()", (*DEFERRED, "mfl.theoremsets")),
     ("import mfl.cli; mfl.cli.main(['sweep', '--n', '4', '--ell', '1'])", DEFERRED),
     ("import mfl.cli; mfl.cli.main(['tables', 'table2', '--n-max', '4'])",
-     ("mfl.tableaux", "mfl.suites", "mfl.flagideal", "mfl.exactla", "dataclasses")),
+     ("mfl.tableaux", "mfl.suites", "mfl.flagideal", "mfl.exactla", "dataclasses",
+      "json")),
 ], ids=["parser", "sweep", "table2"])
 def test_command_loads_only_its_layers(statements, deferred):
     loaded = _loaded_after(statements)
@@ -87,11 +92,21 @@ def test_table2_loads_golden_and_tableaux_loads_tableaux():
         "import mfl.cli; mfl.cli.main(['tableaux', '--n', '3'])")
 
 
+def test_json_and_families_load_with_the_commands_that_read_them():
+    loaded = _loaded_after(
+        "import mfl.cli; mfl.cli.main(['--format', 'json', 'sweep', '--n', '3', '--ell', '1'])")
+    assert "json" in loaded and "mfl.theoremsets" in loaded
+    assert "mfl.theoremsets" in _loaded_after(
+        "import mfl.cli; mfl.cli.main(['verify', '--suite', 'theoremB', '--n-max', '3'])")
+
+
 def test_theorem_a_does_not_load_tableaux():
     loaded = _loaded_after(
         "import mfl.cli; mfl.cli.main(['verify', '--suite', 'theoremA', '--n-max', '4'])")
     assert "mfl.suites" in loaded
     assert "mfl.tableaux" not in loaded
+    # nor the families, which the suite does not read, nor json in text format
+    assert "mfl.theoremsets" not in loaded and "json" not in loaded
     # the exact linear algebra loads with this suite only
     assert "mfl.flagideal" in loaded and "mfl.exactla" in loaded
 

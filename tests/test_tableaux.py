@@ -399,6 +399,72 @@ def reference_min_defining_chain2(n, columns):
     return v1, minima[0]
 
 
+def pairwise_min_defining_chain2(n, columns, leq=bruhat_leq):
+    """The paper's candidate set, minimized by comparing every pair of
+    candidates under ``leq``: the quadratic search the linear scan of
+    :func:`min_defining_chain2` replaces."""
+    check_tableau(n, columns)
+    left = columns[0]
+    v1 = tableaux.grassmannian_permutation(left, n)
+    if len(columns) == 1:
+        return (v1,)
+    right = columns[1]
+    if len(right) == len(left):
+        return v1, tableaux._block_permutation(n, right)
+    if len(right) == 1:
+        i_star = max(v for v in left if v <= right[0])
+        return v1, tableaux._block_permutation(
+            n, right, tuple(v for v in left if v != i_star))
+    pool = tuple(v for v in left if v not in right)
+    tails = {
+        tableaux._block_permutation(n, right, tilde)
+        for size in range(len(pool) + 1)
+        for tilde in itertools.combinations(pool, size)
+    }
+    candidates = [v2 for v2 in tails if leq(v1, v2)]
+    minima = [
+        v2 for v2 in candidates if all(leq(v2, other) for other in candidates)
+    ]
+    if len(minima) != 1:
+        raise ValueError(
+            f"minimum defining chain not unique among candidates for {columns}"
+        )
+    return v1, minima[0]
+
+
+class TestLinearScanChain:
+    """The least candidate by one scan, against the pairwise minimum."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_pairwise_minimum(self, n):
+        for t in enumerate_ssyt2(n):
+            assert min_defining_chain2(n, t) == pairwise_min_defining_chain2(n, t), t
+
+    @pytest.mark.parametrize("order", ["equality", "first-below-later"])
+    def test_raises_with_pairwise_minimum(self, monkeypatch, order):
+        # orders that sorting extends, as it extends Bruhat order; where no
+        # candidate is least, both refuse with one error
+        raised = returned = 0
+        for t in enumerate_ssyt2(5):
+            v1 = tableaux.grassmannian_permutation(t[0], 5)
+
+            def leq(v, w):
+                return v == w or (order == "first-below-later" and v == v1 and v < w)
+
+            monkeypatch.setattr(tableaux, "bruhat_leq", leq)
+            try:
+                expected = pairwise_min_defining_chain2(5, t, leq)
+            except ValueError as exc:
+                raised += 1
+                with pytest.raises(ValueError) as info:
+                    min_defining_chain2(5, t)
+                assert str(info.value) == str(exc)
+            else:
+                returned += 1
+                assert min_defining_chain2(5, t) == expected
+        assert raised > 0 and returned > 0
+
+
 # ---------------------------------------------------------------------------
 # Reference: the per-w verification the bitset tables replace
 
