@@ -159,11 +159,24 @@ def zero_family_size(n: int) -> int:
 # Bruhat order
 
 
+def descent_prefixes(entries: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """``sorted({v_1, ..., v_k})`` at each descent k of ``entries``, the k
+    with ``v_k > v_{k+1}``, in increasing order of k.
+
+    >>> list(descent_prefixes((2, 4, 1, 3)))
+    [(2, 4)]
+    """
+    return (tuple(sorted(entries[:k])) for k in range(1, len(entries))
+            if entries[k - 1] > entries[k])
+
+
 def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
     """Bruhat order on one-line words via the dominance criterion.
 
     ``v <= w`` iff for every k the sorted prefix {v_1, ..., v_k} is
-    Gale-below the sorted prefix {w_1, ..., w_k}.
+    Gale-below the sorted prefix {w_1, ..., w_k}, and it is enough to
+    compare them at the descents k of v (:func:`descent_prefixes`; Bjorner
+    and Brenti, *Combinatorics of Coxeter Groups*, section 2.6).
 
     >>> bruhat_leq((2, 1, 3), (3, 2, 1))
     True
@@ -173,7 +186,8 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
     if len(ve) != len(we):
         raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
     return all(
-        all(map(le, sorted(ve[:k]), sorted(we[:k]))) for k in range(1, len(ve))
+        all(map(le, prefix, sorted(we[:len(prefix)])))
+        for prefix in descent_prefixes(ve)
     )
 
 
@@ -328,17 +342,16 @@ def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
     return alive
 
 
-# |S_3| + ... + |S_7| = 5910 possible arguments with n <= 7; a fresh
-# tableaux._level(8) adds 4541 chain ends of S_8, 5.4 KB each (24.5 MB)
-@lru_cache(maxsize=8192)
 def bruhat_up_set(entries: tuple[int, ...]) -> int:
     """Bitset over S_n of the w with ``entries`` Bruhat-below w.
 
-    By the dominance criterion of :func:`bruhat_leq`, v <= w iff every
-    sorted prefix {v_1, ..., v_k} with k < n is Gale-below {w_1, ..., w_k}.
-    ``alive[J]`` is exactly the set of w with J Gale-below
-    {w_1, ..., w_|J|}, so the up-set of v is the AND of
-    ``alive[sorted(v_1, ..., v_k)]`` over k = 1..n-1.
+    By the dominance criterion of :func:`bruhat_leq`, v <= w iff the sorted
+    prefix {v_1, ..., v_k} is Gale-below {w_1, ..., w_k} at every descent k
+    of v (Bjorner and Brenti, section 2.6).  ``alive[J]`` is exactly the set
+    of w with J Gale-below {w_1, ..., w_|J|}, so the up-set of v is the AND
+    of ``alive[J]`` over the :func:`descent_prefixes` J of v.  The
+    Grassmannian permutation (I, [n] minus I) has no descent but |I|, so
+    its up-set is ``alive[I]``.
 
     >>> up = bruhat_up_set((2, 1, 3))
     >>> [w for i, w in enumerate(itertools.permutations((1, 2, 3))) if up >> i & 1]
@@ -346,7 +359,7 @@ def bruhat_up_set(entries: tuple[int, ...]) -> int:
     """
     alive = _alive_masks(len(entries))
     mask = (1 << math.factorial(len(entries))) - 1
-    for prefix in sorted_prefixes(entries)[:-1]:
+    for prefix in descent_prefixes(entries):
         mask &= alive[prefix]
     return mask
 

@@ -209,9 +209,10 @@ def run_theorem_a(n_max: int = THEOREM_A_N_MAX, cap: int | None = None) -> Suite
     return report
 
 
-#: run_tableaux refuses larger n.  n = 9 waits on _level(9): 46.8 s of CPU
-#: and a 457 MB peak when measured once, up to 370 MB of that in
-#: bruhat_up_set's cache of 45 KB up-sets (ROADMAP item 1).
+#: run_tableaux refuses larger n.  n = 9 waits on the tables of its cuts,
+#: about 28 s and 550 MB each at full width when measured once (ROADMAP
+#: item 1); _level(9) took 29.5 and 32.9 s of CPU and an 86 MB peak in two
+#: runs from cold.
 TABLEAUX_N_MAX = 8
 
 

@@ -1,8 +1,9 @@
 """Per-permutation references for the claims ``mfl`` decides on bitsets over
 S_n: pattern avoidance and the insert-max moves, the zero family, the
-descending property and the pattern family one w at a time, standardness
-and the degree-two row-class count for one (w, tableau), and the signed
-image of one Pluecker variable.  The package reads the masks of
+descending property and the pattern family one w at a time, Bruhat order
+by the dominance criterion at every prefix, standardness and the degree-two
+row-class count for one (w, tableau), and the signed image of one Pluecker
+variable.  The package reads the masks of
 ``mfl.theoremsets.family_masks``, the standardness counter of
 ``mfl.tableaux._level`` and the int codes of ``mfl.matchfield.image_code``
 instead; the tests compare the two, w by w."""
@@ -10,16 +11,20 @@ instead; the tests compare the two, w by w."""
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+from operator import le
 from typing import Sequence
 
 from mfl.matchfield import _swap_flag, display_key, image_code
 from mfl.permcomb import (
+    _alive_masks,
     all_index_keys,
     bruhat_up_set,
     check_permutation,
     permutation_index,
     restriction,
+    sorted_prefixes,
     vanishing_keys,
 )
 from mfl.tableaux import Columns, min_defining_chain2
@@ -166,6 +171,36 @@ def in_pattern_family(w: tuple[int, ...], ell: int) -> bool:
         w[0] < w[1] <= ell
         and restriction(w, w[1]) == _double_staircase(w[0], w[1])
     )
+
+
+# ---------------------------------------------------------------------------
+# Bruhat order by the dominance criterion at every prefix
+
+
+def bruhat_leq_all_prefixes(ve: Sequence[int], we: Sequence[int]) -> bool:
+    """``v <= w`` iff every sorted prefix {v_1, ..., v_k} with k < n is
+    Gale-below {w_1, ..., w_k}; the reference for
+    :func:`mfl.permcomb.bruhat_leq`, which compares at the descents of v.
+
+    >>> bruhat_leq_all_prefixes((2, 1, 3), (3, 2, 1))
+    True
+    """
+    if len(ve) != len(we):
+        raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
+    return all(
+        all(map(le, sorted(ve[:k]), sorted(we[:k]))) for k in range(1, len(ve))
+    )
+
+
+def bruhat_up_set_all_prefixes(entries: tuple[int, ...]) -> int:
+    """The AND of ``alive[sorted(v_1, ..., v_k)]`` over k = 1..n-1; the
+    reference for :func:`mfl.permcomb.bruhat_up_set`, which ANDs at the
+    descents of v."""
+    alive = _alive_masks(len(entries))
+    mask = (1 << math.factorial(len(entries))) - 1
+    for prefix in sorted_prefixes(entries)[:-1]:
+        mask &= alive[prefix]
+    return mask
 
 
 # ---------------------------------------------------------------------------

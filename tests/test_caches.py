@@ -30,10 +30,11 @@ def test_every_cache_is_bounded():
     assert "tableaux._bijection_table" in caches
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
-    # the rows of test_bounds_cover_working_sets, plus quadideal._fibers,
-    # quadideal.quadratic_relations, flagideal._flag_ideal,
-    # flagideal._theorem_a_cuts and tableaux._bijection_table
-    assert len(caches) == 13, sorted(caches)
+    # the seven rows of test_bounds_cover_working_sets, plus
+    # quadideal._fibers, quadideal.quadratic_relations,
+    # flagideal._flag_ideal, flagideal._theorem_a_cuts and
+    # tableaux._bijection_table
+    assert len(caches) == 12, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -44,18 +45,18 @@ def test_no_module_level_family_dict():
 def test_per_call_helpers_carry_no_cache():
     # the monomial-map image is read once per variable by cached callers,
     # and each Theorem A layout once per (block, n); the weight matrix and
-    # |Z_n| cost microseconds to build
+    # |Z_n| cost microseconds to build, and a chain end's Bruhat up-set is
+    # at most two ANDs of alive masks, one per descent
     assert not hasattr(matchfield.image_code, "cache_info")
     assert not hasattr(flagideal._block_layout, "cache_info")
     assert not hasattr(matchfield.weight_matrix, "cache_info")
     assert not hasattr(permcomb.zero_family_size, "cache_info")
+    assert not hasattr(permcomb.bruhat_up_set, "cache_info")
 
 
 @pytest.mark.parametrize(
     "cached, working_set",
     [
-        # every permutation of n <= 7 may be a chain end
-        (permcomb.bruhat_up_set, sum((6, 24, 120, 720, 5040))),
         # the tableaux suite reads n = 3..7, and a prefix-mask build at n
         # reads n - 1, so it keeps n = 1..7
         (permcomb._alive_masks, 5),
@@ -80,7 +81,6 @@ def test_bounds_cover_working_sets(cached, working_set):
 
 def test_tableaux_suite_evicts_nothing():
     per_n = (
-        permcomb.bruhat_up_set,
         permcomb._prefix_set_masks,
         permcomb._alive_masks,
         tableaux._level,
@@ -155,10 +155,7 @@ def test_tableaux_suite_n7_builds_each_chain_once_slow(monkeypatch):
         return real(n, columns)
 
     monkeypatch.setattr(tableaux, "min_defining_chain2", counted)
-    for cached in (permcomb.bruhat_up_set, tableaux._level):
-        cached.cache_clear()
+    tableaux._level.cache_clear()
     assert run_tableaux(7).ok
-    info = permcomb.bruhat_up_set.cache_info()
-    assert info.currsize == info.misses
     # one chain per two-column tableau with 3 <= n <= 7
     assert len(calls) == 8283

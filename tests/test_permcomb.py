@@ -31,6 +31,8 @@ from mfl.permcomb import (
 )
 from per_w_reference import (
     avoids,
+    bruhat_leq_all_prefixes,
+    bruhat_up_set_all_prefixes,
     has_descending_property,
     in_zero_family,
     insert_max,
@@ -328,6 +330,15 @@ class TestBruhat:
             for w in elements:
                 assert bruhat_leq(v, w) == bruhat_leq_oracle(v, w), (v, w)
 
+    @pytest.mark.slow
+    def test_matches_all_prefixes_n6_slow(self):
+        # past the reachability oracle's range: the descents of v against
+        # every prefix, on all 518400 pairs
+        elements = list(itertools.permutations(range(1, 7)))
+        for v in elements:
+            for w in elements:
+                assert bruhat_leq(v, w) == bruhat_leq_all_prefixes(v, w), (v, w)
+
 
 class TestBitsetsOverSn:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -377,7 +388,12 @@ class TestBitsetsOverSn:
             for i, w in enumerate(elements):
                 assert bool(up >> i & 1) == bruhat_leq(v, w), (v, w)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_up_set_matches_all_prefixes(self, n):
+        for v in itertools.permutations(range(1, n + 1)):
+            assert bruhat_up_set(v) == bruhat_up_set_all_prefixes(v), v
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_up_set_matches_reachability_oracle(self, n):
         elements = list(itertools.permutations(range(1, n + 1)))
         for v in elements:

@@ -262,6 +262,15 @@ class TestDefiningChains:
             for t in enumerate_ssyt2(n):
                 assert min_defining_chain2(n, t) == min_defining_chain2_exhaustive(n, t), t
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grassmannian_up_set_is_one_alive_mask(self, n):
+        # the Grassmannian permutation of I has no descent but |I|, so the
+        # exhaustive oracle's first up-set is alive[I]
+        alive = _alive_masks(n)
+        for members in all_index_keys(n):
+            v1 = tableaux.grassmannian_permutation(members, n)
+            assert bruhat_up_set(v1) == alive[members], members
+
     def test_bitset_oracle_matches_reference(self):
         for n in (2, 3, 4, 5):
             for t in enumerate_ssyt2(n):
