@@ -43,7 +43,10 @@ from mfl.permcomb import MAX_N, check_cut
 def _swap_flag(ell: int, members: Sequence[int], rule: str = "corrected") -> bool:
     if len(members) < 2:
         return False
-    low = sum(1 for m in members if m <= ell)
+    low = 0  # a plain loop: the fiber table calls this n times per variable
+    for m in members:
+        if m <= ell:
+            low += 1
     if rule == "corrected":
         return low == 1
     if rule == "literal":

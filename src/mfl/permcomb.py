@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import gt, itemgetter, le
+from operator import gt, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 #: Hard implementation bound; the classification sweeps use n <= 7.
@@ -78,16 +78,7 @@ def dominated(members: Sequence[int], sorted_prefix: Sequence[int]) -> bool:
 
 def sorted_prefixes(entries: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """``sorted({w_1, ..., w_k})`` for k = 1..n, indexed by k-1."""
-    out = []
-    prefix: list[int] = []
-    for v in entries:
-        # insert keeping sorted order; n is tiny so linear insertion is fine
-        i = 0
-        while i < len(prefix) and prefix[i] < v:
-            i += 1
-        prefix.insert(i, v)
-        out.append(tuple(prefix))
-    return tuple(out)
+    return tuple(tuple(sorted(entries[:k])) for k in range(1, len(entries) + 1))
 
 
 def vanishing_keys(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
@@ -186,8 +177,7 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
     if len(ve) != len(we):
         raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
     return all(
-        all(map(le, prefix, sorted(we[:len(prefix)])))
-        for prefix in descent_prefixes(ve)
+        dominated(prefix, sorted(we[:len(prefix)])) for prefix in descent_prefixes(ve)
     )
 
 
@@ -322,7 +312,7 @@ def _prefix_set_masks(n: int) -> dict[tuple[int, ...], int]:
     return masks
 
 
-@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
+@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..8
 def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
     """Bit i of entry J is set iff P_J survives on X(w) for the i-th
     permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``.

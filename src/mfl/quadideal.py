@@ -141,64 +141,42 @@ def _fiber_table(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     when their row-1 entries agree as multisets.
 
     A monomial's row-1 entries under all n cuts are packed in one int, a
-    field of ``2 n + 1`` bits per cut holding the sum of ``1 << 2 (v - 1)``
-    over its two row-1 entries v, with the top bit of each field a guard,
-    kept clear.  Adding all-ones fields to the XOR of two packed ints
-    carries into the guard of each field where they differ, so the guards
-    left clear are the cuts where the two share a fiber.  A member of a
-    sub-block leads its fiber at the cuts where no earlier member shares
-    it, and those cuts are split by which later members do.  Most
-    sub-blocks (986 of 1509 at n = 7) have one packed int throughout, so
-    they are one fiber at every cut.  The split of any other depends only
-    on its members' packed ints, and few tuples of them recur (126 for the
-    other 523 at n = 7), so each tuple is split once.
+    field of ``2 n`` bits per cut holding the sum of ``1 << 2 (v - 1)``
+    over its two row-1 entries v.  A sub-block is split cut by cut, its
+    members grouped by their field at that cut.  Most sub-blocks (986 of
+    1509 at n = 7) have one packed int throughout, so they are one fiber
+    at every cut.  The split of any other depends only on its members'
+    packed ints, and few tuples of them recur (126 for the other 523 at
+    n = 7), so each tuple is split once.
 
     >>> _fiber_table(3)  # P_1 P_23, P_2 P_13 and P_3 P_12: two of them
     ... # share an image under each B_ell
     ((0, (0, 1), 1), (0, (0, 2), 4), (0, (1, 2), 2))
     """
-    width = 2 * n + 1
-    units = sum(1 << width * e for e in range(n))  # a 1 in every field
-    guards = units << 2 * n
+    width = 2 * n
+    field = (1 << width) - 1
     variables = all_index_keys(n)
     # the image code above row 2 (bits from 4 n up) is the same for every cut
     below = [image_code(n, 0, key) >> 4 * n for key in variables]
-    row_one = []
-    for key in variables:
-        # B_e swaps rows 1 and 2 of P_J, putting key[1] on top, exactly
-        # when one member is at most e: for key[0] <= e < key[1]
-        code = units << 2 * key[0] - 2
-        for e in range(key[0], key[1] if len(key) > 1 else 0):
-            code += (1 << 2 * key[1] - 2) - (1 << 2 * key[0] - 2) << width * e
-        row_one.append(code)
+    # the row-1 entry of P_J under B_e is key[1] where B_e swaps, else key[0]
+    row_one = [
+        sum(1 << 2 * key[_swap_flag(e, key)] - 2 + width * e for e in range(n))
+        for key in variables
+    ]
     every_cut = (1 << n) - 1
-    cuts_of: dict[int, int] = {}  # a set of clear guards -> its cuts
 
     def split(packed: tuple[int, ...]) -> list[tuple[itemgetter, int]]:
         # the fibers of a sub-block, as (getter of their members, cuts)
-        joined = [0] * len(packed)  # the cuts where an earlier one shares it
-        fibers = []
-        for x, code in enumerate(packed):
-            parts = [((x,), every_cut & ~joined[x])]  # the fibers x leads
-            for y in range(x + 1, len(packed)):
-                clear = guards & ~((code ^ packed[y]) + guards - units)
-                if not clear:
-                    continue
-                shared = cuts_of.get(clear)
-                if shared is None:
-                    shared = cuts_of[clear] = sum(
-                        1 << e for e in range(n) if clear >> width * e + 2 * n & 1
-                    )
-                joined[y] |= shared
-                refined = []
-                for part, cuts in parts:
-                    if cuts & shared:
-                        refined.append((part + (y,), cuts & shared))
-                    if cuts & ~shared:
-                        refined.append((part, cuts & ~shared))
-                parts = refined
-            fibers.extend((itemgetter(*p), cuts) for p, cuts in parts if len(p) > 1)
-        return fibers
+        fibers: dict[tuple[int, ...], int] = {}
+        for e in range(n):
+            groups: dict[int, list[int]] = {}
+            for x, code in enumerate(packed):
+                groups.setdefault(code >> width * e & field, []).append(x)
+            for members in groups.values():
+                if len(members) > 1:
+                    fiber = tuple(members)
+                    fibers[fiber] = fibers.get(fiber, 0) | 1 << e
+        return [(itemgetter(*p), cuts) for p, cuts in fibers.items()]
 
     splits: dict[tuple[int, ...], list[tuple[itemgetter, int]]] = {}
     table = []

@@ -25,6 +25,13 @@ from mfl.quadideal import (
     rank_one_mask,
 )
 
+#: run_theorem_c and run_pattern check the oracle-free set identities to
+#: this n, past the oracle bound.
+COMBINATORIAL_N_MAX = 7
+
+#: run_theorem_a's range when no n_max is given, as in ``--suite all``.
+THEOREM_A_N_MAX = 4
+
 
 class SuiteReport:
     """The checks a suite ran and the mismatches it found; suites add to
@@ -116,16 +123,16 @@ def run_theorem_b(n_max: int = 6) -> SuiteReport:
     return report
 
 
-def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
+def run_theorem_c(n_max: int = 6) -> SuiteReport:
     """Binomial family against the oracle, the descending-property exception,
-    and the oracle-free set identities up to combinatorial_n_max."""
+    and the oracle-free set identities up to :data:`COMBINATORIAL_N_MAX`."""
     from mfl.theoremsets import family_masks
 
     report = SuiteReport("theoremC")
     for n, m in _cross_validated(report, n_max):
         if m["kind"] in ("class", "descending-exception"):
             report.record(n=n, **m)
-    for n in range(3, combinatorial_n_max + 1):
+    for n in range(3, COMBINATORIAL_N_MAX + 1):
         for ell in range(n):
             masks = family_masks(n, ell)
             report.checked += math.factorial(n)
@@ -142,7 +149,7 @@ def run_theorem_c(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     return report
 
 
-def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
+def run_pattern(n_max: int = 6) -> SuiteReport:
     """Monomial-freeness iff pattern family membership, plus the structural
     facts about 312 patterns inside the pattern family."""
     from mfl.theoremsets import family_masks
@@ -151,7 +158,7 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
     for n, m in _cross_validated(report, n_max):
         if m["kind"] == "pattern":
             report.record(n=n, ell=m["ell"], w=m["w"], verdict=m["oracle"])
-    for n in range(3, combinatorial_n_max + 1):
+    for n in range(3, COMBINATORIAL_N_MAX + 1):
         patterns = [(ell, family_masks(n, ell).pattern) for ell in range(1, n)]
         free_312 = family_masks(n, 0).free_312
         for index in set_bits(reduce(or_, (mask for _, mask in patterns))):
@@ -179,10 +186,6 @@ def run_pattern(n_max: int = 6, combinatorial_n_max: int = 7) -> SuiteReport:
                             detail="restriction to w_1 has unexpected shape",
                         )
     return report
-
-
-#: run_theorem_a's range when no n_max is given, as in ``--suite all``.
-THEOREM_A_N_MAX = 4
 
 
 def run_theorem_a(n_max: int = THEOREM_A_N_MAX, cap: int | None = None) -> SuiteReport:

@@ -314,7 +314,7 @@ class _Level(NamedTuple):
     domination_failing: tuple[tuple[Columns, int], ...]
 
 
-@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..7
+@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..8
 def _level(n: int) -> _Level:
     """One pass over the tableaux of n that builds each minimum chain once;
     its end's Bruhat up-set, the w the tableau is standard for, is counted

@@ -57,10 +57,10 @@ def test_per_call_helpers_carry_no_cache():
 @pytest.mark.parametrize(
     "cached, working_set",
     [
-        # the tableaux suite reads n = 3..7, and a prefix-mask build at n
-        # reads n - 1, so it keeps n = 1..7
-        (permcomb._alive_masks, 5),
-        (permcomb._prefix_set_masks, 7),
+        # the tableaux suite reads n = 3..8, and a prefix-mask build at n
+        # reads n - 1, so it keeps n = 1..8
+        (permcomb._alive_masks, 6),
+        (permcomb._prefix_set_masks, 8),
         # the families up to n = 8 (the slow tests) build n = 1..8
         (theoremsets._families, 8),
         # the census and the slow fiber tests split the blocks of n = 3..8
@@ -69,9 +69,9 @@ def test_per_call_helpers_carry_no_cache():
         # verify run those of n = 3..6, in several suites
         (quadideal._fiber_table, 5),
         (quadideal._fiber_folds, 5),
-        # a tableaux suite to n = 7 builds each n's level, with its
+        # a tableaux suite to n = 8 builds each n's level, with its
         # chains, once
-        (tableaux._level, 5),
+        (tableaux._level, 6),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )

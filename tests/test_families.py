@@ -369,13 +369,15 @@ class TestReportsMatchLoops:
 
     def test_run_theorem_c(self, perturbed, monkeypatch):
         fam = self.families(perturbed, monkeypatch)
-        report = suites.run_theorem_c(5, 5)
+        monkeypatch.setattr(suites, "COMBINATORIAL_N_MAX", 5)
+        report = suites.run_theorem_c(5)
         assert report == reference_run_theorem_c(5, 5, fam)
         assert report.ok == (not perturbed)
 
     def test_run_pattern(self, perturbed, monkeypatch):
         fam = self.families(perturbed, monkeypatch)
-        report = suites.run_pattern(5, 5)
+        monkeypatch.setattr(suites, "COMBINATORIAL_N_MAX", 5)
+        report = suites.run_pattern(5)
         assert report == reference_run_pattern(5, 5, fam)
         assert report.ok == (not perturbed)
 

@@ -136,7 +136,7 @@ def test_fibers_match_per_cut_split(n, ell):
     assert _fibers(n, ell) == reference_block_fibers(n, ell)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_table_cut_masks_match_reference(n):
     variables = all_index_keys(n)
     blocks = _degree_blocks(n)
