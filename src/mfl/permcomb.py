@@ -166,7 +166,7 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
 
     ``v <= w`` iff for every k the sorted prefix {v_1, ..., v_k} is
     Gale-below the sorted prefix {w_1, ..., w_k}, and it is enough to
-    compare them at the descents k of v (:func:`descent_prefixes`; Bjorner
+    compare them at the descents k of v, the k with v_k > v_{k+1} (Bjorner
     and Brenti, *Combinatorics of Coxeter Groups*, section 2.6).
 
     >>> bruhat_leq((2, 1, 3), (3, 2, 1))
@@ -176,9 +176,10 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
     """
     if len(ve) != len(we):
         raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
-    return all(
-        dominated(prefix, sorted(we[:len(prefix)])) for prefix in descent_prefixes(ve)
-    )
+    for k in range(1, len(ve)):
+        if ve[k - 1] > ve[k] and not dominated(sorted(ve[:k]), sorted(we[:k])):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

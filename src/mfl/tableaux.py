@@ -132,12 +132,17 @@ def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
     """
     if len(columns) != 2 or len(columns[0]) < len(columns[1]) or any(map(gt, *columns)):
         raise ValueError(f"expected a two-column semi-standard tableau: {columns}")
+    return _rearrange(columns, ell)
+
+
+def _rearrange(columns: Columns, ell: int) -> Columns:
+    """:func:`ssyt_to_matching_field` without validating ``columns``; it
+    returns ``columns`` itself when the contents do not move."""
     left, right = columns
-    low = lambda v: v <= ell
     if len(right) == 1 and len(left) >= 2:
         i1, i2 = left[0], left[1]
         j1 = right[0]
-        if low(i1) and not low(i2) and not low(j1):
+        if i1 <= ell < i2 and ell < j1:
             if i2 < j1 and (len(left) < 3 or j1 < left[2]):
                 return tuple(sorted((i1, j1) + left[2:])), (i2,)
             if j1 < i2:
@@ -145,7 +150,7 @@ def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
     elif len(right) >= 2:
         i1, i2 = left[0], left[1]
         j1, j2 = right[0], right[1]
-        if low(i1) and not low(j2) and (low(i2) == low(j1)) and j1 < i2:
+        if i1 <= ell < j2 and (i2 <= ell) == (j1 <= ell) and j1 < i2:
             return tuple(sorted((j1, i2) + left[2:])), tuple(sorted((i1, j2) + right[2:]))
     return columns
 
@@ -155,11 +160,10 @@ def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
 
 
 def _block_permutation(n: int, *blocks: Key) -> tuple[int, ...]:
-    used: list[int] = []
-    for block in blocks:
-        used.extend(sorted(block))
-    rest = sorted(set(range(1, n + 1)) - set(used))
-    return tuple(used + rest)
+    """The increasing ``blocks`` in turn, then the rest of [n] in increasing
+    order."""
+    used = sum(blocks, ())
+    return used + tuple([v for v in range(1, n + 1) if v not in used])
 
 
 def grassmannian_permutation(members: Key, n: int) -> tuple[int, ...]:
@@ -183,6 +187,12 @@ def min_defining_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]
     if len(columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
     check_tableau(n, columns)
+    return _min_chain2(n, columns)
+
+
+def _min_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:
+    """:func:`min_defining_chain2` without validating ``columns``, for the
+    tableaux :func:`enumerate_ssyt2` yields."""
     left = columns[0]
     v1 = grassmannian_permutation(left, n)
     if len(columns) == 1:
@@ -281,10 +291,20 @@ class _BijectionTable(NamedTuple):
     classes: tuple[int, ...]
 
 
-def _add(planes: list[int], carry: int) -> None:
-    """Add one bitset to the bit-sliced counter ``planes`` in place, by
-    ripple carry: bit i of plane k is bit k of the number of bitsets added
-    with bit i set."""
+def _add(planes: list[int], carry: int, times: int = 1) -> None:
+    """Add ``times`` copies of the bitset ``carry`` to the bit-sliced counter
+    ``planes`` in place: bit i of plane k is bit k of the number of bitsets
+    added with bit i set.  One copy ripples in from plane 0; for more, each
+    set bit k of ``times`` adds one copy to the planes from k on.  The top
+    plane is never left zero."""
+    if times != 1:
+        for k in range(times.bit_length()):
+            if times >> k & 1 and carry:
+                planes.extend([0] * (k - len(planes)))
+                tail = planes[k:]
+                _add(tail, carry)
+                planes[k:] = tail
+        return
     for k, plane in enumerate(planes):
         planes[k] = plane ^ carry
         carry &= plane
@@ -316,29 +336,39 @@ class _Level(NamedTuple):
 
 @lru_cache(maxsize=8)  # the tableaux suite reads n = 3..8
 def _level(n: int) -> _Level:
-    """One pass over the tableaux of n that builds each minimum chain once;
-    its end's Bruhat up-set, the w the tableau is standard for, is counted
-    and compared with the below-w bitset, then dropped.
+    """One pass over the tableaux of n builds each minimum chain once,
+    without re-validating the tableaux it enumerates, adds each below-w
+    bitset to its counter and groups the tableaux by chain end.  Each
+    distinct end's Bruhat up-set, the w its tableaux are standard for, is
+    then built once, counted with the number of its tableaux, compared with
+    their below-w bitsets, and dropped.
 
     >>> _bit_count(_level(3).standard, 5)  # w = 321
     20
     """
     alive = _alive_masks(n)
     free_312 = family_masks(n, 0).free_312
-    tableaux, below, standard, chain_failing, domination_failing = [], [], [], [], []
+    tableaux, below, chain_failing = [], [], []
+    by_end: defaultdict[tuple[int, ...], list[Columns]] = defaultdict(list)
     for t in enumerate_ssyt2(n):
         tableaux.append(t)
-        chain = min_defining_chain2(n, t)
+        chain = _min_chain2(n, t)
         if chain != min_defining_chain2_exhaustive(n, t):
             chain_failing.append(t)
-        t_below, t_standard = alive[t[0]] & alive[t[1]], bruhat_up_set(chain[-1])
-        _add(below, t_below)
-        _add(standard, t_standard)
-        differs = (t_standard ^ t_below) & free_312
-        if differs:
-            domination_failing.append((t, differs))
-    return _Level(tuple(tableaux), tuple(below), tuple(standard),
-                  tuple(chain_failing), tuple(domination_failing))
+        by_end[chain[-1]].append(t)
+        _add(below, alive[t[0]] & alive[t[1]])
+    standard, domination_failing = [], []
+    for end, members in by_end.items():
+        up_set = bruhat_up_set(end)
+        _add(standard, up_set, len(members))
+        for t in members:
+            if differs := (up_set ^ (alive[t[0]] & alive[t[1]])) & free_312:
+                domination_failing.append((t, differs))
+    if domination_failing:  # back to enumeration order
+        position = {t: i for i, t in enumerate(tableaux)}
+        domination_failing.sort(key=lambda item: position[item[0]])
+    return _Level(tuple(tableaux), tuple(below), tuple(standard), tuple(chain_failing),
+                  tuple(domination_failing))
 
 
 @lru_cache(maxsize=1)  # the tableaux suite is done with a cut before the next
@@ -351,11 +381,14 @@ def _bijection_table(n: int, ell: int) -> _BijectionTable:
     groups: defaultdict[int, tuple[list[Columns], list[int]]] = defaultdict(lambda: ([], []))
     failures, preimage, image = [], [], []
     for t in _level(n).tableaux:
-        (a, b), (c, d) = t, ssyt_to_matching_field(t, ell)
+        image_t = _rearrange(t, ell)
+        (a, b), (c, d) = t, image_t
         tableaux = groups[code[c] + code[d]][0]
         if tableaux:
             failures.append(f"images of {tableaux[0]} and {t} are row-equal")
         tableaux.append(t)
+        if image_t == t:
+            continue  # equal masks fail neither below-w check
         t_below, image_below = alive[a] & alive[b], alive[c] & alive[d]
         if missed := image_below & ~t_below:
             preimage.append((t, missed))

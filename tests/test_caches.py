@@ -147,14 +147,15 @@ def test_no_family_masks_at_import():
 
 @pytest.mark.slow
 def test_tableaux_suite_n7_builds_each_chain_once_slow(monkeypatch):
+    # _level builds its chains unchecked, through _min_chain2
     calls = []
-    real = tableaux.min_defining_chain2
+    real = tableaux._min_chain2
 
     def counted(n, columns):
         calls.append(n)
         return real(n, columns)
 
-    monkeypatch.setattr(tableaux, "min_defining_chain2", counted)
+    monkeypatch.setattr(tableaux, "_min_chain2", counted)
     tableaux._level.cache_clear()
     assert run_tableaux(7).ok
     # one chain per two-column tableau with 3 <= n <= 7

@@ -634,6 +634,9 @@ class TestBijectionTables:
         def unmoved(columns, ell):
             return columns
 
+        # the table rearranges unchecked and the reference through the
+        # public map; both get the same one
+        monkeypatch.setattr(tableaux, "_rearrange", unmoved)
         monkeypatch.setattr(tableaux, "ssyt_to_matching_field", unmoved)
         _bijection_table.cache_clear()
         try:
@@ -670,6 +673,54 @@ class TestBijectionTables:
             enumerate_ssyt2(3, (0, 1, 2))
         with pytest.raises(ValueError, match="does not match n = 3"):
             standard_monomial_count_deg2(3, 0, (2, 1))
+
+
+def reference_level(n):
+    """_level as one loop over the tableaux: each tableau's checked chain,
+    its end's up-set built and added to the counter on its own, and the
+    domination check of that tableau.  The up-set is read through
+    ``tableaux.bruhat_up_set`` so that a patch there reaches both."""
+    alive = _alive_masks(n)
+    free_312 = family_masks(n, 0).free_312
+    tableaux_n, below, standard, chain_failing, domination_failing = [], [], [], [], []
+    for t in enumerate_ssyt2(n):
+        tableaux_n.append(t)
+        chain = min_defining_chain2(n, t)
+        if chain != min_defining_chain2_exhaustive(n, t):
+            chain_failing.append(t)
+        t_below, t_standard = alive[t[0]] & alive[t[1]], tableaux.bruhat_up_set(chain[-1])
+        _add(below, t_below)
+        _add(standard, t_standard)
+        differs = (t_standard ^ t_below) & free_312
+        if differs:
+            domination_failing.append((t, differs))
+    return tableaux._Level(tuple(tableaux_n), tuple(below), tuple(standard),
+                           tuple(chain_failing), tuple(domination_failing))
+
+
+class TestLevelAgainstReference:
+    """One up-set per distinct chain end, counted with its multiplicity,
+    against one per tableau."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+    def test_equals_per_tableau_loop(self, n):
+        assert _level(n) == reference_level(n)
+
+    def test_equals_per_tableau_loop_with_perturbed_up_sets(self, monkeypatch):
+        # domination failures of many tableaux per end, in enumeration order
+        monkeypatch.setattr(tableaux, "bruhat_up_set",
+                            TestDominationAgainstReference._perturbed_up_set)
+        _level.cache_clear()
+        try:
+            for n in (3, 4, 5, 6):
+                level = _level(n)
+                assert level == reference_level(n), n
+            # some ends fail for several tableaux, which their up-set's one
+            # visit must report in enumeration order
+            ends = [min_defining_chain2(6, t)[-1] for t, _ in level.domination_failing]
+            assert len(set(ends)) < len(ends)
+        finally:
+            _level.cache_clear()
 
 
 class TestStandardMasks:
@@ -729,6 +780,37 @@ class TestBitSlicedCounter:
     def test_wide_masks(self):
         masks = tuple((0x9E3779B97F4A7C15 * (m + 1)) % (1 << 200) for m in range(300))
         self._assert_counts(masks, 200)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.just(0), st.integers(0, 2**130)),
+                              st.integers(0, 260)), max_size=6))
+    def test_multiplicity_equals_repeated_adds(self, adds):
+        # each add of a mask with multiplicity leaves the counter that as
+        # many single adds leave, with no zero plane at the top
+        planes, expected = [], []
+        for mask, times in adds:
+            _add(planes, mask, times)
+            for _ in range(times):
+                _add(expected, mask)
+            assert planes == expected, (mask, times)
+            assert not planes or planes[-1], planes
+
+    @pytest.mark.parametrize("times", [0, 1, 2, 3, 64, 200, 255, 256, 257])
+    def test_multiplicity_from_empty_and_onto_counts(self, times):
+        # the first add may start above the top plane (a power of two), and a
+        # zero mask adds nothing whatever its multiplicity
+        for start in ((), (0b11,), (0b1, 0b110)):
+            for mask in (0, 0b1, 0b101, 0b111):
+                planes = list(start)
+                _add(planes, mask, times)
+                assert planes == list(bit_sliced((*self._unsliced(start),
+                                                  *(mask,) * times)))
+                assert not planes or planes[-1], planes
+
+    @staticmethod
+    def _unsliced(planes):
+        """Masks whose single adds give ``planes``: plane k as 2^k copies."""
+        return tuple(plane for k, plane in enumerate(planes) for _ in range(2**k))
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +883,7 @@ class TestGroupedTable:
         def unmoved(columns, ell):
             return columns
 
-        monkeypatch.setattr(tableaux, "ssyt_to_matching_field", unmoved)
+        monkeypatch.setattr(tableaux, "_rearrange", unmoved)
         _bijection_table.cache_clear()
         failed = set()
         try:
