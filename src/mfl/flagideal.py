@@ -6,12 +6,17 @@ form by exact integer elimination.  Theorem A is checked on it: for every
 monomial-free w, each block's flag rows restricted to X(w) must have
 lowest-weight initial forms spanned by the surviving fiber binomials.
 
-All cuts of n are decided in one pass.  What a block's check reads of a
-cut (which columns tie in weight, the fibers and their relative signs) is
-the same for many cuts, and which of the block's monomials survive a w
-does not depend on the cut at all; so per block, S_n is split once by the
-surviving columns, and each distinct (layout, surviving columns) is
-decided once for every cut that shares the layout.
+Most of this work repeats, and each repeat is done once per n.  Blocks
+with the same local relations share one elimination (26 relation lists for
+the 5316 blocks at n = 8).  What a block's check reads (its flag rows, and
+of a cut which columns tie in weight, the fibers and their relative signs)
+is the same for many blocks and cuts, so each distinct layout is built once
+(250 for the 8640 block layouts at n = 8).  Which of a block's monomials
+survive a w does not depend on the cut at all: per block, the w that some
+cut checks are split once by the surviving columns, and each distinct
+(layout, surviving columns) is decided once for all blocks and cuts.  The
+split runs on the view, the checked w alone, gathered from the n!-bit
+masks of S_n.
 
 Only the Theorem A suite imports this module, and with it
 :mod:`mfl.exactla`.
@@ -22,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
@@ -77,7 +82,9 @@ def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
     monomial of variables ``i <= j`` by ``i * size + j``.  Terms with a
     repeated index vanish, repeated monomials are merged, zero coefficients
     are left to ``rref``, and a relation whose block holds one monomial
-    only is dropped.
+    only is dropped.  Many blocks get the same local relations (26 lists
+    for 5316 blocks at n = 8), so each list, keyed by its rows' entries in
+    order, is reduced once and its basis shared.
     """
     variables = all_index_keys(n)
     size = len(variables)
@@ -109,47 +116,47 @@ def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
                         row[c] = row.get(c, 0) + sign
                     else:  # J has two entries more than I, so a term set block
                         relations[block].append(row)
-    return tuple(
-        _FlagBlock(
-            # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
-            tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs),
-            tuple(exactla.rref(rows).rows),
-        )
-        for pairs, rows in zip(blocks, relations)
-    )
+    bases: dict[tuple, tuple[exactla.Row, ...]] = {}
+    flag = []
+    for pairs, rows in zip(blocks, relations):
+        key = tuple(tuple(row.items()) for row in rows)
+        if key not in bases:
+            bases[key] = tuple(exactla.rref(rows).rows)
+        # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
+        members = tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs)
+        flag.append(_FlagBlock(members, bases[key]))
+    return tuple(flag)
 
 
 class _BlockLayout(NamedTuple):
     """A flag block as the Theorem A check sees it for one (n, ell).
 
-    ``pairs`` is the block of :func:`mfl.quadideal._degree_blocks`, the
-    variable pair of each local column.  ``weights`` is the total weight of
-    each local column, or any values in the same order with the same ties
-    (all that the check reads of them), and ``position`` its place in
-    (weight, monomial) order.  Each fiber is its mask of local columns plus
-    the image sign of each of its columns.
+    ``rows`` is the block's flag rows over its local columns.  ``weights``
+    is the total weight of each local column, or any values in the same
+    order with the same ties (all that the check reads of them), and
+    ``position`` its place in (weight, monomial) order.  Each fiber is its
+    mask of local columns plus the image sign of each of its columns.
     """
 
-    block: _FlagBlock
-    pairs: tuple[tuple[int, int], ...]
+    rows: tuple[exactla.Row, ...]
     weights: tuple[int, ...]
     position: tuple[int, ...]
     fibers: tuple[tuple[int, dict[int, int]], ...]
 
 
 def _block_layout(
-    block: _FlagBlock,
-    pairs: tuple[tuple[int, int], ...],
+    rows: tuple[exactla.Row, ...],
     weights: tuple[int, ...],
     fibers: tuple[tuple[tuple[int, int], ...], ...],
 ) -> _BlockLayout:
     """The layout of one block, from the weight (or weight rank) of each
     local column and the fibers as tuples of (local column, image sign)."""
-    # the pairs increase, so a stable sort puts equal weights in monomial order
-    order = sorted(range(len(pairs)), key=weights.__getitem__)
+    # local columns are in monomial order, so a stable sort puts equal
+    # weights in monomial order
+    order = sorted(range(len(weights)), key=weights.__getitem__)
     position = sorted(range(len(order)), key=order.__getitem__)  # its inverse
     return _BlockLayout(
-        block, pairs, weights, tuple(position),
+        rows, weights, tuple(position),
         tuple((sum(1 << c for c, _ in fiber), dict(fiber)) for fiber in fibers),
     )
 
@@ -179,7 +186,7 @@ def _block_matches(layout: _BlockLayout, alive: int) -> bool | None:
             return None
     position, weights = layout.position, layout.weights
     basis: dict[int, exactla.Row] = {}
-    for flag_row in layout.block.rows:
+    for flag_row in layout.rows:
         row = {c: v for c, v in flag_row.items() if alive >> c & 1}
         while row:
             pivot = min(row, key=position.__getitem__)
@@ -216,15 +223,18 @@ class TheoremAMasks(NamedTuple):
 
 def _shared_layouts(
     n: int,
-) -> Iterator[tuple[tuple[tuple[int, int], ...], list[tuple[_BlockLayout, list[int]]]]]:
+) -> Iterator[tuple[tuple[tuple[int, int], ...], list[tuple[int, _BlockLayout, list[int]]]]]:
     """Per block of the flag ideal at n that holds a flag row or a fiber of
     some cut: its pairs, and its layouts with the cuts that share each.
 
-    :func:`_block_matches` reads of a cut only which columns tie in weight
-    (so the order of the columns too) and the fibers with their signs, up
-    to the sign of a whole fiber.  The cuts that agree on these share one
-    layout, with the weights replaced by their ranks and each fiber's
-    signs made relative to its first column.
+    :func:`_block_matches` reads of a block its flag rows, and of a cut
+    only which columns tie in weight (so the order of the columns too) and
+    the fibers with their signs, up to the sign of a whole fiber.  The
+    (block, cut) pairs that agree on these share one layout, with the
+    weights replaced by their ranks and each fiber's signs made relative to
+    its first column.  Each distinct layout is built once per call, keyed
+    by its rows' entries in order, its ranks and its fibers, and comes with
+    its index in order of first use: equal indices mean equal layouts.
     """
     variables = all_index_keys(n)
     weights = [[weight_key(n, ell, key) for key in variables] for ell in range(n)]
@@ -233,6 +243,7 @@ def _shared_layouts(
     table: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in blocks]
     for b, columns, cuts in _fiber_table(n):
         table[b].append((columns, cuts))
+    layouts: dict[tuple, tuple[int, _BlockLayout]] = {}
     for block, pairs, fibers in zip(_flag_ideal(n), blocks, table):
         groups: dict[tuple, list[int]] = {}  # (weight ranks, fibers) -> cuts
         for ell in range(n):
@@ -250,11 +261,16 @@ def _shared_layouts(
             rank = {x: r for r, x in enumerate(sorted(set(column_weights)))}
             ranks = tuple(map(rank.__getitem__, column_weights))
             groups.setdefault((ranks, cut_fibers), []).append(ell)
-        if groups:
-            yield pairs, [
-                (_block_layout(block, pairs, ranks, cut_fibers), ells)
-                for (ranks, cut_fibers), ells in groups.items()
-            ]
+        if not groups:
+            continue
+        rows = tuple(tuple(row.items()) for row in block.rows)
+        shared = []
+        for (ranks, cut_fibers), ells in groups.items():
+            key = rows, ranks, cut_fibers
+            if key not in layouts:
+                layouts[key] = len(layouts), _block_layout(block.rows, ranks, cut_fibers)
+            shared.append((*layouts[key], ells))
+        yield pairs, shared
 
 
 @lru_cache(maxsize=1)  # the suite reads all cuts of one n, then moves on
@@ -262,22 +278,45 @@ def _theorem_a_cuts(n: int) -> tuple[TheoremAMasks, ...]:
     """Theorem A for every cut of n, entry ell for B_ell.
 
     Cut ell checks the w outside its monomial mask of
-    :func:`mfl.quadideal._fiber_folds`.  Per block, the union of the
-    checked sets is split by which of the block's monomials survive, one
-    column at a time (the monomial of variables i and j survives on the AND
-    of their ``alive`` bitsets), once for all cuts.  Each distinct (layout
-    of :func:`_shared_layouts`, alive mask) is then decided once, for the w
-    that some cut of the layout checks.
+    :func:`mfl.quadideal._fiber_folds`.  The work runs on the view, the w
+    that some cut checks (6864 of the 362880 at n = 9): each mask is
+    gathered onto it through its bit text, as
+    :func:`mfl.permcomb.lift_masks` does, and the answers are scattered
+    back.  Per block, the view is split by which of the block's monomials
+    survive, one column at a time (the monomial of variables i and j
+    survives on the AND of their ``alive`` bitsets), once for all cuts.
+    Each distinct (layout of :func:`_shared_layouts`, alive mask) that a
+    cut of the layout checks is then decided once per n, for every block
+    and cut that shares it.
     """
-    every = (1 << math.factorial(n)) - 1
+    width = math.factorial(n)
+    every = (1 << width) - 1
     checked = [every & ~fold.monomial for fold in _fiber_folds(n)]
-    union = reduce(or_, checked)
+    # character t of a mask's text is bit width - 1 - t; the view keeps
+    # the characters of the union's set bits, and character size of a
+    # view text with "0" appended fills the rest when scattering back
+    text = format(reduce(or_, checked), f"0{width}b")
+    places = list(itertools.compress(range(width), map("1".__eq__, text)))
+    size = len(places)
+    back = [size] * width
+    for k, t in enumerate(places):
+        back[t] = k
+    gather, scatter = itemgetter(*places), itemgetter(*back)
+
+    def view(mask: int) -> int:
+        return int("".join(gather(format(mask, f"0{width}b"))), 2)
+
+    def full(mask: int) -> int:
+        return int("".join(scatter(format(mask, f"0{size}b") + "0")), 2) if mask else 0
+
     alive = _alive_masks(n)
-    va = [alive[key] for key in all_index_keys(n)]
+    va = [view(alive[key]) for key in all_index_keys(n)]
+    checks = [view(mask) for mask in checked]
     failing = [0] * n
     partial = [0] * n
+    decided: dict[tuple[int, int], bool | None] = {}  # (layout, alive mask) -> answer
     for pairs, shared in _shared_layouts(n):
-        parts = {0: union}  # local alive mask -> the w that have it
+        parts = {0: (1 << size) - 1}  # local alive mask -> the w that have it
         for c, (i, j) in enumerate(pairs):
             column = va[i] & va[j]
             refined = {}
@@ -288,20 +327,26 @@ def _theorem_a_cuts(n: int) -> tuple[TheoremAMasks, ...]:
                 if on != ws:
                     refined[mask] = ws ^ on
             parts = refined
-        for layout, ells in shared:
-            seen = reduce(or_, (checked[ell] for ell in ells))
+        for index, layout, ells in shared:
+            seen = reduce(or_, (checks[ell] for ell in ells))
             fails = partly = 0
             for mask, ws in parts.items():
                 if mask and ws & seen:
-                    answer = _block_matches(layout, mask)
+                    key = index, mask
+                    if key not in decided:
+                        decided[key] = _block_matches(layout, mask)
+                    answer = decided[key]
                     if answer is None:
                         partly |= ws
                     if not answer:
                         fails |= ws
             for ell in ells:
-                failing[ell] |= fails & checked[ell]
-                partial[ell] |= partly & checked[ell]
-    return tuple(map(TheoremAMasks, checked, failing, partial))
+                failing[ell] |= fails & checks[ell]
+                partial[ell] |= partly & checks[ell]
+    return tuple(
+        TheoremAMasks(mask, full(fails), full(partly))
+        for mask, fails, partly in zip(checked, failing, partial)
+    )
 
 
 def theorem_a_masks(n: int, ell: int, cap: int | None = None) -> TheoremAMasks:

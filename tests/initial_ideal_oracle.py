@@ -3,7 +3,11 @@ whole flag ideal restricted to X(w), and the span of the surviving fiber
 binomials in the same coordinates.  ``flagideal.theorem_a_masks`` decides
 the same equality block by block and over all of S_n at once; this path
 runs one global elimination per w, in the coordinates of the whole
-degree-two flag ideal (:func:`degree2_flag_ideal`)."""
+degree-two flag ideal (:func:`degree2_flag_ideal`).
+
+``reference_flag_ideal`` builds the blocks of ``flagideal._flag_ideal``
+with one ``rref`` per block, where the module reduces each distinct list
+of local relations once."""
 
 import itertools
 from typing import Iterable, NamedTuple
@@ -11,8 +15,52 @@ from typing import Iterable, NamedTuple
 from mfl import exactla
 from mfl.matchfield import weight_key
 from mfl.permcomb import all_index_keys, check_permutation, vanishing_keys
-from mfl.flagideal import _check_la_cap, _flag_ideal
-from mfl.quadideal import MonoKey, _key_fibers
+from mfl.flagideal import _check_la_cap, _flag_ideal, _FlagBlock
+from mfl.quadideal import MonoKey, _degree_blocks, _key_fibers
+
+
+def reference_flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
+    """``flagideal._flag_ideal(n)`` with each block's relations reduced on
+    their own, one ``exactla.rref`` per block: the incidence relations are
+    written onto the local columns as the module writes them."""
+    variables = all_index_keys(n)
+    size = len(variables)
+    index = {sum(1 << v for v in key): i for i, key in enumerate(variables)}
+    blocks = _degree_blocks(n)
+    place = {  # monomial i * size + j -> (block, local column)
+        i * size + j: (b, c)
+        for b, pairs in enumerate(blocks) for c, (i, j) in enumerate(pairs)
+    }
+    relations: list[list[exactla.Row]] = [[] for _ in blocks]
+    for p in range(1, n):
+        for q in range(p, n):
+            for lower in itertools.combinations(range(1, n + 1), p - 1):
+                low = sum(1 << v for v in lower)
+                for upper in itertools.combinations(range(1, n + 1), q + 1):
+                    up = sum(1 << v for v in upper)
+                    row: exactla.Row = {}
+                    for k, j in enumerate(upper):
+                        bit = 1 << j
+                        if low & bit:
+                            continue
+                        a, b = index[low | bit], index[up ^ bit]
+                        found = place.get(a * size + b if a <= b else b * size + a)
+                        if found is None:  # its block holds one monomial
+                            break
+                        block, c = found
+                        # sorting (lower, j) moves j past every larger entry
+                        sign = -1 if (k + (low >> j).bit_count()) % 2 else 1
+                        row[c] = row.get(c, 0) + sign
+                    else:  # J has two entries more than I, so a term set block
+                        relations[block].append(row)
+    return tuple(
+        _FlagBlock(
+            # (i, j) is monomial i * size - i * (i - 1) / 2 + j - i
+            tuple(i * size - i * (i - 1) // 2 + j - i for i, j in pairs),
+            tuple(exactla.rref(rows).rows),
+        )
+        for pairs, rows in zip(blocks, relations)
+    )
 
 
 class DegreeTwoSpace(NamedTuple):

@@ -126,13 +126,14 @@ def reference_fiber_folds(n, ell):
 def block_layouts(n, ell):
     """The blocks of the flag ideal at n that hold a flag row or a fiber of
     cut ``ell``, laid out for that cut alone, with its own weights and
-    signs (``_fibers(n, ell)``); ``flagideal._theorem_a_cuts`` lays out a
-    block once for all the cuts that see it alike."""
+    signs (``_fibers(n, ell)``): pairs (the block of ``_degree_blocks(n)``,
+    its layout).  ``flagideal._theorem_a_cuts`` builds one layout for all
+    the blocks and cuts that the check sees alike."""
     weight = [weight_key(n, ell, key) for key in all_index_keys(n)]
     return tuple(
-        flagideal._block_layout(
-            block, pairs, tuple(weight[i] + weight[j] for i, j in pairs), fibers
-        )
+        (pairs, flagideal._block_layout(
+            block.rows, tuple(weight[i] + weight[j] for i, j in pairs), fibers
+        ))
         for block, pairs, fibers in zip(
             flagideal._flag_ideal(n), _degree_blocks(n), _fibers(n, ell)
         )
@@ -142,18 +143,19 @@ def block_layouts(n, ell):
 
 def reference_theorem_a_masks(n, ell):
     """``mfl.flagideal.theorem_a_masks(n, ell)`` by a pass over cut ell
-    alone: per block of ``block_layouts(n, ell)``, the cut's own checked
-    set is split by which of the block's monomials survive, and each
-    distinct (block, alive mask) is decided once by the module's
-    ``_block_matches`` (looked up at call time, so a test may replace it)."""
+    alone, on full-width masks of S_n: per block of ``block_layouts(n,
+    ell)``, the cut's own checked set is split by which of the block's
+    monomials survive, and each (block, alive mask) is decided by the
+    module's ``_block_matches`` (looked up at call time, so a test may
+    replace it), with no answer shared between blocks."""
     monomial, _ = verdict_masks(n, ell, bound=n)
     checked = ((1 << math.factorial(n)) - 1) & ~monomial
     alive = _alive_masks(n)
     va = [alive[key] for key in all_index_keys(n)]
     failing = partial = 0
-    for layout in block_layouts(n, ell):
+    for pairs, layout in block_layouts(n, ell):
         parts = {0: checked}  # local alive mask -> the w that have it
-        for c, (i, j) in enumerate(layout.pairs):
+        for c, (i, j) in enumerate(pairs):
             column = va[i] & va[j]
             refined = {}
             for mask, ws in parts.items():

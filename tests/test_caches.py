@@ -44,7 +44,7 @@ def test_no_module_level_family_dict():
 
 def test_per_call_helpers_carry_no_cache():
     # the monomial-map image is read once per variable by cached callers,
-    # and each Theorem A layout once per (block, n); the weight matrix and
+    # and each distinct Theorem A layout once per n; the weight matrix and
     # |Z_n| cost microseconds to build, and a chain end's Bruhat up-set is
     # at most two ANDs of alive masks, one per descent
     assert not hasattr(matchfield.image_code, "cache_info")

@@ -8,6 +8,7 @@ from expansion_oracle import det_terms, flag_ideal_rows, left_kernel, product_ro
 from initial_ideal_oracle import (
     degree2_flag_ideal,
     initial_degree2,
+    reference_flag_ideal,
     span_equal,
     surviving_binomial_space,
 )
@@ -272,6 +273,28 @@ class TestDegreeTwoSpace:
         }
         assert basis.contains(vec)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_shared_elimination_matches_per_block_rref(self, n):
+        # blocks with the same local relations share one rref; each block
+        # equals its own reduction, with every row's entries in order
+        def entries(blocks):
+            return [(b.members, [list(row.items()) for row in b.rows]) for b in blocks]
+
+        assert entries(_flag_ideal(n)) == entries(reference_flag_ideal(n))
+
+    def test_each_relation_list_is_reduced_once(self, monkeypatch):
+        # 13 distinct local relation lists for the 307 blocks at n = 6
+        calls = []
+        real = exactla.rref
+
+        def counted(rows, col_pos=None):
+            calls.append(rows)
+            return real(rows, col_pos)
+
+        monkeypatch.setattr(exactla, "rref", counted)
+        blocks = _flag_ideal.__wrapped__(6)
+        assert len(blocks) == 307 and len(calls) == 13
+
     def test_pinned_ranks(self):
         # pinned after the relation-built and the left-kernel ideals agreed
         # (n <= 7) and the rank identity below held (n <= 8)
@@ -459,7 +482,7 @@ def reference_block_matches(layout, alive):
     order = sorted(range(len(layout.position)), key=layout.position.__getitem__)
     col_pos = {c: p for p, c in enumerate(c for c in order if alive >> c & 1)}
     projected = (
-        {c: v for c, v in row.items() if c in col_pos} for row in layout.block.rows
+        {c: v for c, v in row.items() if c in col_pos} for row in layout.rows
     )
     schubert = exactla.rref((row for row in projected if row), col_pos)
     weights = layout.weights
@@ -490,8 +513,8 @@ def per_w_block_matches(n, ell, w):
     vanset = vanishing_keys(w)
     live = [key not in vanset for key in all_index_keys(n)]
     answers = []
-    for layout in block_layouts(n, ell):
-        mask = sum(1 << c for c, (i, j) in enumerate(layout.pairs) if live[i] and live[j])
+    for pairs, layout in block_layouts(n, ell):
+        mask = sum(1 << c for c, (i, j) in enumerate(pairs) if live[i] and live[j])
         if mask:
             answers.append(flagideal._block_matches(layout, mask))
     return all(answers)
@@ -502,7 +525,7 @@ def perturbed_layouts(layout):
     sign flipped, or one fiber moved onto columns outside every fiber."""
     fibers = [signs for _, signs in layout.fibers]
     inside = {c for signs in fibers for c in signs}
-    outside = [c for c in range(len(layout.pairs)) if c not in inside]
+    outside = [c for c in range(len(layout.position)) if c not in inside]
     variants = []
     for f, signs in enumerate(fibers):
         c = next(iter(signs))
@@ -522,8 +545,8 @@ class TestTheoremAKernel:
         outcomes = set()
         for n in (3, 4):
             for ell in range(n):
-                for b, layout in enumerate(block_layouts(n, ell)):
-                    for mask in range(1, 1 << len(layout.pairs)):
+                for b, (_, layout) in enumerate(block_layouts(n, ell)):
+                    for mask in range(1, 1 << len(layout.position)):
                         expected = reference_block_matches(layout, mask)
                         assert _block_matches(layout, mask) is expected, (n, ell, b, mask)
                         outcomes.add(expected)
@@ -535,9 +558,9 @@ class TestTheoremAKernel:
         outcomes = set()
         for n in (3, 4):
             for ell in range(n):
-                for b, layout in enumerate(block_layouts(n, ell)):
+                for b, (_, layout) in enumerate(block_layouts(n, ell)):
                     for variant in perturbed_layouts(layout):
-                        for mask in range(1, 1 << len(layout.pairs)):
+                        for mask in range(1, 1 << len(layout.position)):
                             expected = reference_block_matches(variant, mask)
                             actual = _block_matches(variant, mask)
                             assert actual is expected, (n, ell, b, mask, variant)
@@ -549,10 +572,10 @@ class TestTheoremAKernel:
         rng = random.Random(n)
         outcomes = set()
         for ell in range(n):
-            layouts = block_layouts(n, ell)
+            layouts = [layout for _, layout in block_layouts(n, ell)]
             for _ in range(80):
                 b = rng.randrange(len(layouts))
-                mask = rng.randint(1, (1 << len(layouts[b].pairs)) - 1)
+                mask = rng.randint(1, (1 << len(layouts[b].position)) - 1)
                 expected = reference_block_matches(layouts[b], mask)
                 assert _block_matches(layouts[b], mask) is expected, (n, ell, b, mask)
                 outcomes.add(expected)
@@ -562,10 +585,11 @@ class TestTheoremAKernel:
     def test_masks_match_per_w(self, fake, patch_block_matches):
         # the bitset sweep against each block's alive mask read off one w,
         # for every w with n <= 5; a fake block answer that fails often
-        # checks the partition itself
+        # checks the partition itself, and reads only what a layout shared
+        # between blocks keeps
         if fake:
             patch_block_matches(
-                lambda layout, mask: (sum(layout.pairs[0]) + mask) % 3 != 0,
+                lambda layout, mask: bool(self._shared_data_answer(layout, mask)),
             )
         failing = 0
         for n in range(3, 6):
@@ -607,7 +631,7 @@ class TestTheoremAKernel:
         outcomes = set()
         for n in (3, 4):
             for ell in range(n):
-                for layout in block_layouts(n, ell):
+                for _, layout in block_layouts(n, ell):
                     for variant in [layout, *perturbed_layouts(layout)]:
                         rank = {x: r for r, x in enumerate(sorted(set(variant.weights)))}
                         fibers = tuple(
@@ -615,42 +639,63 @@ class TestTheoremAKernel:
                             for _, signs in variant.fibers
                         )
                         shared = flagideal._block_layout(
-                            variant.block, variant.pairs,
-                            tuple(rank[x] for x in variant.weights), fibers,
+                            variant.rows, tuple(rank[x] for x in variant.weights), fibers,
                         )
-                        for mask in range(1, 1 << len(layout.pairs)):
+                        for mask in range(1, 1 << len(layout.position)):
                             answer = _block_matches(variant, mask)
                             assert _block_matches(shared, mask) is answer, (n, ell, mask)
                             outcomes.add(answer)
         assert outcomes == {None, True, False}
 
-    @pytest.mark.parametrize("n", range(3, 7))
-    def test_each_cut_shares_a_layout_it_agrees_with(self, n):
+    @staticmethod
+    def _assert_each_cut_shares_a_layout_it_agrees_with(n):
         # a cut's own layout of a block and the layout it shares have the
-        # same column order and weight ties, and the same fibers up to the
-        # sign of a whole fiber; every cut that has the block shares once
+        # same flag rows, column order and weight ties, and the same fibers
+        # up to the sign of a whole fiber; every cut that has the block
+        # shares once, and a layout's index stands for its value
         def kept(layout):
-            size = len(layout.pairs)
+            size = len(layout.position)
             ties = {(c, d) for c in range(size) for d in range(c)
                     if layout.weights[c] == layout.weights[d]}
             fibers = [(mask, [s * signs[min(signs)] for _, s in sorted(signs.items())])
                       for mask, signs in layout.fibers]
-            return layout.block, layout.position, ties, fibers
+            rows = [list(row.items()) for row in layout.rows]
+            return rows, layout.position, ties, fibers
 
-        own = [{layout.pairs: layout for layout in block_layouts(n, ell)} for ell in range(n)]
+        own = [dict(block_layouts(n, ell)) for ell in range(n)]
+        indexed = {}
         for pairs, shared in flagideal._shared_layouts(n):
-            cuts = sorted(ell for _, ells in shared for ell in ells)
+            cuts = sorted(ell for _, _, ells in shared for ell in ells)
             assert cuts == [ell for ell in range(n) if pairs in own[ell]], (n, pairs)
-            for layout, ells in shared:
+            for index, layout, ells in shared:
+                assert kept(indexed.setdefault(index, layout)) == kept(layout), (n, index)
                 for ell in ells:
                     assert kept(own[ell].pop(pairs)) == kept(layout), (n, ell, pairs)
         assert not any(own), n
+        assert sorted(indexed) == list(range(len(indexed))), n
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_each_cut_shares_a_layout_it_agrees_with(self, n):
+        self._assert_each_cut_shares_a_layout_it_agrees_with(n)
+
+    def test_blocks_share_a_layout_only_with_equal_rows(self, monkeypatch):
+        # in the flag ideal, blocks with the same weight ties and fibers
+        # have the same rows; dropping the last row of every other block
+        # makes them differ, and each block must still get its own rows
+        real = flagideal._flag_ideal
+        monkeypatch.setattr(flagideal, "_flag_ideal", lambda n: tuple(
+            block._replace(rows=block.rows[:-1]) if b % 2 else block
+            for b, block in enumerate(real(n))
+        ))
+        for n in range(3, 7):
+            self._assert_each_cut_shares_a_layout_it_agrees_with(n)
 
     @staticmethod
     def _shared_data_answer(layout, mask):
-        # a fake block answer that reads all the shared layout keeps: the
-        # column order, the weight ties, the fiber masks and relative signs
-        size = len(layout.pairs)
+        # a fake block answer that reads all the shared layout keeps but
+        # its rows: the column order, the weight ties, the fiber masks and
+        # relative signs
+        size = len(layout.position)
         ties = tuple(layout.weights[c] == layout.weights[d]
                      for c in range(size) for d in range(c))
         signs = tuple(s * next(iter(f.values())) for _, f in layout.fibers for s in f.values())
@@ -682,10 +727,13 @@ class TestTheoremAKernel:
     def test_cuts_match_per_cut_reference_n7_slow(self, fake, patch_block_matches):
         self._assert_cuts_match_reference(7, fake, patch_block_matches)
 
-    def test_each_layout_and_mask_is_decided_once(self, patch_block_matches):
-        # cuts that agree on the weight ties and the fibers (up to the sign
-        # of a whole fiber) share their eliminations: 4795 block
-        # eliminations when each cut was decided alone, 1490 now
+    def test_each_layout_and_mask_is_decided_once(self, patch_block_matches, monkeypatch):
+        # the (block, cut) pairs that agree on the flag rows, the weight
+        # ties and the fibers (up to the sign of a whole fiber) share one
+        # layout, built once per n, and each (layout, alive mask) is decided
+        # once per n: at n = 6, 157 block eliminations (1210 with a layout
+        # per block, 4795 with each cut decided alone) and 42 layouts for
+        # 515 (block, layout) pairs
         calls = []
         real = flagideal._block_matches
 
@@ -693,7 +741,29 @@ class TestTheoremAKernel:
             calls.append(mask)
             return real(layout, mask)
 
+        built = []
+        real_layout = flagideal._block_layout
+
+        def counted_layout(*args):
+            built.append(args)
+            return real_layout(*args)
+
         patch_block_matches(counted)
+        monkeypatch.setattr(flagideal, "_block_layout", counted_layout)
         report = run_theorem_a(6, cap=6)
         assert report.ok and report.checked == 938
-        assert len(calls) <= 1490
+        assert (len(calls), len(built)) == (5 + 14 + 50 + 157, 3 + 6 + 16 + 42)
+        calls.clear()
+        built.clear()
+        flagideal._theorem_a_cuts.__wrapped__(6)
+        assert (len(calls), len(built)) == (157, 42)
+
+    def test_no_answer_outlives_the_call(self, monkeypatch):
+        # the layouts and answers are shared only within one call: a fake
+        # answer in one run leaves no trace in the next
+        monkeypatch.setattr(flagideal, "_block_matches", self._shared_data_answer)
+        faked = flagideal._theorem_a_cuts.__wrapped__(5)
+        assert any(m.failing and m.partial for m in faked)
+        monkeypatch.undo()
+        masks = flagideal._theorem_a_cuts.__wrapped__(5)
+        assert masks == tuple(reference_theorem_a_masks(5, ell) for ell in range(5))
