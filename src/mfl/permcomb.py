@@ -188,9 +188,8 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
 # Bit i of every mask below stands for the i-th permutation of [n] in
 # ``itertools.permutations`` order, whose rank :func:`permutation_index`
 # computes.  The w with w_1 = v are the run of (n - 1)! bits from bit
-# (v - 1) (n - 1)!, ordered like S_{n-1} on the other values, so a table at
-# n is built from runs of its table at n - 1.  Each per-n table keeps the
-# eight most recently used n.
+# (v - 1) (n - 1)!, ordered like S_{n-1} on the other values, so the
+# survival table at n is built from runs of the table at n - 1.
 
 
 def permutation_index(entries: Sequence[int]) -> int:
@@ -287,50 +286,51 @@ def lift_masks(n: int, masks: Iterable[int]) -> list[int]:
     return [int("".join(pick(mask_bits(m, width))), 2) if m else 0 for m in masks]
 
 
-@lru_cache(maxsize=8)  # a build at n reads n - 1
-def _prefix_set_masks(n: int) -> dict[tuple[int, ...], int]:
-    """Bit i of entry P is set iff the i-th permutation has
-    ``{w_1, ..., w_|P|} = P``.
-
-    Such a w starts with some v in P and continues, in its run of
-    (n - 1)! bits, like a permutation of [n - 1] whose prefix is
-    P - {v} with every x > v lowered by one; for |P| = 1 the whole run.
-
-    >>> {p: bin(m) for p, m in _prefix_set_masks(3).items()}
-    {(1,): '0b11', (2,): '0b1100', (3,): '0b110000', (1, 2): '0b101', (1, 3): '0b10010', (2, 3): '0b101000'}
-    """
-    if n < 2:
-        return {}
-    prev = _prefix_set_masks(n - 1)
-    block = math.factorial(n - 1)
-    masks = {}
-    for prefix in all_index_keys(n):
-        mask = 0
-        for v in prefix:
-            rest = tuple(x - (x > v) for x in prefix if x != v)
-            mask |= (prev[rest] if rest else (1 << block) - 1) << (v - 1) * block
-        masks[prefix] = mask
-    return masks
-
-
-@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..8
+@lru_cache(maxsize=8)  # the tableaux suite reads n = 3..8; a build reads n - 1
 def _alive_masks(n: int) -> dict[tuple[int, ...], int]:
     """Bit i of entry J is set iff P_J survives on X(w) for the i-th
     permutation w, i.e. J is Gale-below ``{w_1, ..., w_|J|}``.
 
-    The sets Gale-above J are J and those above its covers, which raise
-    one member j to a free j + 1; covers have a larger sum, so the sets
-    are visited by decreasing sum.
+    Counting the members >= s on each side, J is Gale-below {v} + Q
+    exactly when J has a member at most v and J without its largest such
+    member J[t] is Gale-below Q.  So in the runs v = J[t] .. J[t+1] - 1 (the
+    last to n) the entry is that at n - 1 of J[:t] and J[t+1:] lowered by
+    one, or all of the run when that is empty; runs below J[0] are 0.
+
+    >>> {j: bin(m) for j, m in _alive_masks(3).items()}
+    {(1,): '0b111111', (2,): '0b111100', (3,): '0b110000', (1, 2): '0b111111', (1, 3): '0b111010', (2, 3): '0b101000'}
     """
-    prefix_masks = _prefix_set_masks(n)
-    alive: dict[tuple[int, ...], int] = {}
-    for j in sorted(prefix_masks, key=sum, reverse=True):
-        mask = prefix_masks[j]
-        for t, v in enumerate(j):
-            if v < n and v + 1 not in j:
-                mask |= alive[j[:t] + (v + 1,) + j[t + 1:]]
-        alive[j] = mask
-    return alive
+    if n < 2:
+        return {}
+    prev = _alive_masks(n - 1)
+    block = math.factorial(n - 1)
+    full = (1 << block) - 1
+    masks = {}
+    for j in all_index_keys(n):
+        mask, lowered = 0, tuple(x - 1 for x in j)
+        for t, (low, high) in enumerate(zip(j, j[1:] + (n + 1,))):
+            run = prev.get(j[:t] + lowered[t + 1:], full)  # () for |J| = 1
+            for v in range(low - 1, high - 1):
+                mask |= run << v * block
+        masks[j] = mask
+    return masks
+
+
+def prefix_set_mask(n: int, prefix: tuple[int, ...]) -> int:
+    """Bitset over S_n of the w with ``{w_1, ..., w_|P|} = P``: the w in
+    ``alive[P]`` and in no ``alive`` of a cover of P, which raises one
+    member j to a free j + 1.  Each cover's set lies inside P's, so XOR
+    takes their union out.
+
+    >>> bin(prefix_set_mask(3, (1, 3)))
+    '0b10010'
+    """
+    alive = _alive_masks(n)
+    above = 0
+    for t, v in enumerate(prefix):
+        if v < n and v + 1 not in prefix:
+            above |= alive[prefix[:t] + (v + 1,) + prefix[t + 1:]]
+    return alive[prefix] ^ above
 
 
 def bruhat_up_set(entries: tuple[int, ...]) -> int:

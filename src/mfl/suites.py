@@ -16,7 +16,7 @@ from operator import or_
 
 from mfl import SUITES
 from mfl.matchfield import verify_coherence
-from mfl.permcomb import permutation_at, restriction, set_bits, word_text
+from mfl.permcomb import mask_bits, permutation_at, restriction, set_bits, word_text
 from mfl.quadideal import (
     ZERO,
     CapabilityError,
@@ -159,15 +159,19 @@ def run_pattern(n_max: int = 6) -> SuiteReport:
         if m["kind"] == "pattern":
             report.record(n=n, ell=m["ell"], w=m["w"], verdict=m["oracle"])
     for n in range(3, COMBINATORIAL_N_MAX + 1):
-        patterns = [(ell, family_masks(n, ell).pattern) for ell in range(1, n)]
-        free_312 = family_masks(n, 0).free_312
-        for index in set_bits(reduce(or_, (mask for _, mask in patterns))):
+        # bits are read off bit text: a shift of an n!-bit int costs time in n!
+        width = math.factorial(n)
+        masks = [family_masks(n, ell).pattern for ell in range(1, n)]
+        patterns = [(ell, mask_bits(mask, width)) for ell, mask in enumerate(masks, 1)]
+        free_312 = mask_bits(family_masks(n, 0).free_312, width)
+        union = mask_bits(reduce(or_, masks), width)
+        for index in itertools.compress(range(width), map("1".__eq__, union)):
             w = permutation_at(n, index)
             # each 312 in w, once for all ell: (position of the 3, the 1)
             occurrences = [(i, w[j]) for i, j, k in itertools.combinations(range(n), 3)
                            if w[j] < w[k] < w[i]]
-            for ell, mask in patterns:
-                if not mask >> index & 1:
+            for ell, text in patterns:
+                if text[index] != "1":
                     continue
                 report.checked += 1
                 for i, low in occurrences:
@@ -176,7 +180,7 @@ def run_pattern(n_max: int = 6) -> SuiteReport:
                             n=n, ell=ell, w=word_text(w),
                             detail="312 pattern not anchored at (w_1, ell)",
                         )
-                if not free_312 >> index & 1:
+                if free_312[index] != "1":
                     expected = (w[0], ell) + tuple(
                         v for v in range(w[0] - 1, 0, -1) if v != ell
                     )

@@ -39,13 +39,13 @@ from typing import Iterator, NamedTuple
 from mfl.matchfield import image_code
 from mfl.permcomb import (
     _alive_masks,
-    _prefix_set_masks,
     all_index_keys,
     bruhat_leq,
     bruhat_minimum,
     bruhat_up_set,
     check_permutation,
     permutation_index,
+    prefix_set_mask,
     vanishing_keys,
     word_text,
 )
@@ -224,11 +224,12 @@ def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int,
     """Test oracle: minimize over every permutation with the right prefix.
 
     Decided on bitsets over S_n: the candidates are the w with
-    {w_1, ..., w_|J|} = J for the right column J that lie Bruhat-above the
-    first permutation v_1, and :func:`mfl.permcomb.bruhat_minimum` checks
-    whether their lowest bit, the only possible least element, is below
-    all of them.  Any pair of columns is accepted; one without a
-    unique minimum raises ``ValueError``.
+    {w_1, ..., w_|J|} = J for the right column J, which
+    :func:`mfl.permcomb.prefix_set_mask` reads off the survival table, that
+    lie Bruhat-above the first permutation v_1.
+    :func:`mfl.permcomb.bruhat_minimum` checks whether their lowest bit, the
+    only possible least element, is below all of them.  Any pair of columns
+    is accepted; one without a unique minimum raises ``ValueError``.
 
     >>> min_defining_chain2_exhaustive(4, ((1, 2, 4), (3,)))
     ((1, 2, 4, 3), (3, 1, 4, 2))
@@ -238,7 +239,7 @@ def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int,
     v1 = grassmannian_permutation(columns[0], n)
     if len(columns) == 1:
         return (v1,)
-    valid = _prefix_set_masks(n)[columns[1]] & bruhat_up_set(v1)
+    valid = prefix_set_mask(n, columns[1]) & bruhat_up_set(v1)
     minimum = bruhat_minimum(n, valid)
     if minimum is None:
         raise ValueError(f"no unique minimum defining chain for {columns}")

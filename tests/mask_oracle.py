@@ -1,8 +1,10 @@
 """Per-permutation builds of the S_n bitset tables of ``mfl.permcomb`` and
-``mfl.theoremsets``: the oracles the run-built prefix masks, the
-cover-built alive masks and the run-built families are compared against,
-and the per-w sweep rows the bit-text rows of ``mfl.cli`` are compared
-against.  Each passes over all n! permutations.
+``mfl.theoremsets``: the oracles the run-built alive masks, the prefix
+masks read off them and the run-built families are compared against, and
+the per-w sweep rows the bit-text rows of ``mfl.cli`` are compared
+against.  Each passes over all n! permutations.  ``two_pass_alive_masks``
+builds the alive masks by a second route, from run-built prefix masks and
+a Gale-cover sweep, cheap enough to compare against at n = 9.
 
 ``verdict_items`` and ``binomial_members`` read the verdict and family
 masks one bit at a time, for tests that walk S_n or the binomial family
@@ -196,6 +198,41 @@ def reference_alive_masks(n):
         for prefix, bits in prefix_masks.items():
             if len(prefix) == len(j) and dominated(j, prefix):
                 mask |= bits
+        alive[j] = mask
+    return alive
+
+
+def two_pass_prefix_set_masks(n):
+    """Bit i of entry P is set iff the i-th permutation has
+    ``{w_1, ..., w_|P|} = P``, from runs of the table at n - 1: such a w
+    starts with some v in P and continues, in its run of (n - 1)! bits,
+    like a permutation of [n - 1] whose prefix is P - {v} with every
+    x > v lowered by one; for |P| = 1 the whole run."""
+    if n < 2:
+        return {}
+    prev = two_pass_prefix_set_masks(n - 1)
+    block = math.factorial(n - 1)
+    masks = {}
+    for prefix in all_index_keys(n):
+        mask = 0
+        for v in prefix:
+            rest = tuple(x - (x > v) for x in prefix if x != v)
+            mask |= (prev[rest] if rest else (1 << block) - 1) << (v - 1) * block
+        masks[prefix] = mask
+    return masks
+
+
+def two_pass_alive_masks(n):
+    """The alive masks from the prefix masks: the sets Gale-above J are J
+    and those above its covers, which raise one member j to a free j + 1;
+    covers have a larger sum, so the sets are visited by decreasing sum."""
+    prefix_masks = two_pass_prefix_set_masks(n)
+    alive = {}
+    for j in sorted(prefix_masks, key=sum, reverse=True):
+        mask = prefix_masks[j]
+        for t, v in enumerate(j):
+            if v < n and v + 1 not in j:
+                mask |= alive[j[:t] + (v + 1,) + j[t + 1:]]
         alive[j] = mask
     return alive
 

@@ -30,11 +30,11 @@ def test_every_cache_is_bounded():
     assert "tableaux._bijection_table" in caches
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
-    # the seven rows of test_bounds_cover_working_sets, plus
+    # the six rows of test_bounds_cover_working_sets, plus
     # quadideal._fibers, quadideal.quadratic_relations,
     # flagideal._flag_ideal, flagideal._theorem_a_cuts and
     # tableaux._bijection_table
-    assert len(caches) == 12, sorted(caches)
+    assert len(caches) == 11, sorted(caches)
 
 
 def test_no_module_level_family_dict():
@@ -57,10 +57,9 @@ def test_per_call_helpers_carry_no_cache():
 @pytest.mark.parametrize(
     "cached, working_set",
     [
-        # the tableaux suite reads n = 3..8, and a prefix-mask build at n
+        # the tableaux suite reads n = 3..8, and an alive-mask build at n
         # reads n - 1, so it keeps n = 1..8
-        (permcomb._alive_masks, 6),
-        (permcomb._prefix_set_masks, 8),
+        (permcomb._alive_masks, 8),
         # the families up to n = 8 (the slow tests) build n = 1..8
         (theoremsets._families, 8),
         # the census and the slow fiber tests split the blocks of n = 3..8
@@ -80,11 +79,7 @@ def test_bounds_cover_working_sets(cached, working_set):
 
 
 def test_tableaux_suite_evicts_nothing():
-    per_n = (
-        permcomb._prefix_set_masks,
-        permcomb._alive_masks,
-        tableaux._level,
-    )
+    per_n = (permcomb._alive_masks, tableaux._level)
     for cached in per_n + (tableaux._bijection_table,):
         cached.cache_clear()
     assert run_tableaux(5).ok
@@ -133,7 +128,6 @@ def test_no_family_masks_at_import():
         "import mfl.cli, mfl.theoremsets as t, mfl.permcomb as p, "
         "mfl.quadideal as q; "
         "assert t._families.cache_info().currsize == 0; "
-        "assert p._prefix_set_masks.cache_info().currsize == 0; "
         "assert p._alive_masks.cache_info().currsize == 0; "
         "assert q._degree_blocks.cache_info().currsize == 0; "
         "assert q._fiber_table.cache_info().currsize == 0; "

@@ -382,6 +382,21 @@ class TestReportsMatchLoops:
         assert report.ok == (not perturbed)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n, c_checks, p_checks", [
+    (9, 3628812, 45150),
+    (10, 39916812, 176866),
+], ids=["n9", "n10"])
+def test_oracle_free_identities_slow(n, c_checks, p_checks, monkeypatch):
+    # past the default range: T and Z are disjoint with union P, and every
+    # pattern-family w has its 312s anchored at (w_1, ell); the oracle part
+    # runs at n = 3 only
+    monkeypatch.setattr(suites, "COMBINATORIAL_N_MAX", n)
+    report_c, report_p = suites.run_theorem_c(3), suites.run_pattern(3)
+    assert report_c.ok and report_p.ok
+    assert (report_c.checked, report_p.checked) == (c_checks, p_checks)
+
+
 def test_count_table_reports_disagreement(monkeypatch):
     # drop one member of T_{4, 2} from the families only
     dropped = 1 << permutation_index(perm("3214"))

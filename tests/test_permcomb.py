@@ -6,12 +6,17 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from mask_oracle import reference_alive_masks, reference_prefix_set_masks, to_mask
+from mask_oracle import (
+    reference_alive_masks,
+    reference_prefix_set_masks,
+    to_mask,
+    two_pass_alive_masks,
+)
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
     MAX_N,
     _alive_masks,
-    _prefix_set_masks,
+    all_index_keys,
     bruhat_leq,
     bruhat_minimum,
     bruhat_up_set,
@@ -21,6 +26,7 @@ from mfl.permcomb import (
     mask_bits,
     permutation_at,
     permutation_index,
+    prefix_set_mask,
     restriction,
     set_bits,
     suffix_mask,
@@ -403,11 +409,18 @@ class TestBitsetsOverSn:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_prefix_set_masks_match_reference(self, n):
-        assert _prefix_set_masks(n) == reference_prefix_set_masks(n)
+        masks = {p: prefix_set_mask(n, p) for p in all_index_keys(n)}
+        assert masks == reference_prefix_set_masks(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_alive_masks_match_reference(self, n):
         assert _alive_masks(n) == reference_alive_masks(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_alive_masks_match_two_pass_build(self, n):
+        # the prefix masks and a Gale-cover sweep, a second route that is
+        # cheap at n = 9, where the scan oracle is not
+        assert _alive_masks(n) == two_pass_alive_masks(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_up_set_has_no_bit_below_its_permutation(self, n):

@@ -17,7 +17,6 @@ from mfl import exactla, flagideal, golden
 from mfl.flagideal import _block_matches, _flag_ideal, theorem_a_masks
 from mfl.permcomb import (
     _alive_masks,
-    _prefix_set_masks,
     all_index_keys,
     permutation_at,
     permutation_index,
@@ -211,7 +210,7 @@ class TestVerdictKernel:
             assert verdicts.count(ZERO) == 21
 
     def test_caches_are_bounded(self):
-        for cached in (_prefix_set_masks, _alive_masks, _flag_ideal):
+        for cached in (_alive_masks, _flag_ideal):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize <= 8
         # every re-read of one cut's fibers and relations is of the cut just
