@@ -43,14 +43,11 @@ from mfl.permcomb import MAX_N, check_cut
 def _swap_flag(ell: int, members: Sequence[int], rule: str = "corrected") -> bool:
     if len(members) < 2:
         return False
-    low = 0  # a plain loop: the fiber table calls this n times per variable
-    for m in members:
-        if m <= ell:
-            low += 1
+    # members are sorted: exactly one member, or at most one, is <= ell
     if rule == "corrected":
-        return low == 1
+        return members[0] <= ell < members[1]
     if rule == "literal":
-        return low <= 1
+        return ell < members[1]
     raise ValueError(f"unknown rule {rule!r}")
 
 

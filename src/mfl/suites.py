@@ -219,8 +219,8 @@ def run_theorem_a(n_max: int = THEOREM_A_N_MAX, cap: int | None = None) -> Suite
 #: run_tableaux refuses larger n.  n = 9 waits on the tables of its cuts,
 #: about 28 s and 550 MB each at full width when measured once, before a
 #: table skipped the masks of the tableaux its map leaves unchanged (ROADMAP
-#: item 1); _level(9), with one up-set per chain end, took 21.8 s of CPU and
-#: an 82 MB peak in one run from cold (31.9 s and 82 MB with one per tableau).
+#: item 1); _level(9), with one-pass chains, took 23.0 s of CPU (median of
+#: three runs from cold, 20.7-25.5 s) and a 61 MB peak.
 TABLEAUX_N_MAX = 8
 
 

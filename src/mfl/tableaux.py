@@ -40,7 +40,6 @@ from mfl.matchfield import image_code
 from mfl.permcomb import (
     _alive_masks,
     all_index_keys,
-    bruhat_leq,
     bruhat_minimum,
     bruhat_up_set,
     check_permutation,
@@ -175,14 +174,22 @@ def min_defining_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]
     """Minimum defining chain of a semi-standard tableau with at most two
     columns, as its tuple of permutations.
 
-    The first permutation is the Grassmannian permutation of the left
-    column.  For an equal-size right column J the second is (J, rest); for a
-    singleton J = {j} it is built constructively by swapping j with the
-    largest left-column element below it; otherwise it is the least of the
-    candidates that the subsets of the left column that may follow J give.
+    The first permutation is v_1 = (I, rest) for the left column I.  For a
+    right column J, take x from n down to 1 keeping
+    ``owed += (x in I) - (x in J)``, and put x in the tail, decrementing
+    ``owed``, whenever ``owed > 0``; the second permutation is (J, tail, rest).
+    Why: v_1 descends only at t = |I|, so a w >= v_1 with prefix set J at
+    s = |J| has its t-prefix set Gale-above I.  The t-sets that contain J
+    and lie Gale-above I are closed under the entrywise minimum; the pass
+    builds their least member M, and M - J lies in I - J.  So (J, M - J,
+    rest) is one of the paper's candidates, descends only at s and t, and
+    at both lies below every such w: it is the least candidate and the
+    exhaustive minimum.
 
     >>> min_defining_chain2(4, ((1, 2, 4), (3,)))
     ((1, 2, 4, 3), (3, 1, 4, 2))
+    >>> min_defining_chain2(6, ((1, 3, 4), (2, 5)))
+    ((1, 3, 4, 2, 5, 6), (2, 5, 3, 1, 4, 6))
     """
     if len(columns) > 2:
         raise CapabilityError("defining chains are implemented for <= 2 columns")
@@ -198,26 +205,13 @@ def _min_chain2(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:
     if len(columns) == 1:
         return (v1,)
     right = columns[1]
-    if len(right) == len(left):
-        return v1, _block_permutation(n, right)
-    if len(right) == 1:
-        i_star = max(v for v in left if v <= right[0])
-        return v1, _block_permutation(n, right, tuple(v for v in left if v != i_star))
-    pool = tuple(v for v in left if v not in right)
-    tails = {
-        _block_permutation(n, right, tilde)
-        for size in range(len(pool) + 1)
-        for tilde in itertools.combinations(pool, size)
-    }
-    candidates = sorted(v2 for v2 in tails if bruhat_leq(v1, v2))
-    # sorted is itertools.permutations order, a linear extension of Bruhat
-    # order, so a least candidate comes first if there is one
-    least = candidates[0] if candidates else None
-    if least is None or not all(bruhat_leq(least, v2) for v2 in candidates[1:]):
-        raise ValueError(
-            f"minimum defining chain not unique among candidates for {columns}"
-        )
-    return v1, least
+    owed, tail = 0, []
+    for x in range(n, 0, -1):
+        owed += (x in left) - (x in right)
+        if owed > 0:
+            owed -= 1
+            tail.append(x)
+    return v1, _block_permutation(n, right, tuple(reversed(tail)))
 
 
 def min_defining_chain2_exhaustive(n: int, columns: Columns) -> tuple[tuple[int, ...], ...]:

@@ -19,5 +19,7 @@ MODULES = [
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
-    if module.__name__ in ("mfl.permcomb", "mfl.matchfield", "per_w_reference", "mask_oracle"):
+    if module.__name__ in (
+        "mfl.permcomb", "mfl.matchfield", "mfl.tableaux", "per_w_reference", "mask_oracle"
+    ):
         assert result.attempted > 0
