@@ -17,6 +17,14 @@ __version__ = "0.1.0"
 #: so that the CLI parser reads them without importing the suites.
 SUITES = ("coherence", "theoremB", "theoremC", "P", "theoremA", "tableaux", "all")
 
+
+class CapabilityError(Exception):
+    """A request exceeded a configured size cap.
+
+    Defined here, like ``SUITES``, so that the CLI catches it without
+    importing a layer; :mod:`mfl.quadideal` re-exports it."""
+
+
 _EXPORTS = {
     "matchfield": (
         "display_key",
@@ -57,6 +65,8 @@ _EXPORTS = {
     ),
 }
 
+#: ``CapabilityError`` stays listed under ``quadideal``, which re-exports it;
+#: the class above binds it, so ``__getattr__`` never resolves it.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = ["SUITES", *_MODULE_OF]

@@ -4,10 +4,10 @@ Commands: classify, tables, zn, ideal, tableaux, verify, sweep.
 Exit codes: 0 success, 1 verification or golden-table mismatch or output
 cut short, 2 usage error.
 All output is deterministic for fixed flags; sweeps sort by (n, ell, w)
-before emission.  Every command runs in a single process and imports only
-the layers it runs: the combinatorial families, the tableaux layer, the
-suites, the golden tables and ``json`` load inside the commands that use
-them.
+before emission.  Every command runs in a single process.  The parser, and
+so ``--help`` and every usage error, loads no layer: this module imports
+only the standard library and ``mfl`` at the top, and each command imports
+the layers it runs (and ``json``, with ``--format json``) when it runs.
 """
 
 from __future__ import annotations
@@ -18,30 +18,8 @@ import math
 import os
 import sys
 
-from mfl import SUITES
-from mfl.matchfield import display_key
-from mfl.permcomb import (
-    MAX_N,
-    check_cut,
-    check_permutation,
-    mask_bits,
-    permutation_at,
-    set_bits,
-    word_text,
-    zero_family,
-    zero_family_size,
-)
-from mfl.quadideal import (
-    BINOMIAL,
-    NONBINOMIAL,
-    ZERO,
-    CapabilityError,
-    _check_case,
-    classify_oracle,
-    mono_key,
-    mono_text,
-    verdict_masks,
-)
+from mfl import SUITES, CapabilityError
+
 SCHEMA = "mfl/1"
 
 
@@ -49,6 +27,8 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
     """Parse ``--w``: ``"3214"`` (values up to 9) or comma-separated
     ``"10,3,..."`` with a number in every field, which must be a
     permutation of [n]."""
+    from mfl.permcomb import check_permutation
+
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty permutation string")
@@ -90,6 +70,7 @@ def _emit_json_listing(obj, key: str, items) -> None:
 
 
 def cmd_classify(args) -> int:
+    from mfl.quadideal import classify_oracle, mono_text
     from mfl.theoremsets import classify_combinatorial
 
     w = parse_permutation(args.w, args.n)
@@ -119,7 +100,6 @@ def cmd_classify(args) -> int:
 
 def cmd_tables(args) -> int:
     from mfl import golden
-    from mfl.theoremsets import count_table, family_masks
 
     which = args.table
     if which == "table1" and args.n_max is not None:
@@ -127,6 +107,8 @@ def cmd_tables(args) -> int:
     if args.n_max is not None and args.n_max < 3:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if which == "table2":
+        from mfl.theoremsets import count_table
+
         n_max = 6 if args.n_max is None else args.n_max
         rows = count_table(3, n_max)
         diffs = []
@@ -177,6 +159,8 @@ def cmd_tables(args) -> int:
         return 1 if diffs or disagreements else 0
 
     if which == "zn":
+        from mfl.permcomb import MAX_N, word_text, zero_family, zero_family_size
+
         if args.n_max is not None and args.n_max > MAX_N:
             raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
         n_max = 15 if args.n_max is None else args.n_max
@@ -207,6 +191,10 @@ def cmd_tables(args) -> int:
         return 1 if diffs else 0
 
     # table1: the nine n = 3 cells and the four n = 4 binomial lists
+    from mfl.permcomb import permutation_at, set_bits, word_text
+    from mfl.quadideal import classify_oracle, mono_key, mono_text, verdict_masks
+    from mfl.theoremsets import family_masks
+
     diffs = []
     cells = {}
     for (ell, wstr), expected in sorted(golden.IDEALS_N3.items()):
@@ -255,6 +243,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_ideal(args) -> int:
+    from mfl.quadideal import _check_case, classify_oracle, mono_text
+
     if args.w is not None:
         w = parse_permutation(args.w, args.n)
     else:
@@ -276,12 +266,15 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
+    from mfl.permcomb import MAX_N, check_cut
+
     if args.n < 2:
         raise ValueError(f"tableaux need n >= 2, got {args.n}")
     if args.n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {args.n}")
     if args.ell is not None:
         check_cut(args.n, args.ell)
+    from mfl.matchfield import display_key
     from mfl.tableaux import enumerate_ssyt2, ssyt_to_matching_field
 
     w = parse_permutation(args.w, args.n) if args.w is not None else None
@@ -324,6 +317,8 @@ def _render(columns) -> str:
 
 
 def cmd_verify(args) -> int:
+    from mfl.permcomb import MAX_N
+
     if args.suite == "all" and args.n_max is not None:
         raise ValueError(
             "--n-max applies to a single suite; --suite all runs each at its default range"
@@ -358,6 +353,8 @@ def _sweep_rows(n: int, ell: int) -> list[tuple[int, str, str, str, str]]:
     zero and binomial families and the binomial clauses' tag masks; no
     per-w object is built.
     """
+    from mfl.permcomb import mask_bits
+    from mfl.quadideal import BINOMIAL, NONBINOMIAL, ZERO, verdict_masks
     from mfl.theoremsets import CLASS_N, CLASS_T, CLASS_Z, family_masks
 
     monomial, surviving = verdict_masks(n, ell)  # the oracle bound is checked first
@@ -386,6 +383,8 @@ def _sweep_rows(n: int, ell: int) -> list[tuple[int, str, str, str, str]]:
 
 
 def cmd_sweep(args) -> int:
+    from mfl.permcomb import check_cut
+
     if args.n < 3:
         raise ValueError(f"families are defined for n >= 3, got {args.n}")
     if args.ell is not None:

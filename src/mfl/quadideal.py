@@ -28,6 +28,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
+from mfl import CapabilityError  # re-exported: raised here and by the layers above
 from mfl.matchfield import _swap_flag, image_code
 from mfl.permcomb import (
     _alive_masks,
@@ -47,10 +48,6 @@ ORACLE_BOUND_DEFAULT = 7
 ZERO = "zero"
 BINOMIAL = "binomial"
 NONBINOMIAL = "nonbinomial"
-
-
-class CapabilityError(Exception):
-    """A request exceeded a configured size cap."""
 
 
 class QuadraticRelation(NamedTuple):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mask_oracle import reference_sweep_rows
-from mfl import cli, suites, tableaux, theoremsets
+from mfl import cli, permcomb, suites, tableaux, theoremsets
 from mfl.cli import main, parse_permutation
 from mfl.quadideal import classify_oracle
 from mfl.suites import SuiteReport
@@ -150,13 +150,13 @@ class TestTables:
 
     def test_zn_size_mismatch_exits_1(self, capsys, monkeypatch):
         # n = 7 has no golden listing, so only the size check can see this
-        original = cli.zero_family
+        original = permcomb.zero_family
 
         def short(n):
             members = original(n)
             return members - {min(members)} if n == 7 else members
 
-        monkeypatch.setattr(cli, "zero_family", short)
+        monkeypatch.setattr(permcomb, "zero_family", short)
         code, out, _ = run(capsys, "zn", "--n-max", "8")
         assert code == 1
         assert "# |Z_7| = 21" in out
@@ -180,7 +180,7 @@ class TestTables:
         def must_not_run(n):
             raise AssertionError(f"zero_family({n}) called")
 
-        monkeypatch.setattr(cli, "zero_family", must_not_run)
+        monkeypatch.setattr(permcomb, "zero_family", must_not_run)
         for argv in (["tables", "zn"], ["zn"]):
             code, out, err = run(capsys, "--format", fmt, *argv, "--n-max", "17")
             assert (code, out) == (2, ""), argv

@@ -1,6 +1,6 @@
-"""Start-up cost: ``import mfl`` loads no layer, each CLI command loads only
-the layers it runs, and the package's lazy exports resolve as the eager
-imports did."""
+"""Start-up cost: ``import mfl`` loads no layer, the CLI parser loads no
+layer, each CLI command loads only the layers it runs, and the package's
+lazy exports resolve as the eager imports did."""
 
 import importlib
 import json
@@ -44,6 +44,9 @@ MOVED = {
 DEFERRED = ("mfl.tableaux", "mfl.suites", "mfl.golden", "mfl.flagideal",
             "mfl.exactla", "dataclasses", "json")
 
+#: The layers every command but ``zn`` loads, and the parser does not.
+LAYERS = ("mfl.permcomb", "mfl.matchfield", "mfl.quadideal")
+
 
 def _loaded_after(statements: str) -> list[str]:
     """The modules a fresh interpreter loads to run ``statements``, beyond
@@ -73,7 +76,8 @@ def test_import_mfl_loads_no_layer():
 
 
 @pytest.mark.parametrize("statements, deferred", [
-    ("import mfl.cli; mfl.cli.build_parser()", (*DEFERRED, "mfl.theoremsets")),
+    ("import mfl.cli; mfl.cli.build_parser()",
+     (*DEFERRED, *LAYERS, "mfl.theoremsets")),
     ("import mfl.cli; mfl.cli.main(['sweep', '--n', '4', '--ell', '1'])", DEFERRED),
     ("import mfl.cli; mfl.cli.main(['tables', 'table2', '--n-max', '4'])",
      ("mfl.tableaux", "mfl.suites", "mfl.flagideal", "mfl.exactla", "dataclasses",
@@ -83,6 +87,50 @@ def test_command_loads_only_its_layers(statements, deferred):
     loaded = _loaded_after(statements)
     assert "mfl.cli" in loaded
     assert [m for m in deferred if m in loaded] == []
+
+
+@pytest.mark.parametrize("statements", [
+    "import mfl.cli; mfl.cli.build_parser()",
+    "import mfl.cli\n"
+    "    try:\n"
+    "        mfl.cli.main(['--help'])\n"
+    "    except SystemExit as exc:\n"
+    "        assert exc.code == 0, exc.code",
+    "import mfl.cli\n"
+    "    code = mfl.cli.main(['--la-cap', '-1', 'verify', '--suite', 'theoremA'])\n"
+    "    assert code == 2, code",
+], ids=["parser", "help", "usage-error"])
+def test_parser_loads_no_layer(statements):
+    loaded = _loaded_after(statements)
+    assert [m for m in loaded if m.startswith("mfl.")] == ["mfl.cli"]
+
+
+def test_zn_loads_only_the_zero_family_and_golden():
+    for argv in (["zn", "--n-max", "8"], ["tables", "zn", "--n-max", "8"]):
+        loaded = _loaded_after(f"import mfl.cli; mfl.cli.main({argv!r})")
+        assert "mfl.permcomb" in loaded and "mfl.golden" in loaded, argv
+        assert [m for m in ("mfl.quadideal", "mfl.matchfield", "mfl.theoremsets")
+                if m in loaded] == [], argv
+
+
+def test_capability_error_is_defined_in_the_package():
+    from mfl import quadideal
+
+    assert mfl.CapabilityError is quadideal.CapabilityError
+    assert mfl.CapabilityError.__module__ == "mfl"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--n", "8"], "error: oracle bound is n <= 7, got n = 8\n"),
+    (["verify", "--suite", "tableaux", "--n-max", "9"],
+     "error: n_max 9 exceeds the tableaux suite's bound 8\n"),
+], ids=["sweep-oracle-bound", "tableaux-suite-bound"])
+def test_capability_error_from_a_lazy_layer_exits_2(argv, message):
+    # a fresh process: the layer that raises loads only when the command runs
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-m", "mfl.cli", *argv], env=env,
+                            capture_output=True, text=True, check=False)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
 
 
 def test_table2_loads_golden_and_tableaux_loads_tableaux():
