@@ -7,19 +7,19 @@ monomial-free w, each block's flag rows restricted to X(w) must have
 lowest-weight initial forms spanned by the surviving fiber binomials.
 
 Most of this work repeats, and each repeat is done once per n.  Blocks
-with the same local relations share one elimination (26 relation lists for
-the 5316 blocks at n = 8).  What a block's check reads (its flag rows, and
-of a cut which columns tie in weight, the fibers and their relative signs)
-is the same for many blocks and cuts, so each distinct layout is built once
-(250 for the 8640 block layouts at n = 8).  Which of a block's monomials
-survive a w does not depend on the cut at all: per block, the w that some
-cut checks are split once by the surviving columns, and each distinct
-(layout, surviving columns) is decided once for all blocks and cuts.  The
-split runs on the view, the checked w alone, gathered from the n!-bit
-masks of S_n.
-
-Only the Theorem A suite imports this module, and with it
-:mod:`mfl.exactla`.
+with the same local relations share one elimination (26 relation lists
+for the 5316 blocks at n = 8).  What a block's check reads (its flag rows;
+of a cut, the weight ties and relative fiber signs) is the same for many
+blocks and cuts, so each distinct layout is built once, keyed by ints (250
+of 8640 at n = 8).  The interval rule: from cut ell - 1 to ell, a variable
+J with two or more members keeps its swap flag and weight formula unless
+ell is J[0] or J[1], and its weight grows by 1; a block's monomials have
+one size multiset, so their weights shift alike, and a block is keyed only
+at such cuts.  Which of a block's monomials survive a w does not depend on
+the cut: per block, the checked w (the view, gathered from the n!-bit masks
+of S_n) are split once by the surviving columns, and each distinct (layout,
+surviving columns) is decided once.  Only the Theorem A suite imports this
+module, and with it :mod:`mfl.exactla`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
-from operator import itemgetter, or_
+from operator import add, itemgetter, ne, or_
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
@@ -95,12 +95,12 @@ def _flag_ideal(n: int) -> tuple[_FlagBlock, ...]:
         for b, pairs in enumerate(blocks) for c, (i, j) in enumerate(pairs)
     }
     relations: list[list[exactla.Row]] = [[] for _ in blocks]
+    subsets = [[(s, sum(1 << v for v in s)) for s in itertools.combinations(range(1, n + 1), k)]
+               for k in range(n + 1)]  # per size, each subset with its bitmask
     for p in range(1, n):
         for q in range(p, n):
-            for lower in itertools.combinations(range(1, n + 1), p - 1):
-                low = sum(1 << v for v in lower)
-                for upper in itertools.combinations(range(1, n + 1), q + 1):
-                    up = sum(1 << v for v in upper)
+            for _, low in subsets[p - 1]:
+                for upper, up in subsets[q + 1]:
                     row: exactla.Row = {}
                     for k, j in enumerate(upper):
                         bit = 1 << j
@@ -144,21 +144,17 @@ class _BlockLayout(NamedTuple):
     fibers: tuple[tuple[int, dict[int, int]], ...]
 
 
-def _block_layout(
-    rows: tuple[exactla.Row, ...],
-    weights: tuple[int, ...],
-    fibers: tuple[tuple[tuple[int, int], ...], ...],
-) -> _BlockLayout:
+def _block_layout(rows: tuple[exactla.Row, ...], weights: tuple[int, ...],
+                  fibers: tuple[tuple[int, int], ...]) -> _BlockLayout:
     """The layout of one block, from the weight (or weight rank) of each
-    local column and the fibers as tuples of (local column, image sign)."""
-    # local columns are in monomial order, so a stable sort puts equal
-    # weights in monomial order
+    local column and, per fiber, its mask of local columns and the mask of
+    those of image sign -1 (or of sign unlike its first column's)."""
+    # the stable sort keeps tied columns in local (monomial) order
     order = sorted(range(len(weights)), key=weights.__getitem__)
     position = sorted(range(len(order)), key=order.__getitem__)  # its inverse
-    return _BlockLayout(
-        rows, weights, tuple(position),
-        tuple((sum(1 << c for c, _ in fiber), dict(fiber)) for fiber in fibers),
-    )
+    return _BlockLayout(rows, weights, tuple(position), tuple(
+        (mask, {c: -1 if neg >> c & 1 else 1 for c in range(mask.bit_length()) if mask >> c & 1})
+        for mask, neg in fibers))
 
 
 def _block_matches(layout: _BlockLayout, alive: int) -> bool | None:
@@ -227,50 +223,54 @@ def _shared_layouts(
     """Per block of the flag ideal at n that holds a flag row or a fiber of
     some cut: its pairs, and its layouts with the cuts that share each.
 
-    :func:`_block_matches` reads of a block its flag rows, and of a cut
-    only which columns tie in weight (so the order of the columns too) and
-    the fibers with their signs, up to the sign of a whole fiber.  The
-    (block, cut) pairs that agree on these share one layout, with the
-    weights replaced by their ranks and each fiber's signs made relative to
-    its first column.  Each distinct layout is built once per call, keyed
-    by its rows' entries in order, its ranks and its fibers, and comes with
-    its index in order of first use: equal indices mean equal layouts.
+    The (block, cut) pairs that agree on all :func:`_block_matches` reads
+    (flag rows, weight ties, fiber signs up to a whole fiber's) share one
+    layout, built once per call and indexed in order of first use, keyed by
+    ints: an index of the rows' entries, the weight ranks, and per fiber the
+    column mask and the columns whose sign differs from the first's.  By the
+    interval rule a block is keyed only at cut 0 and at J[0] and J[1] of its
+    variables J (other cuts join the cut before), from flat per-cut data.
     """
-    variables = all_index_keys(n)
-    weights = [[weight_key(n, ell, key) for key in variables] for ell in range(n)]
-    signs = [[-1 if _swap_flag(ell, key) else 1 for key in variables] for ell in range(n)]
-    blocks = _degree_blocks(n)
-    table: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in blocks]
+    keys, blocks = all_index_keys(n), _degree_blocks(n)
+    first, second = zip(*itertools.chain.from_iterable(blocks))
+
+    def flat(values: list, op) -> Iterator:  # per monomial of all blocks
+        return map(op, map(values.__getitem__, first), map(values.__getitem__, second))
+    weights = [list(flat([weight_key(n, ell, k) for k in keys], add)) for ell in range(n)]
+    negative = [  # bit text: character k is 1 iff monomial k has sign -1
+        bytes(flat([_swap_flag(ell, k) for k in keys], ne)).translate(b"01".ljust(256))
+        for ell in range(n)]
+    breaks = list(flat([1 << k[0] | 1 << k[1] if len(k) > 1 else 0 for k in keys], or_))
+    table: list[list[tuple[int, int, int]]] = [[] for _ in blocks]
     for b, columns, cuts in _fiber_table(n):
-        table[b].append((columns, cuts))
+        table[b].append((reduce(or_, map((1).__lshift__, columns)), columns[0], cuts))
+    flag = _flag_ideal(n)  # held, so each basis tuple keeps its id
+    contents: dict[tuple, int] = {}  # rows' entries (read once per basis tuple) -> index
+    index = {id(rows): contents.setdefault(tuple(map(tuple, map(dict.items, rows))), len(contents))
+             for rows in {id(block.rows): block.rows for block in flag}.values()}
     layouts: dict[tuple, tuple[int, _BlockLayout]] = {}
-    for block, pairs, fibers in zip(_flag_ideal(n), blocks, table):
-        groups: dict[tuple, list[int]] = {}  # (weight ranks, fibers) -> cuts
+    end = 0
+    for block, pairs, fibers in zip(flag, blocks, table):
+        start, end = end, end + len(pairs)
+        basis = index[id(block.rows)]
+        groups: dict[tuple, list[int]] = {}  # (basis, weight ranks, fibers) -> cuts
+        at, ells = reduce(or_, breaks[start:end], 1), None
         for ell in range(n):
-            sign = signs[ell]
-            column_signs = [sign[i] * sign[j] for i, j in pairs]
-            # a fiber's binomials are the same with all its signs flipped
-            cut_fibers = tuple(
-                tuple((c, column_signs[c] * column_signs[columns[0]]) for c in columns)
-                for columns, cuts in fibers if cuts >> ell & 1
-            )
-            if not block.rows and not cut_fibers:
-                continue
-            weight = weights[ell]
-            column_weights = [weight[i] + weight[j] for i, j in pairs]
-            rank = {x: r for r, x in enumerate(sorted(set(column_weights)))}
-            ranks = tuple(map(rank.__getitem__, column_weights))
-            groups.setdefault((ranks, cut_fibers), []).append(ell)
-        if not groups:
-            continue
-        rows = tuple(tuple(row.items()) for row in block.rows)
-        shared = []
-        for (ranks, cut_fibers), ells in groups.items():
-            key = rows, ranks, cut_fibers
+            if at >> ell & 1:
+                signs = int(negative[ell][start:end][::-1], 2)
+                # a fiber's binomials are the same with all its signs flipped
+                cut_fibers = tuple([(mask, (signs ^ -(signs >> c & 1)) & mask)
+                                    for mask, c, cuts in fibers if cuts >> ell & 1])
+                weight = weights[ell][start:end]
+                key = basis, tuple(map(sorted(set(weight)).index, weight)), cut_fibers
+                ells = groups.setdefault(key, []) if block.rows or cut_fibers else None
+            if ells is not None:
+                ells.append(ell)
+        for key in groups:
             if key not in layouts:
-                layouts[key] = len(layouts), _block_layout(block.rows, ranks, cut_fibers)
-            shared.append((*layouts[key], ells))
-        yield pairs, shared
+                layouts[key] = len(layouts), _block_layout(block.rows, *key[1:])
+        if groups:
+            yield pairs, [(*layouts[key], ells) for key, ells in groups.items()]
 
 
 @lru_cache(maxsize=1)  # the suite reads all cuts of one n, then moves on

@@ -134,7 +134,9 @@ def block_layouts(n, ell):
     weight = [weight_key(n, ell, key) for key in all_index_keys(n)]
     return tuple(
         (pairs, flagideal._block_layout(
-            block.rows, tuple(weight[i] + weight[j] for i, j in pairs), fibers
+            block.rows, tuple(weight[i] + weight[j] for i, j in pairs),
+            tuple((sum(1 << c for c, _ in fiber), sum(1 << c for c, s in fiber if s < 0))
+                  for fiber in fibers),
         ))
         for block, pairs, fibers in zip(
             flagideal._flag_ideal(n), _degree_blocks(n), _fibers(n, ell)

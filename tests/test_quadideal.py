@@ -539,6 +539,19 @@ def perturbed_layouts(layout):
     ]
 
 
+def kept(layout):
+    """All that ``_block_matches`` reads of a layout: the flag rows, the
+    column order, the weight ties, and the fibers with their signs up to
+    the sign of a whole fiber."""
+    size = len(layout.position)
+    ties = {(c, d) for c in range(size) for d in range(c)
+            if layout.weights[c] == layout.weights[d]}
+    fibers = [(mask, [s * signs[min(signs)] for _, s in sorted(signs.items())])
+              for mask, signs in layout.fibers]
+    rows = [list(row.items()) for row in layout.rows]
+    return rows, layout.position, ties, fibers
+
+
 class TestTheoremAKernel:
     def test_every_mask_matches_reference_n_le_4(self):
         outcomes = set()
@@ -634,8 +647,8 @@ class TestTheoremAKernel:
                     for variant in [layout, *perturbed_layouts(layout)]:
                         rank = {x: r for r, x in enumerate(sorted(set(variant.weights)))}
                         fibers = tuple(
-                            tuple((c, s * signs[min(signs)]) for c, s in sorted(signs.items()))
-                            for _, signs in variant.fibers
+                            (mask, sum(1 << c for c, s in signs.items() if s != signs[min(signs)]))
+                            for mask, signs in variant.fibers
                         )
                         shared = flagideal._block_layout(
                             variant.rows, tuple(rank[x] for x in variant.weights), fibers,
@@ -648,19 +661,9 @@ class TestTheoremAKernel:
 
     @staticmethod
     def _assert_each_cut_shares_a_layout_it_agrees_with(n):
-        # a cut's own layout of a block and the layout it shares have the
-        # same flag rows, column order and weight ties, and the same fibers
-        # up to the sign of a whole fiber; every cut that has the block
-        # shares once, and a layout's index stands for its value
-        def kept(layout):
-            size = len(layout.position)
-            ties = {(c, d) for c in range(size) for d in range(c)
-                    if layout.weights[c] == layout.weights[d]}
-            fibers = [(mask, [s * signs[min(signs)] for _, s in sorted(signs.items())])
-                      for mask, signs in layout.fibers]
-            rows = [list(row.items()) for row in layout.rows]
-            return rows, layout.position, ties, fibers
-
+        # a cut's own layout of a block and the layout it shares agree in
+        # all that the check reads; every cut that has the block shares
+        # once, and a layout's index stands for its value
         own = [dict(block_layouts(n, ell)) for ell in range(n)]
         indexed = {}
         for pairs, shared in flagideal._shared_layouts(n):
@@ -676,6 +679,32 @@ class TestTheoremAKernel:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_each_cut_shares_a_layout_it_agrees_with(self, n):
         self._assert_each_cut_shares_a_layout_it_agrees_with(n)
+
+    @pytest.mark.slow
+    def test_each_cut_shares_a_layout_it_agrees_with_n7_slow(self):
+        self._assert_each_cut_shares_a_layout_it_agrees_with(7)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_layouts_change_only_at_breakpoints(self, n):
+        # the interval rule: from cut ell - 1 to ell, a block's layout
+        # changes in nothing the check reads unless ell is the first or
+        # second member of one of its variables; some breakpoint does change
+        # one, so the rule is not vacuous
+        variables = all_index_keys(n)
+        own = [dict(block_layouts(n, ell)) for ell in range(n)]
+        changed = 0
+        for pairs in set().union(*own):
+            breaks = {key[k] for pair in pairs for key in map(variables.__getitem__, pair)
+                      if len(key) > 1 for k in (0, 1)}
+            for ell in range(1, n):
+                before, after = own[ell - 1].get(pairs), own[ell].get(pairs)
+                same = before is after is None or (
+                    before is not None and after is not None and kept(before) == kept(after))
+                if ell in breaks:
+                    changed += before is not None and after is not None and not same
+                else:
+                    assert same, (n, pairs, ell)
+        assert changed, n
 
     def test_blocks_share_a_layout_only_with_equal_rows(self, monkeypatch):
         # in the flag ideal, blocks with the same weight ties and fibers
@@ -756,6 +785,21 @@ class TestTheoremAKernel:
         built.clear()
         flagideal._theorem_a_cuts.__wrapped__(6)
         assert (len(calls), len(built)) == (157, 42)
+
+    @pytest.mark.slow
+    def test_each_layout_and_mask_is_decided_once_n7_slow(self, patch_block_matches, monkeypatch):
+        # at n = 7, 501 block eliminations and 95 layouts for 2169 (block,
+        # layout) pairs
+        calls = []
+        built = []
+        real, real_layout = flagideal._block_matches, flagideal._block_layout
+        patch_block_matches(lambda layout, mask: calls.append(mask) or real(layout, mask))
+        monkeypatch.setattr(
+            flagideal, "_block_layout", lambda *args: built.append(args) or real_layout(*args),
+        )
+        masks = flagideal._theorem_a_cuts.__wrapped__(7)
+        assert not any(m.failing or m.partial for m in masks)
+        assert (len(calls), len(built)) == (501, 95)
 
     def test_no_answer_outlives_the_call(self, monkeypatch):
         # the layouts and answers are shared only within one call: a fake
