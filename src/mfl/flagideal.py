@@ -16,10 +16,10 @@ J with two or more members keeps its swap flag and weight formula unless
 ell is J[0] or J[1], and its weight grows by 1; a block's monomials have
 one size multiset, so their weights shift alike, and a block is keyed only
 at such cuts.  Which of a block's monomials survive a w does not depend on
-the cut: per block, the checked w (the view, gathered from the n!-bit masks
-of S_n) are split once by the surviving columns, and each distinct (layout,
-surviving columns) is decided once.  Only the Theorem A suite imports this
-module, and with it :mod:`mfl.exactla`.
+the cut: per block, the checked w (a :class:`mfl.permcomb.View` of S_n) are
+split once by the surviving columns, and each distinct (layout, surviving
+columns) is decided once.  Only the Theorem A suite imports this module,
+and with it :mod:`mfl.exactla`.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
-from operator import add, itemgetter, ne, or_
+from operator import add, ne, or_
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
 from mfl.matchfield import _swap_flag, weight_key
-from mfl.permcomb import _alive_masks, all_index_keys
+from mfl.permcomb import View, _alive_masks, all_index_keys
 from mfl.quadideal import (
     CapabilityError,
     _check_case,
@@ -278,45 +278,28 @@ def _theorem_a_cuts(n: int) -> tuple[TheoremAMasks, ...]:
     """Theorem A for every cut of n, entry ell for B_ell.
 
     Cut ell checks the w outside its monomial mask of
-    :func:`mfl.quadideal._fiber_folds`.  The work runs on the view, the w
-    that some cut checks (6864 of the 362880 at n = 9): each mask is
-    gathered onto it through its bit text, as
-    :func:`mfl.permcomb.lift_masks` does, and the answers are scattered
-    back.  Per block, the view is split by which of the block's monomials
-    survive, one column at a time (the monomial of variables i and j
-    survives on the AND of their ``alive`` bitsets), once for all cuts.
-    Each distinct (layout of :func:`_shared_layouts`, alive mask) that a
-    cut of the layout checks is then decided once per n, for every block
-    and cut that shares it.
+    :func:`mfl.quadideal._fiber_folds`.  The work runs on the
+    :class:`mfl.permcomb.View` of the w that some cut checks (6864 of the
+    362880 at n = 9): each mask is gathered onto it, and the answers are
+    scattered back.  Per block, the view is split by which of the block's
+    monomials survive, one column at a time (the monomial of variables i
+    and j survives on the AND of their ``alive`` bitsets), once for all
+    cuts.  Each distinct (layout of :func:`_shared_layouts`, alive mask)
+    that a cut of the layout checks is then decided once per n, for every
+    block and cut that shares it.
     """
     width = math.factorial(n)
     every = (1 << width) - 1
     checked = [every & ~fold.monomial for fold in _fiber_folds(n)]
-    # character t of a mask's text is bit width - 1 - t; the view keeps
-    # the characters of the union's set bits, and character size of a
-    # view text with "0" appended fills the rest when scattering back
-    text = format(reduce(or_, checked), f"0{width}b")
-    places = list(itertools.compress(range(width), map("1".__eq__, text)))
-    size = len(places)
-    back = [size] * width
-    for k, t in enumerate(places):
-        back[t] = k
-    gather, scatter = itemgetter(*places), itemgetter(*back)
-
-    def view(mask: int) -> int:
-        return int("".join(gather(format(mask, f"0{width}b"))), 2)
-
-    def full(mask: int) -> int:
-        return int("".join(scatter(format(mask, f"0{size}b") + "0")), 2) if mask else 0
-
+    view = View.from_mask(width, reduce(or_, checked))
     alive = _alive_masks(n)
-    va = [view(alive[key]) for key in all_index_keys(n)]
-    checks = [view(mask) for mask in checked]
+    va = [view.gather(alive[key]) for key in all_index_keys(n)]
+    checks = [view.gather(mask) for mask in checked]
     failing = [0] * n
     partial = [0] * n
     decided: dict[tuple[int, int], bool | None] = {}  # (layout, alive mask) -> answer
     for pairs, shared in _shared_layouts(n):
-        parts = {0: (1 << size) - 1}  # local alive mask -> the w that have it
+        parts = {0: (1 << len(view.positions)) - 1}  # local alive mask -> the w that have it
         for c, (i, j) in enumerate(pairs):
             column = va[i] & va[j]
             refined = {}
@@ -344,7 +327,7 @@ def _theorem_a_cuts(n: int) -> tuple[TheoremAMasks, ...]:
                 failing[ell] |= fails & checks[ell]
                 partial[ell] |= partly & checks[ell]
     return tuple(
-        TheoremAMasks(mask, full(fails), full(partly))
+        TheoremAMasks(mask, view.scatter(fails), view.scatter(partly))
         for mask, fails, partly in zip(checked, failing, partial)
     )
 

@@ -213,6 +213,8 @@ def permutation_at(n: int, index: int) -> tuple[int, ...]:
     >>> permutation_at(3, 3)
     (2, 3, 1)
     """
+    if not 0 <= index < math.factorial(n):
+        raise ValueError(f"index must be in 0..n!-1 = 0..{math.factorial(n) - 1}, got {index}")
     values = list(range(1, n + 1))
     out = []
     for k in range(n - 1, -1, -1):
@@ -222,11 +224,13 @@ def permutation_at(n: int, index: int) -> tuple[int, ...]:
 
 
 def set_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, in increasing order.
+    """Positions of the set bits of ``mask`` >= 0, in increasing order.
 
     >>> list(set_bits(0b101001))
     [0, 3, 5]
     """
+    if mask < 0:
+        raise ValueError(f"mask must be non-negative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -241,6 +245,34 @@ def mask_bits(mask: int, width: int) -> str:
     '0110'
     """
     return format(mask, f"0{width}b")[::-1]
+
+
+class View:
+    """Bit k of a gather is bit ``positions[k]`` of a mask ``width`` bits
+    wide, read off its :func:`mask_bits` text so that no step shifts a wide
+    int.  Gathers may repeat positions; scatters back need distinct ones.
+
+    >>> view = View.from_mask(6, 0b101100)
+    >>> view.positions, bin(view.gather(0b100101)), bin(view.scatter(0b110))
+    ([2, 3, 5], '0b101', '0b101000')
+    """
+
+    def __init__(self, width: int, positions: Sequence[int]) -> None:
+        self.width, self.positions = width, positions
+        self._pick = itemgetter(width, *reversed(positions))  # bit width: a leading "0"
+
+    @classmethod
+    def from_mask(cls, width: int, mask: int) -> View:  # its set bits, in order
+        return cls(width, [i for i, c in enumerate(mask_bits(mask, width)) if c == "1"])
+
+    def gather(self, mask: int) -> int:
+        return int("".join(self._pick(mask_bits(mask, self.width + 1))), 2) if mask else 0
+
+    def scatter(self, mask: int) -> int:
+        text, bits = bytearray(b"0") * self.width, mask_bits(mask, len(self.positions))
+        for p in itertools.compress(self.positions, map("1".__eq__, bits)):
+            text[p] = 49  # "1"
+        return int(text[::-1], 2) if mask else 0
 
 
 def repeat_run(mask: int, width: int, count: int) -> int:
@@ -266,10 +298,10 @@ def suffix_mask(n: int, suffix: tuple[int, ...]) -> int:
 
 
 def lift_masks(n: int, masks: Iterable[int]) -> list[int]:
-    """Each mask over S_{n-1} (n >= 2) lifted to S_n: bit i is set iff the
-    parent of the i-th w, w with n deleted, is in the mask.  The parent of
-    a w in run v < n is the parent of its rest, moved to run v of S_{n-1};
-    in run n it is the rest itself.
+    """Each mask over S_{n-1} (n >= 2) lifted to S_n: the gather of the
+    :class:`View` whose position i is the parent of the i-th w, w with n
+    deleted.  The parent of a w in run v < n is the parent of its rest,
+    moved to run v of S_{n-1}; in run n it is the rest itself.
 
     >>> [bin(m) for m in lift_masks(3, [0b01, 0b10])]
     ['0b10011', '0b101100']
@@ -279,11 +311,7 @@ def lift_masks(n: int, masks: Iterable[int]) -> list[int]:
         sub = math.factorial(m - 2)
         parents = [v * sub + p for v in range(m - 1) for p in parents] + list(
             range(len(parents)))
-    # character k of a mask's binary text is bit N-1-k, whose parent is
-    # character parents[N-1-k] of the bit text over S_{n-1}
-    pick = itemgetter(*reversed(parents))
-    width = math.factorial(n - 1)
-    return [int("".join(pick(mask_bits(m, width))), 2) if m else 0 for m in masks]
+    return list(map(View(math.factorial(n - 1), parents).gather, masks))
 
 
 @lru_cache(maxsize=8)  # the tableaux suite reads n = 3..8; a build reads n - 1

@@ -16,7 +16,7 @@ from operator import or_
 
 from mfl import SUITES
 from mfl.matchfield import verify_coherence
-from mfl.permcomb import mask_bits, permutation_at, restriction, set_bits, word_text
+from mfl.permcomb import View, mask_bits, permutation_at, restriction, set_bits, word_text
 from mfl.quadideal import (
     ZERO,
     CapabilityError,
@@ -164,8 +164,7 @@ def run_pattern(n_max: int = 6) -> SuiteReport:
         masks = [family_masks(n, ell).pattern for ell in range(1, n)]
         patterns = [(ell, mask_bits(mask, width)) for ell, mask in enumerate(masks, 1)]
         free_312 = mask_bits(family_masks(n, 0).free_312, width)
-        union = mask_bits(reduce(or_, masks), width)
-        for index in itertools.compress(range(width), map("1".__eq__, union)):
+        for index in View.from_mask(width, reduce(or_, masks)).positions:
             w = permutation_at(n, index)
             # each 312 in w, once for all ell: (position of the 3, the 1)
             occurrences = [(i, w[j]) for i, j, k in itertools.combinations(range(n), 3)

@@ -1,5 +1,6 @@
 import doctest
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -19,7 +20,5 @@ MODULES = [
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
-    if module.__name__ in (
-        "mfl.permcomb", "mfl.matchfield", "mfl.tableaux", "per_w_reference", "mask_oracle"
-    ):
-        assert result.attempted > 0
+    # a module with an example runs it, so none drops out unseen
+    assert result.attempted > 0 or ">>> " not in inspect.getsource(module)

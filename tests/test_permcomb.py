@@ -15,6 +15,7 @@ from mask_oracle import (
 from mfl.cli import parse_permutation
 from mfl.permcomb import (
     MAX_N,
+    View,
     _alive_masks,
     all_index_keys,
     bruhat_leq,
@@ -353,10 +354,26 @@ class TestBitsetsOverSn:
             assert permutation_index(entries) == i, entries
             assert permutation_at(n, i) == entries
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_permutation_at_refuses_indices_outside_s_n(self, n):
+        last = math.factorial(n) - 1
+        assert permutation_at(n, 0) == tuple(range(1, n + 1))
+        assert permutation_at(n, last) == tuple(range(n, 0, -1))
+        for i in (0, last):
+            assert permutation_index(permutation_at(n, i)) == i
+        for i in (-1, last + 1):
+            with pytest.raises(ValueError, match=rf"0\.\.n!-1 = 0\.\.{last}\b"):
+                permutation_at(n, i)
+
     def test_set_bits(self):
         assert list(set_bits(0)) == []
         mask = (1 << 5039) | (1 << 64) | 0b1011
         assert list(set_bits(mask)) == [0, 1, 3, 64, 5039]
+
+    def test_set_bits_refuses_a_negative_mask(self):
+        # a negative int has infinitely many set bits
+        with pytest.raises(ValueError, match="non-negative"):
+            next(set_bits(-1))
 
     def test_mask_bits_and_to_mask(self):
         mask = (1 << 5039) | (1 << 64) | 0b1011
@@ -377,6 +394,20 @@ class TestBitsetsOverSn:
             parent = permutation_index(remove_max(w))
             for mask, lift in zip(masks, lifted):
                 assert lift >> i & 1 == mask >> parent & 1, (w, mask)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lift_masks_is_a_view_with_repeated_positions(self, n):
+        # position i of the lift's view is the parent of the i-th w: n!
+        # positions over (n - 1)! bits, each taken n times
+        parents = [permutation_index(remove_max(w))
+                   for w in itertools.permutations(range(1, n + 1))]
+        view = View(math.factorial(n - 1), parents)
+        assert sorted(parents) == [p for p in range(view.width) for _ in range(n)]
+        rng = random.Random(n)
+        masks = [0, (1 << view.width) - 1] + [rng.getrandbits(view.width) for _ in range(3)]
+        assert [view.gather(m) for m in masks] == lift_masks(n, masks)
+        for mask in masks:
+            assert view.gather(mask) == _gathered(mask, parents)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_suffix_mask_matches_the_tails(self, n):
@@ -453,3 +484,50 @@ class TestBitsetsOverSn:
             longest = tuple(range(n, 0, -1))
             assert bruhat_up_set(tuple(range(1, n + 1))) == full
             assert bruhat_up_set(longest) == 1 << permutation_index(longest)
+
+
+def _gathered(mask, positions):
+    """Bit k is bit ``positions[k]`` of ``mask``, one bit at a time."""
+    return sum((mask >> p & 1) << k for k, p in enumerate(positions))
+
+
+def _views(n):
+    """Views over S_n: the empty one, one member, the last bit, all of S_n,
+    and random subsets, one of them in no particular order."""
+    width = math.factorial(n)
+    rng = random.Random(n)
+    yield View(width, [])
+    yield View(width, [rng.randrange(width)])
+    yield View(width, [width - 1])
+    yield View(width, list(range(width)))
+    for _ in range(3):
+        yield View(width, sorted(rng.sample(range(width), rng.randint(1, width))))
+    yield View(width, rng.sample(range(width), rng.randint(1, width)))
+
+
+class TestView:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_gather_reads_each_position(self, n):
+        rng = random.Random(n)
+        for view in _views(n):
+            for mask in (0, (1 << view.width) - 1, rng.getrandbits(view.width)):
+                assert view.gather(mask) == _gathered(mask, view.positions), (view.positions, mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_scatter_undoes_gather_on_the_view(self, n):
+        rng = random.Random(n)
+        for view in _views(n):
+            on_view = sum(1 << p for p in view.positions)
+            for mask in (0, (1 << view.width) - 1, rng.getrandbits(view.width)):
+                assert view.scatter(view.gather(mask)) == mask & on_view, (view.positions, mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_from_mask_takes_the_set_bits_in_order(self, n):
+        width = math.factorial(n)
+        rng = random.Random(n)
+        for mask in (0, 1, 1 << width - 1, (1 << width) - 1, rng.getrandbits(width)):
+            view = View.from_mask(width, mask)
+            assert view.width == width
+            assert list(view.positions) == list(set_bits(mask))
+            assert view.gather(mask) == (1 << len(view.positions)) - 1
+            assert view.scatter(view.gather(mask)) == mask
