@@ -6,6 +6,21 @@ vanishing variables to zero in the matching field ideal, classifies it as
 zero, binomial or non-binomial, and cross-validates the combinatorial
 descriptions of these classes against the brute-force oracle.
 
+The layers, each importing only those above it:
+
+- ``permcomb``: permutations, Bruhat order, vanishing sets and the bitsets
+  over S_n that the layers below share
+- ``matchfield``: the placement rule of B_ell and the monomial map;
+  ``coherence`` checks the rule against the weight matrix
+- ``quadideal``: the degree-two fibers and the verdicts of all of S_n;
+  ``oracle`` restricts one cut's relations by one w
+- ``theoremsets``: the combinatorial families; ``tableaux``: the tableau
+  bijection and standardness; ``exactla`` and ``flagideal``: the exact
+  linear algebra of Theorem A
+- ``suites``: the verification suites; ``golden``: the published tables;
+  ``cli``: the parser and the dispatch to one ``cmd_*`` module per command,
+  which share ``cmdutil``
+
 The names below are exported lazily: ``mfl.<name>`` imports the submodule
 that defines it on first access, so ``import mfl`` (and every CLI command)
 loads only the layers it uses.
@@ -26,11 +41,19 @@ class CapabilityError(Exception):
 
 
 _EXPORTS = {
+    "coherence": (
+        "verify_coherence",
+        "weight_matrix",
+    ),
     "matchfield": (
         "display_key",
-        "verify_coherence",
         "weight_key",
-        "weight_matrix",
+    ),
+    "oracle": (
+        "ClassificationOutcome",
+        "QuadraticRelation",
+        "classify_oracle",
+        "quadratic_relations",
     ),
     "permcomb": (
         "bruhat_leq",
@@ -43,10 +66,6 @@ _EXPORTS = {
     ),
     "quadideal": (
         "CapabilityError",
-        "ClassificationOutcome",
-        "QuadraticRelation",
-        "classify_oracle",
-        "quadratic_relations",
         "verdict_masks",
     ),
     "tableaux": (

@@ -241,6 +241,10 @@ def mask_bits(mask: int, width: int) -> str:
     """The bits 0..width-1 of ``mask`` as text: character i is ``"1"``
     iff bit i is set (the reversed, zero-padded binary text).
 
+    Only for ``width >= 1`` and ``0 <= mask < 2**width``, which is not
+    checked: a wider mask gives all of its bits, so more than ``width``
+    characters (``mask_bits(0b111, 2)`` is ``'111'``).
+
     >>> mask_bits(0b110, 4)
     '0110'
     """
@@ -251,6 +255,11 @@ class View:
     """Bit k of a gather is bit ``positions[k]`` of a mask ``width`` bits
     wide, read off its :func:`mask_bits` text so that no step shifts a wide
     int.  Gathers may repeat positions; scatters back need distinct ones.
+
+    The masks are not checked.  A gathered mask must have
+    ``0 <= mask < 2**width``, so that character ``width`` of its text is a
+    ``"0"``; a scattered one must have ``0 <= mask < 2**len(positions)``,
+    as its higher bits are dropped.
 
     >>> view = View.from_mask(6, 0b101100)
     >>> view.positions, bin(view.gather(0b100101)), bin(view.scatter(0b110))

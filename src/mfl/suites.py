@@ -3,8 +3,9 @@
 Each suite runs a family of checks over a configurable range and returns a
 :class:`SuiteReport`; nothing raises on a mathematical mismatch, so a failing
 suite can be inspected as data.  Each suite imports the layers it reads when
-it runs: the combinatorial families, the tableaux layer and the exact linear
-algebra load only with the suites that use them.
+it runs: the coherence check, the combinatorial families, the per-w oracle,
+the tableaux layer and the exact linear algebra load only with the suites
+that use them.
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from functools import reduce
 from operator import or_
 
 from mfl import SUITES
-from mfl.matchfield import verify_coherence
 from mfl.permcomb import View, mask_bits, permutation_at, restriction, set_bits, word_text
-from mfl.quadideal import (
-    ZERO,
-    CapabilityError,
-    check_oracle_bound,
-    classify_oracle,
-    rank_one_mask,
-)
+from mfl.quadideal import ZERO, CapabilityError, check_oracle_bound, rank_one_mask
 
 #: run_theorem_c and run_pattern check the oracle-free set identities to
 #: this n, past the oracle bound.
@@ -78,7 +72,9 @@ class SuiteReport:
 def run_coherence(n_max: int = 7) -> SuiteReport:
     """Unique-minimum checks for every field with n <= n_max, plus the
     demonstration that the uncorrected placement rule is not induced by the
-    weight matrix at (4, 1)."""
+    weight matrix at (4, 1).  Only this suite loads :mod:`mfl.coherence`."""
+    from mfl.coherence import verify_coherence
+
     report = SuiteReport("coherence")
     for n in range(2, n_max + 1):
         for ell in range(n):
@@ -271,8 +267,8 @@ def run_a1_rank(n_max: int = 6) -> SuiteReport:
 
     Decided on bitsets over S_n: the A1 members outside
     :func:`mfl.quadideal.rank_one_mask` fail, and only for them does
-    :func:`mfl.quadideal.classify_oracle` run, to record the verdict and
-    the rank.
+    :func:`mfl.oracle.classify_oracle` load and run, to record the verdict
+    and the rank.
     """
     from mfl.theoremsets import TAG_A1, family_masks
 
@@ -282,6 +278,8 @@ def run_a1_rank(n_max: int = 6) -> SuiteReport:
             a1 = dict(family_masks(n, ell).tags)[TAG_A1]
             report.checked += a1.bit_count()
             for i in set_bits(a1 & ~rank_one_mask(n, ell)):
+                from mfl.oracle import classify_oracle
+
                 w = permutation_at(n, i)
                 outcome = classify_oracle(n, ell, w)
                 report.record(n=n, ell=ell, w=word_text(w),

@@ -16,7 +16,8 @@ from mfl import exactla
 from mfl.matchfield import weight_key
 from mfl.permcomb import all_index_keys, check_permutation, vanishing_keys
 from mfl.flagideal import _check_la_cap, _flag_ideal, _FlagBlock
-from mfl.quadideal import MonoKey, _degree_blocks, _key_fibers
+from mfl.oracle import MonoKey, _key_fibers
+from mfl.quadideal import _degree_blocks
 
 
 def reference_flag_ideal(n: int) -> tuple[_FlagBlock, ...]:

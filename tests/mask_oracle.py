@@ -1,7 +1,7 @@
 """Per-permutation builds of the S_n bitset tables of ``mfl.permcomb`` and
 ``mfl.theoremsets``: the oracles the run-built alive masks, the prefix
 masks read off them and the run-built families are compared against, and
-the per-w sweep rows the bit-text rows of ``mfl.cli`` are compared
+the per-w sweep rows the bit-text rows of ``mfl.cmd_sweep`` are compared
 against.  Each passes over all n! permutations.  ``two_pass_alive_masks``
 builds the alive masks by a second route, from run-built prefix masks and
 a Gale-cover sweep, cheap enough to compare against at n = 9.
@@ -33,7 +33,8 @@ from mfl.permcomb import (
     sorted_prefixes,
     word_text,
 )
-from mfl.quadideal import _degree_blocks, _fibers, verdict_at, verdict_masks
+from mfl.oracle import _fibers
+from mfl.quadideal import _degree_blocks, verdict_at, verdict_masks
 from mfl.theoremsets import (
     TAG_A1,
     TAG_A2,
@@ -59,10 +60,10 @@ def to_mask(flags):
     """The bitset whose bit i is the i-th of the booleans ``flags``; the
     inverse of ``mfl.permcomb.mask_bits``.
 
-    >>> to_mask(c == "1" for c in mask_bits(0b110, 4))
-    6
+    >>> to_mask(c == "1" for c in mask_bits(0b110, 4)), to_mask([])
+    (6, 0)
     """
-    return int(bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
+    return int(b"0" + bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
 
 
 def verdict_items(n, ell, bound=None):
@@ -87,7 +88,7 @@ def binomial_members(n, ell):
 
 
 def reference_block_fibers(n, ell):
-    """``mfl.quadideal._fibers(n, ell)`` by splitting each block of
+    """``mfl.oracle._fibers(n, ell)`` by splitting each block of
     ``_degree_blocks(n)`` by the image code of its monomials under B_ell
     alone: fibers of size >= 2 in order of first column, each a tuple of
     (local column, image sign)."""

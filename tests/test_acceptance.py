@@ -14,8 +14,8 @@ import pytest
 from initial_ideal_oracle import initial_degree2, surviving_binomial_space
 from mask_oracle import binomial_members, verdict_items
 from mfl import golden
-from mfl.cli import parse_permutation
-from mfl.matchfield import verify_coherence
+from mfl.cmdutil import parse_permutation
+from mfl.coherence import verify_coherence
 from mfl.permcomb import (
     permutation_index,
     vanishing_keys,
@@ -24,13 +24,8 @@ from mfl.permcomb import (
     zero_family_size,
 )
 from mfl.flagideal import theorem_a_masks
-from mfl.quadideal import (
-    BINOMIAL,
-    NONBINOMIAL,
-    classify_oracle,
-    mono_key,
-    quadratic_relations,
-)
+from mfl.oracle import classify_oracle, mono_key, quadratic_relations
+from mfl.quadideal import BINOMIAL, NONBINOMIAL
 from mfl.suites import run_tableaux, run_theorem_a
 from mfl.tableaux import enumerate_ssyt2, verify_bijection
 from mfl.theoremsets import (

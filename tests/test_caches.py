@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import mfl
-from mfl import flagideal, matchfield, permcomb, quadideal, tableaux, theoremsets
+from mfl import coherence, flagideal, matchfield, permcomb, quadideal, tableaux, theoremsets
 from mfl.suites import run_suite, run_tableaux, run_theorem_a
 
 
@@ -31,7 +31,7 @@ def test_every_cache_is_bounded():
     for name, cached in caches.items():
         assert cached.cache_info().maxsize is not None, name
     # the six rows of test_bounds_cover_working_sets, plus
-    # quadideal._fibers, quadideal.quadratic_relations,
+    # oracle._fibers, oracle.quadratic_relations,
     # flagideal._flag_ideal, flagideal._theorem_a_cuts and
     # tableaux._bijection_table
     assert len(caches) == 11, sorted(caches)
@@ -49,7 +49,7 @@ def test_per_call_helpers_carry_no_cache():
     # at most two ANDs of alive masks, one per descent
     assert not hasattr(matchfield.image_code, "cache_info")
     assert not hasattr(flagideal._block_layout, "cache_info")
-    assert not hasattr(matchfield.weight_matrix, "cache_info")
+    assert not hasattr(coherence.weight_matrix, "cache_info")
     assert not hasattr(permcomb.zero_family_size, "cache_info")
     assert not hasattr(permcomb.bruhat_up_set, "cache_info")
 
@@ -126,13 +126,13 @@ def test_theorem_a_decides_each_n_once():
 def test_no_family_masks_at_import():
     code = (
         "import mfl.cli, mfl.theoremsets as t, mfl.permcomb as p, "
-        "mfl.quadideal as q; "
+        "mfl.quadideal as q, mfl.oracle as o; "
         "assert t._families.cache_info().currsize == 0; "
         "assert p._alive_masks.cache_info().currsize == 0; "
         "assert q._degree_blocks.cache_info().currsize == 0; "
         "assert q._fiber_table.cache_info().currsize == 0; "
         "assert q._fiber_folds.cache_info().currsize == 0; "
-        "assert q._fibers.cache_info().currsize == 0"
+        "assert o._fibers.cache_info().currsize == 0"
     )
     src = pathlib.Path(theoremsets.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

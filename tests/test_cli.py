@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from mask_oracle import reference_sweep_rows
-from mfl import cli, permcomb, suites, tableaux, theoremsets
-from mfl.cli import main, parse_permutation
-from mfl.quadideal import classify_oracle
+from mfl import cli, cmd_sweep, cmdutil, permcomb, suites, tableaux, theoremsets
+from mfl.cli import main
+from mfl.cmdutil import parse_permutation
+from mfl.oracle import classify_oracle
 from mfl.suites import SuiteReport
 
 
@@ -252,14 +253,14 @@ class TestTableaux:
             assert code == 0, flags
             obj = json.loads(out)
             assert obj["tableaux"], flags
-            cli._emit_json(obj)
+            cmdutil.emit_json(obj)
             assert out == capsys.readouterr().out, flags
 
     def test_json_listing_of_no_items(self, capsys):
-        obj = {"ell": None, "n": 3, "schema": cli.SCHEMA}
-        cli._emit_json_listing(obj, "tableaux", iter(()))
+        obj = {"ell": None, "n": 3, "schema": cmdutil.SCHEMA}
+        cmdutil.emit_json_listing(obj, "tableaux", iter(()))
         streamed = capsys.readouterr().out
-        cli._emit_json(dict(obj, tableaux=[]))
+        cmdutil.emit_json(dict(obj, tableaux=[]))
         assert streamed == capsys.readouterr().out
 
     def test_json_listing_streams(self, capsys, monkeypatch):
@@ -511,7 +512,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("n, ell", [(n, ell) for n in range(3, 8) for ell in range(n)])
     def test_rows_match_per_w_reference(self, n, ell):
-        assert cli._sweep_rows(n, ell) == reference_sweep_rows(n, ell)
+        assert cmd_sweep._sweep_rows(n, ell) == reference_sweep_rows(n, ell)
 
     def test_n8_exits_2_before_families(self, capsys, monkeypatch):
         def family_masks(n, ell):

@@ -8,20 +8,16 @@ from types import MappingProxyType
 import pytest
 
 from mask_oracle import binomial_members, reference_families, verdict_items
-from mfl import golden, suites, theoremsets
-from mfl.cli import parse_permutation
+from mfl import golden, oracle, suites, theoremsets
+from mfl.cmdutil import parse_permutation
 from mfl.permcomb import (
     permutation_index,
     restriction,
     word_text,
     zero_family,
 )
-from mfl.quadideal import (
-    BINOMIAL,
-    NONBINOMIAL,
-    ZERO,
-    classify_oracle,
-)
+from mfl.oracle import classify_oracle
+from mfl.quadideal import BINOMIAL, NONBINOMIAL, ZERO
 from mfl.theoremsets import (
     TAG_A1,
     TAG_A2,
@@ -420,13 +416,13 @@ def test_a1_rank_mismatch_w_is_a_digit_string(monkeypatch):
     # a fake rank of 2 fails every A1 member: the rank-one mask is emptied
     # where the suite decides, and the oracle that writes the record for a
     # failing member reports rank 2; w is text, as elsewhere
-    real = suites.classify_oracle
+    real = oracle.classify_oracle
 
     def rank_two(n, ell, w):
         return real(n, ell, w)._replace(degree2_rank=2)
 
     monkeypatch.setattr(suites, "rank_one_mask", lambda n, ell: 0)
-    monkeypatch.setattr(suites, "classify_oracle", rank_two)
+    monkeypatch.setattr(oracle, "classify_oracle", rank_two)
     report = suites.run_a1_rank(4)
     assert report.checked == len(report.mismatches) > 0
     assert {m["w"] for m in report.mismatches} == set(golden.A1_N4_MEMBERS)

@@ -12,16 +12,8 @@ from mask_oracle import reference_block_fibers, reference_fiber_folds
 from mfl import exactla
 from mfl.flagideal import _FlagBlock, _flag_ideal
 from mfl.permcomb import all_index_keys
-from mfl.quadideal import (
-    MonoKey,
-    _degree_blocks,
-    _fiber_folds,
-    _fiber_table,
-    _fibers,
-    _key_fibers,
-    _mono_order,
-    mono_key,
-)
+from mfl.oracle import MonoKey, _fibers, _key_fibers, _mono_order, mono_key
+from mfl.quadideal import _degree_blocks, _fiber_folds, _fiber_table
 from per_w_reference import variable_image_key
 
 

@@ -3,18 +3,17 @@ import math
 
 import pytest
 
-from mfl import golden, matchfield
-from mfl.matchfield import (
+from mfl import coherence, golden, matchfield
+from mfl.coherence import (
     CoherenceFailure,
     CoherenceReport,
     _placement_weights,
     _rule_placement,
     _subset_minima,
-    display_key,
     verify_coherence,
-    weight_key,
     weight_matrix,
 )
+from mfl.matchfield import display_key, weight_key
 from mfl.permcomb import MAX_N, all_index_keys
 from per_w_reference import variable_image_key
 
@@ -212,7 +211,7 @@ class TestCoherence:
             calls.append(members)
             return _placement_weights(n, ell, members)
 
-        monkeypatch.setattr(matchfield, "_placement_weights", counted)
+        monkeypatch.setattr(coherence, "_placement_weights", counted)
         for n in range(1, 8):
             for ell in range(n):
                 assert verify_coherence(n, ell).ok
@@ -223,7 +222,7 @@ class TestCoherence:
     def test_ties_are_counted(self, monkeypatch):
         # under a zero matrix every placement of J is minimal: |J|! ways
         monkeypatch.setattr(
-            matchfield, "weight_matrix", lambda n, ell: ((0,) * n,) * n
+            coherence, "weight_matrix", lambda n, ell: ((0,) * n,) * n
         )
         best, ways = _subset_minima(5, 2)
         assert set(best) == {0}

@@ -12,7 +12,7 @@ from mask_oracle import (
     to_mask,
     two_pass_alive_masks,
 )
-from mfl.cli import parse_permutation
+from mfl.cmdutil import parse_permutation
 from mfl.permcomb import (
     MAX_N,
     View,
@@ -385,6 +385,16 @@ class TestBitsetsOverSn:
         assert to_mask([False, False]) == 0
         assert to_mask([True, False, True]) == 0b101
 
+    def test_mask_bits_gives_width_characters_in_range(self):
+        # for 0 <= mask < 2**width, which View relies on: one character more
+        # is a "0"
+        for width in range(1, 9):
+            for mask in range(1 << width):
+                text = mask_bits(mask, width)
+                assert len(text) == width, (width, mask)
+                assert to_mask(c == "1" for c in text) == mask
+                assert mask_bits(mask, width + 1) == text + "0"
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lift_masks_read_the_parent(self, n):
         rng = random.Random(n)
@@ -407,7 +417,7 @@ class TestBitsetsOverSn:
         masks = [0, (1 << view.width) - 1] + [rng.getrandbits(view.width) for _ in range(3)]
         assert [view.gather(m) for m in masks] == lift_masks(n, masks)
         for mask in masks:
-            assert view.gather(mask) == _gathered(mask, parents)
+            assert view.gather(mask) == to_mask(mask >> p & 1 for p in parents)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_suffix_mask_matches_the_tails(self, n):
@@ -486,11 +496,6 @@ class TestBitsetsOverSn:
             assert bruhat_up_set(longest) == 1 << permutation_index(longest)
 
 
-def _gathered(mask, positions):
-    """Bit k is bit ``positions[k]`` of ``mask``, one bit at a time."""
-    return sum((mask >> p & 1) << k for k, p in enumerate(positions))
-
-
 def _views(n):
     """Views over S_n: the empty one, one member, the last bit, all of S_n,
     and random subsets, one of them in no particular order."""
@@ -511,7 +516,8 @@ class TestView:
         rng = random.Random(n)
         for view in _views(n):
             for mask in (0, (1 << view.width) - 1, rng.getrandbits(view.width)):
-                assert view.gather(mask) == _gathered(mask, view.positions), (view.positions, mask)
+                expected = to_mask(mask >> p & 1 for p in view.positions)
+                assert view.gather(mask) == expected, (view.positions, mask)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_scatter_undoes_gather_on_the_view(self, n):

@@ -23,20 +23,22 @@ from mfl.permcomb import (
     vanishing_keys,
     word_text,
 )
-from mfl.quadideal import (
-    BINOMIAL,
-    NONBINOMIAL,
-    ZERO,
-    CapabilityError,
+from mfl.oracle import (
     QuadraticRelation,
-    _fiber_folds,
-    _fiber_table,
     _fibers,
     _key_fibers,
     classify_oracle,
     mono_key,
     mono_text,
     quadratic_relations,
+)
+from mfl.quadideal import (
+    BINOMIAL,
+    NONBINOMIAL,
+    ZERO,
+    CapabilityError,
+    _fiber_folds,
+    _fiber_table,
     rank_one_mask,
     verdict_masks,
 )

@@ -2,6 +2,8 @@
 layer, each CLI command loads only the layers it runs, and the package's
 lazy exports resolve as the eager imports did."""
 
+import argparse
+import ast
 import importlib
 import json
 import os
@@ -12,16 +14,19 @@ import sys
 import pytest
 
 import mfl
+from mfl import cli
 
 SRC = pathlib.Path(mfl.__file__).parents[1]
 
 #: Every name ``mfl`` exports, by defining module.
 EXPORTS = {
-    "matchfield": ("display_key", "verify_coherence", "weight_key", "weight_matrix"),
+    "coherence": ("verify_coherence", "weight_matrix"),
+    "matchfield": ("display_key", "weight_key"),
+    "oracle": ("ClassificationOutcome", "QuadraticRelation", "classify_oracle",
+               "quadratic_relations"),
     "permcomb": ("bruhat_leq", "dominated", "permutation_at", "restriction",
                  "set_bits", "vanishing_keys", "zero_family"),
-    "quadideal": ("CapabilityError", "ClassificationOutcome", "QuadraticRelation",
-                  "classify_oracle", "quadratic_relations", "verdict_masks"),
+    "quadideal": ("CapabilityError", "verdict_masks"),
     "tableaux": ("check_tableau", "enumerate_ssyt2", "min_defining_chain2",
                  "ssyt_to_matching_field", "verify_bijection"),
     "theoremsets": ("ClassificationRecord", "classify_combinatorial", "count_table",
@@ -38,6 +43,14 @@ MOVED = {
     "quadideal": ("DegreeTwoSpace", "degree2_flag_ideal"),
     "tableaux": ("is_standard", "standard_monomial_count_deg2"),
     "theoremsets": ("in_pattern_family",),
+}
+
+#: The names ``mfl`` exports that left the module named for a module of
+#: their own, which only the commands and suites that run them load.
+RELOCATED = {
+    "matchfield": ("verify_coherence", "weight_matrix"),
+    "quadideal": ("ClassificationOutcome", "QuadraticRelation", "classify_oracle",
+                  "quadratic_relations"),
 }
 
 #: Modules that only some commands need.
@@ -102,7 +115,80 @@ def test_command_loads_only_its_layers(statements, deferred):
 ], ids=["parser", "help", "usage-error"])
 def test_parser_loads_no_layer(statements):
     loaded = _loaded_after(statements)
+    # and no command module, nor the helpers they share
     assert [m for m in loaded if m.startswith("mfl.")] == ["mfl.cli"]
+
+
+#: The per-w oracle and the coherence check, which no bulk command runs.
+PER_CASE = ("mfl.oracle", "mfl.coherence")
+
+
+@pytest.mark.parametrize("argv, command_module", [
+    (["tables", "table2", "--n-max", "4"], "mfl.cmd_table2"),
+    (["sweep", "--n", "4", "--ell", "1"], "mfl.cmd_sweep"),
+    (["verify", "--suite", "theoremA", "--n-max", "4"], "mfl.cmd_verify"),
+], ids=["table2", "sweep", "theoremA"])
+def test_bulk_commands_compile_no_per_case_module(argv, command_module):
+    loaded = _loaded_after(f"import mfl.cli; mfl.cli.main({argv!r})")
+    assert [m for m in PER_CASE if m in loaded] == []
+    assert [m for m in loaded if m.startswith("mfl.cmd")] == [command_module,
+                                                               "mfl.cmdutil"]
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["classify", "--n", "4", "--ell", "2", "--w", "3214"], "mfl.oracle"),
+    (["ideal", "--n", "3", "--ell", "1"], "mfl.oracle"),
+    (["tables", "table1"], "mfl.oracle"),
+    (["verify", "--suite", "coherence", "--n-max", "3"], "mfl.coherence"),
+    # the a1-rank suite loads the oracle only for a member that fails
+    (["verify", "--suite", "all"], "mfl.coherence"),
+], ids=["classify", "ideal", "table1", "coherence", "all"])
+def test_per_case_commands_load_the_module_they_run(argv, runs):
+    loaded = _loaded_after(f"import mfl.cli; mfl.cli.main({argv!r})")
+    assert [m for m in PER_CASE if m in loaded] == [runs]
+
+
+def test_no_module_imports_the_cli():
+    # under ``python -m mfl.cli`` the CLI runs as __main__, and an import of
+    # mfl.cli would compile it a second time
+    for path in (SRC / "mfl").glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assert "mfl.cli" not in imported, path.name
+    code = (
+        "import runpy, sys\n"
+        "for argv in (['tables', 'table2', '--n-max', '4'], ['sweep', '--n', '4'],\n"
+        "             ['verify', '--suite', 'all'], ['classify', '--n', '3',\n"
+        "             '--ell', '1', '--w', '231'], ['tableaux', '--n', '3']):\n"
+        "    sys.argv = ['mfl', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('mfl.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (argv, exc.code)\n"
+        "assert 'mfl.cli' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_subcommand_dispatches_to_a_callable():
+    # the command modules load only at dispatch, so an import error there
+    # shows only when that command runs: resolve every target here
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    (table,) = [a for a in subparsers.choices["tables"]._actions if a.dest == "table"]
+    assert set(cli.COMMANDS) == set(subparsers.choices) - {"tables"} | set(table.choices)
+    for command, (module, function) in cli.COMMANDS.items():
+        target = getattr(importlib.import_module(module), function)
+        assert callable(target), command
 
 
 def test_zn_loads_only_the_zero_family_and_golden():
@@ -181,15 +267,20 @@ def test_no_module_imports_dataclasses():
 
 
 @pytest.mark.parametrize("module, name", [
-    (module, name) for table in (EXPORTS, MOVED)
+    (module, name) for table in (EXPORTS, MOVED, RELOCATED)
     for module, names in table.items() for name in names
 ])
 def test_export_resolves_to_its_definition(module, name):
     defining = importlib.import_module(f"mfl.{module}")
-    if name in MOVED[module]:
+    if name in MOVED.get(module, ()):
         # no longer in the package: neither exported nor defined
         assert not hasattr(mfl, name) and name not in dir(mfl)
         assert not hasattr(defining, name)
+        return
+    if name in RELOCATED.get(module, ()):
+        # exported from its new home, with no alias left behind
+        assert not hasattr(defining, name)
+        assert getattr(mfl, name).__module__ != defining.__name__
         return
     assert getattr(mfl, name) is getattr(defining, name)
     assert name in dir(mfl)

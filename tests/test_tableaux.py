@@ -7,7 +7,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfl import cli, suites, tableaux
+from mfl import cli, cmd_tableaux, suites, tableaux
 from mfl.matchfield import display_key, image_code
 from mfl.permcomb import (
     _alive_masks,
@@ -107,8 +107,8 @@ class TestTableau:
 
     def test_render_text(self):
         # the CLI's text form of a tableau
-        assert cli._render(((1, 2, 4), (2, 3))) == "1 | 2\n2 | 3\n4"
-        assert cli._render(((9, 10), (3,))) == " 9 |  3\n10"
+        assert cmd_tableaux._render(((1, 2, 4), (2, 3))) == "1 | 2\n2 | 3\n4"
+        assert cmd_tableaux._render(((9, 10), (3,))) == " 9 |  3\n10"
 
 
 class TestRowEqual:
