@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from mfl import coherence, golden, matchfield
+from mfl import coherence, golden
 from mfl.coherence import (
     CoherenceFailure,
     CoherenceReport,
