@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import sys
 
-from mfl.cmdutil import SCHEMA, emit_json
+from mfl.cmdutil import SCHEMA, check_n_max, emit_json
 
 
 def cmd_table2(args) -> int:
-    if args.n_max is not None and args.n_max < 3:
-        raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
+    check_n_max(args.n_max)
     from mfl import golden
     from mfl.theoremsets import count_table
 

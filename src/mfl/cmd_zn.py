@@ -3,17 +3,14 @@ n = 8 and counted to ``--n-max``, against the golden lists."""
 
 from __future__ import annotations
 
-from mfl.cmdutil import SCHEMA, emit_json
+from mfl.cmdutil import SCHEMA, check_n_max, emit_json
 
 
 def cmd_zn(args) -> int:
-    if args.n_max is not None and args.n_max < 3:
-        raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
+    check_n_max(args.n_max)
     from mfl import golden
-    from mfl.permcomb import MAX_N, word_text, zero_family, zero_family_size
+    from mfl.permcomb import word_text, zero_family, zero_family_size
 
-    if args.n_max is not None and args.n_max > MAX_N:
-        raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
     n_max = 15 if args.n_max is None else args.n_max
     diffs = []
     listing = {}

@@ -1,5 +1,5 @@
 """What the command modules share: the schema tag of their JSON output, the
-parser of ``--w`` and the JSON emitters.
+parsers of ``--w`` and ``--n-max`` and the JSON emitters.
 
 This module does not import :mod:`mfl.cli`: under ``python -m mfl.cli``
 that module runs as ``__main__``, and importing it by name would compile it
@@ -30,6 +30,16 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
     if len(w) != n:
         raise ValueError(f"permutation {text!r} has length {len(w)}, expected {n}")
     return w
+
+
+def check_n_max(n_max: int | None) -> None:
+    """Refuse an ``--n-max`` below 3 or above MAX_N; None (not given) passes."""
+    from mfl.permcomb import MAX_N
+
+    if n_max is not None and n_max < 3:
+        raise ValueError(f"--n-max must be at least 3, got {n_max}")
+    if n_max is not None and n_max > MAX_N:
+        raise ValueError(f"--n-max must be at most {MAX_N}, got {n_max}")
 
 
 def emit_json(obj) -> None:

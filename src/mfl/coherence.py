@@ -1,5 +1,6 @@
 """The coherence check: the weight matrix M_ell induces the placement rule of
-the block diagonal matching field B_ell (:func:`mfl.matchfield._swap_flag`).
+the block diagonal matching field B_ell (:func:`mfl.matchfield._swap_flag`),
+and not the rule sometimes printed (:func:`_printed_swap`).
 
 Rather than sum all |J|! placements of every J, one dynamic programme over
 the 2^n subsets S of values per field finds the least weight of placing S
@@ -15,24 +16,19 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from mfl.matchfield import _swap_flag
+from mfl.matchfield import _swap_flag, _weight_entry
 from mfl.permcomb import MAX_N, check_cut
 
 
 def weight_matrix(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
-    """The n x n weight matrix M_ell inducing B_ell, as a tuple of rows: row
-    1 is zero, row 2 encodes the block cut, rows r >= 3 are (r-1)(n+1-j).
+    """The n x n weight matrix M_ell inducing B_ell, as a tuple of rows of
+    :func:`mfl.matchfield._weight_entry`.
 
     >>> weight_matrix(4, 2)
     ((0, 0, 0, 0), (2, 1, 4, 3), (8, 6, 4, 2), (12, 9, 6, 3))
     """
-    rows = [tuple([0] * n)]
-    row2 = [ell + 1 - j if j <= ell else n + ell + 1 - j for j in range(1, n + 1)]
-    if n >= 2:
-        rows.append(tuple(row2))
-    for r in range(3, n + 1):
-        rows.append(tuple((r - 1) * (n + 1 - j) for j in range(1, n + 1)))
-    return tuple(rows)
+    return tuple(tuple(_weight_entry(n, ell, row, value) for value in range(1, n + 1))
+                 for row in range(1, n + 1))
 
 
 def _placement_weights(
@@ -41,19 +37,23 @@ def _placement_weights(
     """Weight of every placement; keys are row assignments (rows[k] holds
     the row given to the k-th smallest element)."""
     matrix = weight_matrix(n, ell)
-    s = len(members)
-    out = {}
-    for rows in itertools.permutations(range(1, s + 1)):
-        out[rows] = sum(matrix[rows[k] - 1][members[k] - 1] for k in range(s))
-    return out
+    return {rows: sum(matrix[r - 1][m - 1] for r, m in zip(rows, members))
+            for rows in itertools.permutations(range(1, len(members) + 1))}
+
+
+def _printed_swap(ell: int, members: tuple[int, ...]) -> bool:
+    """The rule sometimes printed for B_ell: swap rows 1 and 2 unless |J| = 1
+    or |J meet {1..ell}| >= 2, so also when no member is <= ell.  M_ell does
+    not induce it: at (n, ell) = (4, 1) it places J = {3, 4} as is."""
+    return len(members) > 1 and ell < members[1]
+
+
+_RULES = {"corrected": _swap_flag, "literal": _printed_swap}
 
 
 def _rule_placement(ell: int, members: tuple[int, ...], rule: str) -> tuple[int, ...]:
-    s = len(members)
-    rows = list(range(1, s + 1))
-    if _swap_flag(ell, members, rule):
-        rows[0], rows[1] = rows[1], rows[0]
-    return tuple(rows)
+    rows = tuple(range(1, len(members) + 1))
+    return rows[1::-1] + rows[2:] if _RULES[rule](ell, members) else rows
 
 
 class CoherenceFailure(NamedTuple):
@@ -127,6 +127,8 @@ def verify_coherence(n: int, ell: int, rule: str = "corrected") -> CoherenceRepo
     check_cut(n, ell)
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {n}")
+    if rule not in _RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     matrix = weight_matrix(n, ell)
     best, ways = _subset_minima(n, ell)
     failures = []

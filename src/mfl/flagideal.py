@@ -11,11 +11,10 @@ with the same local relations share one elimination (26 relation lists
 for the 5316 blocks at n = 8).  What a block's check reads (its flag rows;
 of a cut, the weight ties and relative fiber signs) is the same for many
 blocks and cuts, so each distinct layout is built once, keyed by ints (250
-of 8640 at n = 8).  The interval rule: from cut ell - 1 to ell, a variable
-J with two or more members keeps its swap flag and weight formula unless
-ell is J[0] or J[1], and its weight grows by 1; a block's monomials have
-one size multiset, so their weights shift alike, and a block is keyed only
-at such cuts.  Which of a block's monomials survive a w does not depend on
+of 8640 at n = 8).  Between a variable's breakpoints
+(:func:`mfl.matchfield._breakpoints`) the weights of a block's monomials
+shift alike, so a block is keyed only at its variables' breakpoints.
+Which of a block's monomials survive a w does not depend on
 the cut: per block, the checked w (a :class:`mfl.permcomb.View` of S_n) are
 split once by the surviving columns, and each distinct (layout, surviving
 columns) is decided once.  Only the Theorem A suite imports this module,
@@ -31,7 +30,7 @@ from operator import add, ne, or_
 from typing import Iterator, NamedTuple
 
 from mfl import exactla
-from mfl.matchfield import _swap_flag, weight_key
+from mfl.matchfield import _breakpoints, _swap_flag, weight_key
 from mfl.permcomb import View, _alive_masks, all_index_keys
 from mfl.quadideal import (
     CapabilityError,
@@ -227,9 +226,9 @@ def _shared_layouts(
     (flag rows, weight ties, fiber signs up to a whole fiber's) share one
     layout, built once per call and indexed in order of first use, keyed by
     ints: an index of the rows' entries, the weight ranks, and per fiber the
-    column mask and the columns whose sign differs from the first's.  By the
-    interval rule a block is keyed only at cut 0 and at J[0] and J[1] of its
-    variables J (other cuts join the cut before), from flat per-cut data.
+    column mask and the columns whose sign differs from the first's.  A
+    block is keyed only at cut 0 and at the breakpoints of its variables
+    (other cuts join the cut before), from flat per-cut data.
     """
     keys, blocks = all_index_keys(n), _degree_blocks(n)
     first, second = zip(*itertools.chain.from_iterable(blocks))
@@ -240,7 +239,7 @@ def _shared_layouts(
     negative = [  # bit text: character k is 1 iff monomial k has sign -1
         bytes(flat([_swap_flag(ell, k) for k in keys], ne)).translate(b"01".ljust(256))
         for ell in range(n)]
-    breaks = list(flat([1 << k[0] | 1 << k[1] if len(k) > 1 else 0 for k in keys], or_))
+    breaks = list(flat([_breakpoints(k) for k in keys], or_))
     table: list[list[tuple[int, int, int]]] = [[] for _ in blocks]
     for b, columns, cuts in _fiber_table(n):
         table[b].append((reduce(or_, map((1).__lshift__, columns)), columns[0], cuts))

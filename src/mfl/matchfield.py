@@ -7,23 +7,15 @@ The convention here indexes ell over 0..n-1 with ell = 0 the diagonal field
 same object as the "ell = n" reading used by some of the classification
 statements.
 
-Placement rule.  The textbook definition of B_ell is sometimes printed as
-"swap rows 1 and 2 unless |J| = 1 or |J meet {1..ell}| >= 2", which swaps
-also when the intersection is empty.  That rule is NOT induced by the weight
-matrix M_ell: for (n, ell) = (4, 1) and J = {3, 4} the minimal placement is
-the identity.  The rule implemented here is the coherent one,
+B_ell places each J where the weight matrix M_ell weighs it least:
 
-    swap rows 1 and 2  iff  |J| >= 2 and |J meet {1..ell}| = 1,
+    swap rows 1 and 2  iff  |J| >= 2 and |J meet {1..ell}| = 1.
 
-and :func:`mfl.coherence.verify_coherence` checks exhaustively that the
-weight matrix attains its unique minimum exactly at this placement.  The
-literal printed rule is kept (``rule="literal"``) so the incoherence is
-demonstrable.
-
-This module holds the placement rule, the weight of the rule's placement
-(:func:`weight_key`) and the image of a variable under the monomial map
-(:func:`image_code`); the weight matrix and the coherence check are in
-:mod:`mfl.coherence`, which only the coherence suite loads.
+This module is the one place that knows how B_ell places a variable
+(:func:`_swap_flag`), weighs it (:func:`weight_key`) and re-places it as
+ell moves (:func:`_breakpoints`).  :mod:`mfl.coherence`, which only the
+coherence suite loads, checks the rule against M_ell and shows that the
+rule sometimes printed is not induced by it.
 """
 
 from __future__ import annotations
@@ -35,15 +27,21 @@ from typing import Sequence
 # Placement and display
 
 
-def _swap_flag(ell: int, members: Sequence[int], rule: str = "corrected") -> bool:
-    if len(members) < 2:
-        return False
-    # members are sorted: exactly one member, or at most one, is <= ell
-    if rule == "corrected":
-        return members[0] <= ell < members[1]
-    if rule == "literal":
-        return ell < members[1]
-    raise ValueError(f"unknown rule {rule!r}")
+def _swap_flag(ell: int, members: Sequence[int]) -> bool:
+    # members are sorted: exactly one member is <= ell
+    return len(members) > 1 and members[0] <= ell < members[1]
+
+
+def _breakpoints(members: Sequence[int]) -> int:
+    """The cuts where B_ell may place or weigh J unlike at the cut before,
+    as a bitmask: J[0] and J[1], none for a singleton.  At any other cut,
+    J keeps its swap flag, so the same member sits in row 2 on the same
+    side of the cut, and its weight grows by 1 (stays 0 for a singleton).
+
+    >>> bin(_breakpoints((2, 4, 5))), _breakpoints((3,))
+    ('0b10100', 0)
+    """
+    return 1 << members[0] | 1 << members[1] if len(members) > 1 else 0
 
 
 def display_key(n: int, ell: int, members: tuple[int, ...]) -> tuple[int, ...]:
@@ -61,26 +59,24 @@ def display_key(n: int, ell: int, members: tuple[int, ...]) -> tuple[int, ...]:
 # The weight of a placement
 
 
-def weight_key(n: int, ell: int, members: tuple[int, ...]) -> int:
-    """Closed-form weight of P_J under M_ell.
+def _weight_entry(n: int, ell: int, row: int, value: int) -> int:
+    """The entry of M_ell at (row, value): row 2 encodes the block cut, and
+    every other row r is (r - 1)(n + 1 - value), so row 1 is zero."""
+    if row == 2:
+        return ell + 1 - value if value <= ell else n + ell + 1 - value
+    return (row - 1) * (n + 1 - value)
 
-    Three cases by the size of ``J meet {1..ell}`` (zero, one, at least two);
-    singletons have weight 0.  Agrees with the least placement weight that
+
+def weight_key(n: int, ell: int, members: tuple[int, ...]) -> int:
+    """Weight of P_J under M_ell: the weight of its :func:`display_key`
+    placement, which is the least placement weight that
     :func:`mfl.coherence._subset_minima` finds.
 
     >>> [weight_key(4, 2, j) for j in ((3,), (3, 4), (1, 2))]
     [0, 3, 1]
     """
-    s = len(members)
-    if s == 1:
-        return 0
-    low = sum(1 for m in members if m <= ell)
-    tail = sum((k - 1) * (n + 1 - members[k - 1]) for k in range(3, s + 1))
-    if low == 0:
-        return (n + ell + 1 - members[1]) + tail
-    if low == 1:
-        return (ell + 1 - members[0]) + tail
-    return (ell + 1 - members[1]) + tail
+    return sum(_weight_entry(n, ell, row, value)
+               for row, value in enumerate(display_key(n, ell, members), start=1))
 
 
 # ---------------------------------------------------------------------------

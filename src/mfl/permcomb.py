@@ -176,10 +176,7 @@ def bruhat_leq(ve: Sequence[int], we: Sequence[int]) -> bool:
     """
     if len(ve) != len(we):
         raise ValueError(f"size mismatch: {len(ve)} != {len(we)}")
-    for k in range(1, len(ve)):
-        if ve[k - 1] > ve[k] and not dominated(sorted(ve[:k]), sorted(we[:k])):
-            return False
-    return True
+    return all(dominated(prefix, sorted(we[:len(prefix)])) for prefix in descent_prefixes(ve))
 
 
 # ---------------------------------------------------------------------------

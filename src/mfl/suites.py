@@ -299,9 +299,12 @@ _RUNNERS = {
 
 
 def run_suite(name: str, n_max: int | None = None, cap: int | None = None) -> SuiteReport:
-    """Run one named suite (or "all") with its default range unless n_max is
-    given; caps apply to the linear-algebra suite only."""
+    """Run one named suite, with its default range unless n_max is given, or
+    "all" at their default ranges; caps apply to the linear-algebra suite only."""
     if name == "all":
+        if n_max is not None:
+            raise ValueError("--n-max applies to a single suite; "
+                             "--suite all runs each at its default range")
         # checked before any suite runs, not when theoremA's turn comes
         if cap is not None and cap < THEOREM_A_N_MAX:
             raise ValueError(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache, reduce
-from operator import gt, or_, xor
+from operator import gt, lt, or_, xor
 from typing import Iterator, NamedTuple
 
 from mfl.matchfield import image_code
@@ -55,6 +55,11 @@ Key = tuple[int, ...]
 Columns = tuple[Key, ...]
 
 
+def _is_column(column: Key) -> bool:
+    """Whether ``column`` is non-empty and strictly increasing from at least 1."""
+    return bool(column) and column[0] >= 1 and all(map(lt, column, column[1:]))
+
+
 def check_tableau(n: int, columns: Columns) -> None:
     """Raise ValueError unless ``columns`` is a semi-standard tableau over
     [n]: strictly increasing proper non-empty subsets of [n] of weakly
@@ -69,10 +74,9 @@ def check_tableau(n: int, columns: Columns) -> None:
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"column sizes must weakly decrease: {sizes}")
     for col in columns:
-        if not (1 <= len(col) <= n - 1 and 1 <= min(col) and max(col) <= n):
-            raise ValueError(f"column must be a proper non-empty subset of [{n}]: {col}")
-        if any(a >= b for a, b in zip(col, col[1:])):
-            raise ValueError(f"column must be strictly increasing: {col}")
+        if not (_is_column(col) and len(col) < n and col[-1] <= n):
+            raise ValueError(
+                f"column must be a strictly increasing proper non-empty subset of [{n}]: {col}")
     for left, right in zip(columns, columns[1:]):
         if any(l > r for l, r in zip(left, right)):
             raise ValueError(f"rows must weakly increase: {left} | {right}")
@@ -129,7 +133,8 @@ def ssyt_to_matching_field(columns: Columns, ell: int) -> Columns:
     >>> ssyt_to_matching_field(((1, 2, 4), (3,)), 1)
     ((1, 3, 4), (2,))
     """
-    if len(columns) != 2 or len(columns[0]) < len(columns[1]) or any(map(gt, *columns)):
+    if (len(columns) != 2 or len(columns[0]) < len(columns[1]) or any(map(gt, *columns))
+            or not all(map(_is_column, columns))):
         raise ValueError(f"expected a two-column semi-standard tableau: {columns}")
     return _rearrange(columns, ell)
 

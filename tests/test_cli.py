@@ -187,6 +187,12 @@ class TestTables:
             assert (code, out) == (2, ""), argv
             assert err == "error: --n-max must be at most 16, got 17\n"
 
+    def test_table2_n_max_above_max_n_exits_2(self, capsys):
+        # the range check zn and verify make, not the oracle bound's message
+        code, out, err = run(capsys, "tables", "table2", "--n-max", "17")
+        assert (code, out) == (2, "")
+        assert err == "error: --n-max must be at most 16, got 17\n"
+
 
 class TestIdeal:
     def test_unrestricted_json(self, capsys):
@@ -449,6 +455,17 @@ class TestVerify:
             "error: --n-max applies to a single suite; "
             "--suite all runs each at its default range\n"
         )
+
+    @pytest.mark.parametrize("n_max", [3, 99])
+    def test_run_suite_all_rejects_n_max(self, monkeypatch, n_max):
+        # the library refuses what the CLI refuses, before any suite runs
+        def must_not_run(**kwargs):
+            raise AssertionError("suite ran")
+
+        monkeypatch.setitem(suites._RUNNERS, "coherence", must_not_run)
+        with pytest.raises(ValueError, match="^--n-max applies to a single suite; "
+                                             "--suite all runs each at its default range$"):
+            suites.run_suite("all", n_max=n_max)
 
     @pytest.mark.parametrize("n_max", ["0", "2", "-1"])
     def test_n_max_below_three_exits_2(self, capsys, n_max):

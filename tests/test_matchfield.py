@@ -13,7 +13,7 @@ from mfl.coherence import (
     verify_coherence,
     weight_matrix,
 )
-from mfl.matchfield import display_key, weight_key
+from mfl.matchfield import _breakpoints, _swap_flag, display_key, weight_key
 from mfl.permcomb import MAX_N, all_index_keys
 from per_w_reference import variable_image_key
 
@@ -166,6 +166,20 @@ class TestWeights:
             if a != b
         ]
         assert diffs == [all_index_keys(4).index((2, 4))]
+
+
+class TestBreakpoints:
+    def test_placement_and_weight_change_only_at_breakpoints(self):
+        # from cut ell - 1 to ell a variable keeps its swap flag and its
+        # weight grows by 1 (by 0 for a singleton) exactly when ell is not
+        # one of its breakpoints
+        for n in range(2, 10):
+            for k in all_index_keys(n):
+                step = 1 if len(k) > 1 else 0
+                for ell in range(1, n):
+                    kept = (_swap_flag(ell, k) == _swap_flag(ell - 1, k)
+                            and weight_key(n, ell, k) == weight_key(n, ell - 1, k) + step)
+                    assert kept != bool(_breakpoints(k) >> ell & 1), (n, ell, k)
 
 
 class TestCoherence:

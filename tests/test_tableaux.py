@@ -210,6 +210,9 @@ class TestRearrangement:
             ((1, 2), (2,), (3,)),  # three columns
             ((1, 3), (1, 2)),  # row 2 decreases
             ((1,), (1, 2)),  # sizes increase
+            ((2, 1), (3,)),  # a column decreases
+            ((1, 1), (2,)),  # a column repeats an entry
+            ((), ()),  # empty columns
         ):
             with pytest.raises(ValueError, match="two-column semi-standard"):
                 ssyt_to_matching_field(columns, 1)
